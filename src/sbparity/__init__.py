@@ -13,7 +13,6 @@ from .bath import (
     Mode,
     SpectralLaw,
     bath_from_modes,
-    beta_of,
     discretize_bath,
     e_min_eo,
     e_min_eo_continuum,

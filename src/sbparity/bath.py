@@ -32,7 +32,6 @@ __all__ = [
     "bath_from_modes",
     "e_min_eo",
     "e_min_eo_continuum",
-    "beta_of",
 ]
 
 
@@ -212,8 +211,3 @@ def e_min_eo(bath: BathModel) -> float:
 def e_min_eo_continuum(law: SpectralLaw) -> float:
     """Continuum counterpart of :func:`e_min_eo`: -alpha*omega_c/(2*s)."""
     return -law.alpha * law.omega_c / (2.0 * law.s)
-
-
-def beta_of(bath: BathModel) -> float:
-    """The alpha-invariant ratio 2*sum_q2/alpha for this discretization."""
-    return bath.beta

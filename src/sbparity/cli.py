@@ -71,7 +71,8 @@ from .errors import (
     SolverError,
     SpinBosonError,
 )
-from .fockspace import BasisSet, PerModeCap, TotalQuantaCap, d_matrix, default_policy, enumerate_basis
+from .fockspace import (BasisSet, PerModeCap, TotalQuantaCap, d_matrix, default_policy,
+                        enumerate_basis, l_matrix)
 from .hamiltonian import Branch, ModelParams, assemble_branch, degenerate_energy_set
 from .parity import Discretization, critical_alpha, closure_report, d_square_audit
 from .spectra import eigen_lowest, theorem_report
@@ -392,7 +393,7 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _emit_error(exc: Exception, out_path=None) -> None:
+def _emit_error(exc: Exception) -> None:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     sys.stdout.write(dumps(payload))
 
@@ -427,7 +428,9 @@ def run_theorem(cfg: RunConfig, out_path=None) -> int:
         report = theorem_report(params, tol=cfg.tol)
     except InvariantViolation as exc:
         payload = getattr(exc, "report", None)
-        body = payload.as_dict() if payload is not None else {}
+        if payload is None:
+            raise  # no report to attach: the plain error JSON from main
+        body = payload.as_dict()
         body["invariant_violation"] = str(exc)
         body["config"] = cfg.echo()
         body["versions"] = _versions()
@@ -473,7 +476,7 @@ def run_parity_audit(cfg: RunConfig, out_path=None, dump_tables=None) -> int:
     basis = build_basis(cfg, bath)
     if dump_tables:
         table = d_matrix(basis, bath)
-        _emit(_triplet_csv(("row", "col", "value"), table.l), f"{dump_tables}_l.csv")
+        _emit(_triplet_csv(("row", "col", "value"), l_matrix(basis, bath)), f"{dump_tables}_l.csv")
         _emit(_triplet_csv(("row", "col", "value"), table.d), f"{dump_tables}_d.csv")
     audit = d_square_audit(basis, bath)
     body = audit.as_dict()

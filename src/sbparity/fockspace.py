@@ -1,17 +1,24 @@
 """Truncated multi-mode occupation bases and the matrix elements of the
 bosonic parity factor between displaced oscillator number states.
 
-The central kernel is the single-mode overlap factor
+The single-mode overlap factor
 
     L(m, n; q) = sum_{j=0}^{min(m,n)} (-1)**j * sqrt(m! n!) * (2q)**(m+n-2j)
                  / ((m-j)! (n-j)! j!)
 
-whose multi-mode product, scaled by exp(-2 * sum_k q_k**2), gives the parity
-matrix element D between displaced number states.  The alternating sum
-cancels catastrophically when evaluated naively, so every term is formed as
-sign * exp(log-magnitude) with log-factorials and the terms are accumulated
-by compensated (Neumaier) summation in descending magnitude.  An exact
-rational evaluation backs the unit tests, and :func:`overlap_oracle` provides
+scaled by exp(-2 q**2) is the single-mode parity element D(m, n).  With
+x = 2q, t = x**2 and k = m - n >= 0 it is a normalized associated Laguerre
+polynomial (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)):
+
+    L(n+k, n; q) = (-1)**n * x**k * sqrt(n! / (n+k)!) * L_n^(k)(t).
+
+The alternating sum cancels catastrophically, so it is never summed: the
+normalized functions obey the three-term recurrence of DLMF §18.9, run in n
+along every diagonal k at once, which is stable to about 1e-14 absolute over
+the whole occupation range.  D is the stored quantity, because
+L * exp(-2 sum_k q_k**2) is 0 * inf at strong coupling; L is formed only on
+request, from the same recurrence without the exp(-2 q**2) seed.  An exact
+rational evaluation backs the unit tests, and :func:`overlap_oracle` gives
 an independent route through the bare number basis.
 
 The sign convention fixed by the oracle under q = +lam/(2*omega):
@@ -29,9 +36,10 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from scipy.special import gammaln
 
 from .bath import BathModel
-from .errors import CapacityError, ConvergenceError, ParameterError
+from .errors import CapacityError, ConvergenceError, InvariantViolation, ParameterError
 from .symmat import SymmetricMatrix
 
 __all__ = [
@@ -42,12 +50,13 @@ __all__ = [
     "enumerate_basis",
     "l_element_single",
     "l_element",
-    "l_row",
-    "l_row_squared_logsum",
     "l_scaled_rational",
     "single_mode_l_table",
+    "single_mode_d_table",
+    "single_mode_d_row",
     "ParityElementTable",
     "d_matrix",
+    "l_matrix",
     "overlap_oracle",
     "FACTORIAL_GUARD",
     "MAX_BASIS_STATES",
@@ -63,8 +72,10 @@ MAX_BASIS_STATES = 200_000
 # Default cap on dense parity-table dimension (memory bound, ~dim**2/2 floats).
 MAX_TABLE_DIM = 5_000
 
+# |D_mn| <= 1 and (D@D)_mm <= 1 hold exactly; this is their slack in the guards.
+D_BOUND = 1.0 + 1e-12
+
 _LGAMMA = math.lgamma
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -176,51 +187,40 @@ def _check_occupation(n: int):
         raise ParameterError(f"occupations must be >= 0, got {n}")
 
 
-def _l_single_log(m: int, n: int, q: float) -> tuple[float, float]:
-    """(log-magnitude, sign) of the single-mode factor L(m, n; q), q >= 0."""
+def _single_mode_block(q: float, m_max: int, n_max: int, scaled: bool) -> np.ndarray:
+    """Single-mode L(m, n; q) for m <= m_max, n <= n_max, times exp(-2 q**2)
+    when ``scaled`` (that is, D).
+
+    Runs the normalized Laguerre recurrence in j = min(m, n) for
+    min(m_max, n_max) + 1 steps, vectorized over the diagonals k = |m - n|,
+    with the sign (-1)**j folded in.  The seed is formed in logs, so the
+    scaled block never meets exp(+2 q**2).
+    """
+    out = np.zeros((m_max + 1, n_max + 1))
+    steps = min(m_max, n_max) + 1
     if q == 0.0:
-        if m == n:
-            return 0.0, -1.0 if m % 2 else 1.0
-        return _NEG_INF, 0.0
-    if n < m:
-        m, n = n, m  # canonical order makes the float result exactly symmetric
-    log2q = math.log(2.0 * q)
-    base = 0.5 * (_LGAMMA(m + 1) + _LGAMMA(n + 1))
-    terms = [
-        (
-            base + (m + n - 2 * j) * log2q
-            - _LGAMMA(m - j + 1) - _LGAMMA(n - j + 1) - _LGAMMA(j + 1),
-            -1.0 if j % 2 else 1.0,
-        )
-        for j in range(min(m, n) + 1)
-    ]
-    terms.sort(key=lambda t: -t[0])
-    shift = terms[0][0]
-    # Neumaier compensation over descending magnitudes.
-    total = 0.0
-    comp = 0.0
-    for mag, sign in terms:
-        x = sign * math.exp(mag - shift)
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    total += comp
-    if total == 0.0:
-        return _NEG_INF, 0.0
-    return shift + math.log(abs(total)), math.copysign(1.0, total)
+        j = np.arange(steps)
+        out[j, j] = np.where(j % 2, -1.0, 1.0)
+        return out
+    k = np.arange(max(m_max, n_max) + 1)
+    x = 2.0 * q
+    t = x * x
+    f = np.exp((-0.5 * t if scaled else 0.0) + k * math.log(x) - 0.5 * gammaln(k + 1.0))
+    f_prev = np.zeros_like(f)
+    for j in range(steps):
+        out[j:, j] = f[: m_max + 1 - j]  # (j + k, j)
+        out[j, j + 1:] = f[1 : n_max + 1 - j]  # (j, j + k), k >= 1
+        f, f_prev = (
+            -(2 * j + 1 + k - t) * f - np.sqrt(j * (j + k)) * f_prev
+        ) / np.sqrt((j + 1) * (j + 1 + k)), f
+    return out
 
 
 def l_element_single(m: int, n: int, q: float) -> float:
     """Single-mode L(m, n; q) in double precision."""
     _check_occupation(m)
     _check_occupation(n)
-    logmag, sign = _l_single_log(m, n, q)
-    if sign == 0.0:
-        return 0.0
-    return sign * math.exp(logmag)
+    return float(_single_mode_block(q, m, n, scaled=False)[m, n])
 
 
 def l_element(m, n, bath: BathModel) -> float:
@@ -236,28 +236,6 @@ def l_element(m, n, bath: BathModel) -> float:
     for mk, nk, mode in zip(m, n, bath.modes):
         out *= l_element_single(mk, nk, mode.q)
     return out
-
-
-def l_row(m: int, q: float, nmax: int) -> np.ndarray:
-    """Single-mode row [L(m, 0; q), ..., L(m, nmax; q)]."""
-    _check_occupation(m)
-    _check_occupation(nmax)
-    return np.array([l_element_single(m, n, q) for n in range(nmax + 1)])
-
-
-def l_row_squared_logsum(m: int, q: float, nmax: int) -> float:
-    """log of sum_{n<=nmax} L(m, n; q)**2, stable for large q."""
-    _check_occupation(m)
-    _check_occupation(nmax)
-    logs = []
-    for n in range(nmax + 1):
-        logmag, sign = _l_single_log(m, n, q)
-        if sign != 0.0:
-            logs.append(2.0 * logmag)
-    if not logs:
-        return _NEG_INF
-    shift = max(logs)
-    return shift + math.log(math.fsum(math.exp(v - shift) for v in logs))
 
 
 def l_scaled_rational(m: int, n: int, q: Fraction) -> Fraction:
@@ -276,58 +254,84 @@ def l_scaled_rational(m: int, n: int, q: Fraction) -> Fraction:
 def single_mode_l_table(q: float, cap: int) -> np.ndarray:
     """Symmetric (cap+1) x (cap+1) table of single-mode L values."""
     _check_occupation(cap)
-    dim = cap + 1
-    table = np.empty((dim, dim))
-    for m in range(dim):
-        for n in range(m + 1):
-            table[m, n] = table[n, m] = l_element_single(m, n, q)
-    return table
+    return _single_mode_block(q, cap, cap, scaled=False)
+
+
+def single_mode_d_table(q: float, cap: int) -> np.ndarray:
+    """Symmetric (cap+1) x (cap+1) table of single-mode D values."""
+    _check_occupation(cap)
+    return _single_mode_block(q, cap, cap, scaled=True)
+
+
+def single_mode_d_row(m: int, q: float, n_max: int) -> np.ndarray:
+    """Single-mode row [D(m, 0; q), ..., D(m, n_max; q)], in min(m, n_max) + 1 steps."""
+    _check_occupation(m)
+    _check_occupation(n_max)
+    return _single_mode_block(q, m, n_max, scaled=True)[m]
 
 
 @dataclass(frozen=True)
 class ParityElementTable:
-    """Symmetric L and D = prefactor * L tables over a basis.
+    """Symmetric D table over a basis, in packed symmetric storage (one cell
+    per unordered index pair).
 
-    ``prefactor`` is exp(-2 * sum_k q_k**2).  Both tables live in packed
-    symmetric storage: one cell per unordered index pair.
+    ``prefactor`` is exp(-2 * sum_k q_k**2), the ratio D / L.
     """
 
     basis: BasisSet
     prefactor: float
-    l: SymmetricMatrix
     d: SymmetricMatrix
-
-    def l_dense(self) -> np.ndarray:
-        return self.l.to_dense()
 
     def d_dense(self) -> np.ndarray:
         return self.d.to_dense()
+
+
+def _packed_product(basis: BasisSet, bath: BathModel, table) -> np.ndarray:
+    """Product over modes of the single-mode tables ``table(q, cap)``,
+    gathered along the packed lower triangle of ``basis``."""
+    if basis.n_modes != bath.n_modes:
+        raise ParameterError(
+            f"basis has {basis.n_modes} modes but bath has {bath.n_modes}"
+        )
+    occ = basis.occupations
+    rows, cols = np.tril_indices(basis.dim)
+    packed = np.ones(rows.shape[0])
+    for k, mode in enumerate(bath.modes):
+        table_k = table(mode.q, int(occ[:, k].max()))
+        packed *= table_k[occ[rows, k], occ[cols, k]]
+    return packed
 
 
 def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> ParityElementTable:
     """Parity matrix element table D over ``basis``.
 
     Each unordered pair is evaluated once, as a product over modes of
-    precomputed single-mode tables gathered along the packed lower triangle.
+    single-mode D tables gathered along the packed lower triangle.
+
+    Raises
+    ------
+    InvariantViolation
+        If any |D_mn| exceeds 1 + 1e-12 or is NaN.
     """
-    if basis.n_modes != bath.n_modes:
-        raise ParameterError(
-            f"basis has {basis.n_modes} modes but bath has {bath.n_modes}"
-        )
     if basis.dim > max_dim:
         raise CapacityError(
             f"dense parity table of dimension {basis.dim} exceeds guard {max_dim}"
         )
-    occ = basis.occupations
-    rows, cols = np.tril_indices(basis.dim)
-    packed_l = np.ones(rows.shape[0])
-    for k, mode in enumerate(bath.modes):
-        table_k = single_mode_l_table(mode.q, int(occ[:, k].max()))
-        packed_l *= table_k[occ[rows, k], occ[cols, k]]
-    prefactor = math.exp(-2.0 * bath.sum_q2)
-    l_mat = SymmetricMatrix(basis.dim, packed_l)
-    d_mat = SymmetricMatrix(basis.dim, prefactor * packed_l)
-    return ParityElementTable(basis=basis, prefactor=prefactor, l=l_mat, d=d_mat)
+    packed = _packed_product(basis, bath, single_mode_d_table)
+    worst = max(np.max(packed), -np.min(packed))  # NaN if any entry is NaN
+    if not worst <= D_BOUND:
+        raise InvariantViolation(f"max|D| = {worst:.6g} breaks |D| <= 1")
+    return ParityElementTable(
+        basis=basis,
+        prefactor=math.exp(-2.0 * bath.sum_q2),
+        d=SymmetricMatrix(basis.dim, packed),
+    )
+
+
+def l_matrix(basis: BasisSet, bath: BathModel) -> SymmetricMatrix:
+    """Multi-mode L table over ``basis``, for table dumps only; may overflow
+    to inf at large coupling, where D does not."""
+    return SymmetricMatrix(basis.dim, _packed_product(basis, bath, single_mode_l_table))
 
 
 # ---------------------------------------------------------------------------

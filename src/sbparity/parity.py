@@ -27,13 +27,13 @@ from scipy.special import gammaln
 from .bath import BathModel, SpectralLaw, discretize_bath
 from .errors import InvariantViolation, ParameterError, SearchError
 from .fockspace import (
+    D_BOUND,
     FACTORIAL_GUARD,
     BasisSet,
-    PerModeCap,
     TotalQuantaCap,
-    _l_single_log,
     d_matrix,
     enumerate_basis,
+    single_mode_d_row,
 )
 
 __all__ = [
@@ -90,47 +90,32 @@ def _check_cap(n_tr: int):
         )
 
 
-def _log_o_mode(m: int, q: float, n_tr: int) -> float:
-    """log of sum_{n<=n_tr} L(m, n; q)**2 for a single mode."""
-    if q == 0.0:
-        # Only n == m contributes, with value 1; it is lost if m is capped out.
-        return 0.0 if m <= n_tr else float("-inf")
-    if m == 0:
+def _log_l2_row(m: int, q: float, n_tr: int) -> np.ndarray:
+    """log L(m, n; q)**2 for n = 0..n_tr; -inf where L vanishes."""
+    if m == 0 and q != 0.0:
         # L(0, n)**2 = mu**n / n! with mu = 4 q**2: a partial exponential series.
         mu = 4.0 * q * q
         n = np.arange(n_tr + 1, dtype=float)
-        logs = n * math.log(mu) - gammaln(n + 1.0)
-        shift = float(np.max(logs))
-        return shift + math.log(float(np.sum(np.exp(logs - shift))))
-    logs = []
-    for n in range(n_tr + 1):
-        logmag, sign = _l_single_log(m, n, q)
-        if sign != 0.0:
-            logs.append(2.0 * logmag)
-    if not logs:
-        return float("-inf")
-    shift = max(logs)
-    return shift + math.log(math.fsum(math.exp(v - shift) for v in logs))
+        return n * math.log(mu) - gammaln(n + 1.0)
+    # Squares of D rather than L, so nothing overflows at large q.
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log(np.abs(single_mode_d_row(m, q, n_tr))) + 4.0 * q * q
+
+
+def _log_sum_exp(logs: np.ndarray) -> float:
+    shift = float(np.max(logs))
+    if shift == float("-inf"):
+        return shift
+    return shift + math.log(float(np.sum(np.exp(logs - shift))))
 
 
 def _log_o_total(m: tuple[int, ...], bath: BathModel, n_tr: int) -> float:
     """log of the diagonal sum under a total-quanta cap (direct enumeration)."""
-    basis = enumerate_basis(bath.n_modes, TotalQuantaCap(n_tr))
-    occ = basis.occupations
-    log_prod = np.zeros(basis.dim)
-    alive = np.ones(basis.dim, dtype=bool)
+    occ = enumerate_basis(bath.n_modes, TotalQuantaCap(n_tr)).occupations
+    log_prod = np.zeros(occ.shape[0])
     for k, mode in enumerate(bath.modes):
-        row = np.empty(n_tr + 1)
-        for n in range(n_tr + 1):
-            logmag, sign = _l_single_log(m[k], n, mode.q)
-            row[n] = -np.inf if sign == 0.0 else 2.0 * logmag
-        vals = row[occ[:, k]]
-        alive &= np.isfinite(vals)
-        log_prod = np.where(alive, log_prod + vals, -np.inf)
-    if not np.any(alive):
-        return float("-inf")
-    shift = float(np.max(log_prod[alive]))
-    return shift + math.log(float(np.sum(np.exp(log_prod[alive] - shift))))
+        log_prod += _log_l2_row(m[k], mode.q, n_tr)[occ[:, k]]
+    return _log_sum_exp(log_prod)
 
 
 def o_diagonal(m, bath: BathModel, n_tr: int, policy: str = "per-mode") -> float:
@@ -154,7 +139,7 @@ def o_diagonal(m, bath: BathModel, n_tr: int, policy: str = "per-mode") -> float
 def _log_o(m, bath, n_tr, policy):
     if policy == "per-mode":
         return math.fsum(
-            _log_o_mode(mk, mode.q, n_tr) for mk, mode in zip(m, bath.modes)
+            _log_sum_exp(_log_l2_row(mk, mode.q, n_tr)) for mk, mode in zip(m, bath.modes)
         )
     if policy == "total-quanta":
         return _log_o_total(m, bath, n_tr)
@@ -350,10 +335,16 @@ class ParityAudit:
 
 
 def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
-    """Form D over ``basis``, square it, and report departures from identity."""
+    """Form D over ``basis``, square it, and report departures from identity.
+
+    Raises InvariantViolation if a row norm (D@D)_mm exceeds 1 + 1e-12.
+    """
     table = d_matrix(basis, bath)
     dense = table.d_dense()
     square = dense @ dense
+    worst = float(np.max(np.diagonal(square)))
+    if not worst <= D_BOUND:
+        raise InvariantViolation(f"max (D@D)_mm = {worst:.17g} breaks the row-norm bound 1")
     diag = np.abs(np.diagonal(square) - 1.0)
     off = square - np.diag(np.diagonal(square))
     policy = basis.policy

@@ -11,7 +11,6 @@ from sbparity import (
     ParameterError,
     SpectralLaw,
     bath_from_modes,
-    beta_of,
     discretize_bath,
     e_min_eo,
     e_min_eo_continuum,
@@ -122,10 +121,10 @@ def test_e_min_eo_continuum_reference():
 def test_beta_is_alpha_invariant():
     b1 = discretize_bath(SpectralLaw(0.1, 1.0, 1.0), 40, 2.0)
     b2 = discretize_bath(SpectralLaw(0.2, 1.0, 1.0), 40, 2.0)
-    assert beta_of(b1) == pytest.approx(beta_of(b2), rel=1e-12)
+    assert b1.beta == pytest.approx(b2.beta, rel=1e-12)
     # alpha = 0 exposes the same alpha-independent value.
     b0 = discretize_bath(SpectralLaw(0.0, 1.0, 1.0), 40, 2.0)
-    assert beta_of(b0) == pytest.approx(beta_of(b1), rel=1e-12)
+    assert b0.beta == pytest.approx(b1.beta, rel=1e-12)
 
 
 def test_beta_two_independent_routes_agree():
@@ -142,7 +141,7 @@ def test_beta_two_independent_routes_agree():
         wmean_num, _ = quad(lambda w: w * law.j(w) / math.pi, lo, hi)
         omega_k = wmean_num / lam2
         beta_quad += 2.0 * (lam2 / (4.0 * omega_k ** 2)) / alpha
-    assert beta_of(bath) == pytest.approx(beta_quad, rel=1e-10)
+    assert bath.beta == pytest.approx(beta_quad, rel=1e-10)
 
 
 def test_q_definition_holds_for_every_mode():

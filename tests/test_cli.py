@@ -142,6 +142,23 @@ def test_theorem_single_mode_against_oracle(tmp_path, capsys):
     assert report["versions"]["sbparity"]
 
 
+@pytest.mark.parametrize("lam, cap", [(4.0, 60), (6.0, 120)])
+def test_theorem_strong_coupling_against_bare_basis(tmp_path, capsys, lam, cap):
+    # q = 2 at cap 60 is the configuration that once printed e_gs = -4519.63.
+    path = write_config(
+        tmp_path,
+        {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.0,
+                   "modes": [[1.0, lam]]},
+         "trunc": {"cap": cap}},
+    )
+    code = cli.main(["theorem", "--config", path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    oracle = bare_fock_ground_energy(1.0, lam, 0.1, 250)
+    assert report["e_gs"] == pytest.approx(oracle, abs=1e-9)
+    assert report["verdict"] == "strictly-below"
+
+
 def test_theorem_json_round_trips_bytes(tmp_path, capsys):
     path = write_config(tmp_path, SINGLE_MODE_THEOREM)
     cli.main(["theorem", "--config", path])
@@ -453,6 +470,30 @@ def test_invariant_violation_exits_2(tmp_path, capsys, monkeypatch):
     assert "invariant_violation" in out or out.get("error", {}).get("type") == "InvariantViolation"
 
 
+@pytest.mark.parametrize(
+    "command, value, guard",
+    [
+        ("theorem", 2.0, "|D| <= 1"),
+        ("theorem", math.nan, "|D| <= 1"),
+        ("parity-audit", 2.0, "|D| <= 1"),
+        ("parity-audit", 0.9, "row-norm bound"),  # |D| <= 1 holds, (D@D)_mm does not
+    ],
+)
+def test_corrupted_parity_table_exits_2(tmp_path, capsys, monkeypatch, command, value, guard):
+    from sbparity import fockspace
+
+    def corrupted(q, m_max, n_max, scaled):
+        return np.full((m_max + 1, n_max + 1), value)
+
+    monkeypatch.setattr(fockspace, "_single_mode_block", corrupted)
+    path = write_config(tmp_path, SINGLE_MODE_THEOREM)
+    code = cli.main([command, "--config", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["type"] == "InvariantViolation"
+    assert guard in out["error"]["message"]
+
+
 def test_config_error_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": -2, "alpha": 0.2})
     code = cli.main(["theorem", "--config", path])
@@ -467,6 +508,19 @@ def test_capacity_error_exits_1(tmp_path, capsys):
         tmp_path,
         {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2,
          "trunc": {"policy": "per-mode", "cap": 20}},
+    )
+    code = cli.main(["theorem", "--config", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "CapacityError"
+
+
+def test_theorem_cap_above_factorial_guard_exits_1(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.0,
+                   "modes": [[1.0, 40.0]]},
+         "trunc": {"cap": 171}},
     )
     code = cli.main(["theorem", "--config", path])
     out = json.loads(capsys.readouterr().out)

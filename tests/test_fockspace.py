@@ -24,7 +24,7 @@ from sbparity import (
     l_element_single,
     overlap_oracle,
 )
-from sbparity.fockspace import l_row, l_scaled_rational, single_mode_l_table
+from sbparity.fockspace import FACTORIAL_GUARD, l_scaled_rational, single_mode_l_table
 
 from conftest import single_mode_bath
 
@@ -152,6 +152,39 @@ def test_l_matches_rational_reference(m, n, q):
     assert l_element_single(m, n, float(q)) == pytest.approx(exact, abs=1e-10, rel=1e-10)
 
 
+def exact_d(m, n, q):
+    """D(m, n; q) from the exact rational sum, evaluated in log space."""
+    r = l_scaled_rational(m, n, q)
+    if r == 0:
+        return 0.0
+    log_abs = math.log(abs(r.numerator)) - math.log(r.denominator)
+    log_d = log_abs + 0.5 * (math.lgamma(m + 1) + math.lgamma(n + 1)) - 2.0 * float(q) ** 2
+    return math.copysign(math.exp(log_d), r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(0, 80),
+    n=st.integers(0, 80),
+    q=st.fractions(min_value=0, max_value=5, max_denominator=50),
+)
+def test_d_matches_rational_reference_up_to_occupation_eighty(m, n, q):
+    bath = bath_from_modes([(1.0, 2.0 * float(q))])
+    table = d_matrix(enumerate_basis(1, PerModeCap(max(m, n))), bath)
+    assert table.d.entry(m, n) == pytest.approx(exact_d(m, n, q), abs=1e-12)
+
+
+@pytest.mark.parametrize("q, cap", [(2, 40), (3, 120), (5, 170)])
+def test_d_table_edge_rows_match_rational_reference(q, cap):
+    # The last row and the diagonal carry the largest cancellations of the
+    # alternating sum; every entry must still be exact to a few ulps of 1.
+    bath = bath_from_modes([(1.0, 2.0 * q)])
+    d = d_matrix(enumerate_basis(1, PerModeCap(cap)), bath).d_dense()
+    for n in range(0, cap + 1, 10):
+        assert d[cap, n] == pytest.approx(exact_d(cap, n, Fraction(q)), abs=1e-12)
+        assert d[n, n] == pytest.approx(exact_d(n, n, Fraction(q)), abs=1e-12)
+
+
 def test_l_multiplicative_across_modes():
     bath = bath_from_modes([(1.0, 0.8), (0.5, 0.7)])
     q0, q1 = bath.modes[0].q, bath.modes[1].q
@@ -211,6 +244,15 @@ def test_d_table_capacity_guard():
     basis = enumerate_basis(1, PerModeCap(30))
     with pytest.raises(CapacityError):
         d_matrix(basis, bath, max_dim=10)
+
+
+def test_d_table_occupation_guard():
+    # Above the factorial guard exp(-2 q**2) seeds underflow and the
+    # recurrence would return exact zeros, so occupations stop at the guard.
+    bath = single_mode_bath()
+    d_matrix(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD)), bath)
+    with pytest.raises(CapacityError):
+        d_matrix(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD + 1)), bath)
 
 
 def test_spectra_invariant_under_odd_row_sign_flip():
@@ -297,5 +339,3 @@ def test_single_mode_l_table_matches_elements():
     for m in range(6):
         for n in range(6):
             assert table[m, n] == l_element_single(m, n, 0.7)
-    row = l_row(2, 0.7, 5)
-    assert np.array_equal(row, table[2])

@@ -33,6 +33,8 @@ from sbparity import (
     parity_deficiency,
 )
 
+from sbparity.fockspace import l_scaled_rational
+
 from conftest import single_mode_bath
 
 
@@ -105,6 +107,39 @@ def test_o_total_quanta_matches_brute_force():
         )
         assert o_diagonal(m, bath, cap, policy="total-quanta") == pytest.approx(
             brute, rel=1e-12
+        )
+
+
+def exact_l2(m, n, q):
+    """L(m, n; q)**2 as an exact rational."""
+    return l_scaled_rational(m, n, q) ** 2 * math.factorial(m) * math.factorial(n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 2), Fraction(3)])
+def test_o_and_deficiency_at_excited_reference_match_exact_row_sums(m, q):
+    bath = bath_from_modes([(1.0, 2.0 * float(q))])
+    scale = math.exp(-4.0 * float(q) ** 2)
+    for n_tr in (m, 20, 60):
+        exact = sum(exact_l2(m, n, q) for n in range(n_tr + 1))
+        assert o_diagonal((m,), bath, n_tr) == pytest.approx(float(exact), rel=1e-12)
+        assert parity_deficiency(bath, n_tr, (m,)) == pytest.approx(
+            1.0 - scale * float(exact), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("policy", ["per-mode", "total-quanta"])
+def test_two_mode_deficiency_matches_exact_sums(policy):
+    q = (Fraction(3, 2), Fraction(3))
+    bath = bath_from_modes([(1.0, 2.0 * float(q[0])), (0.5, float(q[1]))])
+    scale = math.exp(-4.0 * bath.sum_q2)
+    n_tr = 24
+    basis = enumerate_basis(2, PerModeCap(n_tr) if policy == "per-mode" else TotalQuantaCap(n_tr))
+    for m in [(1, 0), (0, 2), (5, 3)]:
+        exact = sum(exact_l2(m[0], n[0], q[0]) * exact_l2(m[1], n[1], q[1]) for n in basis.vectors)
+        assert o_diagonal(m, bath, n_tr, policy) == pytest.approx(float(exact), rel=1e-12)
+        assert parity_deficiency(bath, n_tr, m, policy) == pytest.approx(
+            1.0 - scale * float(exact), abs=1e-12
         )
 
 
