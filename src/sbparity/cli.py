@@ -52,7 +52,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,7 +74,7 @@ from .fockspace import (BasisSet, PerModeCap, TotalQuantaCap, d_matrix, default_
                         enumerate_basis, l_matrix)
 from .hamiltonian import Branch, ModelParams, assemble_branch, degenerate_energy_set
 from .parity import Discretization, critical_alpha, closure_report, d_square_audit
-from .spectra import eigen_lowest, theorem_report
+from .spectra import DEFAULT_MAX_ITER, solve_branches, theorem_report
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -109,7 +108,14 @@ class RunConfig:
     sweep: dict | None
     output: dict | None
 
-    def echo(self) -> dict:
+    def echo(self, bath: BathModel | None = None) -> dict:
+        """The configuration as run.  ``bath`` is the bath the command built,
+        if it built one: its mode count and discretization ratio (null for
+        explicit ``model.modes``) are echoed under ``disc``."""
+        if bath is None:
+            disc = {"n_modes": self.n_modes, "lambda_disc": self.lambda_disc}
+        else:
+            disc = {"n_modes": bath.n_modes, "lambda_disc": bath.lambda_disc}
         out = {
             "model": {
                 "delta": self.delta,
@@ -117,7 +123,7 @@ class RunConfig:
                 "s": self.s,
                 "alpha": self.alpha,
             },
-            "disc": {"n_modes": self.n_modes, "lambda_disc": self.lambda_disc},
+            "disc": disc,
             "trunc": {"policy": self.policy, "cap": self.cap},
             "solver": {
                 "tol": self.tol,
@@ -231,7 +237,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     _check_keys("solver", solver, ("tol", "max_iter", "k_levels"))
     tol = _require_number("solver", "tol", solver.get("tol", 1e-10), low_strict=0.0)
-    max_iter = _require_int("solver", "max_iter", solver.get("max_iter", 10000), low=1)
+    max_iter = _require_int("solver", "max_iter", solver.get("max_iter", DEFAULT_MAX_ITER), low=1)
     k_levels = _require_int("solver", "k_levels", solver.get("k_levels", 1), low=1)
 
     _check_keys("parity", parity, ("epsilon", "m_ref"))
@@ -309,7 +315,15 @@ def build_basis(cfg: RunConfig, bath: BathModel) -> BasisSet:
         policy = TotalQuantaCap(cfg.cap)
     else:
         policy = default_policy(bath.n_modes, cfg.cap)
-    return enumerate_basis(bath.n_modes, policy)
+    try:
+        return enumerate_basis(bath.n_modes, policy)
+    except CapacityError as exc:
+        raise CapacityError(
+            f"{exc} ({bath.n_modes} modes, {policy.kind} cap {policy.cap}); lower "
+            f"disc.n_modes (or list fewer model.modes) or trunc.cap, or set "
+            f'trunc.policy to "total-quanta", which keeps comb(cap + n_modes, n_modes) '
+            f"states instead of (cap + 1)**n_modes"
+        ) from None
 
 
 def resolve_m_ref(cfg: RunConfig, n_modes: int) -> tuple[int, ...]:
@@ -425,19 +439,19 @@ def run_theorem(cfg: RunConfig, out_path=None) -> int:
     basis = build_basis(cfg, bath)
     params = ModelParams(delta=cfg.delta, bath=bath, basis=basis)
     try:
-        report = theorem_report(params, tol=cfg.tol)
+        report = theorem_report(params, tol=cfg.tol, max_iter=cfg.max_iter)
     except InvariantViolation as exc:
         payload = getattr(exc, "report", None)
         if payload is None:
             raise  # no report to attach: the plain error JSON from main
         body = payload.as_dict()
         body["invariant_violation"] = str(exc)
-        body["config"] = cfg.echo()
+        body["config"] = cfg.echo(bath)
         body["versions"] = _versions()
         _emit(dumps(body), out_path)
         return EXIT_INVARIANT
     body = report.as_dict()
-    body["config"] = cfg.echo()
+    body["config"] = cfg.echo(bath)
     body["versions"] = _versions()
     _emit(dumps(body), out_path)
     return EXIT_OK
@@ -447,24 +461,26 @@ def run_spectrum(cfg: RunConfig, out_path=None, dump_matrix=None) -> int:
     bath = build_bath(cfg)
     basis = build_basis(cfg, bath)
     params = ModelParams(delta=cfg.delta, bath=bath, basis=basis)
-    table = d_matrix(basis, bath)
-    k = min(cfg.k_levels, basis.dim)
-    branches = {}
-    for name, branch in (("plus", Branch.EVEN), ("minus", Branch.ODD)):
-        h = assemble_branch(params, branch, table)
-        if dump_matrix:
+    if dump_matrix:
+        table = d_matrix(basis, bath)
+        for name, branch in (("plus", Branch.EVEN), ("minus", Branch.ODD)):
+            h = assemble_branch(params, branch, table)
             _emit(_triplet_csv(("i", "j", "value"), h), f"{dump_matrix}_h{name}.csv")
-        res = eigen_lowest(h, k, cfg.tol)
-        branches[name] = {
+    k = min(cfg.k_levels, basis.dim)
+    _, res_plus, res_minus = solve_branches(params, k, k, cfg.tol, cfg.max_iter)
+    branches = {
+        name: {
             "values": list(res.values),
             "vectors": [list(res.vectors[:, i]) for i in range(res.vectors.shape[1])],
             "residual": res.residual,
         }
+        for name, res in (("plus", res_plus), ("minus", res_minus))
+    }
     body = {
         "plus": branches["plus"],
         "minus": branches["minus"],
         "degenerate_energy_set": list(degenerate_energy_set(basis, bath)[:k]),
-        "config": cfg.echo(),
+        "config": cfg.echo(bath),
         "versions": _versions(),
     }
     _emit(dumps(body), out_path)
@@ -480,7 +496,7 @@ def run_parity_audit(cfg: RunConfig, out_path=None, dump_tables=None) -> int:
         _emit(_triplet_csv(("row", "col", "value"), table.d), f"{dump_tables}_d.csv")
     audit = d_square_audit(basis, bath)
     body = audit.as_dict()
-    body["config"] = cfg.echo()
+    body["config"] = cfg.echo(bath)
     body["versions"] = _versions()
     _emit(dumps(body), out_path)
     return EXIT_OK
@@ -554,7 +570,7 @@ def _format_m_ref(m_ref) -> str:
     return ";".join(str(int(v)) for v in m_ref)
 
 
-def run_phase_diagram(cfg: RunConfig, out_path=None, jobs=1, reference=None) -> int:
+def run_phase_diagram(cfg: RunConfig, out_path=None, reference=None) -> int:
     if cfg.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section with variable \"s\"")
     lo, hi, steps = float(cfg.sweep["from"]), float(cfg.sweep["to"]), int(cfg.sweep["steps"])
@@ -581,11 +597,7 @@ def run_phase_diagram(cfg: RunConfig, out_path=None, jobs=1, reference=None) -> 
             ).beta
             return math.nan, beta, math.nan
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(solve, points))
-    else:
-        solved = [solve(s_val) for s_val in points]
+    solved = [solve(s_val) for s_val in points]
 
     ref_interp = None
     if reference is not None:
@@ -655,7 +667,10 @@ def _build_parser() -> _Parser:
                              help="override parity.epsilon from the config")})
     add("closure", "bare-basis closure counting for (n_modes, cap)")
     add("phase-diagram", "critical dissipation vs s sweep (CSV)",
-        **{"--jobs": dict(default=1, type=int, help="concurrent sweep points"),
+        **{"--jobs": dict(default=1, type=int,
+                          help="accepted for compatibility and ignored: the sweep runs "
+                               "serially, since its bisection is pure Python and "
+                               "threads only slowed it down"),
            "--reference": dict(default=None, metavar="CSV",
                                help="reference curve to interpolate as an extra column"),
            "--epsilon": dict(default=None, type=float,
@@ -690,7 +705,7 @@ def main(argv=None) -> int:
         if args.command == "phase-diagram":
             if args.jobs < 1:
                 raise ConfigError(f'flag "--jobs": must be >= 1, got {args.jobs}')
-            return run_phase_diagram(cfg, out_path, jobs=args.jobs, reference=args.reference)
+            return run_phase_diagram(cfg, out_path, reference=args.reference)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ParameterError, CapacityError) as exc:
         _emit_error(exc)

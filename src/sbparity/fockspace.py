@@ -56,6 +56,7 @@ __all__ = [
     "single_mode_d_row",
     "ParityElementTable",
     "d_matrix",
+    "KroneckerParity",
     "l_matrix",
     "overlap_oracle",
     "FACTORIAL_GUARD",
@@ -71,6 +72,10 @@ MAX_BASIS_STATES = 200_000
 
 # Default cap on dense parity-table dimension (memory bound, ~dim**2/2 floats).
 MAX_TABLE_DIM = 5_000
+
+# Cap on the per-mode box a matrix-free product embeds a vector in (8 bytes
+# per state and vector).
+MAX_BOX_STATES = 4_000_000
 
 # |D_mn| <= 1 and (D@D)_mm <= 1 hold exactly; this is their slack in the guards.
 D_BOUND = 1.0 + 1e-12
@@ -127,6 +132,12 @@ class BasisSet:
 
     def index_of(self, vec) -> int:
         return self._index[tuple(int(v) for v in vec)]
+
+    @property
+    def box_shape(self) -> tuple[int, ...]:
+        """Shape of the per-mode box {0..cap}**n_modes that holds the basis
+        under either policy."""
+        return (self.policy.cap + 1,) * self.n_modes
 
 
 def _total_quanta_vectors(n_modes: int, cap: int):
@@ -270,6 +281,34 @@ def single_mode_d_row(m: int, q: float, n_max: int) -> np.ndarray:
     return _single_mode_block(q, m, n_max, scaled=True)[m]
 
 
+def _mode_tables(basis: BasisSet, bath: BathModel, table) -> list[np.ndarray]:
+    """``table(q, cap)`` for every mode, up to that mode's cap in ``basis``."""
+    if basis.n_modes != bath.n_modes:
+        raise ParameterError(
+            f"basis has {basis.n_modes} modes but bath has {bath.n_modes}"
+        )
+    return [table(mode.q, size - 1) for mode, size in zip(bath.modes, basis.box_shape)]
+
+
+def _checked_d_tables(basis: BasisSet, bath: BathModel) -> list[np.ndarray]:
+    """Single-mode D tables up to each mode's cap in ``basis``.
+
+    Every D element over any basis is a product of entries of these tables,
+    so |D| <= 1 holds everywhere once it holds for each table.
+
+    Raises
+    ------
+    InvariantViolation
+        If any table entry has magnitude above 1 + 1e-12 or is NaN.
+    """
+    tables = _mode_tables(basis, bath, single_mode_d_table)
+    for k, table in enumerate(tables):
+        worst = max(np.max(table), -np.min(table))  # NaN if any entry is NaN
+        if not worst <= D_BOUND:
+            raise InvariantViolation(f"mode {k}: max|D| = {worst:.6g} breaks |D| <= 1")
+    return tables
+
+
 @dataclass(frozen=True)
 class ParityElementTable:
     """Symmetric D table over a basis, in packed symmetric storage (one cell
@@ -285,20 +324,19 @@ class ParityElementTable:
     def d_dense(self) -> np.ndarray:
         return self.d.to_dense()
 
+    def apply(self, x) -> np.ndarray:
+        """D @ x through the dense table."""
+        return self.d_dense() @ x
 
-def _packed_product(basis: BasisSet, bath: BathModel, table) -> np.ndarray:
-    """Product over modes of the single-mode tables ``table(q, cap)``,
-    gathered along the packed lower triangle of ``basis``."""
-    if basis.n_modes != bath.n_modes:
-        raise ParameterError(
-            f"basis has {basis.n_modes} modes but bath has {bath.n_modes}"
-        )
+
+def _packed_product(basis: BasisSet, tables) -> np.ndarray:
+    """Product over modes of the single-mode ``tables``, gathered along the
+    packed lower triangle of ``basis``."""
     occ = basis.occupations
     rows, cols = np.tril_indices(basis.dim)
     packed = np.ones(rows.shape[0])
-    for k, mode in enumerate(bath.modes):
-        table_k = table(mode.q, int(occ[:, k].max()))
-        packed *= table_k[occ[rows, k], occ[cols, k]]
+    for k, table in enumerate(tables):
+        packed *= table[occ[rows, k], occ[cols, k]]
     return packed
 
 
@@ -317,10 +355,7 @@ def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> 
         raise CapacityError(
             f"dense parity table of dimension {basis.dim} exceeds guard {max_dim}"
         )
-    packed = _packed_product(basis, bath, single_mode_d_table)
-    worst = max(np.max(packed), -np.min(packed))  # NaN if any entry is NaN
-    if not worst <= D_BOUND:
-        raise InvariantViolation(f"max|D| = {worst:.6g} breaks |D| <= 1")
+    packed = _packed_product(basis, _checked_d_tables(basis, bath))
     return ParityElementTable(
         basis=basis,
         prefactor=math.exp(-2.0 * bath.sum_q2),
@@ -331,7 +366,51 @@ def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> 
 def l_matrix(basis: BasisSet, bath: BathModel) -> SymmetricMatrix:
     """Multi-mode L table over ``basis``, for table dumps only; may overflow
     to inf at large coupling, where D does not."""
-    return SymmetricMatrix(basis.dim, _packed_product(basis, bath, single_mode_l_table))
+    tables = _mode_tables(basis, bath, single_mode_l_table)
+    return SymmetricMatrix(basis.dim, _packed_product(basis, tables))
+
+
+class KroneckerParity:
+    """D over ``basis`` as an operator, never as a dim x dim table.
+
+    On the per-mode box D is exactly the Kronecker product of the
+    single-mode tables, so D @ x is applied one mode axis at a time in
+    O(box * sum_k (cap_k + 1)) (the "shuffle" product of Fernandes, Plateau
+    & Stewart, J. ACM 45(3), 1998).  A total-quanta basis is a subset of
+    the box: vectors are embedded by their flat box index, multiplied and
+    restricted back, which is exact because D over the subset is the
+    principal submatrix of the box operator.
+    """
+
+    def __init__(self, basis: BasisSet, bath: BathModel):
+        box = math.prod(basis.box_shape)
+        if box > MAX_BOX_STATES:
+            raise CapacityError(
+                f"per-mode box of {box} states exceeds guard {MAX_BOX_STATES}"
+            )
+        self.basis = basis
+        self.tables = _checked_d_tables(basis, bath)
+        self.box = box
+        # Lexicographic order is C order on the box, so the flat indices ascend.
+        self.index = (None if box == basis.dim
+                      else np.ravel_multi_index(basis.occupations.T, basis.box_shape))
+
+    def apply(self, x) -> np.ndarray:
+        """D @ x for x of shape (dim,) or (dim, m)."""
+        x = np.asarray(x, dtype=float)
+        cols = x.shape[1:]
+        if self.index is None:
+            t = x
+        else:
+            t = np.zeros((self.box,) + cols)
+            t[self.index] = x
+        # Each step contracts the leading mode axis and moves it to the back,
+        # so after every mode the axes are back in order, behind the columns.
+        for table in self.tables:
+            t = t.reshape(table.shape[0], -1).T @ table.T
+        t = t.reshape(-1, self.box).T
+        out = t if self.index is None else t[self.index]
+        return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bath import BathModel
 from .errors import CapacityError, ParameterError
-from .fockspace import BasisSet, ParityElementTable, d_matrix
+from .fockspace import BasisSet, KroneckerParity, ParityElementTable, d_matrix
 from .symmat import SymmetricMatrix, packed_size
 
 __all__ = [
@@ -31,6 +31,8 @@ __all__ = [
     "ModelParams",
     "assemble_h0",
     "assemble_branch",
+    "BranchOperator",
+    "branch_operator",
     "degenerate_energy_set",
     "kronecker_sum",
 ]
@@ -99,6 +101,50 @@ def assemble_branch(
     h0 = assemble_h0(params.basis, params.bath)
     packed = h0.packed + branch.coupling_sign * (0.5 * params.delta) * table.d.packed
     return SymmetricMatrix(params.basis.dim, packed)
+
+
+@dataclass(frozen=True)
+class BranchOperator:
+    """One parity branch H0 + coupling * D, applied without forming a table.
+
+    ``h0`` is the diagonal of H0 and ``coupling`` is -delta/2 for the even
+    branch, +delta/2 for the odd one.
+    """
+
+    h0: np.ndarray
+    coupling: float
+    parity: KroneckerParity
+
+    @property
+    def dim(self) -> int:
+        return self.h0.shape[0]
+
+    def apply(self, x) -> np.ndarray:
+        """H @ x for x of shape (dim,) or (dim, m)."""
+        x = np.asarray(x, dtype=float)
+        h0 = self.h0 if x.ndim == 1 else self.h0[:, None]
+        return h0 * x + self.coupling * self.parity.apply(x)
+
+
+def branch_operator(
+    params: ModelParams,
+    branch: Branch,
+    parity: KroneckerParity | None = None,
+) -> BranchOperator:
+    """One parity branch as a matrix-free operator.
+
+    ``parity`` may carry an operator built over ``params.basis`` to share
+    across both branches.
+    """
+    if parity is None:
+        parity = KroneckerParity(params.basis, params.bath)
+    elif parity.basis is not params.basis and parity.basis != params.basis:
+        raise ParameterError("parity operator was built over a different basis")
+    return BranchOperator(
+        h0=h0_diagonal(params.basis, params.bath),
+        coupling=branch.coupling_sign * (0.5 * params.delta),
+        parity=parity,
+    )
 
 
 def degenerate_energy_set(basis: BasisSet, bath: BathModel) -> np.ndarray:

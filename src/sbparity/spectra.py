@@ -11,6 +11,11 @@ Two cross-checks accompany the verdict: the sum of the two branch minima
 never exceeds twice the lowest degeneracy energy, and the difference of any
 two branch eigenvalues equals delta * <phi+|D|phi-> / <phi+|phi-> whenever
 the eigenvector overlap is resolvable.
+
+Branch eigenpairs come from one of two solvers, picked per basis by
+:func:`use_lanczos`: a dense symmetric solve of the assembled branch matrix
+for small bases, and ARPACK Lanczos on the matrix-free branch operator,
+whose parity factor is applied one mode at a time, above the crossover.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ import scipy.linalg
 
 from .bath import e_min_eo
 from .errors import InvariantViolation, OverlapGuardError, ParameterError, SolverError
-from .fockspace import ParityElementTable, d_matrix
-from .hamiltonian import Branch, ModelParams, assemble_branch, h0_diagonal
+from .fockspace import MAX_BOX_STATES, BasisSet, KroneckerParity, ParityElementTable, d_matrix
+from .hamiltonian import (Branch, BranchOperator, ModelParams, assemble_branch, branch_operator,
+                          h0_diagonal)
 from .symmat import SymmetricMatrix
 
 __all__ = [
     "EigenResult",
     "eigen_lowest",
+    "use_lanczos",
+    "solve_branches",
     "TheoremReport",
     "theorem_report",
     "GapIdentityResult",
@@ -52,6 +60,23 @@ OVERLAP_GUARD = 1e-12
 # Resolution threshold for the predicted gap, in units of eps * energy scale.
 GAP_RESOLUTION_FACTOR = 1e3
 
+DEFAULT_MAX_ITER = 10_000
+
+# Crossover between the dense solve and Lanczos, measured on both paths with
+# BLAS on one thread (the table is in CHANGES.md).  The dense solve costs
+# about 0.25 ns * dim**3; Lanczos about 12 ms plus 150 ns per multiply-add of
+# one product, box * sum_k (cap_k + 1), for its few hundred products.  So
+# Lanczos is taken when dim**3 >= LANCZOS_MIN_DIM3 + LANCZOS_DIM3_PER_MAC *
+# box * sum_k (cap_k + 1).
+LANCZOS_MIN_DIM3 = 48_000_000
+LANCZOS_DIM3_PER_MAC = 600
+# ARPACK needs k well below dim: Lanczos is taken only for k <= dim / 20.
+LANCZOS_K_FACTOR = 20
+
+# Fixed seeds of the Lanczos start vectors: the solve and its completeness check.
+_SOLVE_SEED = 1
+_CHECK_SEED = 2
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -67,36 +92,164 @@ class EigenResult:
     residual: float
 
 
-def eigen_lowest(h: SymmetricMatrix, k: int, tol: float) -> EigenResult:
+def use_lanczos(basis: BasisSet, k: int) -> bool:
+    """Whether the k lowest branch pairs over ``basis`` go to Lanczos rather
+    than to the dense solve: the measured crossover rule."""
+    dim = basis.dim
+    box = math.prod(basis.box_shape)
+    return (
+        LANCZOS_K_FACTOR * k <= dim
+        and box <= MAX_BOX_STATES
+        and dim ** 3 >= LANCZOS_MIN_DIM3 + LANCZOS_DIM3_PER_MAC * box * sum(basis.box_shape)
+    )
+
+
+def eigen_lowest(
+    h: SymmetricMatrix | BranchOperator,
+    k: int,
+    tol: float,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> EigenResult:
     """The k algebraically smallest eigenpairs of ``h``.
 
-    Uses a direct dense symmetric solve, which is deterministic for a given
-    input on a given build: no random starting vectors enter anywhere.
+    A :class:`SymmetricMatrix` gets a direct dense symmetric solve.  A
+    :class:`BranchOperator` gets ARPACK Lanczos (``eigsh``) with at most
+    ``max_iter`` restarts, fixed-seed start vectors and a completeness check
+    (see :func:`_lanczos_lowest`).  Both are deterministic for a given input
+    on a given build.
 
     Raises
     ------
     SolverError
-        If the residual exceeds tol * norm(H); carries the residual reached.
+        If the residual exceeds tol times a bound on norm(H), or Lanczos does
+        not converge or misses a level; carries the residual reached.
     """
     if not 1 <= k <= h.dim:
         raise ParameterError(f"k must lie in [1, {h.dim}], got {k}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
+    if not max_iter >= 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if isinstance(h, BranchOperator):
+        return _lanczos_lowest(h, k, tol, max_iter)
     dense = h.to_dense()
     values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
+    _fix_signs(vectors)
+    resid = _residual(dense @ vectors, values, vectors)
+    _check_residual(resid, tol * float(np.linalg.norm(dense, np.inf)))
+    return EigenResult(values=values, vectors=vectors, residual=resid)
+
+
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Make the largest-magnitude component of every column positive."""
     for col in range(vectors.shape[1]):
         lead = int(np.argmax(np.abs(vectors[:, col])))
         if vectors[lead, col] < 0.0:
             vectors[:, col] = -vectors[:, col]
-    resid = float(np.max(np.linalg.norm(dense @ vectors - vectors * values, axis=0)))
-    hnorm = float(np.linalg.norm(dense, np.inf))
-    if resid > tol * max(hnorm, 1e-30):
+
+
+def _residual(h_vectors: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(h_vectors - vectors * values, axis=0)))
+
+
+def _check_residual(resid: float, bound: float) -> None:
+    bound = max(bound, 1e-30)
+    if not resid <= bound:
         raise SolverError(
-            f"eigensolver residual {resid:.3e} exceeds tol * norm(H) = "
-            f"{tol * max(hnorm, 1e-30):.3e}",
+            f"eigensolver residual {resid:.3e} exceeds tol * norm(H) = {bound:.3e}",
+            residual=resid,
+        )
+
+
+def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> EigenResult:
+    """Lanczos on H - sigma with sigma = min(h0) - delta/2 - 1.
+
+    norm(D) <= 1, because D is a compression of an involution, so every
+    eigenvalue of the shifted operator is >= 1; ARPACK is asked for the
+    smallest ones to machine precision (tol=0).  Afterwards one deflated
+    solve on P (H - sigma) P + c V V^T, with P = 1 - V V^T and c above the
+    k-th shifted value, looks for a level the first solve passed over: a
+    value more than 10 * tol * scale below the k-th level raises.
+    """
+    # Imported here: scipy.sparse.linalg adds ~25 ms to every CLI start.
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    dim = h.dim
+    if LANCZOS_K_FACTOR * k > dim:
+        raise ParameterError(
+            f"k = {k} is too close to dim = {dim} for Lanczos; solve the assembled matrix"
+        )
+    spread = abs(h.coupling)
+    sigma = float(np.min(h.h0)) - spread - 1.0
+    norm_bound = float(np.max(np.abs(h.h0))) + spread  # >= norm(H), as norm(D) <= 1
+
+    def shifted(x):
+        return h.apply(x) - sigma * x
+
+    def lowest(matvec, n_pairs, seed):
+        op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+        v0 = np.random.default_rng(seed).standard_normal(dim)
+        try:
+            return eigsh(op, k=n_pairs, which="SA", tol=0, maxiter=max_iter, v0=v0)
+        except ArpackError as exc:
+            found = getattr(exc, "eigenvectors", None)
+            resid = (_residual(h.apply(found), exc.eigenvalues + sigma, found)
+                     if found is not None and found.size else math.inf)
+            raise SolverError(
+                f"Lanczos failed within max_iter = {max_iter} restarts: {exc}",
+                residual=resid,
+            ) from None
+
+    shifted_values, vectors = lowest(shifted, k, _SOLVE_SEED)
+    order = np.argsort(shifted_values, kind="stable")
+    shifted_values = shifted_values[order]
+    vectors = np.ascontiguousarray(vectors[:, order])
+    values = shifted_values + sigma
+    _fix_signs(vectors)
+    resid = _residual(h.apply(vectors), values, vectors)
+    _check_residual(resid, tol * norm_bound)
+
+    c = 2.0 * shifted_values[-1]
+
+    def deflated(x):
+        x = np.ravel(x)
+        vx = vectors.T @ x
+        y = shifted(x - vectors @ vx)
+        return y - vectors @ (vectors.T @ y) + c * (vectors @ vx)
+
+    missed = float(lowest(deflated, 1, _CHECK_SEED)[0][0]) + sigma
+    if missed < values[-1] - 10.0 * tol * max(1.0, norm_bound):
+        raise SolverError(
+            f"Lanczos missed a level: {missed:.17g} lies below the highest of the "
+            f"{k} returned, {values[-1]:.17g}",
             residual=resid,
         )
     return EigenResult(values=values, vectors=vectors, residual=resid)
+
+
+def solve_branches(
+    params: ModelParams,
+    k_plus: int,
+    k_minus: int,
+    tol: float,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[ParityElementTable | KroneckerParity, EigenResult, EigenResult]:
+    """Lowest pairs of both branches on one parity operator.
+
+    Returns ``(parity, res_plus, res_minus)``.  The parity operator is built
+    once, on the path :func:`use_lanczos` picks: a dense table shared by both
+    assembled branches, or a :class:`KroneckerParity` shared by both branch
+    operators.  Either one applies D to a vector with ``apply``.
+    """
+    if use_lanczos(params.basis, max(k_plus, k_minus)):
+        parity = KroneckerParity(params.basis, params.bath)
+        build = branch_operator
+    else:
+        parity = d_matrix(params.basis, params.bath)
+        build = assemble_branch
+    res_plus = eigen_lowest(build(params, Branch.EVEN, parity), k_plus, tol, max_iter)
+    res_minus = eigen_lowest(build(params, Branch.ODD, parity), k_minus, tol, max_iter)
+    return parity, res_plus, res_minus
 
 
 @dataclass(frozen=True)
@@ -136,7 +289,9 @@ def energy_scale(params: ModelParams) -> float:
     return max(1.0, float(np.max(np.abs(diag))) + 0.5 * params.delta)
 
 
-def theorem_report(params: ModelParams, tol: float = 1e-10) -> TheoremReport:
+def theorem_report(
+    params: ModelParams, tol: float = 1e-10, max_iter: int = DEFAULT_MAX_ITER
+) -> TheoremReport:
     """Solve both branch ground states and compare against e_min_eo.
 
     Raises
@@ -146,9 +301,7 @@ def theorem_report(params: ModelParams, tol: float = 1e-10) -> TheoremReport:
         two-branch sum bound, or positivity of the margin at resolvable gap.
         The offending report rides on the exception as ``.report``.
     """
-    table = d_matrix(params.basis, params.bath)
-    res_plus = eigen_lowest(assemble_branch(params, Branch.EVEN, table), 1, tol)
-    res_minus = eigen_lowest(assemble_branch(params, Branch.ODD, table), 1, tol)
+    parity, res_plus, res_minus = solve_branches(params, 1, 1, tol, max_iter)
     e_plus = float(res_plus.values[0])
     e_minus = float(res_minus.values[0])
     e_gs = min(e_plus, e_minus)
@@ -162,7 +315,7 @@ def theorem_report(params: ModelParams, tol: float = 1e-10) -> TheoremReport:
     if abs(overlap) < OVERLAP_GUARD:
         predicted_gap = None
     else:
-        d_phi = table.d.to_dense() @ phi_minus
+        d_phi = parity.apply(phi_minus)
         predicted_gap = params.delta * float(phi_plus @ d_phi) / overlap
 
     scale = energy_scale(params)
@@ -223,6 +376,7 @@ def gap_identity_check(
     level_plus: int = 0,
     level_minus: int = 0,
     tol: float = 1e-10,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> GapIdentityResult:
     """Check E-(level) - E+(level) against delta * <phi+|D|phi-> / <phi+|phi->.
 
@@ -233,9 +387,9 @@ def gap_identity_check(
     """
     if level_plus < 0 or level_minus < 0:
         raise ParameterError("levels must be >= 0")
-    table = d_matrix(params.basis, params.bath)
-    res_plus = eigen_lowest(assemble_branch(params, Branch.EVEN, table), level_plus + 1, tol)
-    res_minus = eigen_lowest(assemble_branch(params, Branch.ODD, table), level_minus + 1, tol)
+    parity, res_plus, res_minus = solve_branches(
+        params, level_plus + 1, level_minus + 1, tol, max_iter
+    )
     phi_plus = res_plus.vectors[:, level_plus]
     phi_minus = res_minus.vectors[:, level_minus]
     overlap = float(phi_plus @ phi_minus)
@@ -245,16 +399,17 @@ def gap_identity_check(
             "the gap identity is uninformative here"
         )
     lhs = float(res_minus.values[level_minus] - res_plus.values[level_plus])
-    rhs = params.delta * float(phi_plus @ (table.d.to_dense() @ phi_minus)) / overlap
+    rhs = params.delta * float(phi_plus @ parity.apply(phi_minus)) / overlap
     return GapIdentityResult(lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs), overlap=overlap)
 
 
 def degeneracy_condition_value(
     phi_plus: np.ndarray,
     phi_minus: np.ndarray,
-    table: ParityElementTable,
+    table: ParityElementTable | KroneckerParity,
 ) -> float:
-    """<phi+|D|phi-> through the table; zero iff the pair can be degenerate.
+    """<phi+|D|phi-> through the table or the matrix-free operator; zero iff
+    the pair can be degenerate.
 
     The delta/2 prefactor of the tunneling term is deliberately not folded
     in, so the caller can scale by whichever delta is under discussion.
@@ -265,4 +420,4 @@ def degeneracy_condition_value(
         raise ParameterError(
             f"vectors must have shape ({table.basis.dim},) to match the table"
         )
-    return float(phi_plus @ (table.d.to_dense() @ phi_minus))
+    return float(phi_plus @ table.apply(phi_minus))

@@ -25,6 +25,14 @@ SINGLE_MODE_THEOREM = {
     "trunc": {"policy": "per-mode", "cap": 40},
 }
 
+# Two modes at per-mode cap 30 (dim 961): above the Lanczos crossover.
+MATRIX_FREE_THEOREM = {
+    "model": {"delta": 0.2, "omega_c": 1.0, "s": 1.0, "alpha": 0.0,
+              "modes": [[1.0, 0.6], [0.5, 0.3]]},
+    "trunc": {"policy": "per-mode", "cap": 30},
+    "solver": {"k_levels": 4},
+}
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -456,10 +464,36 @@ def test_theorem_output_is_byte_stable(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command", ["theorem", "spectrum"])
+def test_matrix_free_runs_repeat_byte_identically(tmp_path, capsys, command):
+    from sbparity.cli import build_basis, build_bath, load_config
+    from sbparity.spectra import use_lanczos
+
+    path = write_config(tmp_path, MATRIX_FREE_THEOREM)
+    cfg = load_config(path)
+    assert use_lanczos(build_basis(cfg, build_bath(cfg)), cfg.k_levels)
+    outputs = []
+    for _ in range(2):
+        assert cli.main([command, "--config", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert cli.dumps(json.loads(outputs[0])) == outputs[0]
+
+
+def test_matrix_free_max_iter_exhausted_exits_3(tmp_path, capsys):
+    config = dict(MATRIX_FREE_THEOREM, solver={"max_iter": 1})
+    path = write_config(tmp_path, config)
+    code = cli.main(["theorem", "--config", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["error"]["type"] == "SolverError"
+    assert "max_iter = 1" in out["error"]["message"]
+
+
 def test_invariant_violation_exits_2(tmp_path, capsys, monkeypatch):
     from sbparity.errors import InvariantViolation
 
-    def broken(params, tol=1e-10):
+    def broken(params, tol=1e-10, max_iter=10_000):
         raise InvariantViolation("forced for the exit-code contract")
 
     monkeypatch.setattr(cli, "theorem_report", broken)
@@ -471,22 +505,34 @@ def test_invariant_violation_exits_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, value, guard",
+    "command, value, guard, config",
     [
-        ("theorem", 2.0, "|D| <= 1"),
-        ("theorem", math.nan, "|D| <= 1"),
-        ("parity-audit", 2.0, "|D| <= 1"),
-        ("parity-audit", 0.9, "row-norm bound"),  # |D| <= 1 holds, (D@D)_mm does not
+        pytest.param("theorem", 2.0, "|D| <= 1", SINGLE_MODE_THEOREM,
+                     id="theorem-2.0-|D| <= 1"),
+        pytest.param("theorem", math.nan, "|D| <= 1", SINGLE_MODE_THEOREM,
+                     id="theorem-nan-|D| <= 1"),
+        pytest.param("parity-audit", 2.0, "|D| <= 1", SINGLE_MODE_THEOREM,
+                     id="parity-audit-2.0-|D| <= 1"),
+        # |D| <= 1 holds, (D@D)_mm does not
+        pytest.param("parity-audit", 0.9, "row-norm bound", SINGLE_MODE_THEOREM,
+                     id="parity-audit-0.9-row-norm bound"),
+        pytest.param("theorem", 2.0, "|D| <= 1", MATRIX_FREE_THEOREM,
+                     id="matrix-free-theorem-2.0-|D| <= 1"),
+        pytest.param("theorem", math.nan, "|D| <= 1", MATRIX_FREE_THEOREM,
+                     id="matrix-free-theorem-nan-|D| <= 1"),
+        pytest.param("spectrum", 2.0, "|D| <= 1", MATRIX_FREE_THEOREM,
+                     id="matrix-free-spectrum-2.0-|D| <= 1"),
     ],
 )
-def test_corrupted_parity_table_exits_2(tmp_path, capsys, monkeypatch, command, value, guard):
+def test_corrupted_parity_table_exits_2(tmp_path, capsys, monkeypatch, command, value, guard,
+                                        config):
     from sbparity import fockspace
 
     def corrupted(q, m_max, n_max, scaled):
         return np.full((m_max + 1, n_max + 1), value)
 
     monkeypatch.setattr(fockspace, "_single_mode_block", corrupted)
-    path = write_config(tmp_path, SINGLE_MODE_THEOREM)
+    path = write_config(tmp_path, config)
     code = cli.main([command, "--config", path])
     out = json.loads(capsys.readouterr().out)
     assert code == 2
@@ -513,6 +559,34 @@ def test_capacity_error_exits_1(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["error"]["type"] == "CapacityError"
+
+
+@pytest.mark.parametrize("command", ["theorem", "spectrum", "parity-audit"])
+def test_capacity_error_names_the_settings_to_change(tmp_path, capsys, command):
+    # The README defaults: 30 modes at total-quanta cap 20.
+    path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1.0, "s": 0.7, "alpha": 0.2})
+    code = cli.main([command, "--config", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "CapacityError"
+    for knob in ("disc.n_modes", "trunc.cap", "trunc.policy"):
+        assert knob in out["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["theorem", "spectrum", "parity-audit"])
+def test_config_echo_reports_the_modes_used(tmp_path, capsys, command):
+    path = write_config(tmp_path, SINGLE_MODE_THEOREM)
+    assert cli.main([command, "--config", path]) == 0
+    echo = json.loads(capsys.readouterr().out)["config"]
+    assert echo["disc"] == {"n_modes": 1, "lambda_disc": None}
+    assert echo["model"]["modes"] == [[1.0, 1.0]]
+
+    discretized = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.1},
+                   "disc": {"n_modes": 2, "lambda_disc": 3.0}, "trunc": {"cap": 3}}
+    path = write_config(tmp_path, discretized)
+    assert cli.main([command, "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["disc"] == {
+        "n_modes": 2, "lambda_disc": 3.0}
 
 
 def test_theorem_cap_above_factorial_guard_exits_1(tmp_path, capsys):

@@ -24,7 +24,12 @@ from sbparity import (
     l_element_single,
     overlap_oracle,
 )
-from sbparity.fockspace import FACTORIAL_GUARD, l_scaled_rational, single_mode_l_table
+from sbparity.fockspace import (
+    FACTORIAL_GUARD,
+    KroneckerParity,
+    l_scaled_rational,
+    single_mode_l_table,
+)
 
 from conftest import single_mode_bath
 
@@ -253,6 +258,38 @@ def test_d_table_occupation_guard():
     d_matrix(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD)), bath)
     with pytest.raises(CapacityError):
         d_matrix(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD + 1)), bath)
+
+
+@pytest.mark.parametrize(
+    "modes, policy",
+    [
+        ([(1.0, 1.3)], PerModeCap(12)),
+        ([(1.0, 0.9), (0.6, 0.4)], PerModeCap(7)),
+        ([(1.0, 0.9), (0.6, 0.0), (0.3, 0.5)], TotalQuantaCap(6)),
+        ([(1.0, 0.7), (0.5, 0.6), (0.25, 0.2), (0.125, 0.1)], TotalQuantaCap(4)),
+    ],
+)
+def test_kronecker_parity_matches_dense_table(modes, policy, rng):
+    # The mode-by-mode product, through the box embedding on total-quanta
+    # bases, against the gathered dense table.
+    bath = bath_from_modes(modes)
+    basis = enumerate_basis(len(modes), policy)
+    dense = d_matrix(basis, bath).d_dense()
+    parity = KroneckerParity(basis, bath)
+    x = rng.standard_normal(basis.dim)
+    block = rng.standard_normal((basis.dim, 3))
+    assert np.allclose(parity.apply(x), dense @ x, rtol=0.0, atol=1e-13)
+    assert np.allclose(parity.apply(block), dense @ block, rtol=0.0, atol=1e-13)
+    assert parity.apply(block).shape == (basis.dim, 3)
+
+
+def test_kronecker_parity_guards():
+    bath = bath_from_modes([(1.0 / 2 ** k, 0.5) for k in range(6)])
+    basis = enumerate_basis(6, TotalQuantaCap(12))  # 18564 states in a box of 13**6
+    with pytest.raises(CapacityError, match="box"):
+        KroneckerParity(basis, bath)
+    with pytest.raises(ParameterError):
+        KroneckerParity(enumerate_basis(2, PerModeCap(2)), bath)
 
 
 def test_spectra_invariant_under_odd_row_sign_flip():

@@ -1,10 +1,12 @@
 """Eigensolving and the ground-state verdicts, checked against a full
 bare-basis diagonalization oracle for the single-mode model."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sbparity import (
     Branch,
@@ -26,10 +28,14 @@ from sbparity import (
     gap_identity_check,
     theorem_report,
 )
+from sbparity import spectra
+from sbparity.fockspace import KroneckerParity
+from sbparity.hamiltonian import branch_operator
 from sbparity.spectra import (
     VERDICT_DEGENERATE,
     VERDICT_INDETERMINATE,
     VERDICT_STRICT,
+    use_lanczos,
 )
 
 from conftest import bare_fock_ground_energy, random_bath, single_mode_bath
@@ -263,3 +269,126 @@ def test_degeneracy_condition_consistent_with_gap():
     overlap = float(phi_plus @ phi_minus)
     measured_gap = float(res_minus.values[0] - res_plus.values[0])
     assert value == pytest.approx(measured_gap / params.delta * overlap, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Lanczos on the matrix-free branch operator
+# ---------------------------------------------------------------------------
+
+def identical_modes_bath(omega, lam):
+    """Two modes of equal frequency and coupling.  bath_from_modes wants
+    strictly decreasing frequencies, so the pair is set up directly."""
+    one = bath_from_modes([(omega, lam)])
+    return dataclasses.replace(one, modes=one.modes * 2, sum_wq2=2.0 * one.sum_wq2,
+                               sum_q2=2.0 * one.sum_q2)
+
+
+def seeded_params(seed, n_modes, policy):
+    rng = np.random.default_rng(seed)
+    bath = random_bath(rng, n_modes)
+    return ModelParams(delta=float(rng.uniform(0.05, 0.5)), bath=bath,
+                       basis=enumerate_basis(n_modes, policy))
+
+
+LANCZOS_CASES = {
+    # H is diag(n1 + n2): levels exactly 0, 1, 1, 2.
+    "zero-delta-q0-pair": lambda: ModelParams(
+        delta=0.0, bath=identical_modes_bath(1.0, 0.0), basis=enumerate_basis(2, PerModeCap(25))),
+    # Exchange symmetry of the two modes makes levels degenerate.
+    "identical-modes": lambda: ModelParams(
+        delta=0.2, bath=identical_modes_bath(1.0, 0.8), basis=enumerate_basis(2, PerModeCap(25))),
+    "q0-beside-coupled": lambda: ModelParams(
+        delta=0.3, bath=bath_from_modes([(1.0, 0.9), (0.5, 0.0)]),
+        basis=enumerate_basis(2, PerModeCap(25))),
+    "m2-pm30-seed1": lambda: seeded_params(1, 2, PerModeCap(30)),
+    "m2-pm30-seed2": lambda: seeded_params(2, 2, PerModeCap(30)),
+    "m3-tq16-seed1": lambda: seeded_params(1, 3, TotalQuantaCap(16)),
+    "m3-tq16-seed2": lambda: seeded_params(2, 3, TotalQuantaCap(16)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_lanczos_matches_dense_solve(case):
+    params = LANCZOS_CASES[case]()
+    parity = KroneckerParity(params.basis, params.bath)
+    table = d_matrix(params.basis, params.bath)
+    for branch in (Branch.EVEN, Branch.ODD):
+        dense = assemble_branch(params, branch, table).to_dense()
+        reference = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, 3])
+        for k in (1, 4):
+            assert use_lanczos(params.basis, k)
+            res = eigen_lowest(branch_operator(params, branch, parity), k, 1e-10)
+            # Degenerate levels appear as often as in the dense solve.
+            assert np.allclose(res.values, reference[:k], rtol=0.0, atol=1e-10)
+            assert np.max(np.linalg.norm(dense @ res.vectors - res.vectors * res.values,
+                                         axis=0)) <= 1e-10
+            assert np.allclose(res.vectors.T @ res.vectors, np.eye(k), atol=1e-10)
+            leads = res.vectors[np.argmax(np.abs(res.vectors), axis=0), np.arange(k)]
+            assert np.all(leads > 0.0)
+    if case == "zero-delta-q0-pair":
+        assert np.allclose(reference, [0.0, 1.0, 1.0, 2.0], rtol=0.0, atol=1e-12)
+
+
+def test_theorem_and_gap_identity_agree_on_both_paths(monkeypatch):
+    params = seeded_params(3, 3, TotalQuantaCap(16))
+    assert use_lanczos(params.basis, 2)
+    lanczos = theorem_report(params)
+    gap = gap_identity_check(params, level_plus=1, level_minus=1)
+    monkeypatch.setattr(spectra, "use_lanczos", lambda basis, k: False)
+    dense = theorem_report(params)
+    dense_gap = gap_identity_check(params, level_plus=1, level_minus=1)
+    for key in ("e_gs", "e_plus_min", "e_minus_min", "margin", "measured_gap",
+                "predicted_gap"):
+        assert getattr(lanczos, key) == pytest.approx(getattr(dense, key), abs=1e-10)
+    assert lanczos.verdict == dense.verdict == VERDICT_STRICT
+    assert gap.lhs == pytest.approx(dense_gap.lhs, abs=1e-10)
+    assert gap.rhs == pytest.approx(dense_gap.rhs, abs=1e-9)
+
+
+def test_degeneracy_condition_through_the_operator(rng):
+    params = seeded_params(4, 3, TotalQuantaCap(5))
+    a = rng.standard_normal(params.basis.dim)
+    b = rng.standard_normal(params.basis.dim)
+    through_table = degeneracy_condition_value(a, b, d_matrix(params.basis, params.bath))
+    through_operator = degeneracy_condition_value(
+        a, b, KroneckerParity(params.basis, params.bath))
+    assert through_operator == pytest.approx(through_table, rel=1e-12)
+
+
+def test_lanczos_completeness_check_catches_a_skipped_level(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    real = sla.eigsh
+    calls = []
+
+    def skipping(op, k, **kwargs):
+        calls.append(k)
+        if len(calls) > 1:
+            return real(op, k=k, **kwargs)
+        # The solve hands back levels 1..k and passes over the ground level.
+        values, vectors = real(op, k=k + 1, **kwargs)
+        order = np.argsort(values)
+        return values[order][1:], vectors[:, order][:, 1:]
+
+    monkeypatch.setattr(sla, "eigsh", skipping)
+    params = LANCZOS_CASES["m2-pm30-seed1"]()
+    with pytest.raises(SolverError, match="missed a level") as err:
+        eigen_lowest(branch_operator(params, Branch.EVEN), 2, 1e-10)
+    assert err.value.residual is not None
+    assert calls == [2, 1]
+
+
+def test_lanczos_without_convergence_is_a_solver_error():
+    params = LANCZOS_CASES["m2-pm30-seed1"]()
+    with pytest.raises(SolverError, match="max_iter = 1") as err:
+        eigen_lowest(branch_operator(params, Branch.EVEN), 1, 1e-10, max_iter=1)
+    assert err.value.residual is not None
+
+
+def test_lanczos_validation():
+    params = make_params(1.0, 1.0, 0.2, 30)
+    h = branch_operator(params, Branch.EVEN)
+    with pytest.raises(ParameterError):
+        eigen_lowest(h, 2, 1e-10)  # k = 2 is too close to dim = 31
+    with pytest.raises(ParameterError):
+        eigen_lowest(h, 1, 1e-10, max_iter=0)
