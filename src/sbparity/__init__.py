@@ -30,7 +30,6 @@ from .errors import (
 )
 from .fockspace import (
     BasisSet,
-    ParityElementTable,
     PerModeCap,
     TotalQuantaCap,
     d_matrix,
@@ -44,8 +43,8 @@ from .hamiltonian import (
     Branch,
     ModelParams,
     assemble_branch,
-    assemble_h0,
     degenerate_energy_set,
+    h0_diagonal,
     kronecker_sum,
 )
 from .parity import (
@@ -68,4 +67,3 @@ from .spectra import (
     gap_identity_check,
     theorem_report,
 )
-from .symmat import SymmetricMatrix

@@ -17,7 +17,10 @@ top level (``delta``, ``omega_c``, ``s``, ``alpha``) or nested under
 (format, path).  Unknown keys are rejected.  ``model.modes`` may carry an
 explicit [[omega, lam], ...] list (decreasing omega), overriding the
 logarithmic discretization; this is how decoupled or unit-frequency
-single-mode configurations are expressed exactly.
+single-mode configurations are expressed exactly.  Only ``theorem``,
+``spectrum`` and ``parity-audit`` accept it: ``alpha-c``, ``phase-diagram``
+and ``closure`` discretize ``disc.n_modes`` modes from the spectral law and
+reject ``model.modes`` with exit 1.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical invariant
 violation, 3 solver failure, 4 search failure.
@@ -326,6 +329,16 @@ def build_basis(cfg: RunConfig, bath: BathModel) -> BasisSet:
         ) from None
 
 
+def _reject_explicit_modes(cfg: RunConfig, command: str) -> None:
+    """``command`` builds its baths from the spectral law, so explicit modes
+    would be silently ignored; refuse them instead."""
+    if cfg.modes is not None:
+        raise ConfigError(
+            f'{command} discretizes disc.n_modes modes from the spectral law; '
+            f'field "model.modes" is not accepted'
+        )
+
+
 def resolve_m_ref(cfg: RunConfig, n_modes: int) -> tuple[int, ...]:
     """Integer shorthand k puts k quanta on the highest-frequency mode."""
     if isinstance(cfg.m_ref, int):
@@ -421,12 +434,11 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _triplet_csv(header, sym) -> str:
+def _triplet_csv(header, matrix: np.ndarray) -> str:
     rows = []
-    for i in range(sym.dim):
-        base = i * (i + 1) // 2
+    for i, row in enumerate(matrix):
         for j in range(i + 1):
-            rows.append((i, j, format_float(sym.packed[base + j])))
+            rows.append((i, j, format_float(row[j])))
     return _csv_text(header, rows)
 
 
@@ -493,7 +505,7 @@ def run_parity_audit(cfg: RunConfig, out_path=None, dump_tables=None) -> int:
     if dump_tables:
         table = d_matrix(basis, bath)
         _emit(_triplet_csv(("row", "col", "value"), l_matrix(basis, bath)), f"{dump_tables}_l.csv")
-        _emit(_triplet_csv(("row", "col", "value"), table.d), f"{dump_tables}_d.csv")
+        _emit(_triplet_csv(("row", "col", "value"), table), f"{dump_tables}_d.csv")
     audit = d_square_audit(basis, bath)
     body = audit.as_dict()
     body["config"] = cfg.echo(bath)
@@ -503,6 +515,7 @@ def run_parity_audit(cfg: RunConfig, out_path=None, dump_tables=None) -> int:
 
 
 def run_alpha_c(cfg: RunConfig, out_path=None) -> int:
+    _reject_explicit_modes(cfg, "alpha-c")
     disc = Discretization(cfg.n_modes, cfg.lambda_disc, cfg.omega_c)
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
     point = critical_alpha(
@@ -516,6 +529,7 @@ def run_alpha_c(cfg: RunConfig, out_path=None) -> int:
 
 
 def run_closure(cfg: RunConfig, out_path=None) -> int:
+    _reject_explicit_modes(cfg, "closure")
     report = closure_report(cfg.n_modes, cfg.cap)
     body = report.as_dict()
     body["config"] = cfg.echo()
@@ -571,6 +585,7 @@ def _format_m_ref(m_ref) -> str:
 
 
 def run_phase_diagram(cfg: RunConfig, out_path=None, reference=None) -> int:
+    _reject_explicit_modes(cfg, "phase-diagram")
     if cfg.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section with variable \"s\"")
     lo, hi, steps = float(cfg.sweep["from"]), float(cfg.sweep["to"]), int(cfg.sweep["steps"])

@@ -21,6 +21,11 @@ request, from the same recurrence without the exp(-2 q**2) seed.  An exact
 rational evaluation backs the unit tests, and :func:`overlap_oracle` gives
 an independent route through the bare number basis.
 
+Over a multi-mode basis D comes in two forms, both built from the same
+per-mode tables: :func:`d_matrix` gathers it once into one dense dim x dim
+array, and :class:`KroneckerParity` applies it to vectors one mode at a time
+without forming it.
+
 The sign convention fixed by the oracle under q = +lam/(2*omega):
 D(0, 1) = +2q * exp(-2q**2) for a single mode.  Branch spectra are invariant
 under flipping the sign of every odd row (a similarity transform), which is
@@ -40,7 +45,6 @@ from scipy.special import gammaln
 
 from .bath import BathModel
 from .errors import CapacityError, ConvergenceError, InvariantViolation, ParameterError
-from .symmat import SymmetricMatrix
 
 __all__ = [
     "PerModeCap",
@@ -54,7 +58,6 @@ __all__ = [
     "single_mode_l_table",
     "single_mode_d_table",
     "single_mode_d_row",
-    "ParityElementTable",
     "d_matrix",
     "KroneckerParity",
     "l_matrix",
@@ -70,7 +73,7 @@ FACTORIAL_GUARD = 170
 # Default cap on enumerated basis dimension.
 MAX_BASIS_STATES = 200_000
 
-# Default cap on dense parity-table dimension (memory bound, ~dim**2/2 floats).
+# Default cap on the dimension of the dense D array (memory bound, dim**2 floats).
 MAX_TABLE_DIM = 5_000
 
 # Cap on the per-mode box a matrix-free product embeds a vector in (8 bytes
@@ -309,45 +312,26 @@ def _checked_d_tables(basis: BasisSet, bath: BathModel) -> list[np.ndarray]:
     return tables
 
 
-@dataclass(frozen=True)
-class ParityElementTable:
-    """Symmetric D table over a basis, in packed symmetric storage (one cell
-    per unordered index pair).
-
-    ``prefactor`` is exp(-2 * sum_k q_k**2), the ratio D / L.
-    """
-
-    basis: BasisSet
-    prefactor: float
-    d: SymmetricMatrix
-
-    def d_dense(self) -> np.ndarray:
-        return self.d.to_dense()
-
-    def apply(self, x) -> np.ndarray:
-        """D @ x through the dense table."""
-        return self.d_dense() @ x
-
-
-def _packed_product(basis: BasisSet, tables) -> np.ndarray:
-    """Product over modes of the single-mode ``tables``, gathered along the
-    packed lower triangle of ``basis``."""
+def _gather(basis: BasisSet, tables) -> np.ndarray:
+    """dim x dim product over modes, in mode order, of the single-mode
+    ``tables`` gathered at the occupations of ``basis``."""
     occ = basis.occupations
-    rows, cols = np.tril_indices(basis.dim)
-    packed = np.ones(rows.shape[0])
-    for k, table in enumerate(tables):
-        packed *= table[occ[rows, k], occ[cols, k]]
-    return packed
+    out = tables[0][np.ix_(occ[:, 0], occ[:, 0])]
+    for k in range(1, len(tables)):
+        out *= tables[k][np.ix_(occ[:, k], occ[:, k])]
+    return out
 
 
-def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> ParityElementTable:
-    """Parity matrix element table D over ``basis``.
+def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> np.ndarray:
+    """Parity matrix D over ``basis`` as one dense dim x dim array.
 
-    Each unordered pair is evaluated once, as a product over modes of
-    single-mode D tables gathered along the packed lower triangle.
+    Each entry is the product over modes of single-mode D table entries.
+    The tables are exactly symmetric, so D is too.
 
     Raises
     ------
+    CapacityError
+        If ``basis.dim`` exceeds ``max_dim``.
     InvariantViolation
         If any |D_mn| exceeds 1 + 1e-12 or is NaN.
     """
@@ -355,19 +339,13 @@ def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> 
         raise CapacityError(
             f"dense parity table of dimension {basis.dim} exceeds guard {max_dim}"
         )
-    packed = _packed_product(basis, _checked_d_tables(basis, bath))
-    return ParityElementTable(
-        basis=basis,
-        prefactor=math.exp(-2.0 * bath.sum_q2),
-        d=SymmetricMatrix(basis.dim, packed),
-    )
+    return _gather(basis, _checked_d_tables(basis, bath))
 
 
-def l_matrix(basis: BasisSet, bath: BathModel) -> SymmetricMatrix:
-    """Multi-mode L table over ``basis``, for table dumps only; may overflow
-    to inf at large coupling, where D does not."""
-    tables = _mode_tables(basis, bath, single_mode_l_table)
-    return SymmetricMatrix(basis.dim, _packed_product(basis, tables))
+def l_matrix(basis: BasisSet, bath: BathModel) -> np.ndarray:
+    """Multi-mode L over ``basis`` as a dense array, for table dumps only;
+    may overflow to inf at large coupling, where D does not."""
+    return _gather(basis, _mode_tables(basis, bath, single_mode_l_table))
 
 
 class KroneckerParity:
@@ -394,6 +372,13 @@ class KroneckerParity:
         # Lexicographic order is C order on the box, so the flat indices ascend.
         self.index = (None if box == basis.dim
                       else np.ravel_multi_index(basis.occupations.T, basis.box_shape))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.basis.dim, self.basis.dim)
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self.apply(x)
 
     def apply(self, x) -> np.ndarray:
         """D @ x for x of shape (dim,) or (dim, m)."""

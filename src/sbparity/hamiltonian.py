@@ -11,6 +11,11 @@ differ only in the sign of the tunneling term:
 so H(even) + H(odd) = 2*H0 entrywise, and the odd branch at delta equals the
 even branch at -delta.  Only delta >= 0 is accepted at the API boundary; the
 swap identity covers negative tunneling.
+
+H0 is carried as its diagonal, :func:`h0_diagonal`.  A branch is either a
+dense dim x dim array, :func:`assemble_branch` on the :func:`d_matrix`
+array, or a matrix-free :class:`BranchOperator` on a
+:class:`KroneckerParity`; both apply to a vector with ``@``.
 """
 
 from __future__ import annotations
@@ -23,13 +28,12 @@ import numpy as np
 
 from .bath import BathModel
 from .errors import CapacityError, ParameterError
-from .fockspace import BasisSet, KroneckerParity, ParityElementTable, d_matrix
-from .symmat import SymmetricMatrix, packed_size
+from .fockspace import BasisSet, KroneckerParity, d_matrix
 
 __all__ = [
     "Branch",
     "ModelParams",
-    "assemble_h0",
+    "h0_diagonal",
     "assemble_branch",
     "BranchOperator",
     "branch_operator",
@@ -79,28 +83,28 @@ def h0_diagonal(basis: BasisSet, bath: BathModel) -> np.ndarray:
     return basis.occupations @ omegas - bath.sum_wq2
 
 
-def assemble_h0(basis: BasisSet, bath: BathModel) -> SymmetricMatrix:
-    """Shifted-oscillator Hamiltonian; diagonal in the displaced basis."""
-    return SymmetricMatrix.from_diagonal(h0_diagonal(basis, bath))
-
-
 def assemble_branch(
     params: ModelParams,
     branch: Branch,
-    table: ParityElementTable | None = None,
-) -> SymmetricMatrix:
-    """One parity branch H0 -/+ (delta/2)*D as a packed symmetric matrix.
+    table: np.ndarray | None = None,
+) -> np.ndarray:
+    """One parity branch H0 -/+ (delta/2)*D as a dense dim x dim array.
 
-    ``table`` may carry a precomputed parity table to share across branches
-    and sweep points; it must have been built over ``params.basis``.
+    ``table`` may carry the :func:`d_matrix` array over ``params.basis`` to
+    share across both branches.
     """
+    dim = params.basis.dim
     if table is None:
         table = d_matrix(params.basis, params.bath)
-    elif table.basis is not params.basis and table.basis != params.basis:
-        raise ParameterError("parity table was built over a different basis")
-    h0 = assemble_h0(params.basis, params.bath)
-    packed = h0.packed + branch.coupling_sign * (0.5 * params.delta) * table.d.packed
-    return SymmetricMatrix(params.basis.dim, packed)
+    elif table.shape != (dim, dim):
+        raise ParameterError(
+            f"parity table has shape {table.shape}, expected ({dim}, {dim}) for the basis"
+        )
+    # Summed onto the diagonal matrix, so a -0.0 product off the diagonal
+    # becomes +0.0, as it would in H0 + coupling * D.
+    h = np.diag(h0_diagonal(params.basis, params.bath))
+    h += branch.coupling_sign * (0.5 * params.delta) * table
+    return h
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,11 @@ class BranchOperator:
     parity: KroneckerParity
 
     @property
-    def dim(self) -> int:
-        return self.h0.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return (self.h0.shape[0], self.h0.shape[0])
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self.apply(x)
 
     def apply(self, x) -> np.ndarray:
         """H @ x for x of shape (dim,) or (dim, m)."""
@@ -156,7 +163,7 @@ def degenerate_energy_set(basis: BasisSet, bath: BathModel) -> np.ndarray:
     return np.sort(h0_diagonal(basis, bath))
 
 
-def kronecker_sum(a: SymmetricMatrix, b: SymmetricMatrix, max_dim: int = 4096) -> SymmetricMatrix:
+def kronecker_sum(a: np.ndarray, b: np.ndarray, max_dim: int = 4096) -> np.ndarray:
     """A (x) I + I (x) B; its spectrum is all pairwise eigenvalue sums.
 
     Raises
@@ -164,10 +171,9 @@ def kronecker_sum(a: SymmetricMatrix, b: SymmetricMatrix, max_dim: int = 4096) -
     CapacityError
         If dim(A) * dim(B) exceeds ``max_dim`` (dense storage bound).
     """
-    prod = a.dim * b.dim
+    prod = a.shape[0] * b.shape[0]
     if prod > max_dim:
         raise CapacityError(
             f"Kronecker sum of dimension {prod} exceeds guard {max_dim}"
         )
-    dense = np.kron(a.to_dense(), np.eye(b.dim)) + np.kron(np.eye(a.dim), b.to_dense())
-    return SymmetricMatrix.from_dense(dense)
+    return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)

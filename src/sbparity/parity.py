@@ -339,7 +339,7 @@ def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
 
     Raises InvariantViolation if a row norm (D@D)_mm exceeds 1 + 1e-12.
     """
-    dense = d_matrix(basis, bath).d_dense()
+    dense = d_matrix(basis, bath)
     square = dense @ dense
     del dense
     worst = float(np.max(np.diagonal(square)))

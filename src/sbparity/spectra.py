@@ -28,10 +28,9 @@ import scipy.linalg
 
 from .bath import e_min_eo
 from .errors import InvariantViolation, OverlapGuardError, ParameterError, SolverError
-from .fockspace import MAX_BOX_STATES, BasisSet, KroneckerParity, ParityElementTable, d_matrix
+from .fockspace import MAX_BOX_STATES, BasisSet, KroneckerParity, d_matrix
 from .hamiltonian import (Branch, BranchOperator, ModelParams, assemble_branch, branch_operator,
                           h0_diagonal)
-from .symmat import SymmetricMatrix
 
 __all__ = [
     "EigenResult",
@@ -105,14 +104,14 @@ def use_lanczos(basis: BasisSet, k: int) -> bool:
 
 
 def eigen_lowest(
-    h: SymmetricMatrix | BranchOperator,
+    h: np.ndarray | BranchOperator,
     k: int,
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EigenResult:
     """The k algebraically smallest eigenpairs of ``h``.
 
-    A :class:`SymmetricMatrix` gets a direct dense symmetric solve.  A
+    A dense symmetric array gets a direct dense symmetric solve.  A
     :class:`BranchOperator` gets ARPACK Lanczos (``eigsh``) with at most
     ``max_iter`` restarts, fixed-seed start vectors and a completeness check
     (see :func:`_lanczos_lowest`).  Both are deterministic for a given input
@@ -124,19 +123,19 @@ def eigen_lowest(
         If the residual exceeds tol times a bound on norm(H), or Lanczos does
         not converge or misses a level; carries the residual reached.
     """
-    if not 1 <= k <= h.dim:
-        raise ParameterError(f"k must lie in [1, {h.dim}], got {k}")
+    dim = h.shape[0]
+    if not 1 <= k <= dim:
+        raise ParameterError(f"k must lie in [1, {dim}], got {k}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     if not max_iter >= 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if isinstance(h, BranchOperator):
         return _lanczos_lowest(h, k, tol, max_iter)
-    dense = h.to_dense()
-    values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
+    values, vectors = scipy.linalg.eigh(h, subset_by_index=[0, k - 1])
     _fix_signs(vectors)
-    resid = _residual(dense @ vectors, values, vectors)
-    _check_residual(resid, tol * float(np.linalg.norm(dense, np.inf)))
+    resid = _residual(h @ vectors, values, vectors)
+    _check_residual(resid, tol * float(np.linalg.norm(h, np.inf)))
     return EigenResult(values=values, vectors=vectors, residual=resid)
 
 
@@ -174,7 +173,7 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     # Imported here: scipy.sparse.linalg adds ~25 ms to every CLI start.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    dim = h.dim
+    dim = h.shape[0]
     if LANCZOS_K_FACTOR * k > dim:
         raise ParameterError(
             f"k = {k} is too close to dim = {dim} for Lanczos; solve the assembled matrix"
@@ -184,7 +183,7 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     norm_bound = float(np.max(np.abs(h.h0))) + spread  # >= norm(H), as norm(D) <= 1
 
     def shifted(x):
-        return h.apply(x) - sigma * x
+        return h @ x - sigma * x
 
     def lowest(matvec, n_pairs, seed):
         op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
@@ -193,7 +192,7 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
             return eigsh(op, k=n_pairs, which="SA", tol=0, maxiter=max_iter, v0=v0)
         except ArpackError as exc:
             found = getattr(exc, "eigenvectors", None)
-            resid = (_residual(h.apply(found), exc.eigenvalues + sigma, found)
+            resid = (_residual(h @ found, exc.eigenvalues + sigma, found)
                      if found is not None and found.size else math.inf)
             raise SolverError(
                 f"Lanczos failed within max_iter = {max_iter} restarts: {exc}",
@@ -206,7 +205,7 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     vectors = np.ascontiguousarray(vectors[:, order])
     values = shifted_values + sigma
     _fix_signs(vectors)
-    resid = _residual(h.apply(vectors), values, vectors)
+    resid = _residual(h @ vectors, values, vectors)
     _check_residual(resid, tol * norm_bound)
 
     c = 2.0 * shifted_values[-1]
@@ -233,13 +232,13 @@ def solve_branches(
     k_minus: int,
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[ParityElementTable | KroneckerParity, EigenResult, EigenResult]:
+) -> tuple[np.ndarray | KroneckerParity, EigenResult, EigenResult]:
     """Lowest pairs of both branches on one parity operator.
 
     Returns ``(parity, res_plus, res_minus)``.  The parity operator is built
-    once, on the path :func:`use_lanczos` picks: a dense table shared by both
-    assembled branches, or a :class:`KroneckerParity` shared by both branch
-    operators.  Either one applies D to a vector with ``apply``.
+    once, on the path :func:`use_lanczos` picks: the dense D array shared by
+    both assembled branches, or a :class:`KroneckerParity` shared by both
+    branch operators.  Either one applies D to a vector with ``@``.
     """
     if use_lanczos(params.basis, max(k_plus, k_minus)):
         parity = KroneckerParity(params.basis, params.bath)
@@ -315,7 +314,7 @@ def theorem_report(
     if abs(overlap) < OVERLAP_GUARD:
         predicted_gap = None
     else:
-        d_phi = parity.apply(phi_minus)
+        d_phi = parity @ phi_minus
         predicted_gap = params.delta * float(phi_plus @ d_phi) / overlap
 
     scale = energy_scale(params)
@@ -399,25 +398,24 @@ def gap_identity_check(
             "the gap identity is uninformative here"
         )
     lhs = float(res_minus.values[level_minus] - res_plus.values[level_plus])
-    rhs = params.delta * float(phi_plus @ parity.apply(phi_minus)) / overlap
+    rhs = params.delta * float(phi_plus @ (parity @ phi_minus)) / overlap
     return GapIdentityResult(lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs), overlap=overlap)
 
 
 def degeneracy_condition_value(
     phi_plus: np.ndarray,
     phi_minus: np.ndarray,
-    table: ParityElementTable | KroneckerParity,
+    table: np.ndarray | KroneckerParity,
 ) -> float:
-    """<phi+|D|phi-> through the table or the matrix-free operator; zero iff
-    the pair can be degenerate.
+    """<phi+|D|phi-> through the dense D array or the matrix-free operator;
+    zero iff the pair can be degenerate.
 
     The delta/2 prefactor of the tunneling term is deliberately not folded
     in, so the caller can scale by whichever delta is under discussion.
     """
     phi_plus = np.asarray(phi_plus, dtype=float)
     phi_minus = np.asarray(phi_minus, dtype=float)
-    if phi_plus.shape != (table.basis.dim,) or phi_minus.shape != (table.basis.dim,):
-        raise ParameterError(
-            f"vectors must have shape ({table.basis.dim},) to match the table"
-        )
-    return float(phi_plus @ table.apply(phi_minus))
+    dim = table.shape[0]
+    if phi_plus.shape != (dim,) or phi_minus.shape != (dim,):
+        raise ParameterError(f"vectors must have shape ({dim},) to match the table")
+    return float(phi_plus @ (table @ phi_minus))

@@ -188,14 +188,14 @@ def test_criterion_6_matrix_element_oracle():
                     break
             basis = enumerate_basis(n_modes, PerModeCap(4))
             table = d_matrix(basis, bath)
-            direct = table.d.entry(basis.index_of(m), basis.index_of(n))
+            direct = table[basis.index_of(m), basis.index_of(n)]
             assert abs(direct - overlap_oracle(m, n, bath, 80)) <= 1e-8
-            # Symmetry is structural: one packed cell per unordered pair.
-            assert table.d.entry(basis.index_of(n), basis.index_of(m)) == direct
+            assert table[basis.index_of(n), basis.index_of(m)] == direct
+            assert np.array_equal(table, table.T)
         # q = 0 collapses D to the signed identity exactly.
         bath0 = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
         basis0 = enumerate_basis(2, PerModeCap(3))
-        dense = d_matrix(basis0, bath0).d_dense()
+        dense = d_matrix(basis0, bath0)
         signs = np.array([(-1.0) ** sum(v) for v in basis0.vectors])
         assert np.array_equal(dense, np.diag(signs))
 

@@ -1,11 +1,20 @@
 """Configuration loading, subcommand behavior, exit codes, and byte-stable
 output."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbparity import cli
 from sbparity.errors import ConfigError
@@ -353,6 +362,21 @@ PHASE_CONFIG = {
 }
 
 
+@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram", "closure"])
+def test_discretizing_commands_reject_explicit_modes(tmp_path, capsys, command):
+    # These commands build their baths from the spectral law; explicit modes
+    # would be ignored while the echo listed them.
+    config = dict(PHASE_CONFIG)
+    config["model"] = dict(PHASE_CONFIG["model"], modes=[[1.0, 0.5]])
+    path = write_config(tmp_path, config)
+    code = cli.main([command, "--config", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "ConfigError"
+    assert "disc.n_modes" in out["error"]["message"]
+    assert '"model.modes" is not accepted' in out["error"]["message"]
+
+
 def test_phase_diagram_runs_and_repeats_byte_identically(tmp_path, capsys):
     path = write_config(tmp_path, PHASE_CONFIG)
     out_a = tmp_path / "a.csv"
@@ -616,3 +640,70 @@ def test_dumps_is_parseable_and_stable():
     payload = {"a": 0.1, "b": [1, 2.5, None, True], "c": {"nested": "x"}}
     text = cli.dumps(payload)
     assert cli.dumps(json.loads(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# Robustness
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # scipy.sparse.linalg is imported only by the Lanczos path; loading it
+    # at import time would add ~25 ms to every command.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, sbparity.cli; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+MAX_FUZZ_DIM = 400
+
+
+def _largest_cap(n_modes, policy):
+    cap = 0
+    while (math.comb(cap + 1 + n_modes, n_modes) if policy == "total-quanta"
+           else (cap + 2) ** n_modes) <= MAX_FUZZ_DIM:
+        cap += 1
+    return cap
+
+
+@st.composite
+def fuzz_runs(draw):
+    command = draw(st.sampled_from(["theorem", "spectrum", "parity-audit", "alpha-c"]))
+    n_modes = draw(st.integers(1, 3))
+    policy = draw(st.sampled_from(["per-mode", "total-quanta"]))
+    config = {
+        "model": {
+            "delta": draw(st.floats(0.0, 1.0)),
+            "omega_c": draw(st.floats(0.5, 2.0)),
+            "s": draw(st.floats(0.0, 1.2, exclude_min=True)),
+            "alpha": draw(st.floats(0.0, 2.0)),
+        },
+        "disc": {"n_modes": n_modes, "lambda_disc": draw(st.floats(1.5, 4.0))},
+        "trunc": {"policy": policy, "cap": draw(st.integers(0, _largest_cap(n_modes, policy)))},
+        "solver": {"k_levels": draw(st.integers(1, 3))},
+        "parity": {"epsilon": draw(st.floats(0.001, 0.5)), "m_ref": draw(st.integers(0, 3))},
+    }
+    return command, config
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=fuzz_runs())
+def test_fuzzed_configs_exit_cleanly(run):
+    # Every valid config ends in success with parseable JSON, an invariant
+    # report (exit 2), or an error JSON under its documented exit code.
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), config)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([command, "--config", path])
+    out = json.loads(buf.getvalue())
+    if code == 0:
+        assert "error" not in out
+    elif code == 2:
+        assert "invariant_violation" in out or "error" in out
+    else:
+        assert code in (1, 3, 4)
+        assert set(out) == {"error"}

@@ -176,7 +176,7 @@ def exact_d(m, n, q):
 def test_d_matches_rational_reference_up_to_occupation_eighty(m, n, q):
     bath = bath_from_modes([(1.0, 2.0 * float(q))])
     table = d_matrix(enumerate_basis(1, PerModeCap(max(m, n))), bath)
-    assert table.d.entry(m, n) == pytest.approx(exact_d(m, n, q), abs=1e-12)
+    assert table[m, n] == pytest.approx(exact_d(m, n, q), abs=1e-12)
 
 
 @pytest.mark.parametrize("q, cap", [(2, 40), (3, 120), (5, 170)])
@@ -184,7 +184,7 @@ def test_d_table_edge_rows_match_rational_reference(q, cap):
     # The last row and the diagonal carry the largest cancellations of the
     # alternating sum; every entry must still be exact to a few ulps of 1.
     bath = bath_from_modes([(1.0, 2.0 * q)])
-    d = d_matrix(enumerate_basis(1, PerModeCap(cap)), bath).d_dense()
+    d = d_matrix(enumerate_basis(1, PerModeCap(cap)), bath)
     for n in range(0, cap + 1, 10):
         assert d[cap, n] == pytest.approx(exact_d(cap, n, Fraction(q)), abs=1e-12)
         assert d[n, n] == pytest.approx(exact_d(n, n, Fraction(q)), abs=1e-12)
@@ -220,16 +220,15 @@ def test_d_table_single_mode_values():
     bath = single_mode_bath(1.0, 1.0)  # q = 0.5
     basis = enumerate_basis(1, PerModeCap(3))
     table = d_matrix(basis, bath)
-    assert table.prefactor == pytest.approx(math.exp(-0.5), rel=1e-15)
-    assert table.d.entry(0, 0) == pytest.approx(math.exp(-0.5), rel=1e-12)
-    assert table.d.entry(0, 1) == pytest.approx(math.exp(-0.5), rel=1e-12)
-    assert table.d.entry(1, 0) == table.d.entry(0, 1)
+    assert table[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert table[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert table[1, 0] == table[0, 1]
 
 
 def test_d_table_zero_coupling_is_signed_diagonal():
     bath = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
     basis = enumerate_basis(2, PerModeCap(2))
-    dense = d_matrix(basis, bath).d_dense()
+    dense = d_matrix(basis, bath)
     signs = np.array([(-1.0) ** sum(v) for v in basis.vectors])
     assert np.array_equal(dense, np.diag(signs))
 
@@ -240,8 +239,8 @@ def test_d_table_matches_per_pair_product():
     table = d_matrix(basis, bath)
     for i, mv in enumerate(basis.vectors):
         for j, nv in enumerate(basis.vectors):
-            expected = table.prefactor * l_element(mv, nv, bath)
-            assert table.d.entry(i, j) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+            expected = math.exp(-2.0 * bath.sum_q2) * l_element(mv, nv, bath)
+            assert table[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
 
 def test_d_table_capacity_guard():
@@ -274,7 +273,7 @@ def test_kronecker_parity_matches_dense_table(modes, policy, rng):
     # bases, against the gathered dense table.
     bath = bath_from_modes(modes)
     basis = enumerate_basis(len(modes), policy)
-    dense = d_matrix(basis, bath).d_dense()
+    dense = d_matrix(basis, bath)
     parity = KroneckerParity(basis, bath)
     x = rng.standard_normal(basis.dim)
     block = rng.standard_normal((basis.dim, 3))
@@ -298,7 +297,7 @@ def test_spectra_invariant_under_odd_row_sign_flip():
     # sign convention of the odd elements.
     bath = single_mode_bath(1.0, 1.2)
     basis = enumerate_basis(1, PerModeCap(12))
-    d = d_matrix(basis, bath).d_dense()
+    d = d_matrix(basis, bath)
     h0 = np.diag([v[0] * 1.0 for v in basis.vectors]) - bath.sum_wq2 * np.eye(basis.dim)
     flip = np.diag([(-1.0) ** v[0] for v in basis.vectors])
     for sign in (+1.0, -1.0):
@@ -349,7 +348,7 @@ def test_oracle_agrees_with_d_table_on_random_draws(rng):
                 break
         basis = enumerate_basis(n_modes, PerModeCap(4))
         table = d_matrix(basis, bath)
-        direct = table.d.entry(basis.index_of(m), basis.index_of(n))
+        direct = table[basis.index_of(m), basis.index_of(n)]
         assert overlap_oracle(m, n, bath, 80) == pytest.approx(direct, abs=1e-8)
 
 
@@ -363,7 +362,7 @@ def test_d_square_residual_small_in_the_inner_block():
     cap = 32
     bath = bath_from_modes([(1.0, 1.0)])  # 4q^2 = 1
     basis = enumerate_basis(1, PerModeCap(cap))
-    d = d_matrix(basis, bath).d_dense()
+    d = d_matrix(basis, bath)
     residual = d @ d - np.eye(cap + 1)
     half = cap // 2
     inner = np.abs(residual[: half + 1, : half + 1]).max()

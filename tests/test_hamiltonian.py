@@ -2,6 +2,7 @@
 spectral property."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,16 +14,18 @@ from sbparity import (
     ModelParams,
     ParameterError,
     PerModeCap,
-    SymmetricMatrix,
+    TotalQuantaCap,
     assemble_branch,
-    assemble_h0,
     bath_from_modes,
     d_matrix,
     degenerate_energy_set,
     e_min_eo,
     enumerate_basis,
+    h0_diagonal,
     kronecker_sum,
 )
+
+from sbparity.fockspace import single_mode_d_table
 
 from conftest import random_bath, single_mode_bath
 
@@ -30,25 +33,24 @@ from conftest import random_bath, single_mode_bath
 def test_h0_single_mode_ladder():
     bath = single_mode_bath(1.0, 1.0)  # q = 0.5 shifts everything by -0.25
     basis = enumerate_basis(1, PerModeCap(2))
-    h0 = assemble_h0(basis, bath)
-    assert np.array_equal(h0.diagonal(), [-0.25, 0.75, 1.75])
-    assert h0.entry(0, 1) == 0.0
+    h0 = h0_diagonal(basis, bath)
+    assert np.array_equal(h0, [-0.25, 0.75, 1.75])
 
 
 def test_h0_decoupled_is_bare_ladder():
     bath = bath_from_modes([(1.0, 0.0)])
     basis = enumerate_basis(1, PerModeCap(4))
-    assert np.array_equal(assemble_h0(basis, bath).diagonal(), [0, 1, 2, 3, 4])
+    assert np.array_equal(h0_diagonal(basis, bath), [0, 1, 2, 3, 4])
 
 
 def test_h0_two_mode_hand_sum():
     bath = bath_from_modes([(1.0, 1.0), (0.5, 0.0)])  # q = (0.5, 0)
     basis = enumerate_basis(2, PerModeCap(1))
-    h0 = assemble_h0(basis, bath)
+    h0 = h0_diagonal(basis, bath)
     idx = basis.index_of((1, 1))
     # 1*1 + 0.5*1 - (1*0.25 + 0.5*0) accumulated independently by hand
     expected = math.fsum([1.0, 0.5, -0.25])
-    assert h0.entry(idx, idx) == pytest.approx(expected, abs=1e-15)
+    assert h0[idx] == pytest.approx(expected, abs=1e-15)
     assert expected == 1.25
 
 
@@ -58,9 +60,9 @@ def test_branches_coincide_at_zero_tunneling():
     params = ModelParams(delta=0.0, bath=bath, basis=basis)
     hplus = assemble_branch(params, Branch.EVEN)
     hminus = assemble_branch(params, Branch.ODD)
-    h0 = assemble_h0(basis, bath)
-    assert np.array_equal(hplus.packed, h0.packed)
-    assert np.array_equal(hminus.packed, h0.packed)
+    h0 = np.diag(h0_diagonal(basis, bath))
+    assert np.array_equal(hplus, h0)
+    assert np.array_equal(hminus, h0)
 
 
 def test_decoupled_branches_are_shifted_diagonals():
@@ -69,8 +71,8 @@ def test_decoupled_branches_are_shifted_diagonals():
     params = ModelParams(delta=0.3, bath=bath, basis=basis)
     hplus = assemble_branch(params, Branch.EVEN)
     hminus = assemble_branch(params, Branch.ODD)
-    assert np.allclose(hplus.to_dense(), np.diag([-0.15, 1.15]), atol=1e-15)
-    assert np.allclose(hminus.to_dense(), np.diag([0.15, 0.85]), atol=1e-15)
+    assert np.allclose(hplus, np.diag([-0.15, 1.15]), atol=1e-15)
+    assert np.allclose(hminus, np.diag([0.15, 0.85]), atol=1e-15)
 
 
 def test_branch_sum_recovers_twice_h0(rng):
@@ -81,8 +83,8 @@ def test_branch_sum_recovers_twice_h0(rng):
         table = d_matrix(basis, bath)
         hplus = assemble_branch(params, Branch.EVEN, table)
         hminus = assemble_branch(params, Branch.ODD, table)
-        h0 = assemble_h0(basis, bath)
-        assert np.allclose(hplus.packed + hminus.packed, 2.0 * h0.packed, atol=1e-15)
+        h0 = np.diag(h0_diagonal(basis, bath))
+        assert np.allclose(hplus + hminus, 2.0 * h0, atol=1e-15)
 
 
 def test_branch_swap_identity(rng):
@@ -94,8 +96,8 @@ def test_branch_swap_identity(rng):
     params = ModelParams(delta=delta, bath=bath, basis=basis)
     table = d_matrix(basis, bath)
     hminus = assemble_branch(params, Branch.ODD, table)
-    manual = assemble_h0(basis, bath).packed + 0.5 * delta * table.d.packed
-    assert np.array_equal(hminus.packed, manual)
+    manual = np.diag(h0_diagonal(basis, bath)) + 0.5 * delta * table
+    assert np.array_equal(hminus, manual)
     with pytest.raises(ParameterError):
         ModelParams(delta=-0.1, bath=bath, basis=basis)
 
@@ -106,9 +108,9 @@ def test_branch_spectra_swap_under_delta_sign(rng):
     table = d_matrix(basis, bath)
     params = ModelParams(delta=0.4, bath=bath, basis=basis)
     hminus = assemble_branch(params, Branch.ODD, table)
-    h_plus_neg = assemble_h0(basis, bath).packed + 0.2 * table.d.packed
-    ev_minus = scipy.linalg.eigvalsh(hminus.to_dense())
-    ev_plus_neg = scipy.linalg.eigvalsh(SymmetricMatrix(basis.dim, h_plus_neg).to_dense())
+    h_plus_neg = np.diag(h0_diagonal(basis, bath)) + 0.2 * table
+    ev_minus = scipy.linalg.eigvalsh(hminus)
+    ev_plus_neg = scipy.linalg.eigvalsh(h_plus_neg)
     assert np.allclose(ev_minus, ev_plus_neg, atol=1e-14)
 
 
@@ -135,15 +137,15 @@ def test_degenerate_set_minimum_is_e_min_eo(rng):
 
 
 def test_kronecker_sum_of_diagonals():
-    a = SymmetricMatrix.from_diagonal([1.0, 2.0])
-    b = SymmetricMatrix.from_diagonal([10.0, 20.0])
-    ev = np.sort(scipy.linalg.eigvalsh(kronecker_sum(a, b).to_dense()))
+    a = np.diag([1.0, 2.0])
+    b = np.diag([10.0, 20.0])
+    ev = np.sort(scipy.linalg.eigvalsh(kronecker_sum(a, b)))
     assert np.allclose(ev, [11.0, 12.0, 21.0, 22.0], atol=1e-14)
 
 
 def test_kronecker_sum_of_flips():
-    flip = SymmetricMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-    ev = np.sort(scipy.linalg.eigvalsh(kronecker_sum(flip, flip).to_dense()))
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ev = np.sort(scipy.linalg.eigvalsh(kronecker_sum(flip, flip)))
     assert np.allclose(ev, [-2.0, 0.0, 0.0, 2.0], atol=1e-14)
 
 
@@ -155,27 +157,50 @@ def test_kronecker_sum_spectral_property_on_branches():
     hplus = assemble_branch(params, Branch.EVEN, table)
     hminus = assemble_branch(params, Branch.ODD, table)
     ksum = kronecker_sum(hplus, hminus)
-    ev = np.sort(scipy.linalg.eigvalsh(ksum.to_dense()))
-    ev_plus = scipy.linalg.eigvalsh(hplus.to_dense())
-    ev_minus = scipy.linalg.eigvalsh(hminus.to_dense())
+    ev = np.sort(scipy.linalg.eigvalsh(ksum))
+    ev_plus = scipy.linalg.eigvalsh(hplus)
+    ev_minus = scipy.linalg.eigvalsh(hminus)
     pairwise = np.sort(np.add.outer(ev_plus, ev_minus).ravel())
     assert np.allclose(ev, pairwise, atol=1e-10)
 
 
 def test_kronecker_sum_capacity_guard():
-    a = SymmetricMatrix.from_diagonal(np.zeros(30))
+    a = np.zeros((30, 30))
     with pytest.raises(CapacityError):
         kronecker_sum(a, a, max_dim=100)
 
 
-def test_packed_symmetry_is_structural():
-    mat = SymmetricMatrix.from_dense([[1.0, 2.0], [2.0, 3.0]])
-    assert mat.entry(0, 1) == mat.entry(1, 0)
-    assert mat.packed.shape == (3,)
-    dense = mat.to_dense()
-    assert np.array_equal(dense, dense.T)
-    with pytest.raises((ValueError, RuntimeError)):
-        mat.packed[0] = 99.0  # buffer is read-only
+KRONECKER_MODES = [(1.0, 0.9), (0.6, 0.4), (0.3, 0.0), (0.15, 0.2)]
+
+
+@pytest.mark.parametrize("policy", [PerModeCap(3), TotalQuantaCap(5)],
+                         ids=["per-mode", "total-quanta"])
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_d_matrix_is_the_restricted_kronecker_product(n_modes, policy):
+    # Over the per-mode box D is the Kronecker product of the single-mode
+    # tables; over any basis it is the principal submatrix at the basis
+    # states, gathered in the same mode order, so the match is exact.
+    bath = bath_from_modes(KRONECKER_MODES[:n_modes])
+    basis = enumerate_basis(n_modes, policy)
+    tables = [single_mode_d_table(mode.q, size - 1)
+              for mode, size in zip(bath.modes, basis.box_shape)]
+    idx = np.ravel_multi_index(basis.occupations.T, basis.box_shape)
+    d = d_matrix(basis, bath)
+    assert np.array_equal(d, reduce(np.kron, tables)[np.ix_(idx, idx)])
+    assert np.array_equal(d, d.T)
+    params = ModelParams(delta=0.3, bath=bath, basis=basis)
+    h0 = h0_diagonal(basis, bath)
+    for branch in (Branch.EVEN, Branch.ODD):
+        c = branch.coupling_sign * 0.15
+        assert np.array_equal(assemble_branch(params, branch, d), np.diag(h0) + c * d)
+
+
+def test_assemble_branch_rejects_a_table_of_another_size():
+    bath = single_mode_bath()
+    params = ModelParams(delta=0.1, bath=bath, basis=enumerate_basis(1, PerModeCap(3)))
+    table = d_matrix(enumerate_basis(1, PerModeCap(4)), bath)
+    with pytest.raises(ParameterError, match="shape"):
+        assemble_branch(params, Branch.EVEN, table)
 
 
 def test_model_params_mode_count_mismatch():

@@ -295,6 +295,22 @@ def test_critical_alpha_validation():
         critical_alpha(s=-1.0, n_tr=5, disc=disc, epsilon=0.01)
 
 
+@pytest.mark.parametrize("m_ref", [(1, 2, 0), (3, 0, 0)])
+def test_critical_alpha_at_excited_reference_matches_exact_deficiency(m_ref):
+    # The deficiency at the returned alpha_c, recomputed from the exact
+    # rational L of every mode at the discretized q_k, sits on epsilon.
+    cap, epsilon, s = 10, 0.01, 0.5
+    disc = Discretization(3, 2.0, 1.0)
+    point = critical_alpha(s=s, n_tr=cap, disc=disc, epsilon=epsilon, m_ref=m_ref)
+    assert point.m_ref == m_ref
+    bath = discretize_bath(SpectralLaw(point.alpha_c, s, 1.0), 3, 2.0)
+    o_exact = Fraction(1)
+    for mk, mode in zip(m_ref, bath.modes):
+        o_exact *= sum(exact_l2(mk, n, Fraction(mode.q)) for n in range(cap + 1))
+    deficiency = 1.0 - math.exp(-4.0 * sum(mode.q ** 2 for mode in bath.modes)) * float(o_exact)
+    assert abs(deficiency - epsilon) <= 1e-9
+
+
 def test_critical_alpha_logarithmic_form():
     point = critical_alpha(
         s=0.5, n_tr=20, disc=Discretization(10, 2.0, 1.0), epsilon=0.01
