@@ -519,7 +519,8 @@ def run_alpha_c(cfg: RunConfig, out_path=None) -> int:
     disc = Discretization(cfg.n_modes, cfg.lambda_disc, cfg.omega_c)
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
     point = critical_alpha(
-        s=cfg.s, n_tr=cfg.cap, disc=disc, epsilon=cfg.epsilon, m_ref=m_ref
+        s=cfg.s, n_tr=cfg.cap, disc=disc, epsilon=cfg.epsilon, m_ref=m_ref,
+        policy=cfg.policy or "per-mode",
     )
     body = point.as_dict()
     body["config"] = cfg.echo()
@@ -603,7 +604,8 @@ def run_phase_diagram(cfg: RunConfig, out_path=None, reference=None) -> int:
     def solve(s_val):
         try:
             pt = critical_alpha(
-                s=s_val, n_tr=cfg.cap, disc=disc, epsilon=cfg.epsilon, m_ref=m_ref
+                s=s_val, n_tr=cfg.cap, disc=disc, epsilon=cfg.epsilon, m_ref=m_ref,
+                policy=cfg.policy or "per-mode",
             )
             return pt.alpha_c, pt.beta, pt.o_value
         except SearchError:

@@ -312,14 +312,21 @@ def _checked_d_tables(basis: BasisSet, bath: BathModel) -> list[np.ndarray]:
     return tables
 
 
-def _gather(basis: BasisSet, tables) -> np.ndarray:
-    """dim x dim product over modes, in mode order, of the single-mode
-    ``tables`` gathered at the occupations of ``basis``."""
-    occ = basis.occupations
-    out = tables[0][np.ix_(occ[:, 0], occ[:, 0])]
-    for k in range(1, len(tables)):
-        out *= tables[k][np.ix_(occ[:, k], occ[:, k])]
+def _gather(occ: np.ndarray, tables) -> np.ndarray:
+    """len(occ) x len(occ) product over modes, in mode order, of the
+    single-mode ``tables`` gathered at the occupation rows ``occ`` (all ones
+    when there are no modes)."""
+    out = np.ones((len(occ), len(occ)))
+    for k, table in enumerate(tables):
+        out *= table[np.ix_(occ[:, k], occ[:, k])]
     return out
+
+
+def _check_table_dim(dim: int, max_dim: int = MAX_TABLE_DIM):
+    if dim > max_dim:
+        raise CapacityError(
+            f"dense parity table of dimension {dim} exceeds guard {max_dim}"
+        )
 
 
 def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> np.ndarray:
@@ -335,17 +342,14 @@ def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> 
     InvariantViolation
         If any |D_mn| exceeds 1 + 1e-12 or is NaN.
     """
-    if basis.dim > max_dim:
-        raise CapacityError(
-            f"dense parity table of dimension {basis.dim} exceeds guard {max_dim}"
-        )
-    return _gather(basis, _checked_d_tables(basis, bath))
+    _check_table_dim(basis.dim, max_dim)
+    return _gather(basis.occupations, _checked_d_tables(basis, bath))
 
 
 def l_matrix(basis: BasisSet, bath: BathModel) -> np.ndarray:
     """Multi-mode L over ``basis`` as a dense array, for table dumps only;
     may overflow to inf at large coupling, where D does not."""
-    return _gather(basis, _mode_tables(basis, bath, single_mode_l_table))
+    return _gather(basis.occupations, _mode_tables(basis, bath, single_mode_l_table))
 
 
 class KroneckerParity:

@@ -31,7 +31,9 @@ from .fockspace import (
     FACTORIAL_GUARD,
     BasisSet,
     TotalQuantaCap,
-    d_matrix,
+    _check_table_dim,
+    _checked_d_tables,
+    _gather,
     enumerate_basis,
     single_mode_d_row,
 )
@@ -232,6 +234,9 @@ def critical_alpha(
 
     Raises
     ------
+    ParameterError
+        If ``m_ref`` lies outside the truncated basis (some m_k > n_tr under
+        the per-mode policy, or sum(m) > n_tr under total-quanta).
     SearchError
         If no bracket exists below ``alpha_hi_cap``, or bisection exhausts
         float resolution without meeting ``value_tol``.
@@ -249,6 +254,14 @@ def critical_alpha(
 
     probe = bath_factory(1.0)
     m = _normalize_m(m_ref, probe.n_modes)
+    quanta = max(m) if policy == "per-mode" else sum(m)
+    if quanta > n_tr:
+        # At alpha -> 0 the deficiency of such a state tends to 1, so the
+        # search would only stall; say what is wrong instead.
+        raise ParameterError(
+            f"reference occupation {list(m)} lies outside the {policy} basis of "
+            f"cap {n_tr}: parity.m_ref must fit under trunc.cap"
+        )
 
     def objective(a):
         return parity_deficiency(bath_factory(a), n_tr, m, policy) - epsilon
@@ -335,20 +348,70 @@ class ParityAudit:
 
 
 def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
-    """Form D over ``basis``, square it, and report departures from identity.
+    """Square D over ``basis`` from per-mode pieces and report departures
+    from identity.
 
-    Raises InvariantViolation if a row norm (D@D)_mm exceeds 1 + 1e-12.
+    Write each basis state as a prefix u over modes 0..n-2 and a last-mode
+    occupation a <= room(u), where room(u) is the cap under a per-mode cap
+    and cap - |u| under a total-quanta cap.  Summing the middle index over
+    the basis gives
+
+        (D@D)[(v,a),(w,c)] = sum_r G_r[v,w] * Q_r[a,c],
+        G_r = D'[:, U_r] @ D'[U_r, :],    Q_r = T[:, :r+1] @ T[:r+1, :],
+
+    with D' the parity matrix over the prefix basis, U_r the prefixes of
+    room r and T the last mode's table.  A per-mode basis has the single
+    room cap, so D@D = D'@D' (x) T@T; a single mode has one empty prefix, so
+    D@D = T@T.  Neither D nor any dim x dim product is formed: the prefixes
+    are sorted by room and each group of rows with room s is paired with the
+    columns of room >= s, which covers every unordered pair of the symmetric
+    D@D once.  The last-mode axis is padded to cap + 1 and masked.
+
+    Raises
+    ------
+    CapacityError
+        If ``basis.dim`` exceeds MAX_TABLE_DIM: a per-mode basis still
+        squares to one dim x dim block.
+    InvariantViolation
+        If any |D_mn| exceeds 1 + 1e-12, or a row norm (D@D)_mm exceeds
+        1 + 1e-12.
     """
-    dense = d_matrix(basis, bath)
-    square = dense @ dense
-    del dense
-    worst = float(np.max(np.diagonal(square)))
+    _check_table_dim(basis.dim)
+    tables = _checked_d_tables(basis, bath)
+    occ = basis.occupations
+    # Lexicographic order runs the last mode fastest, so each prefix owns the
+    # contiguous states from its last-mode occupation 0 up to its room.
+    starts = np.flatnonzero(occ[:, -1] == 0)
+    room = np.maximum.reduceat(occ[:, -1], starts)
+    order = np.argsort(room, kind="stable")
+    starts, room = starts[order], room[order]
+    # One group (room r, sorted positions lo:hi) per distinct room.
+    cuts = [0, *(np.flatnonzero(np.diff(room)) + 1), len(room)]
+    groups = [(room[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    d_prefix = _gather(occ[starts, :-1], tables[:-1])
+    last = tables[-1]
+    g = np.empty((len(groups),) + d_prefix.shape)
+    q = np.empty((len(groups),) + last.shape)
+    for i, (r, lo, hi) in enumerate(groups):
+        np.matmul(d_prefix[:, lo:hi], d_prefix[lo:hi], out=g[i])
+        np.matmul(last[:, : r + 1], last[: r + 1], out=q[i])
+    # Padded last-mode occupations c > room(w) lie outside the basis.
+    inside = np.arange(last.shape[0]) <= room[:, None]
+    diag = np.empty(basis.dim)
+    offdiag = 0.0
+    for r, lo, hi in groups:
+        # Rows of room r against every column of room >= r: by symmetry
+        # this meets each unordered pair of states once.
+        block = np.tensordot(g[:, lo:hi, lo:], q[:, : r + 1, :], axes=(0, 0))
+        block *= inside[None, lo:, None, :]  # axes (v, w, a, c)
+        v = np.arange(hi - lo)[:, None]
+        a = np.arange(r + 1)
+        diag[starts[lo:hi, None] + a] = block[v, v, a, a]
+        block[v, v, a, a] = 0.0
+        offdiag = max(offdiag, float(np.max(block)), -float(np.min(block)))
+    worst = float(np.max(diag))
     if not worst <= D_BOUND:
         raise InvariantViolation(f"max (D@D)_mm = {worst:.17g} breaks the row-norm bound 1")
-    diag = np.abs(np.diagonal(square) - 1.0)
-    # In place: dim x dim temporaries here would set the peak memory of a run.
-    np.fill_diagonal(square, 0.0)
-    np.abs(square, out=square)
     policy = basis.policy
     zeros = (0,) * basis.n_modes
     return ParityAudit(
@@ -357,8 +420,8 @@ def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
         o_value=o_diagonal(zeros, bath, policy.cap, policy.kind),
         scale=math.exp(-4.0 * bath.sum_q2),
         deficiency=parity_deficiency(bath, policy.cap, zeros, policy.kind),
-        d2_diag_residuals=diag,
-        d2_max_offdiag=float(np.max(square)),
+        d2_diag_residuals=np.abs(diag - 1.0),
+        d2_max_offdiag=offdiag,
     )
 
 

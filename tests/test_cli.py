@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbparity import cli
+from sbparity import Discretization, cli, critical_alpha
 from sbparity.errors import ConfigError
 
 from conftest import bare_fock_ground_energy
@@ -348,6 +348,62 @@ def test_closure_command(tmp_path, capsys):
     assert out["ratio"] == "10/1"
     assert out["unknowns_discarded"] == 100 * 10 ** 99
     assert out["independent_equations"] == 10 ** 100
+
+
+TOTAL_QUANTA_ALPHA_C = {
+    "model": {"delta": 0.1, "omega_c": 1.0, "s": 0.8, "alpha": 0.1},
+    "disc": {"n_modes": 3, "lambda_disc": 2.0},
+    "trunc": {"policy": "total-quanta", "cap": 6},
+    "parity": {"epsilon": 0.01},
+    "sweep": {"variable": "s", "from": 0.8, "to": 0.8, "steps": 1},
+}
+
+
+@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram"])
+def test_alpha_c_commands_honour_truncation_policy(tmp_path, capsys, command):
+    path = write_config(tmp_path, TOTAL_QUANTA_ALPHA_C)
+    code = cli.main([command, "--config", path])
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = critical_alpha(
+        s=0.8, n_tr=6, disc=Discretization(3, 2.0, 1.0), epsilon=0.01,
+        policy="total-quanta",
+    ).alpha_c
+    per_mode = critical_alpha(
+        s=0.8, n_tr=6, disc=Discretization(3, 2.0, 1.0), epsilon=0.01
+    ).alpha_c
+    assert abs(expected - per_mode) > 0.5
+    if command == "alpha-c":
+        assert json.loads(out)["alpha_c"] == expected
+    else:
+        assert out.splitlines()[1].split(",")[1] == cli.format_float(expected)
+
+
+def test_phase_diagram_total_quanta_too_large_exits_1_before_any_row(tmp_path, capsys):
+    config = dict(PHASE_CONFIG, trunc={"policy": "total-quanta", "cap": 20})
+    config["disc"] = {"n_modes": 30, "lambda_disc": 2.0}
+    path = write_config(tmp_path, config)
+    out_path = tmp_path / "curve.csv"
+    code = cli.main(["phase-diagram", "--config", path, "--out", str(out_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "CapacityError"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram"])
+def test_reference_occupation_outside_basis_exits_1(tmp_path, capsys, command):
+    config = dict(PHASE_CONFIG, trunc={"cap": 2}, parity={"m_ref": 3})
+    config["disc"] = {"n_modes": 2, "lambda_disc": 2.0}
+    code = cli.main([command, "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "ParameterError"
+    assert "parity.m_ref" in out["error"]["message"]
+    assert "trunc.cap" in out["error"]["message"]
+    config["parity"] = {"m_ref": 1}
+    assert cli.main([command, "--config", write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

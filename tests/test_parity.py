@@ -33,7 +33,7 @@ from sbparity import (
     parity_deficiency,
 )
 
-from sbparity.fockspace import l_scaled_rational
+from sbparity.fockspace import l_scaled_rational, single_mode_d_table
 
 from conftest import single_mode_bath
 
@@ -295,6 +295,16 @@ def test_critical_alpha_validation():
         critical_alpha(s=-1.0, n_tr=5, disc=disc, epsilon=0.01)
 
 
+@pytest.mark.parametrize("policy, m_ref", [("per-mode", (3, 0)), ("total-quanta", (2, 1))])
+def test_critical_alpha_refuses_reference_outside_basis(policy, m_ref):
+    # At alpha -> 0 such a reference has deficiency 1, so no root is sought.
+    disc = Discretization(2, 2.0, 1.0)
+    with pytest.raises(ParameterError, match="parity.m_ref .*trunc.cap"):
+        critical_alpha(s=0.8, n_tr=2, disc=disc, m_ref=m_ref, policy=policy)
+    inside = (2, 0) if policy == "per-mode" else (1, 1)
+    assert critical_alpha(s=0.8, n_tr=2, disc=disc, m_ref=inside, policy=policy).alpha_c > 0.0
+
+
 @pytest.mark.parametrize("m_ref", [(1, 2, 0), (3, 0, 0)])
 def test_critical_alpha_at_excited_reference_matches_exact_deficiency(m_ref):
     # The deficiency at the returned alpha_c, recomputed from the exact
@@ -360,6 +370,60 @@ def test_audit_consistency_with_parity_deficiency():
         direct = parity_deficiency(bath, policy.cap, (0, 0), policy.kind)
         assert audit.deficiency == pytest.approx(direct, abs=1e-12)
         assert audit.d2_diag_residuals[0] == pytest.approx(direct, abs=1e-12)
+
+
+def _extended_precision_audit(basis, bath):
+    """|(D@D)_mm - 1| and max off-diagonal |(D@D)_mn|, with D gathered from
+    the float64 single-mode tables and squared in extended precision."""
+    occ = basis.occupations
+    d = np.ones((basis.dim, basis.dim), dtype=np.longdouble)
+    for k, mode in enumerate(bath.modes):
+        table = single_mode_d_table(mode.q, basis.policy.cap).astype(np.longdouble)
+        d *= table[np.ix_(occ[:, k], occ[:, k])]
+    square = d @ d
+    diag = np.abs(np.diagonal(square) - 1)
+    np.fill_diagonal(square, 0)
+    return diag, np.max(np.abs(square))
+
+
+AUDIT_Q = (1.1, 0.7, 0.4, 0.2)
+
+AUDIT_CASES = {
+    "m1-pm30": (1, PerModeCap(30)),
+    "m1-tq30": (1, TotalQuantaCap(30)),
+    "m2-pm8": (2, PerModeCap(8)),
+    "m2-tq12": (2, TotalQuantaCap(12)),
+    "m3-pm5": (3, PerModeCap(5)),
+    "m3-tq8": (3, TotalQuantaCap(8)),
+    "m4-pm3": (4, PerModeCap(3)),
+    "m4-tq6": (4, TotalQuantaCap(6)),
+}
+
+
+def _audit_case(case):
+    if case == "cap0":
+        return bath_from_modes([(1.0, 1.0), (0.5, 0.3)]), enumerate_basis(2, TotalQuantaCap(0))
+    if case == "q0-beside-coupled":
+        return bath_from_modes([(1.0, 1.6), (0.5, 0.0)]), enumerate_basis(2, TotalQuantaCap(10))
+    if case == "m1-cap120-q1.5":
+        return bath_from_modes([(1.0, 3.0)]), enumerate_basis(1, PerModeCap(120))
+    n_modes, policy = AUDIT_CASES[case]
+    bath = bath_from_modes([(0.5 ** k, 2.0 * q * 0.5 ** k) for k, q in enumerate(AUDIT_Q[:n_modes])])
+    return bath, enumerate_basis(n_modes, policy)
+
+
+@pytest.mark.parametrize(
+    "case", [*AUDIT_CASES, "cap0", "q0-beside-coupled", "m1-cap120-q1.5"]
+)
+def test_audit_matches_extended_precision_square(case):
+    # The audit squares D from per-mode pieces without forming it; the
+    # reference forms D and squares it densely in extended precision.
+    bath, basis = _audit_case(case)
+    audit = d_square_audit(basis, bath)
+    diag, offdiag = _extended_precision_audit(basis, bath)
+    assert audit.d2_diag_residuals.shape == (basis.dim,)
+    assert np.max(np.abs(audit.d2_diag_residuals - diag)) <= 1e-14
+    assert abs(audit.d2_max_offdiag - offdiag) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
