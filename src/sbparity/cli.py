@@ -14,13 +14,19 @@ top level (``delta``, ``omega_c``, ``s``, ``alpha``) or nested under
 ``model``; the remaining sections are ``disc`` (n_modes, lambda_disc),
 ``trunc`` (policy, cap), ``solver`` (tol, max_iter, k_levels), ``parity``
 (epsilon, m_ref), ``sweep`` (variable, from, to, steps) and ``output``
-(format, path).  Unknown keys are rejected.  ``model.modes`` may carry an
-explicit [[omega, lam], ...] list (decreasing omega), overriding the
-logarithmic discretization; this is how decoupled or unit-frequency
+(path, the file written instead of stdout unless ``--out`` names one; an
+unwritable path exits 1).  Unknown keys are rejected.  ``model.modes`` may
+carry an explicit [[omega, lam], ...] list (decreasing omega), overriding
+the logarithmic discretization; this is how decoupled or unit-frequency
 single-mode configurations are expressed exactly.  Only ``theorem``,
 ``spectrum`` and ``parity-audit`` accept it: ``alpha-c``, ``phase-diagram``
 and ``closure`` discretize ``disc.n_modes`` modes from the spectral law and
-reject ``model.modes`` with exit 1.
+reject ``model.modes`` with exit 1.  ``closure`` counts the per-mode bare
+basis and rejects ``trunc.policy`` "total-quanta" with exit 1 too.
+``alpha-c`` and ``phase-diagram`` enumerate no basis: under "total-quanta"
+they sum the deficiency by a truncated convolution over the modes, and
+refuse with exit 1 a sum needing more than ``parity.MAX_CONVOLUTION_WORK``
+multiply-adds.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical invariant
 violation, 3 solver failure, 4 search failure.
@@ -276,10 +282,10 @@ def parse_config(raw: dict) -> RunConfig:
     if output is not None:
         if not isinstance(output, dict):
             raise ConfigError('field "output": expected an object')
-        _check_keys("output", output, ("format", "path"))
-        fmt = output.get("format")
-        if fmt is not None and fmt not in ("json", "csv"):
-            raise ConfigError(f'field "output.format": must be "json" or "csv", got {fmt!r}')
+        _check_keys("output", output, ("path",))
+        path = output.get("path")
+        if path is not None and (not isinstance(path, str) or not path):
+            raise ConfigError(f'field "output.path": expected a non-empty string, got {path!r}')
 
     return RunConfig(
         delta=delta, omega_c=omega_c, s=s, alpha=alpha, modes=modes,
@@ -415,7 +421,10 @@ def _versions() -> dict:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -531,6 +540,11 @@ def run_alpha_c(cfg: RunConfig, out_path=None) -> int:
 
 def run_closure(cfg: RunConfig, out_path=None) -> int:
     _reject_explicit_modes(cfg, "closure")
+    if cfg.policy == "total-quanta":
+        raise ConfigError(
+            'closure counts the per-mode bare basis; field "trunc.policy" '
+            '"total-quanta" is not accepted'
+        )
     report = closure_report(cfg.n_modes, cfg.cap)
     body = report.as_dict()
     body["config"] = cfg.echo()
@@ -684,11 +698,7 @@ def _build_parser() -> _Parser:
                              help="override parity.epsilon from the config")})
     add("closure", "bare-basis closure counting for (n_modes, cap)")
     add("phase-diagram", "critical dissipation vs s sweep (CSV)",
-        **{"--jobs": dict(default=1, type=int,
-                          help="accepted for compatibility and ignored: the sweep runs "
-                               "serially, since its bisection is pure Python and "
-                               "threads only slowed it down"),
-           "--reference": dict(default=None, metavar="CSV",
+        **{"--reference": dict(default=None, metavar="CSV",
                                help="reference curve to interpolate as an extra column"),
            "--epsilon": dict(default=None, type=float,
                              help="override parity.epsilon from the config")})
@@ -720,8 +730,6 @@ def main(argv=None) -> int:
         if args.command == "closure":
             return run_closure(cfg, out_path)
         if args.command == "phase-diagram":
-            if args.jobs < 1:
-                raise ConfigError(f'flag "--jobs": must be >= 1, got {args.jobs}')
             return run_phase_diagram(cfg, out_path, reference=args.reference)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ParameterError, CapacityError) as exc:

@@ -25,16 +25,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bath import BathModel, SpectralLaw, discretize_bath
-from .errors import InvariantViolation, ParameterError, SearchError
+from .errors import CapacityError, InvariantViolation, ParameterError, SearchError
 from .fockspace import (
     D_BOUND,
     FACTORIAL_GUARD,
     BasisSet,
-    TotalQuantaCap,
     _check_table_dim,
     _checked_d_tables,
     _gather,
-    enumerate_basis,
     single_mode_d_row,
 )
 
@@ -52,6 +50,11 @@ __all__ = [
 
 # Truncation caps above this make the diagonal sums pointlessly long.
 MAX_SERIES_CAP = 1_000_000
+
+# Multiply-adds of one total-quanta sum, (n_modes - 1) * (cap + 1)**2, above
+# which it is refused.  np.convolve runs at 0.25-0.5 ns per multiply-add on a
+# 2-vCPU x86 host, so one sum at the guard takes 12-25 ms.
+MAX_CONVOLUTION_WORK = 50_000_000
 
 _CLAMP_SLACK = 1e-14
 
@@ -112,30 +115,60 @@ def _log_sum_exp(logs: np.ndarray) -> float:
 
 
 def _log_o_total(m: tuple[int, ...], bath: BathModel, n_tr: int) -> float:
-    """log of the diagonal sum under a total-quanta cap (direct enumeration)."""
-    occ = enumerate_basis(bath.n_modes, TotalQuantaCap(n_tr)).occupations
-    log_prod = np.zeros(occ.shape[0])
-    for k, mode in enumerate(bath.modes):
-        log_prod += _log_l2_row(m[k], mode.q, n_tr)[occ[:, k]]
-    return _log_sum_exp(log_prod)
+    """log of the diagonal sum under a total-quanta cap.
+
+    The sum over |n| <= n_tr of prod_k w_k(n_k) is the sum of the first
+    n_tr + 1 coefficients of prod_k W_k(z), W_k(z) = sum_n w_k(n) z**n, so
+    it is built by truncated convolution over the modes in
+    (n_modes - 1) * (n_tr + 1)**2 multiply-adds.  Each row is scaled by its
+    maximum and the running product by its own after every mode, with the
+    logs of the scales carried apart; every term is >= 0, so nothing cancels.
+    """
+    work = (bath.n_modes - 1) * (n_tr + 1) ** 2
+    if work > MAX_CONVOLUTION_WORK:
+        raise CapacityError(
+            f"total-quanta sum over {bath.n_modes} modes at cap {n_tr} needs {work} "
+            f"multiply-adds, above the guard of {MAX_CONVOLUTION_WORK}; lower "
+            f"disc.n_modes or trunc.cap"
+        )
+    logs = []
+    acc = None
+    for mk, mode in zip(m, bath.modes):
+        row = _log_l2_row(mk, mode.q, n_tr)
+        shift = float(np.max(row))
+        if shift == -math.inf:
+            return shift
+        w = np.exp(row - shift)
+        acc = w if acc is None else np.convolve(acc, w)[: n_tr + 1]
+        top = float(np.max(acc))
+        if top == 0.0:
+            return -math.inf  # every nonzero product lies beyond the cap
+        acc /= top
+        logs += (shift, math.log(top))
+    logs.append(math.log(float(np.sum(acc))))
+    return math.fsum(logs)
+
+
+def _exp_or_inf(log_o: float) -> float:
+    try:
+        return math.exp(log_o)
+    except OverflowError:
+        return math.inf
 
 
 def o_diagonal(m, bath: BathModel, n_tr: int, policy: str = "per-mode") -> float:
     """Truncated diagonal invariance sum O at reference occupation ``m``.
 
     Under the per-mode policy the sum over the truncated index set factorizes
-    into per-mode partial sums; the total-quanta policy enumerates the index
-    set directly.  Can overflow to inf at large couplings; callers needing
-    the scaled combination should use :func:`parity_deficiency`, which works
-    in log space throughout.
+    into per-mode partial sums; under the total-quanta policy it is a
+    truncated convolution of the per-mode rows, so no basis is enumerated
+    under either policy.  Can overflow to inf at large couplings; callers
+    needing the scaled combination should use :func:`parity_deficiency`,
+    which works in log space throughout.
     """
     _check_cap(n_tr)
     m = _normalize_m(m, bath.n_modes)
-    log_o = _log_o(m, bath, n_tr, policy)
-    try:
-        return math.exp(log_o)
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(_log_o(m, bath, n_tr, policy))
 
 
 def _log_o(m, bath, n_tr, policy):
@@ -156,10 +189,21 @@ def parity_deficiency(
     Always lies in [0, 1]; float noise within 1e-14 of the boundary is
     clamped, anything beyond raises because the underlying sum of squares
     cannot exceed the complete-basis value.
+
+    Raises
+    ------
+    CapacityError
+        If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
+        multiply-adds.
     """
     _check_cap(n_tr)
     m = _normalize_m(m, bath.n_modes)
-    log_scaled = _log_o(m, bath, n_tr, policy) - 4.0 * bath.sum_q2
+    return _deficiency(_log_o(m, bath, n_tr, policy), bath)
+
+
+def _deficiency(log_o: float, bath: BathModel) -> float:
+    """1 - exp(-4 * sum_q2) * O from log O, clamped as parity_deficiency says."""
+    log_scaled = log_o - 4.0 * bath.sum_q2
     deficiency = 1.0 - math.exp(min(log_scaled, 700.0))
     # The log-space roundoff grows with the exponent magnitude, so the clamp
     # slack does too; it stays at 1e-14 whenever 4*sum_q2 <= 1.
@@ -237,6 +281,9 @@ def critical_alpha(
     ParameterError
         If ``m_ref`` lies outside the truncated basis (some m_k > n_tr under
         the per-mode policy, or sum(m) > n_tr under total-quanta).
+    CapacityError
+        If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
+        multiply-adds.
     SearchError
         If no bracket exists below ``alpha_hi_cap``, or bisection exhausts
         float resolution without meeting ``value_tol``.
@@ -300,10 +347,6 @@ def critical_alpha(
 
     bath_c = bath_factory(root)
     log_o = _log_o(m, bath_c, n_tr, policy)
-    try:
-        o_value = math.exp(log_o)
-    except OverflowError:
-        o_value = math.inf
     beta = bath_c.beta
     return CriticalPoint(
         s=s,
@@ -314,7 +357,7 @@ def critical_alpha(
         lambda_disc=bath_c.lambda_disc if bath_c.lambda_disc is not None else math.nan,
         beta=beta,
         m_ref=m,
-        o_value=o_value,
+        o_value=_exp_or_inf(log_o),
         ln_o_over_2beta=log_o / (2.0 * beta),
     )
 
@@ -414,12 +457,13 @@ def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
         raise InvariantViolation(f"max (D@D)_mm = {worst:.17g} breaks the row-norm bound 1")
     policy = basis.policy
     zeros = (0,) * basis.n_modes
+    log_o = _log_o(zeros, bath, policy.cap, policy.kind)
     return ParityAudit(
         m=zeros,
         n_tr=policy.cap,
-        o_value=o_diagonal(zeros, bath, policy.cap, policy.kind),
+        o_value=_exp_or_inf(log_o),
         scale=math.exp(-4.0 * bath.sum_q2),
-        deficiency=parity_deficiency(bath, policy.cap, zeros, policy.kind),
+        deficiency=_deficiency(log_o, bath),
         d2_diag_residuals=np.abs(diag - 1.0),
         d2_max_offdiag=offdiag,
     )

@@ -2,6 +2,7 @@
 output."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -9,12 +10,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc
 
 from sbparity import Discretization, cli, critical_alpha
 from sbparity.errors import ConfigError
@@ -205,6 +208,47 @@ def test_theorem_writes_out_file(tmp_path, capsys):
     assert json.loads(out_file.read_text())["verdict"] == "strictly-below"
 
 
+def test_output_format_is_not_a_key(tmp_path, capsys):
+    # Output formats are fixed per command; a format key would be ignored.
+    config = dict(SINGLE_MODE_THEOREM, output={"format": "json"})
+    code = cli.main(["theorem", "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"] == {"type": "ConfigError",
+                            "message": "unknown key 'format' in section 'output'"}
+
+
+@pytest.mark.parametrize("path", [5, "", ["a.json"]])
+def test_output_path_must_be_a_string(tmp_path, capsys, path):
+    config = dict(SINGLE_MODE_THEOREM, output={"path": path})
+    code = cli.main(["theorem", "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "ConfigError"
+    assert '"output.path"' in out["error"]["message"]
+
+
+@pytest.mark.parametrize("where", ["--out", "output.path"])
+def test_unwritable_output_exits_1(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "report.json"
+    config = dict(SINGLE_MODE_THEOREM)
+    argv = ["theorem"]
+    if where == "--out":
+        argv += ["--out", str(target)]
+    else:
+        config["output"] = {"path": str(target)}
+    code = cli.main(argv + ["--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "ConfigError"
+    assert f"cannot write output {target}" in out["error"]["message"]
+    # The same path in an existing directory is written.
+    target.parent.mkdir()
+    assert cli.main(argv + ["--config", write_config(tmp_path, config)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text())["verdict"] == "strictly-below"
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -350,6 +394,21 @@ def test_closure_command(tmp_path, capsys):
     assert out["independent_equations"] == 10 ** 100
 
 
+def test_closure_refuses_total_quanta_policy(tmp_path, capsys):
+    # The closure counts are those of the per-mode bare basis.
+    config = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.1},
+              "disc": {"n_modes": 3, "lambda_disc": 2.0},
+              "trunc": {"policy": "total-quanta", "cap": 4}}
+    code = cli.main(["closure", "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "ConfigError"
+    assert "trunc.policy" in out["error"]["message"]
+    config["trunc"]["policy"] = "per-mode"
+    assert cli.main(["closure", "--config", write_config(tmp_path, config)]) == 0
+    assert json.loads(capsys.readouterr().out)["ratio"] == "3/5"
+
+
 TOTAL_QUANTA_ALPHA_C = {
     "model": {"delta": 0.1, "omega_c": 1.0, "s": 0.8, "alpha": 0.1},
     "disc": {"n_modes": 3, "lambda_disc": 2.0},
@@ -379,15 +438,37 @@ def test_alpha_c_commands_honour_truncation_policy(tmp_path, capsys, command):
         assert out.splitlines()[1].split(",")[1] == cli.format_float(expected)
 
 
-def test_phase_diagram_total_quanta_too_large_exits_1_before_any_row(tmp_path, capsys):
+def test_phase_diagram_total_quanta_at_default_size_meets_incomplete_gamma(tmp_path, capsys):
+    # 30 modes at total-quanta cap 20 (~4.7e13 states) sum by convolution.
+    # At the vacuum reference 1 - deficiency = Q(cap + 1, 4 * sum_q2), and
+    # 4 * sum_q2 = 2 * beta * alpha.
     config = dict(PHASE_CONFIG, trunc={"policy": "total-quanta", "cap": 20})
     config["disc"] = {"n_modes": 30, "lambda_disc": 2.0}
-    path = write_config(tmp_path, config)
     out_path = tmp_path / "curve.csv"
-    code = cli.main(["phase-diagram", "--config", path, "--out", str(out_path)])
+    code = cli.main(["phase-diagram", "--config", write_config(tmp_path, config),
+                     "--out", str(out_path)])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
+    assert len(rows) == 4
+    for row in rows:
+        mu = 2.0 * float(row["beta"]) * float(row["alpha_c"])
+        assert abs(1.0 - gammaincc(21, mu) - float(row["epsilon"])) <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram"])
+def test_total_quanta_beyond_work_guard_exits_1_before_any_row(tmp_path, capsys, command):
+    config = dict(PHASE_CONFIG, trunc={"policy": "total-quanta", "cap": 100_000})
+    config["disc"] = {"n_modes": 30, "lambda_disc": 2.0}
+    out_path = tmp_path / "out"
+    start = time.perf_counter()
+    code = cli.main([command, "--config", write_config(tmp_path, config),
+                     "--out", str(out_path)])
+    assert time.perf_counter() - start < 1.0
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["error"]["type"] == "CapacityError"
+    assert "disc.n_modes" in out["error"]["message"]
+    assert "trunc.cap" in out["error"]["message"]
     assert not out_path.exists()
 
 
@@ -449,18 +530,6 @@ def test_phase_diagram_runs_and_repeats_byte_identically(tmp_path, capsys):
         assert float(cells[1]) > 0.0
         assert cells[8] == "0"
     assert not out_a.read_text().endswith("\r\n")
-
-
-def test_phase_diagram_jobs_do_not_change_bytes(tmp_path, capsys):
-    path = write_config(tmp_path, PHASE_CONFIG)
-    out_a = tmp_path / "serial.csv"
-    out_b = tmp_path / "parallel.csv"
-    assert cli.main(["phase-diagram", "--config", path, "--out", str(out_a)]) == 0
-    assert cli.main(
-        ["phase-diagram", "--config", path, "--jobs", "3", "--out", str(out_b)]
-    ) == 0
-    capsys.readouterr()
-    assert out_a.read_bytes() == out_b.read_bytes()
 
 
 def test_phase_diagram_reference_column(tmp_path, capsys):

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaincc
 
 from sbparity import (
+    CapacityError,
     Discretization,
     InvariantViolation,
     ParameterError,
@@ -34,6 +35,12 @@ from sbparity import (
 )
 
 from sbparity.fockspace import l_scaled_rational, single_mode_d_table
+from sbparity.parity import (
+    MAX_CONVOLUTION_WORK,
+    _log_l2_row,
+    _log_o_total,
+    _log_sum_exp,
+)
 
 from conftest import single_mode_bath
 
@@ -128,19 +135,74 @@ def test_o_and_deficiency_at_excited_reference_match_exact_row_sums(m, q):
         )
 
 
-@pytest.mark.parametrize("policy", ["per-mode", "total-quanta"])
-def test_two_mode_deficiency_matches_exact_sums(policy):
-    q = (Fraction(3, 2), Fraction(3))
-    bath = bath_from_modes([(1.0, 2.0 * float(q[0])), (0.5, float(q[1]))])
+@pytest.mark.parametrize(
+    "policy, n_modes",
+    [("per-mode", 2), ("total-quanta", 2), ("total-quanta", 3)],
+    ids=["per-mode", "total-quanta", "total-quanta-3-modes"],
+)
+def test_two_mode_deficiency_matches_exact_sums(policy, n_modes):
+    # q = lam / (2 omega), chosen so that every float q is exact.
+    q = (Fraction(3, 2), Fraction(3), Fraction(1, 2))[:n_modes]
+    bath = bath_from_modes([(1.0, 3.0), (0.5, 3.0), (0.25, 0.25)][:n_modes])
+    assert [Fraction(mode.q) for mode in bath.modes] == list(q)
     scale = math.exp(-4.0 * bath.sum_q2)
     n_tr = 24
-    basis = enumerate_basis(2, PerModeCap(n_tr) if policy == "per-mode" else TotalQuantaCap(n_tr))
-    for m in [(1, 0), (0, 2), (5, 3)]:
-        exact = sum(exact_l2(m[0], n[0], q[0]) * exact_l2(m[1], n[1], q[1]) for n in basis.vectors)
+    basis = enumerate_basis(
+        n_modes, PerModeCap(n_tr) if policy == "per-mode" else TotalQuantaCap(n_tr)
+    )
+    refs = [(1, 0), (0, 2), (5, 3)] if n_modes == 2 else [(1, 0, 0), (0, 2, 1), (5, 3, 2)]
+    for m in refs:
+        rows = [[exact_l2(mk, n, qk) for n in range(n_tr + 1)] for mk, qk in zip(m, q)]
+        exact = sum(math.prod((row[nk] for row, nk in zip(rows, n)), start=Fraction(1))
+                    for n in basis.vectors)
         assert o_diagonal(m, bath, n_tr, policy) == pytest.approx(float(exact), rel=1e-12)
         assert parity_deficiency(bath, n_tr, m, policy) == pytest.approx(
             1.0 - scale * float(exact), abs=1e-12
         )
+
+
+def _log_o_enumerated(m, bath, cap):
+    """log O under a total-quanta cap by summing over the enumerated basis."""
+    occ = enumerate_basis(bath.n_modes, TotalQuantaCap(cap)).occupations
+    log_prod = np.zeros(occ.shape[0])
+    for k, mode in enumerate(bath.modes):
+        log_prod += _log_l2_row(m[k], mode.q, cap)[occ[:, k]]
+    return _log_sum_exp(log_prod)
+
+
+def test_total_quanta_convolution_matches_enumeration():
+    rng = np.random.default_rng(20131)
+    for _ in range(150):
+        n_modes = int(rng.integers(1, 6))
+        cap = int(rng.integers(0, 12))
+        omegas = sorted(rng.uniform(0.1, 1.0, n_modes), reverse=True)
+        bath = bath_from_modes([(w, 2.0 * w * rng.uniform(0.0, 1.7)) for w in omegas])
+        m = tuple(int(v) for v in rng.integers(0, 4, n_modes))
+        got, ref = _log_o_total(m, bath, cap), _log_o_enumerated(m, bath, cap)
+        if ref == -math.inf:  # the reference lies beyond the cap
+            assert got == ref
+        else:
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 1.0, 3.0])
+def test_total_quanta_vacuum_deficiency_is_incomplete_gamma(alpha):
+    # By the multinomial theorem the vacuum sum over |n| <= N is the partial
+    # exponential series in mu = 4 * sum_q2, so 1 - deficiency = Q(N+1, mu).
+    bath = discretize_bath(SpectralLaw(alpha, 1.0, 1.0), 30, 2.0)
+    mu = 4.0 * bath.sum_q2
+    deficiency = parity_deficiency(bath, 20, policy="total-quanta")
+    assert abs(1.0 - deficiency - gammaincc(21, mu)) <= 1e-14 * max(1.0, mu)
+
+
+def test_total_quanta_sum_beyond_work_guard_is_refused():
+    bath = discretize_bath(SpectralLaw(0.2, 1.0, 1.0), 30, 2.0)
+    cap = 100_000
+    assert 29 * (cap + 1) ** 2 > MAX_CONVOLUTION_WORK
+    with pytest.raises(CapacityError, match="disc.n_modes or trunc.cap"):
+        parity_deficiency(bath, cap, policy="total-quanta")
+    # One mode needs no convolution at any cap.
+    assert parity_deficiency(bath_from_modes([(1.0, 1.0)]), cap, policy="total-quanta") == 0.0
 
 
 def test_o_capped_out_reference_state_at_zero_displacement():
