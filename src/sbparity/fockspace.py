@@ -247,8 +247,8 @@ def l_element(m, n, bath: BathModel) -> float:
             f"{bath.n_modes} bath modes"
         )
     out = 1.0
-    for mk, nk, mode in zip(m, n, bath.modes):
-        out *= l_element_single(mk, nk, mode.q)
+    for mk, nk, q in zip(m, n, bath.qs):
+        out *= l_element_single(mk, nk, q)
     return out
 
 
@@ -290,7 +290,7 @@ def _mode_tables(basis: BasisSet, bath: BathModel, table) -> list[np.ndarray]:
         raise ParameterError(
             f"basis has {basis.n_modes} modes but bath has {bath.n_modes}"
         )
-    return [table(mode.q, size - 1) for mode, size in zip(bath.modes, basis.box_shape)]
+    return [table(q, size - 1) for q, size in zip(bath.qs, basis.box_shape)]
 
 
 def _checked_d_tables(basis: BasisSet, bath: BathModel) -> list[np.ndarray]:
@@ -465,15 +465,15 @@ def overlap_oracle(m, n, bath: BathModel, bare_cutoff: int) -> float:
         raise ParameterError(f"bare_cutoff must be >= 0, got {bare_cutoff}")
     parity = np.where(np.arange(bare_cutoff + 1) % 2, -1.0, 1.0)
     value = 1.0
-    for mk, nk, mode in zip(m, n, bath.modes):
-        cm = _displaced_coeffs(mk, mode.q, bare_cutoff)
-        cn = _displaced_coeffs(nk, mode.q, bare_cutoff)
+    for mk, nk, q in zip(m, n, bath.qs):
+        cm = _displaced_coeffs(mk, q, bare_cutoff)
+        cn = _displaced_coeffs(nk, q, bare_cutoff)
         for occ, c in ((mk, cm), (nk, cn)):
             deficit = max(0.0, 1.0 - float(c @ c))
             if deficit > NORM_DEFICIT_TOL:
                 raise ConvergenceError(
                     f"bare cutoff {bare_cutoff} leaves norm deficit {deficit:.3e} "
-                    f"for displaced state n={occ}, q={mode.q:.6g}",
+                    f"for displaced state n={occ}, q={q:.6g}",
                     deficit=deficit,
                 )
         value *= float(np.sum(parity * cm * cn))

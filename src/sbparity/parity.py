@@ -13,6 +13,13 @@ because every q_k**2 is linear in alpha.  The critical alpha reported here is
 the root of deficiency(alpha) = epsilon for a caller-chosen tolerance
 epsilon, since at any finite cap the deficiency is positive for every
 alpha > 0 and a parameter-free crossing point does not exist.
+
+No basis is enumerated for O.  Under a per-mode cap it is a product of
+per-mode row sums, with the rows of all vacuum modes (the bulk of a sweep
+at reference 0 or 2) built and summed as one array; under a total-quanta
+cap it is a truncated convolution of the rows.  The search bins the bath
+law once and rescales it per alpha, so one bisection step costs one bath
+rescale and one such sum.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .bath import BathModel, SpectralLaw, discretize_bath
+from .bath import BathModel, bath_ladder
 from .errors import CapacityError, InvariantViolation, ParameterError, SearchError
 from .fockspace import (
     D_BOUND,
@@ -133,8 +140,8 @@ def _log_o_total(m: tuple[int, ...], bath: BathModel, n_tr: int) -> float:
         )
     logs = []
     acc = None
-    for mk, mode in zip(m, bath.modes):
-        row = _log_l2_row(mk, mode.q, n_tr)
+    for mk, q in zip(m, bath.qs):
+        row = _log_l2_row(mk, q, n_tr)
         shift = float(np.max(row))
         if shift == -math.inf:
             return shift
@@ -171,11 +178,35 @@ def o_diagonal(m, bath: BathModel, n_tr: int, policy: str = "per-mode") -> float
     return _exp_or_inf(_log_o(m, bath, n_tr, policy))
 
 
+def _log_o_per_mode(m: tuple[int, ...], bath: BathModel, n_tr: int) -> float:
+    """log of the diagonal sum under a per-mode cap: the sum of the per-mode
+    log row sums.
+
+    The vacuum rows (m_k = 0, q_k != 0), all but a few in a sweep, are the
+    partial exponential series of :func:`_log_l2_row`, built and summed as
+    one (rows, n_tr + 1) array with the same elementwise arithmetic, the
+    same per-row max and the same pairwise sum along each row as
+    :func:`_log_sum_exp` on one row.  math.fsum is exactly rounded, so the
+    order of the parts does not change the result.
+    """
+    parts, log_mus = [], []
+    for mk, q in zip(m, bath.qs):
+        if mk == 0 and q != 0.0:
+            log_mus.append(math.log(4.0 * q * q))
+        else:
+            parts.append(_log_sum_exp(_log_l2_row(mk, q, n_tr)))
+    if log_mus:
+        n = np.arange(n_tr + 1, dtype=float)
+        rows = n * np.array(log_mus)[:, None] - gammaln(n + 1.0)
+        shift = rows.max(axis=1)
+        sums = np.exp(rows - shift[:, None]).sum(axis=1)
+        parts += [top + math.log(total) for top, total in zip(shift.tolist(), sums.tolist())]
+    return math.fsum(parts)
+
+
 def _log_o(m, bath, n_tr, policy):
     if policy == "per-mode":
-        return math.fsum(
-            _log_sum_exp(_log_l2_row(mk, mode.q, n_tr)) for mk, mode in zip(m, bath.modes)
-        )
+        return _log_o_per_mode(m, bath, n_tr)
     if policy == "total-quanta":
         return _log_o_total(m, bath, n_tr)
     raise ParameterError(f"unknown truncation policy {policy!r}")
@@ -271,10 +302,13 @@ def critical_alpha(
     """Dissipation strength at which the parity deficiency reaches epsilon.
 
     Brackets by doubling from alpha = 1 and bisects on the deficiency value;
-    the returned root satisfies |deficiency(alpha_c) - epsilon| <= value_tol.
+    the returned root satisfies |deficiency(alpha_c) - epsilon| <= tol with
+    tol = min(value_tol, 1e-6 * epsilon), so alpha_c is resolved to a
+    relative deficiency error of 1e-6 however small epsilon is.
     ``bath_factory`` may replace the default logarithmic discretization with
     any callable alpha -> BathModel (used e.g. for single-mode reductions
-    with a prescribed beta).
+    with a prescribed beta); the default bins the law once per call
+    (:func:`bath_ladder`) and applies each alpha to those bins.
 
     Raises
     ------
@@ -286,7 +320,7 @@ def critical_alpha(
         multiply-adds.
     SearchError
         If no bracket exists below ``alpha_hi_cap``, or bisection exhausts
-        float resolution without meeting ``value_tol``.
+        float resolution without meeting the tolerance.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -294,10 +328,8 @@ def critical_alpha(
         raise ParameterError(f"s must satisfy s > 0, got {s}")
     _check_cap(n_tr)
     if bath_factory is None:
-        def bath_factory(a):
-            return discretize_bath(
-                SpectralLaw(a, s, disc.omega_c), disc.n_modes, disc.lambda_disc
-            )
+        bath_factory = bath_ladder(s, disc.omega_c, disc.n_modes, disc.lambda_disc).at
+    tol = min(value_tol, 1e-6 * epsilon)
 
     probe = bath_factory(1.0)
     m = _normalize_m(m_ref, probe.n_modes)
@@ -310,11 +342,11 @@ def critical_alpha(
             f"cap {n_tr}: parity.m_ref must fit under trunc.cap"
         )
 
-    def objective(a):
-        return parity_deficiency(bath_factory(a), n_tr, m, policy) - epsilon
+    def miss(bath):
+        return _deficiency(_log_o(m, bath, n_tr, policy), bath) - epsilon
 
     hi = 1.0
-    f_hi = objective(hi)
+    f_hi = miss(probe)
     while f_hi < 0.0:
         hi *= 2.0
         if hi > alpha_hi_cap:
@@ -322,27 +354,27 @@ def critical_alpha(
                 f"deficiency stays below epsilon={epsilon:g} for alpha up to "
                 f"{alpha_hi_cap:g} (last value {f_hi + epsilon:.6g}); no bracket"
             )
-        f_hi = objective(hi)
+        f_hi = miss(bath_factory(hi))
     lo = 0.0
     root = hi
     f_root = f_hi
     for _ in range(500):
-        if abs(f_root) <= value_tol:
+        if abs(f_root) <= tol:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval exhausted at float resolution
-        f_mid = objective(mid)
+        f_mid = miss(bath_factory(mid))
         if abs(f_mid) <= abs(f_root):
             root, f_root = mid, f_mid
         if f_mid < 0.0:
             lo = mid
         else:
             hi = mid
-    if abs(f_root) > value_tol:
+    if abs(f_root) > tol:
         raise SearchError(
             f"bisection stalled at deficiency error {f_root:.3e} "
-            f"(target {value_tol:g}) near alpha = {root:.17g}"
+            f"(target {tol:g}) near alpha = {root:.17g}"
         )
 
     bath_c = bath_factory(root)

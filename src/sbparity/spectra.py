@@ -293,12 +293,17 @@ def theorem_report(
 ) -> TheoremReport:
     """Solve both branch ground states and compare against e_min_eo.
 
+    The vacuum lies in every truncated basis, and its even-branch energy is
+    e_min_eo - (delta/2) * exp(-2 * sum_q2), so every run must find
+    margin >= (delta/2) * exp(-2 * sum_q2): the vacuum floor.
+
     Raises
     ------
     InvariantViolation
-        If either guaranteed inequality fails beyond 10 * tol * scale: the
-        two-branch sum bound, or positivity of the margin at resolvable gap.
-        The offending report rides on the exception as ``.report``.
+        If a guaranteed inequality fails beyond 10 * tol * scale: the
+        two-branch sum bound or the vacuum floor, or if the margin is not
+        positive at resolvable gap.  The offending report rides on the
+        exception as ``.report``.
     """
     parity, res_plus, res_minus = solve_branches(params, 1, 1, tol, max_iter)
     e_plus = float(res_plus.values[0])
@@ -319,6 +324,7 @@ def theorem_report(
 
     scale = energy_scale(params)
     slack = 10.0 * tol * scale
+    vacuum_floor = 0.5 * params.delta * math.exp(-2.0 * params.bath.sum_q2)
     gap_floor = GAP_RESOLUTION_FACTOR * _EPS * scale
 
     if params.delta == 0.0:
@@ -341,9 +347,10 @@ def theorem_report(
         )
         exc.report = report
         raise exc
-    if margin < -slack:
+    if margin < vacuum_floor - slack:
         exc = InvariantViolation(
-            f"margin {margin:.17g} below the numerical slack -{slack:.17g}"
+            f"margin {margin:.17g} below the vacuum floor (delta/2)*exp(-2*sum_q2) "
+            f"- slack = {vacuum_floor - slack:.17g}"
         )
         exc.report = report
         raise exc

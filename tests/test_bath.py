@@ -15,6 +15,7 @@ from sbparity import (
     e_min_eo,
     e_min_eo_continuum,
 )
+from sbparity.bath import bath_ladder
 
 
 def total_weight_quad(law, lo, hi):
@@ -174,3 +175,62 @@ def test_deep_ladders_stay_finite():
     bath = discretize_bath(SpectralLaw(0.1, 1.0, 1.0), 200, 4.0)
     assert all(m.omega > 0.0 and math.isfinite(m.omega) for m in bath.modes)
     assert math.isfinite(bath.sum_wq2)
+
+
+def mode_loop_bath(law, n_modes, lambda_disc):
+    """Reference: the per-mode loop that built one Mode per bin, returning
+    (modes, qs, sum_wq2, sum_q2, beta)."""
+    alpha, s, wc = law.alpha, law.s, law.omega_c
+    r = 0.0 if math.isinf(lambda_disc) else 1.0 / lambda_disc
+    w_shape = (1.0 - r ** (s + 1.0)) / (s + 1.0)
+    f_shape = ((s + 1.0) * (1.0 - r ** (s + 2.0))) / ((s + 2.0) * (1.0 - r ** (s + 1.0)))
+    modes = []
+    for k in range(n_modes):
+        hi = wc * r ** k if k else wc
+        if hi <= 0.0:
+            raise ParameterError(
+                f"bin edge underflowed at mode {k}; reduce n_modes or lambda_disc"
+            )
+        lam2 = 2.0 * alpha * wc ** (1.0 - s) * hi ** (s + 1.0) * w_shape
+        modes.append(Mode(omega=hi * f_shape, lam=math.sqrt(lam2)))
+    modes = tuple(modes)
+    sum_wq2 = math.fsum(m.omega * m.q * m.q for m in modes)
+    sum_q2 = math.fsum(m.q * m.q for m in modes)
+    if alpha > 0.0:
+        beta = 2.0 * sum_q2 / alpha
+    else:
+        beta = mode_loop_bath(SpectralLaw(1.0, s, wc), n_modes, lambda_disc)[4]
+    return modes, tuple(m.q for m in modes), sum_wq2, sum_q2, beta
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.2])
+@pytest.mark.parametrize("omega_c, n_modes, lambda_disc", [
+    (1.0, 30, 2.0), (1.5, 25, 1.5), (0.3, 200, 4.0), (1.0, 1, math.inf), (2.0, 3, 10.0),
+])
+def test_discretize_bath_is_bit_identical_to_the_mode_loop(s, omega_c, n_modes, lambda_disc):
+    ladder = bath_ladder(s, omega_c, n_modes, lambda_disc)
+    for alpha in (0.0, 1e-6, 0.01, 0.1, 0.37, 1.0, 2.5, 1e3):
+        law = SpectralLaw(alpha, s, omega_c)
+        modes, qs, sum_wq2, sum_q2, beta = mode_loop_bath(law, n_modes, lambda_disc)
+        for bath in (discretize_bath(law, n_modes, lambda_disc), ladder.at(alpha)):
+            assert bits(m.omega for m in bath.modes) == bits(m.omega for m in modes)
+            assert bits(m.lam for m in bath.modes) == bits(m.lam for m in modes)
+            assert bits(bath.qs) == bits(qs)
+            assert bits([bath.sum_wq2, bath.sum_q2, bath.beta]) == bits([sum_wq2, sum_q2, beta])
+            assert bath.law == law and bath.lambda_disc == lambda_disc
+
+
+@pytest.mark.parametrize("law, n_modes, lambda_disc", [
+    (SpectralLaw(0.1, 1.0, 1.0), 1100, 2.0),  # bin edge underflows at mode 1075
+    (SpectralLaw(1e300, 1.0, 1e10), 3, 2.0),  # squared coupling overflows to inf
+])
+def test_discretize_bath_errors_match_the_mode_loop(law, n_modes, lambda_disc):
+    with pytest.raises(ParameterError) as old:
+        mode_loop_bath(law, n_modes, lambda_disc)
+    with pytest.raises(ParameterError) as new:
+        discretize_bath(law, n_modes, lambda_disc)
+    assert str(new.value) == str(old.value)

@@ -3,6 +3,7 @@ output."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -376,6 +377,19 @@ def test_alpha_c_epsilon_override(tmp_path, capsys):
     assert large["alpha_c"] > small["alpha_c"]
 
 
+def test_alpha_c_refuses_an_epsilon_below_float_resolution(tmp_path, capsys):
+    # At epsilon = 1e-12 the deficiency cannot be resolved to 1e-6 relative;
+    # a fixed 1e-10 tolerance once printed alpha_c = 1 here with exit 0.
+    path = write_config(tmp_path, {
+        "model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.1},
+        "parity": {"m_ref": 2},
+    })
+    code = cli.main(["alpha-c", "--config", path, "--epsilon", "1e-12"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert out["error"]["type"] == "SearchError"
+
+
 def test_closure_command(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -651,6 +665,37 @@ def test_invariant_violation_exits_2(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert "invariant_violation" in out or out.get("error", {}).get("type") == "InvariantViolation"
+
+
+@pytest.mark.parametrize("config", [SINGLE_MODE_THEOREM, MATRIX_FREE_THEOREM],
+                         ids=["dense", "lanczos"])
+def test_margin_below_the_vacuum_floor_exits_2(tmp_path, capsys, monkeypatch, config):
+    # A solve that reports both branch minima at their mean keeps the
+    # two-branch sum, but lifts e_gs above the even-branch vacuum energy
+    # e_min_eo - (delta/2) * exp(-2 * sum_q2), which no true minimum can do.
+    from sbparity import spectra
+
+    path = write_config(tmp_path, config)
+    assert cli.main(["theorem", "--config", path]) == 0
+    honest = json.loads(capsys.readouterr().out)
+    sum_q2 = cli.build_bath(cli.load_config(path)).sum_q2
+    floor = 0.5 * config["model"]["delta"] * math.exp(-2.0 * sum_q2)
+    assert honest["margin"] >= floor
+
+    solve = spectra.solve_branches
+
+    def averaged(*args, **kwargs):
+        parity, plus, minus = solve(*args, **kwargs)
+        mean = 0.5 * (plus.values + minus.values)
+        return (parity, dataclasses.replace(plus, values=mean),
+                dataclasses.replace(minus, values=mean))
+
+    monkeypatch.setattr(spectra, "solve_branches", averaged)
+    code = cli.main(["theorem", "--config", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert "vacuum floor" in out["invariant_violation"]
+    assert out["margin"] < floor
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,7 @@ from sbparity.fockspace import l_scaled_rational, single_mode_d_table
 from sbparity.parity import (
     MAX_CONVOLUTION_WORK,
     _log_l2_row,
+    _log_o,
     _log_o_total,
     _log_sum_exp,
 )
@@ -220,6 +221,36 @@ def test_o_overflows_to_inf():
     assert 0.0 <= parity_deficiency(bath, 300) <= 1.0
 
 
+def per_row_log_o(m, bath, n_tr):
+    """Reference per-mode log O: one log-sum-exp per mode, each row on its own."""
+    return math.fsum(_log_sum_exp(_log_l2_row(mk, q, n_tr)) for mk, q in zip(m, bath.qs))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_per_mode_log_o_is_bit_identical_to_the_per_row_sum(seed):
+    # Random baths of 1-40 modes with some decoupled (q = 0) modes, caps
+    # 0-60 and excited references: the batched vacuum rows must not move a
+    # single bit, since the phase-diagram bytes rest on them.
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        n_modes = int(rng.integers(1, 41))
+        cap = int(rng.integers(0, 61))
+        omegas = np.sort(rng.uniform(0.01, 2.0, n_modes))[::-1]
+        q = rng.uniform(0.0, 3.0, n_modes) * (rng.random(n_modes) > 0.2)
+        bath = bath_from_modes(list(zip(omegas, 2.0 * omegas * q)))
+        m = tuple(int(v) for v in rng.integers(0, cap + 1, n_modes) * (rng.random(n_modes) < 0.3))
+        assert _log_o(m, bath, cap, "per-mode") == per_row_log_o(m, bath, cap)
+
+
+@pytest.mark.parametrize("cap, m_last", [(127, 3), (128, 3), (129, 3), (170, 3), (1000, 0)])
+def test_per_mode_log_o_stays_bit_identical_past_the_pairwise_block(cap, m_last):
+    # numpy sums a row pairwise in blocks of 128; excited rows stop at the
+    # factorial guard of 170.
+    bath = discretize_bath(SpectralLaw(2.0, 0.5, 1.0), 12, 2.0)
+    m = (0,) * 11 + (m_last,)
+    assert _log_o(m, bath, cap, "per-mode") == per_row_log_o(m, bath, cap)
+
+
 def test_o_validation():
     bath = single_mode_bath()
     with pytest.raises(ParameterError):
@@ -345,6 +376,24 @@ def test_critical_alpha_reports_search_failure():
         critical_alpha(
             s=1.0, n_tr=40_000, disc=Discretization(1, 2.0, 1.0), epsilon=0.5
         )
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14])
+def test_critical_alpha_meets_a_relative_tolerance_or_refuses(epsilon):
+    # A fixed absolute stopping tolerance of 1e-10 once returned the same
+    # alpha_c, with deficiency ~1e-14, for every epsilon from 1e-10 down.
+    disc = Discretization(30, 2.0, 1.0)
+    m_ref = (2,) + (0,) * 29
+    try:
+        point = critical_alpha(s=1.0, n_tr=20, disc=disc, epsilon=epsilon, m_ref=m_ref)
+    except SearchError as exc:
+        # Here 1 - exp(x) resolves the deficiency to a few 1e-15 only.
+        assert epsilon < 1e-4
+        assert "bisection stalled" in str(exc)
+        return
+    bath = discretize_bath(SpectralLaw(point.alpha_c, 1.0, 1.0), 30, 2.0)
+    deficiency = parity_deficiency(bath, 20, m_ref)
+    assert abs(deficiency - epsilon) <= 1e-6 * epsilon
 
 
 def test_critical_alpha_validation():

@@ -278,8 +278,8 @@ def identical_modes_bath(omega, lam):
     """Two modes of equal frequency and coupling.  bath_from_modes wants
     strictly decreasing frequencies, so the pair is set up directly."""
     one = bath_from_modes([(omega, lam)])
-    return dataclasses.replace(one, modes=one.modes * 2, sum_wq2=2.0 * one.sum_wq2,
-                               sum_q2=2.0 * one.sum_q2)
+    return dataclasses.replace(one, omegas=one.omegas * 2, lams=one.lams * 2, qs=one.qs * 2,
+                               sum_wq2=2.0 * one.sum_wq2, sum_q2=2.0 * one.sum_q2)
 
 
 def seeded_params(seed, n_modes, policy):
