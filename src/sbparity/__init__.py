@@ -9,10 +9,12 @@ basis truncation breaks the parity invariance as the dissipation grows.
 __version__ = "0.1.0"
 
 from .bath import (
+    BathLadder,
     BathModel,
     Mode,
     SpectralLaw,
     bath_from_modes,
+    bath_ladder,
     discretize_bath,
     e_min_eo,
     e_min_eo_continuum,
@@ -50,7 +52,6 @@ from .hamiltonian import (
 from .parity import (
     ClosureReport,
     CriticalPoint,
-    Discretization,
     ParityAudit,
     closure_report,
     critical_alpha,

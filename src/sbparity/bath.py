@@ -7,7 +7,8 @@ carries the full spectral weight of the bin and whose frequency is the
 J-weighted bin mean, so the total weight (1/pi) * integral of J is conserved
 over the covered range by construction.  Only the factor alpha of each
 squared coupling depends on the dissipation strength: a :class:`BathLadder`
-holds everything else, so a search over alpha bins the law once.
+holds everything else, so the critical-alpha search takes one ladder as its
+bath and bins the law once.
 
 Derived scalars used downstream:
 
@@ -40,6 +41,11 @@ __all__ = [
 ]
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (alpha >= 0.0 and math.isfinite(alpha)):
+        raise ParameterError(f"alpha must satisfy alpha >= 0, got {alpha}")
+
+
 def _check_shape(s: float, omega_c: float) -> None:
     if not (s > 0.0 and math.isfinite(s)):
         raise ParameterError(f"s must satisfy s > 0, got {s}")
@@ -66,8 +72,7 @@ class SpectralLaw:
     omega_c: float
 
     def __post_init__(self):
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ParameterError(f"alpha must satisfy alpha >= 0, got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_shape(self.s, self.omega_c)
 
     def j(self, omega: float) -> float:
@@ -111,16 +116,13 @@ class Mode:
 class BathModel:
     """Immutable discretized bath plus the derived scalars.
 
-    ``law`` is the continuum law the modes were derived from (may be None for
-    a bath assembled from explicit modes).  ``lambda_disc`` is the geometric
-    bin ratio, None when the modes were supplied directly.  Mode k has
-    frequency ``omegas[k]``, coupling ``lams[k]`` and displacement
-    ``qs[k]`` = lams[k] / (2 * omegas[k]); ``modes`` offers the same as
-    :class:`Mode` objects, built on first access.  Safe to share across
-    workers; all operations on it are pure.
+    ``lambda_disc`` is the geometric bin ratio, None when the modes were
+    supplied directly.  Mode k has frequency ``omegas[k]``, coupling
+    ``lams[k]`` and displacement ``qs[k]`` = lams[k] / (2 * omegas[k]);
+    ``modes`` offers the same as :class:`Mode` objects, built on first
+    access.  Safe to share across workers; all operations on it are pure.
     """
 
-    law: SpectralLaw | None
     lambda_disc: float | None
     omegas: tuple[float, ...]
     lams: tuple[float, ...]
@@ -152,9 +154,9 @@ class BathLadder:
     ``omegas[k]`` = hi_k * f_shape and squared coupling
     2*alpha * ``wc_pow`` * ``hi_pows[k]`` * ``w_shape``, with
     wc_pow = omega_c**(1-s) and hi_pows[k] = hi_k**(s+1).  Only the factor
-    alpha depends on the dissipation strength, so a root search over alpha
-    builds the ladder once and calls :meth:`at` per step.  Build it with
-    :func:`bath_ladder`.
+    alpha depends on the dissipation strength, so a ladder is the bath input
+    of :func:`sbparity.parity.critical_alpha`, which calls :meth:`at` once
+    per bisection step.  Build it with :func:`bath_ladder`.
     """
 
     s: float
@@ -166,7 +168,8 @@ class BathLadder:
     w_shape: float
 
     def at(self, alpha: float) -> BathModel:
-        """The discretized bath at dissipation strength ``alpha``.
+        """The discretized bath at dissipation strength ``alpha``, identical
+        to :func:`discretize_bath` on the law with this alpha.
 
         Raises
         ------
@@ -174,7 +177,7 @@ class BathLadder:
             If alpha is negative or not finite, or a mode coupling comes out
             non-finite.
         """
-        law = SpectralLaw(alpha, self.s, self.omega_c)
+        _check_alpha(alpha)
         # The product 2.0 * alpha * wc_pow * h * w_shape, rounded left to right.
         scale, w_shape = 2.0 * alpha * self.wc_pow, self.w_shape
         lams = tuple(math.sqrt(scale * h * w_shape) for h in self.hi_pows)
@@ -187,7 +190,7 @@ class BathLadder:
         else:
             # q_k**2 is exactly linear in alpha, so expose the slope at alpha = 1.
             beta = self.at(1.0).beta
-        return BathModel(law=law, lambda_disc=self.lambda_disc, omegas=self.omegas,
+        return BathModel(lambda_disc=self.lambda_disc, omegas=self.omegas,
                          lams=lams, qs=qs, sum_wq2=sum_wq2, sum_q2=sum_q2, beta=beta)
 
 
@@ -198,7 +201,8 @@ def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> B
     ------
     ParameterError
         If s or omega_c is invalid, n_modes < 1, lambda_disc <= 1, a bin
-        edge underflows to zero or a mode frequency comes out non-finite.
+        weight factor overflows, a bin edge underflows to zero or a mode
+        frequency comes out non-finite.
     """
     _check_shape(s, omega_c)
     if not isinstance(n_modes, int) or n_modes < 1:
@@ -211,19 +215,24 @@ def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> B
     # omega(hi)    = hi * f_shape
     w_shape = (1.0 - r ** (s + 1.0)) / (s + 1.0)
     f_shape = ((s + 1.0) * (1.0 - r ** (s + 2.0))) / ((s + 2.0) * (1.0 - r ** (s + 1.0)))
-    wc_pow = omega_c ** (1.0 - s)
-
     omegas, hi_pows = [], []
-    for k in range(n_modes):
-        hi = omega_c * r ** k if k else omega_c
-        if hi <= 0.0:
-            raise ParameterError(
-                f"bin edge underflowed at mode {k}; reduce n_modes or lambda_disc"
-            )
-        hi_pows.append(hi ** (s + 1.0))
-        omega = hi * f_shape
-        _check_omega(omega)
-        omegas.append(omega)
+    try:
+        wc_pow = omega_c ** (1.0 - s)
+        for k in range(n_modes):
+            hi = omega_c * r ** k if k else omega_c
+            if hi <= 0.0:
+                raise ParameterError(
+                    f"bin edge underflowed at mode {k}; reduce n_modes or lambda_disc"
+                )
+            hi_pows.append(hi ** (s + 1.0))
+            omega = hi * f_shape
+            _check_omega(omega)
+            omegas.append(omega)
+    except OverflowError:
+        raise ParameterError(
+            f"model.omega_c = {omega_c!r} with model.s = {s!r} overflows the bin "
+            f"weights omega_c**(1-s) * hi**(s+1)"
+        ) from None
     return BathLadder(s=s, omega_c=omega_c, lambda_disc=lambda_disc, omegas=tuple(omegas),
                       hi_pows=tuple(hi_pows), wc_pow=wc_pow, w_shape=w_shape)
 
@@ -249,10 +258,11 @@ def discretize_bath(law: SpectralLaw, n_modes: int, lambda_disc: float) -> BathM
 def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
     """Assemble a bath from explicit (omega, lam) modes.
 
-    Modes must be ordered by strictly decreasing frequency.  ``beta`` is
-    2*sum_q2/alpha when a law with alpha > 0 is attached; for a decoupled
-    bath it is 0, and otherwise it is NaN because the alpha-scaling argument
-    that makes beta well defined does not apply to hand-picked couplings.
+    Modes must be ordered by strictly decreasing frequency.  A ``law``, used
+    but not stored, bounds them by its omega_c and makes ``beta``
+    2*sum_q2/alpha when its alpha > 0; for a decoupled bath beta is 0, and
+    otherwise it is NaN because the alpha-scaling argument that makes beta
+    well defined does not apply to hand-picked couplings.
     """
     modes = tuple(m if isinstance(m, Mode) else Mode(*m) for m in modes)
     if not modes:
@@ -271,7 +281,7 @@ def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
         beta = 0.0
     else:
         beta = math.nan
-    return BathModel(law=law, lambda_disc=None, omegas=omegas,
+    return BathModel(lambda_disc=None, omegas=omegas,
                      lams=tuple(m.lam for m in modes), qs=qs,
                      sum_wq2=sum_wq2, sum_q2=sum_q2, beta=beta)
 

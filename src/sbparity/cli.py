@@ -68,7 +68,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bath import BathModel, SpectralLaw, bath_from_modes, discretize_bath
+from .bath import BathModel, SpectralLaw, bath_from_modes, bath_ladder, discretize_bath
 from .errors import (
     CapacityError,
     ConfigError,
@@ -82,7 +82,7 @@ from .errors import (
 from .fockspace import (BasisSet, PerModeCap, TotalQuantaCap, d_matrix, default_policy,
                         enumerate_basis, l_matrix)
 from .hamiltonian import Branch, ModelParams, assemble_branch, degenerate_energy_set
-from .parity import Discretization, critical_alpha, closure_report, d_square_audit
+from .parity import critical_alpha, closure_report, d_square_audit
 from .spectra import DEFAULT_MAX_ITER, solve_branches, theorem_report
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -525,11 +525,10 @@ def run_parity_audit(cfg: RunConfig, out_path=None, dump_tables=None) -> int:
 
 def run_alpha_c(cfg: RunConfig, out_path=None) -> int:
     _reject_explicit_modes(cfg, "alpha-c")
-    disc = Discretization(cfg.n_modes, cfg.lambda_disc, cfg.omega_c)
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
     point = critical_alpha(
-        s=cfg.s, n_tr=cfg.cap, disc=disc, epsilon=cfg.epsilon, m_ref=m_ref,
-        policy=cfg.policy or "per-mode",
+        bath_ladder(cfg.s, cfg.omega_c, cfg.n_modes, cfg.lambda_disc), cfg.cap,
+        epsilon=cfg.epsilon, m_ref=m_ref, policy=cfg.policy or "per-mode",
     )
     body = point.as_dict()
     body["config"] = cfg.echo()
@@ -611,22 +610,19 @@ def run_phase_diagram(cfg: RunConfig, out_path=None, reference=None) -> int:
     else:
         # Pin the endpoint exactly so it is not lost to accumulated rounding.
         points = [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
-    disc = Discretization(cfg.n_modes, cfg.lambda_disc, cfg.omega_c)
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
     m_ref_text = _format_m_ref(cfg.m_ref)
 
     def solve(s_val):
+        ladder = bath_ladder(s_val, cfg.omega_c, cfg.n_modes, cfg.lambda_disc)
         try:
             pt = critical_alpha(
-                s=s_val, n_tr=cfg.cap, disc=disc, epsilon=cfg.epsilon, m_ref=m_ref,
+                ladder, cfg.cap, epsilon=cfg.epsilon, m_ref=m_ref,
                 policy=cfg.policy or "per-mode",
             )
             return pt.alpha_c, pt.beta, pt.o_value
         except SearchError:
-            beta = discretize_bath(
-                SpectralLaw(1.0, s_val, cfg.omega_c), cfg.n_modes, cfg.lambda_disc
-            ).beta
-            return math.nan, beta, math.nan
+            return math.nan, ladder.at(1.0).beta, math.nan
 
     solved = [solve(s_val) for s_val in points]
 

@@ -14,12 +14,13 @@ the root of deficiency(alpha) = epsilon for a caller-chosen tolerance
 epsilon, since at any finite cap the deficiency is positive for every
 alpha > 0 and a parameter-free crossing point does not exist.
 
-No basis is enumerated for O.  Under a per-mode cap it is a product of
-per-mode row sums, with the rows of all vacuum modes (the bulk of a sweep
-at reference 0 or 2) built and summed as one array; under a total-quanta
-cap it is a truncated convolution of the rows.  The search bins the bath
-law once and rescales it per alpha, so one bisection step costs one bath
-rescale and one such sum.
+No basis is enumerated for O.  The rows of all modes are built as one
+array, the vacuum rows (the bulk of a sweep at reference 0 or 2) from one
+partial-exponential-series formula; under a per-mode cap O is the product
+of the row sums, under a total-quanta cap a truncated convolution of the
+rows.  The search takes its bath as one
+:class:`~sbparity.bath.BathLadder`, binned once, and rescales it per alpha,
+so one bisection step costs one bath rescale and one such sum.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .bath import BathModel, bath_ladder
+from .bath import BathLadder, BathModel
 from .errors import CapacityError, InvariantViolation, ParameterError, SearchError
 from .fockspace import (
     D_BOUND,
@@ -44,7 +45,6 @@ from .fockspace import (
 )
 
 __all__ = [
-    "Discretization",
     "o_diagonal",
     "parity_deficiency",
     "CriticalPoint",
@@ -65,14 +65,10 @@ MAX_CONVOLUTION_WORK = 50_000_000
 
 _CLAMP_SLACK = 1e-14
 
-
-@dataclass(frozen=True)
-class Discretization:
-    """Bath discretization parameters fed to the critical-alpha search."""
-
-    n_modes: int
-    lambda_disc: float
-    omega_c: float = 1.0
+# The critical-alpha search doubles its bracket from alpha = 1 up to this.
+MAX_BRACKET_ALPHA = 1e4
+# Deficiency tolerance of the search, tightened to 1e-6 * epsilon below it.
+DEFICIENCY_TOL = 1e-10
 
 
 def _normalize_m(m, n_modes: int) -> tuple[int, ...]:
@@ -104,56 +100,37 @@ def _check_cap(n_tr: int):
 
 def _log_l2_row(m: int, q: float, n_tr: int) -> np.ndarray:
     """log L(m, n; q)**2 for n = 0..n_tr; -inf where L vanishes."""
-    if m == 0 and q != 0.0:
-        # L(0, n)**2 = mu**n / n! with mu = 4 q**2: a partial exponential series.
-        mu = 4.0 * q * q
-        n = np.arange(n_tr + 1, dtype=float)
-        return n * math.log(mu) - gammaln(n + 1.0)
     # Squares of D rather than L, so nothing overflows at large q.
     with np.errstate(divide="ignore"):
         return 2.0 * np.log(np.abs(single_mode_d_row(m, q, n_tr))) + 4.0 * q * q
 
 
-def _log_sum_exp(logs: np.ndarray) -> float:
-    shift = float(np.max(logs))
-    if shift == float("-inf"):
-        return shift
-    return shift + math.log(float(np.sum(np.exp(logs - shift))))
+def _scaled_rows(m: tuple[int, ...], qs, n_tr: int):
+    """Every mode's row of log L(m_k, n; q_k)**2, n = 0..n_tr, split into
+    its maximum and exp(row - maximum): (list of maxima, (modes, n_tr + 1)
+    array) in mode order, or None when some row is -inf throughout (O = 0).
 
-
-def _log_o_total(m: tuple[int, ...], bath: BathModel, n_tr: int) -> float:
-    """log of the diagonal sum under a total-quanta cap.
-
-    The sum over |n| <= n_tr of prod_k w_k(n_k) is the sum of the first
-    n_tr + 1 coefficients of prod_k W_k(z), W_k(z) = sum_n w_k(n) z**n, so
-    it is built by truncated convolution over the modes in
-    (n_modes - 1) * (n_tr + 1)**2 multiply-adds.  Each row is scaled by its
-    maximum and the running product by its own after every mode, with the
-    logs of the scales carried apart; every term is >= 0, so nothing cancels.
+    A vacuum row (m_k = 0, q_k != 0) is the partial exponential series
+    L(0, n)**2 = mu**n / n!, mu = 4 q_k**2.  Those rows, all but a few in a
+    sweep, come from that one formula over the whole array; the other rows
+    are then written from :func:`_log_l2_row`.
     """
-    work = (bath.n_modes - 1) * (n_tr + 1) ** 2
-    if work > MAX_CONVOLUTION_WORK:
-        raise CapacityError(
-            f"total-quanta sum over {bath.n_modes} modes at cap {n_tr} needs {work} "
-            f"multiply-adds, above the guard of {MAX_CONVOLUTION_WORK}; lower "
-            f"disc.n_modes or trunc.cap"
-        )
-    logs = []
-    acc = None
-    for mk, q in zip(m, bath.qs):
-        row = _log_l2_row(mk, q, n_tr)
-        shift = float(np.max(row))
-        if shift == -math.inf:
-            return shift
-        w = np.exp(row - shift)
-        acc = w if acc is None else np.convolve(acc, w)[: n_tr + 1]
-        top = float(np.max(acc))
-        if top == 0.0:
-            return -math.inf  # every nonzero product lies beyond the cap
-        acc /= top
-        logs += (shift, math.log(top))
-    logs.append(math.log(float(np.sum(acc))))
-    return math.fsum(logs)
+    log_mus, others = [], []
+    for k, (mk, q) in enumerate(zip(m, qs)):
+        if mk == 0 and q != 0.0:
+            log_mus.append(math.log(4.0 * q * q))
+        else:
+            log_mus.append(0.0)
+            others.append(k)
+    n = np.arange(n_tr + 1, dtype=float)
+    rows = n * np.array(log_mus)[:, None] - gammaln(n + 1.0)
+    for k in others:
+        rows[k] = _log_l2_row(m[k], qs[k], n_tr)
+    shifts = rows.max(axis=1)
+    tops = shifts.tolist()
+    if -math.inf in tops:
+        return None
+    return tops, np.exp(rows - shifts[:, None])
 
 
 def _exp_or_inf(log_o: float) -> float:
@@ -178,38 +155,45 @@ def o_diagonal(m, bath: BathModel, n_tr: int, policy: str = "per-mode") -> float
     return _exp_or_inf(_log_o(m, bath, n_tr, policy))
 
 
-def _log_o_per_mode(m: tuple[int, ...], bath: BathModel, n_tr: int) -> float:
-    """log of the diagonal sum under a per-mode cap: the sum of the per-mode
-    log row sums.
+def _log_o(m: tuple[int, ...], bath: BathModel, n_tr: int, policy: str) -> float:
+    """log of the diagonal sum O at reference ``m``.
 
-    The vacuum rows (m_k = 0, q_k != 0), all but a few in a sweep, are the
-    partial exponential series of :func:`_log_l2_row`, built and summed as
-    one (rows, n_tr + 1) array with the same elementwise arithmetic, the
-    same per-row max and the same pairwise sum along each row as
-    :func:`_log_sum_exp` on one row.  math.fsum is exactly rounded, so the
-    order of the parts does not change the result.
+    Under a per-mode cap O is the product of the row sums, so its log is the
+    exactly rounded sum (math.fsum) of their logs.  Under a total-quanta cap
+    the sum over |n| <= n_tr of prod_k w_k(n_k) is the sum of the first
+    n_tr + 1 coefficients of prod_k W_k(z), W_k(z) = sum_n w_k(n) z**n, so
+    it is built by truncated convolution over the modes in
+    (n_modes - 1) * (n_tr + 1)**2 multiply-adds.  The running product is
+    scaled by its maximum after every mode, with the logs of the scales
+    carried apart; every term is >= 0, so nothing cancels.
     """
-    parts, log_mus = [], []
-    for mk, q in zip(m, bath.qs):
-        if mk == 0 and q != 0.0:
-            log_mus.append(math.log(4.0 * q * q))
-        else:
-            parts.append(_log_sum_exp(_log_l2_row(mk, q, n_tr)))
-    if log_mus:
-        n = np.arange(n_tr + 1, dtype=float)
-        rows = n * np.array(log_mus)[:, None] - gammaln(n + 1.0)
-        shift = rows.max(axis=1)
-        sums = np.exp(rows - shift[:, None]).sum(axis=1)
-        parts += [top + math.log(total) for top, total in zip(shift.tolist(), sums.tolist())]
-    return math.fsum(parts)
-
-
-def _log_o(m, bath, n_tr, policy):
-    if policy == "per-mode":
-        return _log_o_per_mode(m, bath, n_tr)
     if policy == "total-quanta":
-        return _log_o_total(m, bath, n_tr)
-    raise ParameterError(f"unknown truncation policy {policy!r}")
+        work = (bath.n_modes - 1) * (n_tr + 1) ** 2
+        if work > MAX_CONVOLUTION_WORK:
+            raise CapacityError(
+                f"total-quanta sum over {bath.n_modes} modes at cap {n_tr} needs {work} "
+                f"multiply-adds, above the guard of {MAX_CONVOLUTION_WORK}; lower "
+                f"disc.n_modes or trunc.cap"
+            )
+    elif policy != "per-mode":
+        raise ParameterError(f"unknown truncation policy {policy!r}")
+    rows = _scaled_rows(m, bath.qs, n_tr)
+    if rows is None:
+        return -math.inf
+    logs, weights = rows
+    if policy == "per-mode":
+        sums = weights.sum(axis=1).tolist()
+        return math.fsum(top + math.log(total) for top, total in zip(logs, sums))
+    acc = weights[0]  # its maximum is exp(0) = 1
+    for w in weights[1:]:
+        acc = np.convolve(acc, w)[: n_tr + 1]
+        top = float(np.max(acc))
+        if top == 0.0:
+            return -math.inf  # every nonzero product lies beyond the cap
+        acc /= top
+        logs.append(math.log(top))
+    logs.append(math.log(float(np.sum(acc))))
+    return math.fsum(logs)
 
 
 def parity_deficiency(
@@ -289,49 +273,42 @@ class CriticalPoint:
 
 
 def critical_alpha(
-    s: float,
+    ladder: BathLadder,
     n_tr: int,
-    disc: Discretization,
     epsilon: float = 0.01,
     m_ref=None,
     policy: str = "per-mode",
-    bath_factory=None,
-    alpha_hi_cap: float = 1e4,
-    value_tol: float = 1e-10,
 ) -> CriticalPoint:
     """Dissipation strength at which the parity deficiency reaches epsilon.
 
-    Brackets by doubling from alpha = 1 and bisects on the deficiency value;
-    the returned root satisfies |deficiency(alpha_c) - epsilon| <= tol with
-    tol = min(value_tol, 1e-6 * epsilon), so alpha_c is resolved to a
+    ``ladder`` is the bath binned once without alpha (build it with
+    :func:`sbparity.bath.bath_ladder`); every step of the search takes its
+    bath from ``ladder.at(alpha)``, and the reported s, n_modes and
+    lambda_disc are the ladder's.  Brackets by doubling from alpha = 1 up to
+    MAX_BRACKET_ALPHA and bisects on the deficiency value; the returned root
+    satisfies |deficiency(alpha_c) - epsilon| <= tol with
+    tol = min(DEFICIENCY_TOL, 1e-6 * epsilon), so alpha_c is resolved to a
     relative deficiency error of 1e-6 however small epsilon is.
-    ``bath_factory`` may replace the default logarithmic discretization with
-    any callable alpha -> BathModel (used e.g. for single-mode reductions
-    with a prescribed beta); the default bins the law once per call
-    (:func:`bath_ladder`) and applies each alpha to those bins.
 
     Raises
     ------
     ParameterError
         If ``m_ref`` lies outside the truncated basis (some m_k > n_tr under
-        the per-mode policy, or sum(m) > n_tr under total-quanta).
+        the per-mode policy, or sum(m) > n_tr under total-quanta), or is
+        excited while n_tr exceeds the factorial guard of 170.
     CapacityError
         If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
         multiply-adds.
     SearchError
-        If no bracket exists below ``alpha_hi_cap``, or bisection exhausts
+        If no bracket exists below MAX_BRACKET_ALPHA, or bisection exhausts
         float resolution without meeting the tolerance.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not s > 0.0:
-        raise ParameterError(f"s must satisfy s > 0, got {s}")
     _check_cap(n_tr)
-    if bath_factory is None:
-        bath_factory = bath_ladder(s, disc.omega_c, disc.n_modes, disc.lambda_disc).at
-    tol = min(value_tol, 1e-6 * epsilon)
+    tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
 
-    probe = bath_factory(1.0)
+    probe = ladder.at(1.0)
     m = _normalize_m(m_ref, probe.n_modes)
     quanta = max(m) if policy == "per-mode" else sum(m)
     if quanta > n_tr:
@@ -341,6 +318,13 @@ def critical_alpha(
             f"reference occupation {list(m)} lies outside the {policy} basis of "
             f"cap {n_tr}: parity.m_ref must fit under trunc.cap"
         )
+    if quanta and n_tr > FACTORIAL_GUARD:
+        # Excited rows are Laguerre rows, which stop at the factorial guard.
+        raise ParameterError(
+            f"trunc.cap {n_tr} exceeds the factorial guard of {FACTORIAL_GUARD} "
+            f"for the excited parity.m_ref {list(m)}; only the vacuum reference "
+            f"takes a larger cap"
+        )
 
     def miss(bath):
         return _deficiency(_log_o(m, bath, n_tr, policy), bath) - epsilon
@@ -349,12 +333,12 @@ def critical_alpha(
     f_hi = miss(probe)
     while f_hi < 0.0:
         hi *= 2.0
-        if hi > alpha_hi_cap:
+        if hi > MAX_BRACKET_ALPHA:
             raise SearchError(
                 f"deficiency stays below epsilon={epsilon:g} for alpha up to "
-                f"{alpha_hi_cap:g} (last value {f_hi + epsilon:.6g}); no bracket"
+                f"{MAX_BRACKET_ALPHA:g} (last value {f_hi + epsilon:.6g}); no bracket"
             )
-        f_hi = miss(bath_factory(hi))
+        f_hi = miss(ladder.at(hi))
     lo = 0.0
     root = hi
     f_root = f_hi
@@ -364,7 +348,7 @@ def critical_alpha(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval exhausted at float resolution
-        f_mid = miss(bath_factory(mid))
+        f_mid = miss(ladder.at(mid))
         if abs(f_mid) <= abs(f_root):
             root, f_root = mid, f_mid
         if f_mid < 0.0:
@@ -377,16 +361,16 @@ def critical_alpha(
             f"(target {tol:g}) near alpha = {root:.17g}"
         )
 
-    bath_c = bath_factory(root)
+    bath_c = ladder.at(root)
     log_o = _log_o(m, bath_c, n_tr, policy)
     beta = bath_c.beta
     return CriticalPoint(
-        s=s,
+        s=ladder.s,
         alpha_c=root,
         epsilon=epsilon,
         n_tr=n_tr,
         n_modes=bath_c.n_modes,
-        lambda_disc=bath_c.lambda_disc if bath_c.lambda_disc is not None else math.nan,
+        lambda_disc=ladder.lambda_disc,
         beta=beta,
         m_ref=m,
         o_value=_exp_or_inf(log_o),

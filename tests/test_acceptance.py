@@ -17,14 +17,15 @@ import pytest
 from scipy.optimize import brentq
 
 from sbparity import (
+    BathLadder,
     Branch,
-    Discretization,
     ModelParams,
     PerModeCap,
     SpectralLaw,
     TotalQuantaCap,
     assemble_branch,
     bath_from_modes,
+    bath_ladder,
     closure_report,
     critical_alpha,
     d_matrix,
@@ -228,21 +229,17 @@ def test_criterion_7_parity_invariance_closed_forms():
 def test_criterion_8_critical_alpha_behavior():
     with criterion(8, "critical dissipation grows with the cap; analytic root"):
         start = time.perf_counter()
-        disc = Discretization(30, 2.0, 1.0)
+        ladder = bath_ladder(0.5, 1.0, 30, 2.0)
         values = [
-            critical_alpha(s=0.5, n_tr=n, disc=disc, epsilon=0.01).alpha_c
+            critical_alpha(ladder, n_tr=n, epsilon=0.01).alpha_c
             for n in (5, 10, 20, 40)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-        def beta_one(alpha):
-            q = math.sqrt(alpha / 2.0) if alpha > 0 else 0.0
-            return bath_from_modes([(1.0, 2.0 * q)], law=SpectralLaw(alpha, 1.0, 1.0))
-
-        point = critical_alpha(
-            s=1.0, n_tr=1, disc=Discretization(1, 2.0, 1.0), epsilon=0.01,
-            bath_factory=beta_one,
-        )
+        # Single mode with q**2 = alpha/2, i.e. beta = 1.
+        beta_one = BathLadder(s=1.0, omega_c=1.0, lambda_disc=math.inf, omegas=(1.0,),
+                              hi_pows=(1.0,), wc_pow=1.0, w_shape=1.0)
+        point = critical_alpha(beta_one, n_tr=1, epsilon=0.01)
         oracle_x = brentq(
             lambda x: 1.0 - math.exp(-x) * (1.0 + x) - 0.01, 1e-8, 5.0, xtol=1e-15
         )

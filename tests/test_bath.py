@@ -221,7 +221,17 @@ def test_discretize_bath_is_bit_identical_to_the_mode_loop(s, omega_c, n_modes, 
             assert bits(m.lam for m in bath.modes) == bits(m.lam for m in modes)
             assert bits(bath.qs) == bits(qs)
             assert bits([bath.sum_wq2, bath.sum_q2, bath.beta]) == bits([sum_wq2, sum_q2, beta])
-            assert bath.law == law and bath.lambda_disc == lambda_disc
+            assert bath.lambda_disc == lambda_disc
+
+
+@pytest.mark.parametrize("alpha", [-0.1, -math.inf, math.nan, math.inf])
+def test_ladder_rejects_invalid_alpha_as_the_law_does(alpha):
+    with pytest.raises(ParameterError) as law_error:
+        SpectralLaw(alpha, 0.5, 1.0)
+    with pytest.raises(ParameterError) as ladder_error:
+        bath_ladder(0.5, 1.0, 3, 2.0).at(alpha)
+    assert str(ladder_error.value) == str(law_error.value)
+    assert str(ladder_error.value).startswith("alpha must satisfy alpha >= 0")
 
 
 @pytest.mark.parametrize("law, n_modes, lambda_disc", [

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from sbparity import Discretization, cli, critical_alpha
+from sbparity import bath_ladder, cli, critical_alpha
 from sbparity.errors import ConfigError
 
 from conftest import bare_fock_ground_energy
@@ -438,13 +438,9 @@ def test_alpha_c_commands_honour_truncation_policy(tmp_path, capsys, command):
     code = cli.main([command, "--config", path])
     out = capsys.readouterr().out
     assert code == 0
-    expected = critical_alpha(
-        s=0.8, n_tr=6, disc=Discretization(3, 2.0, 1.0), epsilon=0.01,
-        policy="total-quanta",
-    ).alpha_c
-    per_mode = critical_alpha(
-        s=0.8, n_tr=6, disc=Discretization(3, 2.0, 1.0), epsilon=0.01
-    ).alpha_c
+    ladder = bath_ladder(0.8, 1.0, 3, 2.0)
+    expected = critical_alpha(ladder, n_tr=6, epsilon=0.01, policy="total-quanta").alpha_c
+    per_mode = critical_alpha(ladder, n_tr=6, epsilon=0.01).alpha_c
     assert abs(expected - per_mode) > 0.5
     if command == "alpha-c":
         assert json.loads(out)["alpha_c"] == expected
@@ -499,6 +495,42 @@ def test_reference_occupation_outside_basis_exits_1(tmp_path, capsys, command):
     config["parity"] = {"m_ref": 1}
     assert cli.main([command, "--config", write_config(tmp_path, config)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("policy", ["per-mode", "total-quanta"])
+@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram"])
+def test_excited_reference_above_factorial_guard_exits_1(tmp_path, capsys, command, policy):
+    # An excited reference runs a Laguerre row, which stops at occupation 170.
+    config = dict(PHASE_CONFIG, trunc={"policy": policy, "cap": 200}, parity={"m_ref": 1})
+    config["disc"] = {"n_modes": 5, "lambda_disc": 2.0}
+    out_path = tmp_path / "out"
+    code = cli.main([command, "--config", write_config(tmp_path, config),
+                     "--out", str(out_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "ParameterError"
+    for name in ("trunc.cap", "parity.m_ref", "170"):
+        assert name in out["error"]["message"]
+    assert not out_path.exists()
+    config["parity"] = {"m_ref": 0}
+    assert cli.main([command, "--config", write_config(tmp_path, config)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram", "theorem"])
+def test_omega_c_overflowing_the_bin_weights_exits_1(tmp_path, capsys, command):
+    # omega_c**(s + 1) = 1e450 does not fit in a double.
+    config = dict(PHASE_CONFIG, model={"delta": 0.1, "omega_c": 1e300, "s": 0.5, "alpha": 0.1})
+    config["disc"] = {"n_modes": 3, "lambda_disc": 2.0}
+    out_path = tmp_path / "out"
+    code = cli.main([command, "--config", write_config(tmp_path, config),
+                     "--out", str(out_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "ParameterError"
+    assert "model.omega_c" in out["error"]["message"]
+    assert "model.s" in out["error"]["message"]
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammaln
 
 from sbparity import (
+    BathLadder,
     CapacityError,
-    Discretization,
     InvariantViolation,
     ParameterError,
     PerModeCap,
@@ -23,6 +23,7 @@ from sbparity import (
     SpectralLaw,
     TotalQuantaCap,
     bath_from_modes,
+    bath_ladder,
     closure_report,
     critical_alpha,
     d_matrix,
@@ -39,17 +40,29 @@ from sbparity.parity import (
     MAX_CONVOLUTION_WORK,
     _log_l2_row,
     _log_o,
-    _log_o_total,
-    _log_sum_exp,
 )
 
 from conftest import single_mode_bath
 
+# Single mode with q**2 = alpha/2, i.e. beta = 2*q**2/alpha = 1.
+BETA_ONE_LADDER = BathLadder(s=1.0, omega_c=1.0, lambda_disc=math.inf, omegas=(1.0,),
+                             hi_pows=(1.0,), wc_pow=1.0, w_shape=1.0)
 
-def beta_one_single_mode(alpha):
-    """Single mode with q**2 = alpha/2, i.e. beta = 2*q**2/alpha = 1."""
-    q = math.sqrt(alpha / 2.0) if alpha > 0 else 0.0
-    return bath_from_modes([(1.0, 2.0 * q)], law=SpectralLaw(alpha, 1.0, 1.0))
+
+def _log_sum_exp(logs):
+    shift = float(np.max(logs))
+    if shift == float("-inf"):
+        return shift
+    return shift + math.log(float(np.sum(np.exp(logs - shift))))
+
+
+def series_log_l2_row(m, q, n_tr):
+    """log L(m, n; q)**2 as one row, with the vacuum row (m = 0, q != 0) the
+    partial exponential series mu**n / n!, mu = 4 q**2."""
+    if m == 0 and q != 0.0:
+        n = np.arange(n_tr + 1, dtype=float)
+        return n * math.log(4.0 * q * q) - gammaln(n + 1.0)
+    return _log_l2_row(m, q, n_tr)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +180,7 @@ def _log_o_enumerated(m, bath, cap):
     occ = enumerate_basis(bath.n_modes, TotalQuantaCap(cap)).occupations
     log_prod = np.zeros(occ.shape[0])
     for k, mode in enumerate(bath.modes):
-        log_prod += _log_l2_row(m[k], mode.q, cap)[occ[:, k]]
+        log_prod += series_log_l2_row(m[k], mode.q, cap)[occ[:, k]]
     return _log_sum_exp(log_prod)
 
 
@@ -179,7 +192,7 @@ def test_total_quanta_convolution_matches_enumeration():
         omegas = sorted(rng.uniform(0.1, 1.0, n_modes), reverse=True)
         bath = bath_from_modes([(w, 2.0 * w * rng.uniform(0.0, 1.7)) for w in omegas])
         m = tuple(int(v) for v in rng.integers(0, 4, n_modes))
-        got, ref = _log_o_total(m, bath, cap), _log_o_enumerated(m, bath, cap)
+        got, ref = _log_o(m, bath, cap, "total-quanta"), _log_o_enumerated(m, bath, cap)
         if ref == -math.inf:  # the reference lies beyond the cap
             assert got == ref
         else:
@@ -223,7 +236,7 @@ def test_o_overflows_to_inf():
 
 def per_row_log_o(m, bath, n_tr):
     """Reference per-mode log O: one log-sum-exp per mode, each row on its own."""
-    return math.fsum(_log_sum_exp(_log_l2_row(mk, q, n_tr)) for mk, q in zip(m, bath.qs))
+    return math.fsum(_log_sum_exp(series_log_l2_row(mk, q, n_tr)) for mk, q in zip(m, bath.qs))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -240,6 +253,40 @@ def test_per_mode_log_o_is_bit_identical_to_the_per_row_sum(seed):
         bath = bath_from_modes(list(zip(omegas, 2.0 * omegas * q)))
         m = tuple(int(v) for v in rng.integers(0, cap + 1, n_modes) * (rng.random(n_modes) < 0.3))
         assert _log_o(m, bath, cap, "per-mode") == per_row_log_o(m, bath, cap)
+
+
+def per_row_convolved_log_o(m, bath, n_tr):
+    """Reference total-quanta log O: each row built, scaled and convolved on its own."""
+    logs, acc = [], None
+    for mk, q in zip(m, bath.qs):
+        row = series_log_l2_row(mk, q, n_tr)
+        shift = float(np.max(row))
+        if shift == -math.inf:
+            return shift
+        w = np.exp(row - shift)
+        acc = w if acc is None else np.convolve(acc, w)[: n_tr + 1]
+        top = float(np.max(acc))
+        if top == 0.0:
+            return -math.inf
+        acc /= top
+        logs += (shift, math.log(top))
+    logs.append(math.log(float(np.sum(acc))))
+    return math.fsum(logs)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_total_quanta_log_o_is_bit_identical_to_the_per_row_convolution(seed):
+    # The rows of both policies come from one array; the total-quanta bytes
+    # must not move either.
+    rng = np.random.default_rng(1000 + seed)
+    for _ in range(5):
+        n_modes = int(rng.integers(1, 31))
+        cap = int(rng.integers(0, 41))
+        omegas = np.sort(rng.uniform(0.01, 2.0, n_modes))[::-1]
+        q = rng.uniform(0.0, 3.0, n_modes) * (rng.random(n_modes) > 0.2)
+        bath = bath_from_modes(list(zip(omegas, 2.0 * omegas * q)))
+        m = tuple(int(v) for v in rng.integers(0, 4, n_modes) * (rng.random(n_modes) < 0.3))
+        assert _log_o(m, bath, cap, "total-quanta") == per_row_convolved_log_o(m, bath, cap)
 
 
 @pytest.mark.parametrize("cap, m_last", [(127, 3), (128, 3), (129, 3), (170, 3), (1000, 0)])
@@ -325,47 +372,35 @@ def test_critical_alpha_single_mode_analytic_case():
     # x = 2*alpha; brentq on that scalar equation is the oracle.
     oracle_x = brentq(lambda x: 1.0 - math.exp(-x) * (1.0 + x) - 0.01, 1e-8, 5.0,
                       xtol=1e-15)
-    point = critical_alpha(
-        s=1.0,
-        n_tr=1,
-        disc=Discretization(1, 2.0, 1.0),
-        epsilon=0.01,
-        bath_factory=beta_one_single_mode,
-    )
+    point = critical_alpha(BETA_ONE_LADDER, n_tr=1, epsilon=0.01)
     assert point.alpha_c == pytest.approx(oracle_x / 2.0, abs=1e-8)
     assert point.alpha_c == pytest.approx(0.0742773701266329, abs=1e-8)
     assert point.beta == pytest.approx(1.0, rel=1e-12)
     # The deficiency at the root sits on epsilon.
-    assert parity_deficiency(beta_one_single_mode(point.alpha_c), 1) == pytest.approx(
+    assert parity_deficiency(BETA_ONE_LADDER.at(point.alpha_c), 1) == pytest.approx(
         0.01, abs=1e-10
     )
 
 
 def test_critical_alpha_monotone_in_cap():
-    disc = Discretization(30, 2.0, 1.0)
+    ladder = bath_ladder(0.5, 1.0, 30, 2.0)
     values = [
-        critical_alpha(s=0.5, n_tr=n, disc=disc, epsilon=0.01).alpha_c
+        critical_alpha(ladder, n_tr=n, epsilon=0.01).alpha_c
         for n in (5, 10, 20, 40)
     ]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_critical_alpha_monotone_in_epsilon():
-    disc = Discretization(20, 2.0, 1.0)
-    a_small = critical_alpha(s=0.7, n_tr=10, disc=disc, epsilon=0.005).alpha_c
-    a_large = critical_alpha(s=0.7, n_tr=10, disc=disc, epsilon=0.05).alpha_c
+    ladder = bath_ladder(0.7, 1.0, 20, 2.0)
+    a_small = critical_alpha(ladder, n_tr=10, epsilon=0.005).alpha_c
+    a_large = critical_alpha(ladder, n_tr=10, epsilon=0.05).alpha_c
     assert a_large >= a_small
 
 
 def test_critical_alpha_grows_as_epsilon_approaches_one():
-    point_mid = critical_alpha(
-        s=1.0, n_tr=1, disc=Discretization(1, 2.0, 1.0), epsilon=0.5,
-        bath_factory=beta_one_single_mode,
-    )
-    point_high = critical_alpha(
-        s=1.0, n_tr=1, disc=Discretization(1, 2.0, 1.0), epsilon=1.0 - 1e-9,
-        bath_factory=beta_one_single_mode,
-    )
+    point_mid = critical_alpha(BETA_ONE_LADDER, n_tr=1, epsilon=0.5)
+    point_high = critical_alpha(BETA_ONE_LADDER, n_tr=1, epsilon=1.0 - 1e-9)
     assert point_high.alpha_c > point_mid.alpha_c > 0.0
 
 
@@ -373,19 +408,17 @@ def test_critical_alpha_reports_search_failure():
     # A huge cap keeps the deficiency near zero for every alpha below the
     # search ceiling, so no bracket exists.
     with pytest.raises(SearchError):
-        critical_alpha(
-            s=1.0, n_tr=40_000, disc=Discretization(1, 2.0, 1.0), epsilon=0.5
-        )
+        critical_alpha(bath_ladder(1.0, 1.0, 1, 2.0), n_tr=40_000, epsilon=0.5)
 
 
 @pytest.mark.parametrize("epsilon", [1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14])
 def test_critical_alpha_meets_a_relative_tolerance_or_refuses(epsilon):
     # A fixed absolute stopping tolerance of 1e-10 once returned the same
     # alpha_c, with deficiency ~1e-14, for every epsilon from 1e-10 down.
-    disc = Discretization(30, 2.0, 1.0)
+    ladder = bath_ladder(1.0, 1.0, 30, 2.0)
     m_ref = (2,) + (0,) * 29
     try:
-        point = critical_alpha(s=1.0, n_tr=20, disc=disc, epsilon=epsilon, m_ref=m_ref)
+        point = critical_alpha(ladder, n_tr=20, epsilon=epsilon, m_ref=m_ref)
     except SearchError as exc:
         # Here 1 - exp(x) resolves the deficiency to a few 1e-15 only.
         assert epsilon < 1e-4
@@ -397,23 +430,23 @@ def test_critical_alpha_meets_a_relative_tolerance_or_refuses(epsilon):
 
 
 def test_critical_alpha_validation():
-    disc = Discretization(5, 2.0, 1.0)
+    ladder = bath_ladder(0.5, 1.0, 5, 2.0)
     with pytest.raises(ParameterError):
-        critical_alpha(s=0.5, n_tr=5, disc=disc, epsilon=0.0)
+        critical_alpha(ladder, n_tr=5, epsilon=0.0)
     with pytest.raises(ParameterError):
-        critical_alpha(s=0.5, n_tr=5, disc=disc, epsilon=1.0)
+        critical_alpha(ladder, n_tr=5, epsilon=1.0)
     with pytest.raises(ParameterError):
-        critical_alpha(s=-1.0, n_tr=5, disc=disc, epsilon=0.01)
+        critical_alpha(bath_ladder(-1.0, 1.0, 5, 2.0), n_tr=5, epsilon=0.01)
 
 
 @pytest.mark.parametrize("policy, m_ref", [("per-mode", (3, 0)), ("total-quanta", (2, 1))])
 def test_critical_alpha_refuses_reference_outside_basis(policy, m_ref):
     # At alpha -> 0 such a reference has deficiency 1, so no root is sought.
-    disc = Discretization(2, 2.0, 1.0)
+    ladder = bath_ladder(0.8, 1.0, 2, 2.0)
     with pytest.raises(ParameterError, match="parity.m_ref .*trunc.cap"):
-        critical_alpha(s=0.8, n_tr=2, disc=disc, m_ref=m_ref, policy=policy)
+        critical_alpha(ladder, n_tr=2, m_ref=m_ref, policy=policy)
     inside = (2, 0) if policy == "per-mode" else (1, 1)
-    assert critical_alpha(s=0.8, n_tr=2, disc=disc, m_ref=inside, policy=policy).alpha_c > 0.0
+    assert critical_alpha(ladder, n_tr=2, m_ref=inside, policy=policy).alpha_c > 0.0
 
 
 @pytest.mark.parametrize("m_ref", [(1, 2, 0), (3, 0, 0)])
@@ -421,8 +454,7 @@ def test_critical_alpha_at_excited_reference_matches_exact_deficiency(m_ref):
     # The deficiency at the returned alpha_c, recomputed from the exact
     # rational L of every mode at the discretized q_k, sits on epsilon.
     cap, epsilon, s = 10, 0.01, 0.5
-    disc = Discretization(3, 2.0, 1.0)
-    point = critical_alpha(s=s, n_tr=cap, disc=disc, epsilon=epsilon, m_ref=m_ref)
+    point = critical_alpha(bath_ladder(s, 1.0, 3, 2.0), n_tr=cap, epsilon=epsilon, m_ref=m_ref)
     assert point.m_ref == m_ref
     bath = discretize_bath(SpectralLaw(point.alpha_c, s, 1.0), 3, 2.0)
     o_exact = Fraction(1)
@@ -433,9 +465,7 @@ def test_critical_alpha_at_excited_reference_matches_exact_deficiency(m_ref):
 
 
 def test_critical_alpha_logarithmic_form():
-    point = critical_alpha(
-        s=0.5, n_tr=20, disc=Discretization(10, 2.0, 1.0), epsilon=0.01
-    )
+    point = critical_alpha(bath_ladder(0.5, 1.0, 10, 2.0), n_tr=20, epsilon=0.01)
     # ln(O)/2beta at the root differs from alpha_c exactly by ln(1-eps)/2beta.
     expected = point.alpha_c + math.log(1.0 - point.epsilon) / (2.0 * point.beta)
     assert point.ln_o_over_2beta == pytest.approx(expected, rel=1e-9)
