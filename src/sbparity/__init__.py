@@ -55,6 +55,7 @@ from .parity import (
     ParityAudit,
     closure_report,
     critical_alpha,
+    critical_alphas,
     d_square_audit,
     o_diagonal,
     parity_deficiency,

@@ -8,7 +8,8 @@ J-weighted bin mean, so the total weight (1/pi) * integral of J is conserved
 over the covered range by construction.  Only the factor alpha of each
 squared coupling depends on the dissipation strength: a :class:`BathLadder`
 holds everything else, so the critical-alpha search takes one ladder as its
-bath and bins the law once.
+bath and bins the law once, and a :class:`LadderStack` rescales the ladders
+of many sweep points to their own alphas in one array pass.
 
 Derived scalars used downstream:
 
@@ -26,6 +27,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "Mode",
     "BathModel",
     "BathLadder",
+    "LadderStack",
     "bath_ladder",
     "discretize_bath",
     "bath_from_modes",
@@ -155,8 +159,9 @@ class BathLadder:
     2*alpha * ``wc_pow`` * ``hi_pows[k]`` * ``w_shape``, with
     wc_pow = omega_c**(1-s) and hi_pows[k] = hi_k**(s+1).  Only the factor
     alpha depends on the dissipation strength, so a ladder is the bath input
-    of :func:`sbparity.parity.critical_alpha`, which calls :meth:`at` once
-    per bisection step.  Build it with :func:`bath_ladder`.
+    of :func:`sbparity.parity.critical_alpha`, whose bisection steps rescale
+    it through a :class:`LadderStack` and which calls :meth:`at` for the
+    final point.  Build it with :func:`bath_ladder`.
     """
 
     s: float
@@ -192,6 +197,38 @@ class BathLadder:
             beta = self.at(1.0).beta
         return BathModel(lambda_disc=self.lambda_disc, omegas=self.omegas,
                          lams=lams, qs=qs, sum_wq2=sum_wq2, sum_q2=sum_q2, beta=beta)
+
+
+class LadderStack:
+    """Ladders of one mode count stacked as (ladders, modes) arrays, so that
+    many of them are rescaled to their own alphas in one array pass."""
+
+    def __init__(self, ladders):
+        self.omegas = np.array([ladder.omegas for ladder in ladders])
+        self.hi_pows = np.array([ladder.hi_pows for ladder in ladders])
+        self.wc_pow = np.array([ladder.wc_pow for ladder in ladders])
+        self.w_shape = np.array([ladder.w_shape for ladder in ladders])
+
+    def qs(self, rows, alphas) -> tuple[np.ndarray, dict]:
+        """Displacements of the ladders ``rows[i]`` at ``alphas[i]``, one row
+        each, equal to the ``qs`` of :meth:`BathLadder.at`, with the
+        ParameterError that :meth:`BathLadder.at` raises for a row whose
+        couplings are not finite, keyed by i.  The alphas are search points,
+        finite and >= 0, and are not checked again."""
+        # 2.0 * alpha * wc_pow * h * w_shape, rounded left to right as in at().
+        rows = np.asarray(rows)
+        with np.errstate(over="ignore"):  # an overflow is reported per row below
+            scale = 2.0 * np.asarray(alphas) * self.wc_pow[rows]
+            lams = np.sqrt(scale[:, None] * self.hi_pows[rows] * self.w_shape[rows, None])
+        errors = {}
+        if not np.isfinite(lams).all():
+            for i in np.flatnonzero(~np.isfinite(lams).all(axis=1)).tolist():
+                try:
+                    for lam in lams[i].tolist():
+                        _check_lam(lam)
+                except ParameterError as exc:
+                    errors[i] = exc
+        return lams / (2.0 * self.omegas[rows]), errors
 
 
 def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> BathLadder:

@@ -82,7 +82,7 @@ from .errors import (
 from .fockspace import (BasisSet, PerModeCap, TotalQuantaCap, d_matrix, default_policy,
                         enumerate_basis, l_matrix)
 from .hamiltonian import Branch, ModelParams, assemble_branch, degenerate_energy_set
-from .parity import critical_alpha, closure_report, d_square_audit
+from .parity import closure_report, critical_alpha, critical_alphas, d_square_audit
 from .spectra import DEFAULT_MAX_ITER, solve_branches, theorem_report
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -372,6 +372,10 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# JSON text of the floats whose ".17g" form format_float does not keep.
+_FLOAT_TEXT = {"nan": '"NaN"', "inf": '"inf"', "-inf": '"-inf"', "-0": "0"}
+
+
 def _json_fragment(value, parts):
     if value is None:
         parts.append("null")
@@ -387,6 +391,13 @@ def _json_fragment(value, parts):
             parts.append(json.dumps(format_float(value)))
     elif isinstance(value, str):
         parts.append(json.dumps(value))
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
+        _json_fragment(value.tolist(), parts)
+    elif isinstance(value, (list, tuple)) and all(isinstance(item, float) for item in value):
+        # One join instead of a call per item; format_float's text, quoted
+        # when not finite.
+        texts = ["%.17g" % item for item in value]
+        parts.append("[" + ", ".join([_FLOAT_TEXT.get(t, t) for t in texts]) + "]")
     elif isinstance(value, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, item in enumerate(value):
@@ -613,18 +624,31 @@ def run_phase_diagram(cfg: RunConfig, out_path=None, reference=None) -> int:
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
     m_ref_text = _format_m_ref(cfg.m_ref)
 
-    def solve(s_val):
-        ladder = bath_ladder(s_val, cfg.omega_c, cfg.n_modes, cfg.lambda_disc)
-        try:
-            pt = critical_alpha(
-                ladder, cfg.cap, epsilon=cfg.epsilon, m_ref=m_ref,
-                policy=cfg.policy or "per-mode",
-            )
-            return pt.alpha_c, pt.beta, pt.o_value
-        except SearchError:
-            return math.nan, ladder.at(1.0).beta, math.nan
+    def ladder(s_val):
+        return bath_ladder(s_val, cfg.omega_c, cfg.n_modes, cfg.lambda_disc)
 
-    solved = [solve(s_val) for s_val in points]
+    ladder_error = []
+
+    def ladders():
+        # A point whose bins fail ends the sweep there; its error is raised
+        # once every point before it is searched, as a loop over points would.
+        for s_val in points:
+            try:
+                built = ladder(s_val)
+            except ParameterError as exc:
+                ladder_error.append(exc)
+                return
+            yield built
+
+    outcomes = critical_alphas(ladders(), cfg.cap, epsilon=cfg.epsilon, m_ref=m_ref,
+                               policy=cfg.policy or "per-mode")
+    if ladder_error:
+        raise ladder_error[0]
+    solved = [
+        (math.nan, ladder(s_val).at(1.0).beta, math.nan) if isinstance(pt, SearchError)
+        else (pt.alpha_c, pt.beta, pt.o_value)
+        for s_val, pt in zip(points, outcomes)
+    ]
 
     ref_interp = None
     if reference is not None:

@@ -38,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -201,33 +201,53 @@ def _check_occupation(n: int):
         raise ParameterError(f"occupations must be >= 0, got {n}")
 
 
-def _single_mode_block(q: float, m_max: int, n_max: int, scaled: bool) -> np.ndarray:
+def _single_mode_block(q, m_max: int, n_max: int, scaled: bool) -> np.ndarray:
     """Single-mode L(m, n; q) for m <= m_max, n <= n_max, times exp(-2 q**2)
     when ``scaled`` (that is, D).
 
-    Runs the normalized Laguerre recurrence in j = min(m, n) for
-    min(m_max, n_max) + 1 steps, vectorized over the diagonals k = |m - n|,
-    with the sign (-1)**j folded in.  The seed is formed in logs, so the
-    scaled block never meets exp(+2 q**2).
+    ``q`` is a float, giving one (m_max + 1, n_max + 1) block, or a 1-D
+    array, giving one block per entry stacked along a leading axis.  Runs
+    the normalized Laguerre recurrence in j = min(m, n) for
+    min(m_max, n_max) + 1 steps, vectorized over the diagonals k = |m - n|
+    and over the entries of ``q``, with the sign (-1)**j folded in.  The seed
+    is formed in logs, so the scaled block never meets exp(+2 q**2).  Every
+    entry is rounded as a scalar q would round it.
     """
-    out = np.zeros((m_max + 1, n_max + 1))
-    steps = min(m_max, n_max) + 1
-    if q == 0.0:
-        j = np.arange(steps)
-        out[j, j] = np.where(j % 2, -1.0, 1.0)
-        return out
-    k = np.arange(max(m_max, n_max) + 1)
-    x = 2.0 * q
-    t = x * x
-    f = np.exp((-0.5 * t if scaled else 0.0) + k * math.log(x) - 0.5 * gammaln(k + 1.0))
+    qs = np.array(q, dtype=float, ndmin=1)
+    out = np.zeros((len(qs), m_max + 1, n_max + 1))
+    k, half_lgamma, factors = _recurrence_factors(m_max, n_max)
+    x = 2.0 * qs
+    t = (x * x)[:, None]
+    log_x = np.array([math.log(v) if v != 0.0 else 0.0 for v in x.tolist()])
+    f = np.exp((-0.5 * t if scaled else 0.0) + k * log_x[:, None] - half_lgamma)
     f_prev = np.zeros_like(f)
-    for j in range(steps):
-        out[j:, j] = f[: m_max + 1 - j]  # (j + k, j)
-        out[j, j + 1:] = f[1 : n_max + 1 - j]  # (j, j + k), k >= 1
-        f, f_prev = (
-            -(2 * j + 1 + k - t) * f - np.sqrt(j * (j + k)) * f_prev
-        ) / np.sqrt((j + 1) * (j + 1 + k)), f
-    return out
+    for j, (diag, back, ahead) in enumerate(factors):
+        out[:, j:, j] = f[:, : m_max + 1 - j]  # (j + k, j)
+        out[:, j, j + 1:] = f[:, 1 : n_max + 1 - j]  # (j, j + k), k >= 1
+        if j + 1 < len(factors):
+            # (t - diag) is -(diag - t) exactly.
+            f, f_prev = ((t - diag) * f - back * f_prev) / ahead, f
+    zero = qs == 0.0
+    if zero.any():
+        j = np.arange(len(factors))
+        identity = np.zeros((m_max + 1, n_max + 1))
+        identity[j, j] = np.where(j % 2, -1.0, 1.0)
+        out[zero] = identity
+    return out if np.ndim(q) else out[0]
+
+
+@lru_cache(maxsize=64)
+def _recurrence_factors(m_max: int, n_max: int):
+    """The k-only factors of :func:`_single_mode_block`, read-only: k,
+    0.5 * lgamma(k + 1) and, per step j, (2j + 1 + k, sqrt(j (j + k)),
+    sqrt((j + 1)(j + 1 + k)))."""
+    k = np.arange(max(m_max, n_max) + 1)
+    factors = tuple((2 * j + 1 + k, np.sqrt(j * (j + k)), np.sqrt((j + 1) * (j + 1 + k)))
+                    for j in range(min(m_max, n_max) + 1))
+    half_lgamma = 0.5 * gammaln(k + 1.0)
+    for array in (k, half_lgamma, *itertools.chain.from_iterable(factors)):
+        array.setflags(write=False)
+    return k, half_lgamma, factors
 
 
 def l_element_single(m: int, n: int, q: float) -> float:
@@ -277,11 +297,12 @@ def single_mode_d_table(q: float, cap: int) -> np.ndarray:
     return _single_mode_block(q, cap, cap, scaled=True)
 
 
-def single_mode_d_row(m: int, q: float, n_max: int) -> np.ndarray:
-    """Single-mode row [D(m, 0; q), ..., D(m, n_max; q)], in min(m, n_max) + 1 steps."""
+def single_mode_d_row(m: int, q, n_max: int) -> np.ndarray:
+    """Single-mode row [D(m, 0; q), ..., D(m, n_max; q)], in min(m, n_max) + 1
+    steps; for a 1-D array ``q``, one such row per entry, in one recurrence."""
     _check_occupation(m)
     _check_occupation(n_max)
-    return _single_mode_block(q, m, n_max, scaled=True)[m]
+    return _single_mode_block(q, m, n_max, scaled=True)[..., m, :]
 
 
 def _mode_tables(basis: BasisSet, bath: BathModel, table) -> list[np.ndarray]:

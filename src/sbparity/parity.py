@@ -18,13 +18,18 @@ No basis is enumerated for O.  The rows of all modes are built as one
 array, the vacuum rows (the bulk of a sweep at reference 0 or 2) from one
 partial-exponential-series formula; under a per-mode cap O is the product
 of the row sums, under a total-quanta cap a truncated convolution of the
-rows.  The search takes its bath as one
-:class:`~sbparity.bath.BathLadder`, binned once, and rescales it per alpha,
-so one bisection step costs one bath rescale and one such sum.
+rows.  The search takes each bath as one
+:class:`~sbparity.bath.BathLadder`, binned once.  A phase diagram searches
+all its points in lockstep (:func:`critical_alphas`): every point keeps its
+own bisection, and each round rescales the ladders of the points still
+searching and sums their rows as one (points, modes, n_tr + 1) array, so
+the per-call cost of numpy is paid once per round instead of once per
+point.  :func:`critical_alpha` is the one-point case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +37,14 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .bath import BathLadder, BathModel
-from .errors import CapacityError, InvariantViolation, ParameterError, SearchError
+from .bath import BathLadder, BathModel, LadderStack
+from .errors import (
+    CapacityError,
+    InvariantViolation,
+    ParameterError,
+    SearchError,
+    SpinBosonError,
+)
 from .fockspace import (
     D_BOUND,
     FACTORIAL_GUARD,
@@ -49,6 +60,7 @@ __all__ = [
     "parity_deficiency",
     "CriticalPoint",
     "critical_alpha",
+    "critical_alphas",
     "ParityAudit",
     "d_square_audit",
     "ClosureReport",
@@ -69,6 +81,11 @@ _CLAMP_SLACK = 1e-14
 MAX_BRACKET_ALPHA = 1e4
 # Deficiency tolerance of the search, tightened to 1e-6 * epsilon below it.
 DEFICIENCY_TOL = 1e-10
+# Entries of the (points, modes, n_tr + 1) row array that one chunk of a
+# lockstep search holds, 160 kB per array.  At 30 modes, cap 20 (31 points a
+# chunk) a 256-point sweep took 1.18 ms a point; 8 and 16 points a chunk took
+# 1.44 and 1.25 ms, 64 to 256 points 1.34-1.40 ms (2-vCPU x86 host).
+SEARCH_CHUNK_ENTRIES = 20_000
 
 
 def _normalize_m(m, n_modes: int) -> tuple[int, ...]:
@@ -98,39 +115,108 @@ def _check_cap(n_tr: int):
         )
 
 
-def _log_l2_row(m: int, q: float, n_tr: int) -> np.ndarray:
-    """log L(m, n; q)**2 for n = 0..n_tr; -inf where L vanishes."""
+def _log_l2_row(m: int, q, n_tr: int) -> np.ndarray:
+    """log L(m, n; q)**2 for n = 0..n_tr; -inf where L vanishes.  For a 1-D
+    array ``q``, one such row per entry."""
     # Squares of D rather than L, so nothing overflows at large q.
+    column = np.asarray(q)[..., None]
     with np.errstate(divide="ignore"):
-        return 2.0 * np.log(np.abs(single_mode_d_row(m, q, n_tr))) + 4.0 * q * q
+        return 2.0 * np.log(np.abs(single_mode_d_row(m, q, n_tr))) + 4.0 * column * column
 
 
-def _scaled_rows(m: tuple[int, ...], qs, n_tr: int):
-    """Every mode's row of log L(m_k, n; q_k)**2, n = 0..n_tr, split into
-    its maximum and exp(row - maximum): (list of maxima, (modes, n_tr + 1)
-    array) in mode order, or None when some row is -inf throughout (O = 0).
+def _check_policy(policy: str, n_modes: int, n_tr: int):
+    if policy == "total-quanta":
+        work = (n_modes - 1) * (n_tr + 1) ** 2
+        if work > MAX_CONVOLUTION_WORK:
+            raise CapacityError(
+                f"total-quanta sum over {n_modes} modes at cap {n_tr} needs {work} "
+                f"multiply-adds, above the guard of {MAX_CONVOLUTION_WORK}; lower "
+                f"disc.n_modes or trunc.cap"
+            )
+    elif policy != "per-mode":
+        raise ParameterError(f"unknown truncation policy {policy!r}")
 
-    A vacuum row (m_k = 0, q_k != 0) is the partial exponential series
-    L(0, n)**2 = mu**n / n!, mu = 4 q_k**2.  Those rows, all but a few in a
-    sweep, come from that one formula over the whole array; the other rows
-    are then written from :func:`_log_l2_row`.
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    """math.log of every entry, as an array of the same shape.  np.log may
+    take a SIMD route that rounds differently, and the sweep bytes rest on
+    the scalar logs."""
+    return np.array(list(map(math.log, values.ravel().tolist()))).reshape(values.shape)
+
+
+class _LogO:
+    """log of the diagonal sum O at reference ``m`` for a stack of baths,
+    with the constants of the rows (log n!, the excited modes) built once.
+
+    Every mode's row of log L(m_k, n; q_k)**2, n = 0..n_tr, is built in one
+    (baths, modes, n_tr + 1) array and split into its maximum and
+    exp(row - maximum).  A vacuum row (m_k = 0) is the partial exponential
+    series L(0, n)**2 = mu**n / n!, mu = 4 q_k**2, and is 0 at n = 0 and
+    -inf beyond when mu is 0; those rows, all but a few in a sweep, come
+    from that one formula.  The excited rows are then written from
+    :func:`_log_l2_row`, one recurrence per distinct occupation.
+
+    Under a per-mode cap O is the product of the row sums, so its log is
+    the exactly rounded sum (math.fsum) of their logs.  Under a total-quanta
+    cap the sum over |n| <= n_tr of prod_k w_k(n_k) is the sum of the first
+    n_tr + 1 coefficients of prod_k W_k(z), W_k(z) = sum_n w_k(n) z**n, so
+    it is built by truncated convolution over the modes in
+    (n_modes - 1) * (n_tr + 1)**2 multiply-adds.  The running product is
+    scaled by its maximum after every mode, with the logs of the scales
+    carried apart; every term is >= 0, so nothing cancels.  Each bath's log
+    O is rounded exactly as it would be alone.
     """
-    log_mus, others = [], []
-    for k, (mk, q) in enumerate(zip(m, qs)):
-        if mk == 0 and q != 0.0:
-            log_mus.append(math.log(4.0 * q * q))
-        else:
-            log_mus.append(0.0)
-            others.append(k)
-    n = np.arange(n_tr + 1, dtype=float)
-    rows = n * np.array(log_mus)[:, None] - gammaln(n + 1.0)
-    for k in others:
-        rows[k] = _log_l2_row(m[k], qs[k], n_tr)
-    shifts = rows.max(axis=1)
-    tops = shifts.tolist()
-    if -math.inf in tops:
-        return None
-    return tops, np.exp(rows - shifts[:, None])
+
+    def __init__(self, m: tuple[int, ...], n_tr: int, policy: str):
+        _check_policy(policy, len(m), n_tr)
+        self.n_tr, self.policy = n_tr, policy
+        n = np.arange(n_tr + 1, dtype=float)
+        self.n, self.log_fact = n, gammaln(n + 1.0)
+        self.decoupled = np.where(n == 0.0, 0.0, -math.inf)
+        self.vacuum = np.array([mk == 0 for mk in m])
+        self.excited = {}  # occupation -> the modes that hold it
+        for k, mk in enumerate(m):
+            if mk:
+                self.excited.setdefault(mk, []).append(k)
+
+    def __call__(self, qs: np.ndarray) -> list[float]:
+        """log O for every row of ``qs``, an array of shape (baths, modes)."""
+        mus = 4.0 * qs * qs
+        decoupled = mus == 0.0
+        some_decoupled = decoupled.any()
+        if some_decoupled:
+            mus[decoupled] = 1.0  # no log 0; these rows are set below
+        rows = self.n * _logs(mus)[:, :, None]
+        rows -= self.log_fact
+        if some_decoupled:
+            rows[decoupled & self.vacuum] = self.decoupled
+        for mk, modes in self.excited.items():
+            rows[:, modes] = _log_l2_row(mk, qs[:, modes].ravel(), self.n_tr).reshape(
+                len(qs), len(modes), -1)
+        shifts = rows.max(axis=2)
+        with np.errstate(invalid="ignore"):  # rows of a bath whose O is 0
+            rows -= shifts[:, :, None]
+        weights = np.exp(rows, out=rows)
+        tops = shifts.tolist()
+        if self.policy == "per-mode":
+            terms = (shifts + _logs(weights.sum(axis=2))).tolist()
+            # A row that is -inf throughout makes O = 0.
+            return [-math.inf if -math.inf in logs else math.fsum(t)
+                    for logs, t in zip(tops, terms)]
+        return [-math.inf if -math.inf in logs else self._convolved(logs, w)
+                for logs, w in zip(tops, weights)]
+
+    def _convolved(self, logs: list[float], weights: np.ndarray) -> float:
+        acc = weights[0]  # its maximum is exp(0) = 1
+        for w in weights[1:]:
+            acc = np.convolve(acc, w)[: self.n_tr + 1]
+            top = float(np.max(acc))
+            if top == 0.0:
+                return -math.inf  # every nonzero product lies beyond the cap
+            acc /= top
+            logs.append(math.log(top))
+        logs.append(math.log(float(np.sum(acc))))
+        return math.fsum(logs)
 
 
 def _exp_or_inf(log_o: float) -> float:
@@ -156,44 +242,8 @@ def o_diagonal(m, bath: BathModel, n_tr: int, policy: str = "per-mode") -> float
 
 
 def _log_o(m: tuple[int, ...], bath: BathModel, n_tr: int, policy: str) -> float:
-    """log of the diagonal sum O at reference ``m``.
-
-    Under a per-mode cap O is the product of the row sums, so its log is the
-    exactly rounded sum (math.fsum) of their logs.  Under a total-quanta cap
-    the sum over |n| <= n_tr of prod_k w_k(n_k) is the sum of the first
-    n_tr + 1 coefficients of prod_k W_k(z), W_k(z) = sum_n w_k(n) z**n, so
-    it is built by truncated convolution over the modes in
-    (n_modes - 1) * (n_tr + 1)**2 multiply-adds.  The running product is
-    scaled by its maximum after every mode, with the logs of the scales
-    carried apart; every term is >= 0, so nothing cancels.
-    """
-    if policy == "total-quanta":
-        work = (bath.n_modes - 1) * (n_tr + 1) ** 2
-        if work > MAX_CONVOLUTION_WORK:
-            raise CapacityError(
-                f"total-quanta sum over {bath.n_modes} modes at cap {n_tr} needs {work} "
-                f"multiply-adds, above the guard of {MAX_CONVOLUTION_WORK}; lower "
-                f"disc.n_modes or trunc.cap"
-            )
-    elif policy != "per-mode":
-        raise ParameterError(f"unknown truncation policy {policy!r}")
-    rows = _scaled_rows(m, bath.qs, n_tr)
-    if rows is None:
-        return -math.inf
-    logs, weights = rows
-    if policy == "per-mode":
-        sums = weights.sum(axis=1).tolist()
-        return math.fsum(top + math.log(total) for top, total in zip(logs, sums))
-    acc = weights[0]  # its maximum is exp(0) = 1
-    for w in weights[1:]:
-        acc = np.convolve(acc, w)[: n_tr + 1]
-        top = float(np.max(acc))
-        if top == 0.0:
-            return -math.inf  # every nonzero product lies beyond the cap
-        acc /= top
-        logs.append(math.log(top))
-    logs.append(math.log(float(np.sum(acc))))
-    return math.fsum(logs)
+    """log of the diagonal sum O at reference ``m`` (see :class:`_LogO`)."""
+    return _LogO(m, n_tr, policy)(np.array([bath.qs]))[0]
 
 
 def parity_deficiency(
@@ -213,16 +263,16 @@ def parity_deficiency(
     """
     _check_cap(n_tr)
     m = _normalize_m(m, bath.n_modes)
-    return _deficiency(_log_o(m, bath, n_tr, policy), bath)
+    return _deficiency(_log_o(m, bath, n_tr, policy), bath.sum_q2)
 
 
-def _deficiency(log_o: float, bath: BathModel) -> float:
+def _deficiency(log_o: float, sum_q2: float) -> float:
     """1 - exp(-4 * sum_q2) * O from log O, clamped as parity_deficiency says."""
-    log_scaled = log_o - 4.0 * bath.sum_q2
+    log_scaled = log_o - 4.0 * sum_q2
     deficiency = 1.0 - math.exp(min(log_scaled, 700.0))
     # The log-space roundoff grows with the exponent magnitude, so the clamp
     # slack does too; it stays at 1e-14 whenever 4*sum_q2 <= 1.
-    slack = _CLAMP_SLACK * max(1.0, 4.0 * bath.sum_q2)
+    slack = _CLAMP_SLACK * max(1.0, 4.0 * sum_q2)
     if deficiency < 0.0:
         if deficiency < -slack:
             raise InvariantViolation(
@@ -282,13 +332,14 @@ def critical_alpha(
     """Dissipation strength at which the parity deficiency reaches epsilon.
 
     ``ladder`` is the bath binned once without alpha (build it with
-    :func:`sbparity.bath.bath_ladder`); every step of the search takes its
-    bath from ``ladder.at(alpha)``, and the reported s, n_modes and
-    lambda_disc are the ladder's.  Brackets by doubling from alpha = 1 up to
-    MAX_BRACKET_ALPHA and bisects on the deficiency value; the returned root
-    satisfies |deficiency(alpha_c) - epsilon| <= tol with
+    :func:`sbparity.bath.bath_ladder`); the search rescales it to each alpha
+    it tries, and the reported s, n_modes and lambda_disc are the ladder's.
+    Brackets by doubling from alpha = 1 up to MAX_BRACKET_ALPHA and bisects
+    on the deficiency value; the returned root satisfies
+    |deficiency(alpha_c) - epsilon| <= tol with
     tol = min(DEFICIENCY_TOL, 1e-6 * epsilon), so alpha_c is resolved to a
-    relative deficiency error of 1e-6 however small epsilon is.
+    relative deficiency error of 1e-6 however small epsilon is.  This is
+    the one-ladder case of :func:`critical_alphas`.
 
     Raises
     ------
@@ -303,11 +354,61 @@ def critical_alpha(
         If no bracket exists below MAX_BRACKET_ALPHA, or bisection exhausts
         float resolution without meeting the tolerance.
     """
+    (outcome,) = critical_alphas([ladder], n_tr, epsilon, m_ref, policy)
+    if isinstance(outcome, SearchError):
+        raise outcome
+    return outcome
+
+
+def critical_alphas(
+    ladders,
+    n_tr: int,
+    epsilon: float = 0.01,
+    m_ref=None,
+    policy: str = "per-mode",
+) -> list:
+    """:func:`critical_alpha` at every ladder of ``ladders``, searched in
+    lockstep: one list entry per ladder, its CriticalPoint or the
+    SearchError its search raised.
+
+    Every point runs the search of :func:`critical_alpha` step for step and
+    gets the same result as alone; only the evaluations are shared.  Each
+    round rescales the ladders of every point still searching to their own
+    alphas and sums their deficiencies in one (points, modes, n_tr + 1)
+    array.  ``ladders`` may be any iterable of ladders with one mode count;
+    it is read and searched in chunks of SEARCH_CHUNK_ENTRIES row entries,
+    so memory does not grow with the number of points beyond the results.
+
+    Raises
+    ------
+    SpinBosonError
+        Any error other than SearchError, for the first ladder whose search
+        raises it, as a loop of :func:`critical_alpha` calls would; the
+        ladders after it may not have been read.
+    """
+    ladders = iter(ladders)
+    chunk = list(itertools.islice(ladders, 1))
+    if not chunk:
+        return []
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     _check_cap(n_tr)
-    tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
+    size = max(1, SEARCH_CHUNK_ENTRIES // (len(chunk[0].omegas) * (n_tr + 1)))
+    out = []
+    while chunk:
+        chunk += itertools.islice(ladders, size - len(chunk))
+        outcomes = _search_chunk(chunk, n_tr, epsilon, m_ref, policy)
+        for outcome in outcomes:
+            if isinstance(outcome, SpinBosonError) and not isinstance(outcome, SearchError):
+                raise outcome
+        out += outcomes
+        chunk = list(itertools.islice(ladders, size))
+    return out
 
+
+def _search_setup(ladder: BathLadder, n_tr: int, m_ref, policy: str) -> tuple[int, ...]:
+    """The checks of one point's search before its first step; returns the
+    normalized reference occupation."""
     probe = ladder.at(1.0)
     m = _normalize_m(m_ref, probe.n_modes)
     quanta = max(m) if policy == "per-mode" else sum(m)
@@ -325,12 +426,15 @@ def critical_alpha(
             f"for the excited parity.m_ref {list(m)}; only the vacuum reference "
             f"takes a larger cap"
         )
+    _check_policy(policy, len(m), n_tr)
+    return m
 
-    def miss(bath):
-        return _deficiency(_log_o(m, bath, n_tr, policy), bath) - epsilon
 
+def _bisection(epsilon: float, tol: float):
+    """The root search of one point, as a generator: yields each alpha to
+    try, is sent deficiency(alpha) - epsilon back, and returns the root."""
     hi = 1.0
-    f_hi = miss(probe)
+    f_hi = yield hi
     while f_hi < 0.0:
         hi *= 2.0
         if hi > MAX_BRACKET_ALPHA:
@@ -338,7 +442,7 @@ def critical_alpha(
                 f"deficiency stays below epsilon={epsilon:g} for alpha up to "
                 f"{MAX_BRACKET_ALPHA:g} (last value {f_hi + epsilon:.6g}); no bracket"
             )
-        f_hi = miss(ladder.at(hi))
+        f_hi = yield hi
     lo = 0.0
     root = hi
     f_root = f_hi
@@ -348,7 +452,7 @@ def critical_alpha(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval exhausted at float resolution
-        f_mid = miss(ladder.at(mid))
+        f_mid = yield mid
         if abs(f_mid) <= abs(f_root):
             root, f_root = mid, f_mid
         if f_mid < 0.0:
@@ -360,22 +464,74 @@ def critical_alpha(
             f"bisection stalled at deficiency error {f_root:.3e} "
             f"(target {tol:g}) near alpha = {root:.17g}"
         )
+    return root
 
-    bath_c = ladder.at(root)
-    log_o = _log_o(m, bath_c, n_tr, policy)
-    beta = bath_c.beta
-    return CriticalPoint(
-        s=ladder.s,
-        alpha_c=root,
-        epsilon=epsilon,
-        n_tr=n_tr,
-        n_modes=bath_c.n_modes,
-        lambda_disc=ladder.lambda_disc,
-        beta=beta,
-        m_ref=m,
-        o_value=_exp_or_inf(log_o),
-        ln_o_over_2beta=log_o / (2.0 * beta),
-    )
+
+def _search_chunk(ladders, n_tr: int, epsilon: float, m_ref, policy: str) -> list:
+    """The searches of ``ladders`` in lockstep: per ladder its CriticalPoint
+    or the SpinBosonError its search raised."""
+    tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
+    outcomes = [None] * len(ladders)
+    live, m = [], None
+    for i, ladder in enumerate(ladders):
+        try:
+            m_i = _search_setup(ladder, n_tr, m_ref, policy)
+            if m is not None and len(m_i) != len(m):
+                raise ParameterError(
+                    f"ladder {i} has {len(m_i)} modes, the first one {len(m)}; "
+                    f"the ladders of one search share their mode count"
+                )
+        except SpinBosonError as exc:
+            outcomes[i] = exc
+            continue
+        m = m_i
+        live.append(i)
+    if not live:
+        return outcomes
+    stack = LadderStack([ladders[i] for i in live])
+    log_o = _LogO(m, n_tr, policy)
+    searches = [_bisection(epsilon, tol) for _ in live]
+    pending = {r: next(search) for r, search in enumerate(searches)}  # row -> alpha
+    roots = {}
+    while pending:
+        rows = list(pending)
+        qs, errors = stack.qs(rows, list(pending.values()))
+        for i, exc in errors.items():
+            outcomes[live[rows[i]]] = exc
+            del pending[rows[i]]
+        if errors:
+            kept = [i for i in range(len(rows)) if i not in errors]
+            rows, qs = [rows[i] for i in kept], qs[kept]
+        q2 = (qs * qs).tolist()
+        for r, log_o_r, q2_r in zip(rows, log_o(qs), q2):
+            try:
+                miss = _deficiency(log_o_r, math.fsum(q2_r)) - epsilon
+                pending[r] = searches[r].send(miss)
+            except StopIteration as stop:
+                roots[r] = stop.value
+                del pending[r]
+            except SpinBosonError as exc:
+                outcomes[live[r]] = exc
+                del pending[r]
+    if not roots:
+        return outcomes
+    baths = [ladders[live[r]].at(root) for r, root in roots.items()]
+    final = log_o(np.array([bath.qs for bath in baths]))
+    for r, bath, log_o_r in zip(roots, baths, final):
+        ladder = ladders[live[r]]
+        outcomes[live[r]] = CriticalPoint(
+            s=ladder.s,
+            alpha_c=roots[r],
+            epsilon=epsilon,
+            n_tr=n_tr,
+            n_modes=bath.n_modes,
+            lambda_disc=ladder.lambda_disc,
+            beta=bath.beta,
+            m_ref=m,
+            o_value=_exp_or_inf(log_o_r),
+            ln_o_over_2beta=log_o_r / (2.0 * bath.beta),
+        )
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -479,7 +635,7 @@ def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
         n_tr=policy.cap,
         o_value=_exp_or_inf(log_o),
         scale=math.exp(-4.0 * bath.sum_q2),
-        deficiency=_deficiency(log_o, bath),
+        deficiency=_deficiency(log_o, bath.sum_q2),
         d2_diag_residuals=np.abs(diag - 1.0),
         d2_max_offdiag=offdiag,
     )

@@ -15,7 +15,7 @@ from sbparity import (
     e_min_eo,
     e_min_eo_continuum,
 )
-from sbparity.bath import bath_ladder
+from sbparity.bath import LadderStack, bath_ladder
 
 
 def total_weight_quad(law, lo, hi):
@@ -244,3 +244,29 @@ def test_discretize_bath_errors_match_the_mode_loop(law, n_modes, lambda_disc):
     with pytest.raises(ParameterError) as new:
         discretize_bath(law, n_modes, lambda_disc)
     assert str(new.value) == str(old.value)
+
+
+def test_ladder_stack_rescales_every_row_as_at_does():
+    # Rows of several ladders at their own alphas, in one array pass: each
+    # row's q_k must carry the bits of BathLadder.at, and a row whose
+    # couplings overflow must get the error at() raises.
+    rng = np.random.default_rng(7)
+    ladders = [bath_ladder(float(s), float(wc), 40, float(lam))
+               for s, wc, lam in zip(rng.uniform(0.05, 1.2, 12), rng.uniform(0.2, 3.0, 12),
+                                     rng.uniform(1.2, 5.0, 12))]
+    ladders.append(bath_ladder(1.0, 1e153, 40, 2.0))  # couplings overflow from alpha ~ 240
+    stack = LadderStack(ladders)
+    failed = 0
+    for _ in range(40):
+        rows = sorted(rng.choice(len(ladders), size=int(rng.integers(1, 14)), replace=False))
+        alphas = (10.0 ** rng.uniform(-6.0, 4.0, len(rows))).tolist()
+        qs, errors = stack.qs(rows, alphas)
+        for i, (row, alpha) in enumerate(zip(rows, alphas)):
+            if i in errors:
+                with pytest.raises(ParameterError) as expected:
+                    ladders[row].at(alpha)
+                assert str(errors[i]) == str(expected.value)
+            else:
+                assert bits(qs[i]) == bits(ladders[row].at(alpha).qs)
+        failed += len(errors)
+    assert failed

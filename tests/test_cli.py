@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from sbparity import bath_ladder, cli, critical_alpha
-from sbparity.errors import ConfigError
+from sbparity.errors import ConfigError, ParameterError, SearchError
 
 from conftest import bare_fock_ground_energy
 
@@ -616,6 +616,93 @@ def test_phase_diagram_unbracketable_point_gives_nan_and_exit_4(tmp_path, capsys
     assert math.isfinite(float(row[6]))  # beta is still reported
 
 
+DATA = Path(__file__).parent / "data"
+# The seeded m_ref-2 sweep of the phase-sweep benchmark workload (seed 1).
+SEEDED_SWEEP = {
+    "model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.1},
+    "disc": {"n_modes": 30, "lambda_disc": 2.0},
+    "trunc": {"cap": 20},
+    "parity": {"epsilon": 0.015572824723997295, "m_ref": 2},
+    "sweep": {"variable": "s", "from": 0.4355413732285959, "to": 0.8505622445200534,
+              "steps": 16},
+}
+
+
+@pytest.mark.parametrize("policy", ["per-mode", "total-quanta"])
+def test_excited_reference_sweep_keeps_its_pinned_bytes(tmp_path, capsys, policy):
+    # Pinned from the one-point-at-a-time sweep, before the lockstep search.
+    config = dict(SEEDED_SWEEP, trunc={"policy": policy, "cap": 20})
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["phase-diagram", "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    pinned = DATA / f"phase_diagram_mref2_{policy.replace('-', '_')}.csv"
+    assert out.read_bytes() == pinned.read_bytes()
+
+
+def sequential_sweep_error(config):
+    """The error a loop of one-point searches over the sweep raises first,
+    with SearchError points kept as NaN rows; None if there is none."""
+    sweep = config["sweep"]
+    lo, hi, steps = sweep["from"], sweep["to"], sweep["steps"]
+    points = [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
+    try:
+        for s in points:
+            ladder = bath_ladder(s, config["model"]["omega_c"], config["disc"]["n_modes"], 2.0)
+            try:
+                critical_alpha(ladder, config["trunc"]["cap"],
+                               epsilon=config["parity"]["epsilon"])
+            except SearchError:
+                pass
+    except ParameterError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("omega_c, cap, epsilon, failing", [
+    # One mode with q**2 ~ alpha: the couplings overflow at alpha = 256 from
+    # s ~ 0.6 on, and the bin weights themselves from s ~ 1.01.
+    (1.2e153, 200, 0.01, "mode coupling must be >= 0, got inf"),
+    # NaN rows (no bracket) before points whose bins overflow.
+    (1e150, 14000, 0.5, "overflows the bin weights"),
+])
+def test_sweep_reports_the_earliest_points_error(tmp_path, capsys, omega_c, cap, epsilon,
+                                                 failing):
+    config = {
+        "model": {"delta": 0.1, "omega_c": omega_c, "s": 1.0, "alpha": 0.1},
+        "disc": {"n_modes": 1, "lambda_disc": 2.0},
+        "trunc": {"cap": cap},
+        "parity": {"epsilon": epsilon},
+        "sweep": {"variable": "s", "from": 0.1, "to": 1.2, "steps": 12},
+    }
+    expected = sequential_sweep_error(config)
+    assert failing in str(expected)
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["phase-diagram", "--config", write_config(tmp_path, config),
+                     "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "ParameterError", "message": str(expected)}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", [20, 200])
+def test_alpha_c_takes_decoupled_modes_above_the_factorial_guard(tmp_path, capsys, cap):
+    # 511 of the 1000 couplings underflow to q = 0.
+    config = {
+        "model": {"delta": 0.1, "omega_c": 1.0, "s": 1.2, "alpha": 0.1},
+        "disc": {"n_modes": 1000, "lambda_disc": 2.0},
+        "trunc": {"cap": cap},
+    }
+    code = cli.main(["alpha-c", "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    if cap == 20:
+        assert out["alpha_c"] == 9.969510793685913  # as before decoupled rows skipped the guard
+    else:
+        assert out["alpha_c"] > 9.969510793685913
+
+
 def test_phase_diagram_range_validation(tmp_path, capsys):
     config = dict(PHASE_CONFIG)
     config["sweep"] = {"variable": "s", "from": 0.4, "to": 1.5, "steps": 3}
@@ -842,6 +929,95 @@ def test_dumps_is_parseable_and_stable():
     payload = {"a": 0.1, "b": [1, 2.5, None, True], "c": {"nested": "x"}}
     text = cli.dumps(payload)
     assert cli.dumps(json.loads(text)) == text
+
+
+def recursive_dumps(obj):
+    """The serializer that recurses once per list item (reference)."""
+    parts = []
+
+    def fragment(value):
+        if value is None:
+            parts.append("null")
+        elif isinstance(value, bool):
+            parts.append("true" if value else "false")
+        elif isinstance(value, (int, np.integer)):
+            parts.append(str(int(value)))
+        elif isinstance(value, (float, np.floating)):
+            value = float(value)
+            if math.isfinite(value):
+                parts.append(cli.format_float(value))
+            else:
+                parts.append(json.dumps(cli.format_float(value)))
+        elif isinstance(value, str):
+            parts.append(json.dumps(value))
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            parts.append("[")
+            for i, item in enumerate(value):
+                if i:
+                    parts.append(", ")
+                fragment(item)
+            parts.append("]")
+        elif isinstance(value, dict):
+            parts.append("{")
+            for i, (key, item) in enumerate(value.items()):
+                if i:
+                    parts.append(", ")
+                parts.append(json.dumps(str(key)))
+                parts.append(": ")
+                fragment(item)
+            parts.append("}")
+        else:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    fragment(obj)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def random_payload(rng, depth=0):
+    specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308,
+                float(np.copysign(math.nan, -1.0))]
+
+    def number():
+        kind = rng.integers(8)
+        if kind == 0:
+            return specials[rng.integers(len(specials))]
+        if kind == 1:
+            return np.float64(rng.normal() * 10.0 ** rng.integers(-300, 300))
+        if kind == 2:
+            return np.int64(rng.integers(-10**12, 10**12))
+        if kind == 3:
+            return bool(rng.integers(2))
+        if kind == 4:
+            return None
+        if kind == 5:
+            return int(rng.integers(-5, 5))
+        return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+
+    kind = rng.integers(6 if depth < 3 else 2)
+    size = int(rng.integers(0, 12))
+    if kind == 0:  # all floats, the joined path
+        return [float(v) if rng.random() < 0.8 else specials[rng.integers(len(specials))]
+                for v in rng.normal(size=size) * 10.0 ** rng.integers(-10, 10)]
+    if kind == 1:  # a float array, with non-finite entries
+        arr = rng.normal(size=(size,) if rng.random() < 0.5 else (size, 3))
+        arr[rng.random(arr.shape) < 0.2] = specials[rng.integers(len(specials))]
+        return arr
+    if kind == 2:
+        return [number() for _ in range(size)]
+    if kind == 3:
+        return tuple(random_payload(rng, depth + 1) for _ in range(size % 4))
+    if kind == 4:
+        return {f"k{i}": random_payload(rng, depth + 1) for i in range(size % 5)}
+    return [np.float64(v) for v in rng.normal(size=size)] + [number() for _ in range(size % 3)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dumps_matches_the_recursive_serializer(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        payload = {"body": random_payload(rng), "ints": np.arange(3), "x": -0.0}
+        assert cli.dumps(payload) == recursive_dumps(payload)
 
 
 # ---------------------------------------------------------------------------

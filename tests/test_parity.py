@@ -26,6 +26,7 @@ from sbparity import (
     bath_ladder,
     closure_report,
     critical_alpha,
+    critical_alphas,
     d_matrix,
     d_square_audit,
     discretize_bath,
@@ -35,9 +36,11 @@ from sbparity import (
     parity_deficiency,
 )
 
+from sbparity import parity
 from sbparity.fockspace import l_scaled_rational, single_mode_d_table
 from sbparity.parity import (
     MAX_CONVOLUTION_WORK,
+    _deficiency,
     _log_l2_row,
     _log_o,
 )
@@ -289,6 +292,26 @@ def test_total_quanta_log_o_is_bit_identical_to_the_per_row_convolution(seed):
         assert _log_o(m, bath, cap, "total-quanta") == per_row_convolved_log_o(m, bath, cap)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_log_o_is_bit_identical_per_bath(seed):
+    # One array over many baths, as a lockstep search round builds it: each
+    # bath's log O must carry the bits it has alone.  1-30 modes, caps 5-60,
+    # references 0-3, decoupled modes.
+    rng = np.random.default_rng(500 + seed)
+    policy = ("per-mode", "total-quanta")[seed % 2]
+    for _ in range(6):
+        n_modes = int(rng.integers(1, 31))
+        cap = int(rng.integers(5, 61 if policy == "per-mode" else 31))
+        m = (int(rng.integers(0, 4)),) + tuple(
+            int(v) for v in rng.integers(0, 4, n_modes - 1) * (rng.random(n_modes - 1) < 0.1))
+        omegas = np.sort(rng.uniform(0.01, 2.0, n_modes))[::-1]
+        baths = [bath_from_modes(list(zip(omegas, 2.0 * omegas * q)))
+                 for q in rng.uniform(0.0, 3.0, (20, n_modes)) * (rng.random((20, n_modes)) > 0.1)]
+        got = parity._LogO(m, cap, policy)(np.array([bath.qs for bath in baths]))
+        reference = per_row_log_o if policy == "per-mode" else per_row_convolved_log_o
+        assert got == [reference(m, bath, cap) for bath in baths]
+
+
 @pytest.mark.parametrize("cap, m_last", [(127, 3), (128, 3), (129, 3), (170, 3), (1000, 0)])
 def test_per_mode_log_o_stays_bit_identical_past_the_pairwise_block(cap, m_last):
     # numpy sums a row pairwise in blocks of 128; excited rows stop at the
@@ -469,6 +492,176 @@ def test_critical_alpha_logarithmic_form():
     # ln(O)/2beta at the root differs from alpha_c exactly by ln(1-eps)/2beta.
     expected = point.alpha_c + math.log(1.0 - point.epsilon) / (2.0 * point.beta)
     assert point.ln_o_over_2beta == pytest.approx(expected, rel=1e-9)
+
+
+def test_vacuum_search_takes_a_decoupled_mode_above_the_factorial_guard():
+    # 511 of these 1000 couplings underflow to q = 0; their rows are 0 at
+    # n = 0 and -inf beyond, with no Laguerre row and so no factorial guard.
+    ladder = bath_ladder(1.2, 1.0, 1000, 2.0)
+    assert sum(q == 0.0 for q in ladder.at(1.0).qs) == 511
+    point = critical_alpha(ladder, 200)
+    assert point.alpha_c > 0.0 and math.isfinite(point.beta)
+    assert critical_alpha(ladder, 20).alpha_c == 9.969510793685913
+
+
+# ---------------------------------------------------------------------------
+# critical_alphas: the lockstep search against the one-point loop
+# ---------------------------------------------------------------------------
+
+def sequential_critical_alpha(ladder, n_tr, epsilon, m_ref, policy):
+    """The one-point search as a plain loop over ladder.at(alpha) (reference).
+    Returns (alpha_c, beta, o_value)."""
+    tol = min(1e-10, 1e-6 * epsilon)
+    probe = ladder.at(1.0)
+    m = tuple(m_ref) if m_ref is not None else (0,) * probe.n_modes
+    reference_log_o = per_row_log_o if policy == "per-mode" else per_row_convolved_log_o
+
+    def miss(bath):
+        return _deficiency(reference_log_o(m, bath, n_tr), bath.sum_q2) - epsilon
+
+    hi = 1.0
+    f_hi = miss(probe)
+    while f_hi < 0.0:
+        hi *= 2.0
+        if hi > 1e4:
+            raise SearchError(
+                f"deficiency stays below epsilon={epsilon:g} for alpha up to "
+                f"{1e4:g} (last value {f_hi + epsilon:.6g}); no bracket"
+            )
+        f_hi = miss(ladder.at(hi))
+    lo = 0.0
+    root = hi
+    f_root = f_hi
+    for _ in range(500):
+        if abs(f_root) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        f_mid = miss(ladder.at(mid))
+        if abs(f_mid) <= abs(f_root):
+            root, f_root = mid, f_mid
+        if f_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    if abs(f_root) > tol:
+        raise SearchError(
+            f"bisection stalled at deficiency error {f_root:.3e} "
+            f"(target {tol:g}) near alpha = {root:.17g}"
+        )
+    bath_c = ladder.at(root)
+    log_o = reference_log_o(m, bath_c, n_tr)
+    try:
+        o_value = math.exp(log_o)
+    except OverflowError:
+        o_value = math.inf
+    return root, bath_c.beta, o_value
+
+
+def assert_matches_the_loop(ladders, n_tr, epsilon, m_ref, policy):
+    got = critical_alphas(ladders, n_tr, epsilon, m_ref, policy)
+    assert len(got) == len(ladders)
+    for ladder, outcome in zip(ladders, got):
+        try:
+            expected = sequential_critical_alpha(ladder, n_tr, epsilon, m_ref, policy)
+        except SearchError as exc:
+            assert isinstance(outcome, SearchError) and str(outcome) == str(exc)
+            continue
+        assert (outcome.alpha_c, outcome.beta, outcome.o_value) == expected
+    return got
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lockstep_search_equals_the_one_point_loop(seed, monkeypatch):
+    # Random sweeps, both policies, references 0-3 and lists, epsilon
+    # 1e-4-0.3; chunks of 1-4 points, so most sweeps span several chunks.
+    rng = np.random.default_rng(300 + seed)
+    policy = ("per-mode", "total-quanta")[seed % 2]
+    n_modes = int(rng.integers(1, 13))
+    cap = int(rng.integers(3, 25))
+    points = int(rng.integers(1, 9))
+    monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", int(rng.integers(1, 5)) * n_modes * (cap + 1))
+    if rng.random() < 0.5:
+        m_ref = (int(rng.integers(0, 4)),) + (0,) * (n_modes - 1)
+    else:
+        m_ref = tuple(int(v) for v in rng.integers(0, 2, n_modes))
+    if policy == "total-quanta" and sum(m_ref) > cap:
+        m_ref = (0,) * n_modes
+    epsilon = float(10.0 ** rng.uniform(-4.0, math.log10(0.3)))
+    lambda_disc = float(rng.uniform(1.5, 4.0))
+    ladders = [bath_ladder(float(s), 1.0, n_modes, lambda_disc)
+               for s in np.sort(rng.uniform(0.1, 1.2, points))]
+    assert_matches_the_loop(ladders, cap, epsilon, m_ref, policy)
+
+
+@pytest.mark.parametrize("policy", ["per-mode", "total-quanta"])
+def test_lockstep_search_keeps_failed_points_beside_solved_ones(policy, monkeypatch):
+    # One mode at cap 14000: no bracket below alpha = 1e4 from s ~ 0.7 on.
+    monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", 5 * 14001)
+    ladders = [bath_ladder(float(s), 1.0, 1, 2.0) for s in np.linspace(0.1, 1.2, 12)]
+    got = assert_matches_the_loop(ladders, 14000, 0.5, None, policy)
+    kinds = [isinstance(outcome, SearchError) for outcome in got]
+    assert any(kinds) and not all(kinds)
+
+
+@pytest.mark.parametrize("m_ref", [(0, 0, 0), (0, 0, 2), (1, 0, 1)])
+def test_lockstep_search_takes_a_decoupled_mode(m_ref):
+    # hi_pows 0 makes the last coupling exactly 0 at every alpha.
+    ladders = [BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(0.8, 0.4, 0.2),
+                          hi_pows=(1.0, h, 0.0), wc_pow=1.0, w_shape=w)
+               for h, w in ((0.25, 0.3), (0.2, 0.4), (0.3, 0.25))]
+    for policy in ("per-mode", "total-quanta"):
+        assert_matches_the_loop(ladders, 12, 0.02, m_ref, policy)
+
+
+# A single mode with q**2 = alpha whose coupling overflows from alpha = 32
+# on: its search doubles past 16 at cap 450 and stops at 32.
+LATE_OVERFLOW = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(math.sqrt(1.5e306),),
+                           hi_pows=(1.0,), wc_pow=3e306, w_shape=1.0)
+# A coupling that is NaN at every alpha, so the search fails before its first step.
+NAN_COUPLING = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(1.0,),
+                          hi_pows=(math.nan,), wc_pow=1.0, w_shape=1.0)
+
+
+@pytest.mark.parametrize("order, message", [
+    ((0, 1, 2), "got inf"),
+    ((0, 2, 1), "got nan"),
+    ((1, 2, 0), "got inf"),
+])
+def test_lockstep_search_raises_the_earliest_points_error(order, message):
+    # The NaN point fails at once, the overflowing one five rounds later; the
+    # error raised is the one of the earlier point in ladder order.
+    ladders = [bath_ladder(1.0, 1.0, 1, 2.0), LATE_OVERFLOW, NAN_COUPLING]
+    with pytest.raises(ParameterError, match=message):
+        sequential_critical_alpha(ladders[order[0]], 450, 0.01, None, "per-mode")
+        sequential_critical_alpha(ladders[order[1]], 450, 0.01, None, "per-mode")
+    with pytest.raises(ParameterError, match=message):
+        critical_alphas([ladders[i] for i in order], 450, 0.01)
+
+
+def test_lockstep_search_refuses_ladders_of_different_mode_counts():
+    with pytest.raises(ParameterError, match="share their mode count"):
+        critical_alphas([bath_ladder(0.5, 1.0, 2, 2.0), bath_ladder(0.5, 1.0, 3, 2.0)], 10)
+
+
+def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
+    # Memory stays bounded by the chunk, whatever the number of points: the
+    # search reads no ladder beyond the chunk it is on, and reads none
+    # after the chunk of a failed point.
+    monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", 3 * 2 * 11)
+    read = []
+
+    def ladders(failing):
+        for i in range(10):
+            read.append(i)
+            yield NAN_COUPLING if i == failing else bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0)
+
+    assert len(critical_alphas(ladders(None), 10, 0.01)) == 10
+    read.clear()
+    with pytest.raises(ParameterError, match="got nan"):
+        critical_alphas(ladders(4), 10, 0.01)
+    assert read == [0, 1, 2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------
