@@ -9,6 +9,9 @@ parity-audit   squared-parity audit over the truncated basis (JSON)
 alpha-c        critical dissipation at a single point (JSON)
 closure        bare-basis closure counting for (n_modes, cap) (JSON)
 
+A subcommand is defined by its ``COMMANDS`` entry (runner, help text, extra
+flags) and its ``run_*`` runner; ``main`` writes the report of every one.
+
 Configuration is a single JSON object.  Model parameters may appear at the
 top level (``delta``, ``omega_c``, ``s``, ``alpha``) or nested under
 ``model``; the remaining sections are ``disc`` (n_modes, lambda_disc),
@@ -77,7 +80,6 @@ from .errors import (
     ParameterError,
     SearchError,
     SolverError,
-    SpinBosonError,
 )
 from .fockspace import (BasisSet, PerModeCap, TotalQuantaCap, d_matrix, default_policy,
                         enumerate_basis, l_matrix)
@@ -465,90 +467,74 @@ def _triplet_csv(header, matrix: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+#
+# A runner takes (cfg, args) and returns (exit code, body, bath).  The body is
+# a dict for a JSON report, which main ends with the config echo (of that
+# bath; None for commands that build none) and the versions stamp, or the
+# CSV text of phase-diagram.
 
-def run_theorem(cfg: RunConfig, out_path=None) -> int:
+def _fields(result) -> dict:
+    """A result dataclass as its fields, in declaration order."""
+    return {field.name: getattr(result, field.name) for field in dataclasses.fields(result)}
+
+
+def _model_params(cfg: RunConfig) -> ModelParams:
     bath = build_bath(cfg)
-    basis = build_basis(cfg, bath)
-    params = ModelParams(delta=cfg.delta, bath=bath, basis=basis)
+    return ModelParams(delta=cfg.delta, bath=bath, basis=build_basis(cfg, bath))
+
+
+def run_theorem(cfg: RunConfig, args):
+    params = _model_params(cfg)
     try:
         report = theorem_report(params, tol=cfg.tol, max_iter=cfg.max_iter)
     except InvariantViolation as exc:
-        payload = getattr(exc, "report", None)
-        if payload is None:
+        report = getattr(exc, "report", None)
+        if report is None:
             raise  # no report to attach: the plain error JSON from main
-        body = payload.as_dict()
-        body["invariant_violation"] = str(exc)
-        body["config"] = cfg.echo(bath)
-        body["versions"] = _versions()
-        _emit(dumps(body), out_path)
-        return EXIT_INVARIANT
-    body = report.as_dict()
-    body["config"] = cfg.echo(bath)
-    body["versions"] = _versions()
-    _emit(dumps(body), out_path)
-    return EXIT_OK
+        body = {**_fields(report), "invariant_violation": str(exc)}
+        return EXIT_INVARIANT, body, params.bath
+    return EXIT_OK, _fields(report), params.bath
 
 
-def run_spectrum(cfg: RunConfig, out_path=None, dump_matrix=None) -> int:
-    bath = build_bath(cfg)
-    basis = build_basis(cfg, bath)
-    params = ModelParams(delta=cfg.delta, bath=bath, basis=basis)
-    if dump_matrix:
-        table = d_matrix(basis, bath)
+def run_spectrum(cfg: RunConfig, args):
+    params = _model_params(cfg)
+    if args.dump_matrix:
+        table = d_matrix(params.basis, params.bath)
         for name, branch in (("plus", Branch.EVEN), ("minus", Branch.ODD)):
             h = assemble_branch(params, branch, table)
-            _emit(_triplet_csv(("i", "j", "value"), h), f"{dump_matrix}_h{name}.csv")
-    k = min(cfg.k_levels, basis.dim)
+            _emit(_triplet_csv(("i", "j", "value"), h), f"{args.dump_matrix}_h{name}.csv")
+    k = min(cfg.k_levels, params.basis.dim)
     _, res_plus, res_minus = solve_branches(params, k, k, cfg.tol, cfg.max_iter)
-    branches = {
-        name: {
-            "values": list(res.values),
-            "vectors": [list(res.vectors[:, i]) for i in range(res.vectors.shape[1])],
-            "residual": res.residual,
-        }
+    body = {
+        name: {"values": res.values, "vectors": res.vectors.T, "residual": res.residual}
         for name, res in (("plus", res_plus), ("minus", res_minus))
     }
-    body = {
-        "plus": branches["plus"],
-        "minus": branches["minus"],
-        "degenerate_energy_set": list(degenerate_energy_set(basis, bath)[:k]),
-        "config": cfg.echo(bath),
-        "versions": _versions(),
-    }
-    _emit(dumps(body), out_path)
-    return EXIT_OK
+    body["degenerate_energy_set"] = degenerate_energy_set(params.basis, params.bath)[:k]
+    return EXIT_OK, body, params.bath
 
 
-def run_parity_audit(cfg: RunConfig, out_path=None, dump_tables=None) -> int:
-    bath = build_bath(cfg)
-    basis = build_basis(cfg, bath)
-    if dump_tables:
+def run_parity_audit(cfg: RunConfig, args):
+    params = _model_params(cfg)
+    basis, bath = params.basis, params.bath
+    if args.dump_tables:
         table = d_matrix(basis, bath)
-        _emit(_triplet_csv(("row", "col", "value"), l_matrix(basis, bath)), f"{dump_tables}_l.csv")
-        _emit(_triplet_csv(("row", "col", "value"), table), f"{dump_tables}_d.csv")
-    audit = d_square_audit(basis, bath)
-    body = audit.as_dict()
-    body["config"] = cfg.echo(bath)
-    body["versions"] = _versions()
-    _emit(dumps(body), out_path)
-    return EXIT_OK
+        _emit(_triplet_csv(("row", "col", "value"), l_matrix(basis, bath)),
+              f"{args.dump_tables}_l.csv")
+        _emit(_triplet_csv(("row", "col", "value"), table), f"{args.dump_tables}_d.csv")
+    return EXIT_OK, _fields(d_square_audit(basis, bath)), bath
 
 
-def run_alpha_c(cfg: RunConfig, out_path=None) -> int:
+def run_alpha_c(cfg: RunConfig, args):
     _reject_explicit_modes(cfg, "alpha-c")
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
     point = critical_alpha(
         bath_ladder(cfg.s, cfg.omega_c, cfg.n_modes, cfg.lambda_disc), cfg.cap,
         epsilon=cfg.epsilon, m_ref=m_ref, policy=cfg.policy or "per-mode",
     )
-    body = point.as_dict()
-    body["config"] = cfg.echo()
-    body["versions"] = _versions()
-    _emit(dumps(body), out_path)
-    return EXIT_OK
+    return EXIT_OK, _fields(point), None
 
 
-def run_closure(cfg: RunConfig, out_path=None) -> int:
+def run_closure(cfg: RunConfig, args):
     _reject_explicit_modes(cfg, "closure")
     if cfg.policy == "total-quanta":
         raise ConfigError(
@@ -556,11 +542,10 @@ def run_closure(cfg: RunConfig, out_path=None) -> int:
             '"total-quanta" is not accepted'
         )
     report = closure_report(cfg.n_modes, cfg.cap)
-    body = report.as_dict()
-    body["config"] = cfg.echo()
-    body["versions"] = _versions()
-    _emit(dumps(body), out_path)
-    return EXIT_OK
+    ratio = report.ratio
+    body = {**_fields(report), "ratio": f"{ratio.numerator}/{ratio.denominator}",
+            "ratio_value": report.ratio_value, "conclusion": report.conclusion}
+    return EXIT_OK, body, None
 
 
 def load_reference_curve(path):
@@ -609,7 +594,7 @@ def _format_m_ref(m_ref) -> str:
     return ";".join(str(int(v)) for v in m_ref)
 
 
-def run_phase_diagram(cfg: RunConfig, out_path=None, reference=None) -> int:
+def run_phase_diagram(cfg: RunConfig, args):
     _reject_explicit_modes(cfg, "phase-diagram")
     if cfg.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section with variable \"s\"")
@@ -651,8 +636,8 @@ def run_phase_diagram(cfg: RunConfig, out_path=None, reference=None) -> int:
     ]
 
     ref_interp = None
-    if reference is not None:
-        _, ref_s, ref_a = load_reference_curve(reference)
+    if args.reference is not None:
+        _, ref_s, ref_a = load_reference_curve(args.reference)
         ref_interp = np.interp(points, ref_s, ref_a, left=math.nan, right=math.nan)
 
     header = ["s", "alpha_c", "epsilon", "n_tr", "n_modes", "lambda_disc",
@@ -678,8 +663,7 @@ def run_phase_diagram(cfg: RunConfig, out_path=None, reference=None) -> int:
         if ref_interp is not None:
             row.append(format_float(float(ref_interp[i])))
         rows.append(row)
-    _emit(_csv_text(header, rows), out_path)
-    return EXIT_SEARCH if failed else EXIT_OK
+    return (EXIT_SEARCH if failed else EXIT_OK), _csv_text(header, rows), None
 
 
 # ---------------------------------------------------------------------------
@@ -694,34 +678,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+# Subcommand name -> (runner, help text, extra flags).
+COMMANDS = {
+    "theorem": (run_theorem, "ground-state verdict for one parameter point", {}),
+    "spectrum": (run_spectrum, "lowest eigenpairs of both parity branches",
+                 {"--dump-matrix": dict(default=None, metavar="PREFIX",
+                                        help="also dump branch matrices as CSV triplets")}),
+    "parity-audit": (run_parity_audit, "squared-parity audit over the truncated basis",
+                     {"--dump-tables": dict(default=None, metavar="PREFIX",
+                                            help="also dump L and D tables as CSV triplets")}),
+    "alpha-c": (run_alpha_c, "critical dissipation at the configured point",
+                {"--epsilon": dict(default=None, type=float,
+                                   help="override parity.epsilon from the config")}),
+    "closure": (run_closure, "bare-basis closure counting for (n_modes, cap)", {}),
+    "phase-diagram": (run_phase_diagram, "critical dissipation vs s sweep (CSV)",
+                      {"--reference": dict(default=None, metavar="CSV",
+                                           help="reference curve to interpolate as an extra column"),
+                       "--epsilon": dict(default=None, type=float,
+                                         help="override parity.epsilon from the config")}),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sbparity", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **extra_flags):
+    for name, (_, help_text, extra_flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         for flag, kwargs in extra_flags.items():
             p.add_argument(flag, **kwargs)
-        return p
-
-    add("theorem", "ground-state verdict for one parameter point")
-    add("spectrum", "lowest eigenpairs of both parity branches",
-        **{"--dump-matrix": dict(default=None, metavar="PREFIX",
-                                 help="also dump branch matrices as CSV triplets")})
-    add("parity-audit", "squared-parity audit over the truncated basis",
-        **{"--dump-tables": dict(default=None, metavar="PREFIX",
-                                 help="also dump L and D tables as CSV triplets")})
-    add("alpha-c", "critical dissipation at the configured point",
-        **{"--epsilon": dict(default=None, type=float,
-                             help="override parity.epsilon from the config")})
-    add("closure", "bare-basis closure counting for (n_modes, cap)")
-    add("phase-diagram", "critical dissipation vs s sweep (CSV)",
-        **{"--reference": dict(default=None, metavar="CSV",
-                               help="reference curve to interpolate as an extra column"),
-           "--epsilon": dict(default=None, type=float,
-                             help="override parity.epsilon from the config")})
     return parser
 
 
@@ -738,20 +724,11 @@ def main(argv=None) -> int:
             if not 0.0 < epsilon < 1.0:
                 raise ConfigError(f'flag "--epsilon": must lie in (0, 1), got {epsilon!r}')
             cfg = dataclasses.replace(cfg, epsilon=float(epsilon))
-        out_path = args.out or ((cfg.output or {}).get("path"))
-        if args.command == "theorem":
-            return run_theorem(cfg, out_path)
-        if args.command == "spectrum":
-            return run_spectrum(cfg, out_path, dump_matrix=args.dump_matrix)
-        if args.command == "parity-audit":
-            return run_parity_audit(cfg, out_path, dump_tables=args.dump_tables)
-        if args.command == "alpha-c":
-            return run_alpha_c(cfg, out_path)
-        if args.command == "closure":
-            return run_closure(cfg, out_path)
-        if args.command == "phase-diagram":
-            return run_phase_diagram(cfg, out_path, reference=args.reference)
-        raise ConfigError(f"unknown command {args.command!r}")
+        code, body, bath = COMMANDS[args.command][0](cfg, args)
+        if isinstance(body, dict):
+            body = dumps({**body, "config": cfg.echo(bath), "versions": _versions()})
+        _emit(body, args.out or (cfg.output or {}).get("path"))
+        return code
     except (ConfigError, ParameterError, CapacityError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG

@@ -211,9 +211,15 @@ def _single_mode_block(q, m_max: int, n_max: int, scaled: bool) -> np.ndarray:
     min(m_max, n_max) + 1 steps, vectorized over the diagonals k = |m - n|
     and over the entries of ``q``, with the sign (-1)**j folded in.  The seed
     is formed in logs, so the scaled block never meets exp(+2 q**2).  Every
-    entry is rounded as a scalar q would round it.
+    entry is rounded as a scalar q would round it.  A q that is not finite
+    or is below 0 raises ParameterError.
     """
     qs = np.array(q, dtype=float, ndmin=1)
+    bad = ~(np.isfinite(qs) & (qs >= 0.0))
+    if bad.any():
+        raise ParameterError(
+            f"displacement q must be finite and >= 0, got {qs[bad][0].item()!r}"
+        )
     out = np.zeros((len(qs), m_max + 1, n_max + 1))
     k, half_lgamma, factors = _recurrence_factors(m_max, n_max)
     x = 2.0 * qs

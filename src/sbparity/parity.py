@@ -307,20 +307,6 @@ class CriticalPoint:
     o_value: float
     ln_o_over_2beta: float
 
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "alpha_c": self.alpha_c,
-            "epsilon": self.epsilon,
-            "n_tr": self.n_tr,
-            "n_modes": self.n_modes,
-            "lambda_disc": self.lambda_disc,
-            "beta": self.beta,
-            "m_ref": list(self.m_ref),
-            "o_value": self.o_value,
-            "ln_o_over_2beta": self.ln_o_over_2beta,
-        }
-
 
 def critical_alpha(
     ladder: BathLadder,
@@ -375,9 +361,11 @@ def critical_alphas(
     gets the same result as alone; only the evaluations are shared.  Each
     round rescales the ladders of every point still searching to their own
     alphas and sums their deficiencies in one (points, modes, n_tr + 1)
-    array.  ``ladders`` may be any iterable of ladders with one mode count;
-    it is read and searched in chunks of SEARCH_CHUNK_ENTRIES row entries,
-    so memory does not grow with the number of points beyond the results.
+    array.  ``ladders`` may be any iterable of ladders with one mode count
+    (a ladder whose count differs from the first one's fails with a
+    ParameterError naming its index); it is read and searched in chunks of
+    SEARCH_CHUNK_ENTRIES row entries, so memory does not grow with the
+    number of points beyond the results.
 
     Raises
     ------
@@ -393,11 +381,12 @@ def critical_alphas(
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     _check_cap(n_tr)
-    size = max(1, SEARCH_CHUNK_ENTRIES // (len(chunk[0].omegas) * (n_tr + 1)))
+    n_modes = len(chunk[0].omegas)
+    size = max(1, SEARCH_CHUNK_ENTRIES // (n_modes * (n_tr + 1)))
     out = []
     while chunk:
         chunk += itertools.islice(ladders, size - len(chunk))
-        outcomes = _search_chunk(chunk, n_tr, epsilon, m_ref, policy)
+        outcomes = _search_chunk(chunk, len(out), n_modes, n_tr, epsilon, m_ref, policy)
         for outcome in outcomes:
             if isinstance(outcome, SpinBosonError) and not isinstance(outcome, SearchError):
                 raise outcome
@@ -432,9 +421,10 @@ def _search_setup(ladder: BathLadder, n_tr: int, m_ref, policy: str) -> tuple[in
 
 def _bisection(epsilon: float, tol: float):
     """The root search of one point, as a generator: yields each alpha to
-    try, is sent deficiency(alpha) - epsilon back, and returns the root."""
+    try, is sent (deficiency(alpha) - epsilon, evaluation) back, and returns
+    (root, the evaluation sent for the root)."""
     hi = 1.0
-    f_hi = yield hi
+    f_hi, at_hi = yield hi
     while f_hi < 0.0:
         hi *= 2.0
         if hi > MAX_BRACKET_ALPHA:
@@ -442,19 +432,18 @@ def _bisection(epsilon: float, tol: float):
                 f"deficiency stays below epsilon={epsilon:g} for alpha up to "
                 f"{MAX_BRACKET_ALPHA:g} (last value {f_hi + epsilon:.6g}); no bracket"
             )
-        f_hi = yield hi
+        f_hi, at_hi = yield hi
     lo = 0.0
-    root = hi
-    f_root = f_hi
+    root, f_root, at_root = hi, f_hi, at_hi
     for _ in range(500):
         if abs(f_root) <= tol:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval exhausted at float resolution
-        f_mid = yield mid
+        f_mid, at_mid = yield mid
         if abs(f_mid) <= abs(f_root):
-            root, f_root = mid, f_mid
+            root, f_root, at_root = mid, f_mid, at_mid
         if f_mid < 0.0:
             lo = mid
         else:
@@ -464,21 +453,24 @@ def _bisection(epsilon: float, tol: float):
             f"bisection stalled at deficiency error {f_root:.3e} "
             f"(target {tol:g}) near alpha = {root:.17g}"
         )
-    return root
+    return root, at_root
 
 
-def _search_chunk(ladders, n_tr: int, epsilon: float, m_ref, policy: str) -> list:
+def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, m_ref,
+                  policy: str) -> list:
     """The searches of ``ladders`` in lockstep: per ladder its CriticalPoint
-    or the SpinBosonError its search raised."""
+    or the SpinBosonError its search raised.  ``first`` is the index of the
+    chunk's first ladder in the whole search, whose first ladder has
+    ``n_modes`` modes."""
     tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
     outcomes = [None] * len(ladders)
     live, m = [], None
     for i, ladder in enumerate(ladders):
         try:
             m_i = _search_setup(ladder, n_tr, m_ref, policy)
-            if m is not None and len(m_i) != len(m):
+            if len(m_i) != n_modes:
                 raise ParameterError(
-                    f"ladder {i} has {len(m_i)} modes, the first one {len(m)}; "
+                    f"ladder {first + i} has {len(m_i)} modes, the first one {n_modes}; "
                     f"the ladders of one search share their mode count"
                 )
         except SpinBosonError as exc:
@@ -505,31 +497,29 @@ def _search_chunk(ladders, n_tr: int, epsilon: float, m_ref, policy: str) -> lis
         q2 = (qs * qs).tolist()
         for r, log_o_r, q2_r in zip(rows, log_o(qs), q2):
             try:
-                miss = _deficiency(log_o_r, math.fsum(q2_r)) - epsilon
-                pending[r] = searches[r].send(miss)
+                sum_q2 = math.fsum(q2_r)
+                miss = _deficiency(log_o_r, sum_q2) - epsilon
+                pending[r] = searches[r].send((miss, (log_o_r, sum_q2)))
             except StopIteration as stop:
                 roots[r] = stop.value
                 del pending[r]
             except SpinBosonError as exc:
                 outcomes[live[r]] = exc
                 del pending[r]
-    if not roots:
-        return outcomes
-    baths = [ladders[live[r]].at(root) for r, root in roots.items()]
-    final = log_o(np.array([bath.qs for bath in baths]))
-    for r, bath, log_o_r in zip(roots, baths, final):
+    for r, (root, (log_o_r, sum_q2)) in roots.items():
         ladder = ladders[live[r]]
+        beta = 2.0 * sum_q2 / root  # BathLadder.at(root).beta, as root > 0
         outcomes[live[r]] = CriticalPoint(
             s=ladder.s,
-            alpha_c=roots[r],
+            alpha_c=root,
             epsilon=epsilon,
             n_tr=n_tr,
-            n_modes=bath.n_modes,
+            n_modes=n_modes,
             lambda_disc=ladder.lambda_disc,
-            beta=bath.beta,
+            beta=beta,
             m_ref=m,
             o_value=_exp_or_inf(log_o_r),
-            ln_o_over_2beta=log_o_r / (2.0 * bath.beta),
+            ln_o_over_2beta=log_o_r / (2.0 * beta),
         )
     return outcomes
 
@@ -549,17 +539,6 @@ class ParityAudit:
     deficiency: float
     d2_diag_residuals: np.ndarray
     d2_max_offdiag: float
-
-    def as_dict(self) -> dict:
-        return {
-            "m": list(self.m),
-            "n_tr": self.n_tr,
-            "o_value": self.o_value,
-            "scale": self.scale,
-            "deficiency": self.deficiency,
-            "d2_diag_residuals": [float(v) for v in self.d2_diag_residuals],
-            "d2_max_offdiag": self.d2_max_offdiag,
-        }
 
 
 def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
@@ -670,17 +649,6 @@ class ClosureReport:
             "cutoff (boundary amplitudes discarded); displaced-basis equations "
             "close under every truncation"
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "n_tr": self.n_tr,
-            "unknowns_discarded": self.unknowns_discarded,
-            "independent_equations": self.independent_equations,
-            "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
-            "ratio_value": self.ratio_value,
-            "conclusion": self.conclusion,
-        }
 
 
 def closure_report(n_modes: int, n_tr: int) -> ClosureReport:

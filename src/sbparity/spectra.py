@@ -269,18 +269,6 @@ class TheoremReport:
     measured_gap: float
     verdict: str
 
-    def as_dict(self) -> dict:
-        return {
-            "e_gs": self.e_gs,
-            "e_plus_min": self.e_plus_min,
-            "e_minus_min": self.e_minus_min,
-            "e_min_eo": self.e_min_eo,
-            "margin": self.margin,
-            "predicted_gap": self.predicted_gap,
-            "measured_gap": self.measured_gap,
-            "verdict": self.verdict,
-        }
-
 
 def energy_scale(params: ModelParams) -> float:
     """Reference scale for slack terms: spread of H0 plus the tunneling."""

@@ -853,6 +853,59 @@ def test_corrupted_parity_table_exits_2(tmp_path, capsys, monkeypatch, command, 
     assert guard in out["error"]["message"]
 
 
+THEOREM_KEYS = ["e_gs", "e_plus_min", "e_minus_min", "e_min_eo", "margin", "predicted_gap",
+                "measured_gap", "verdict"]
+DISCRETIZED = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 0.5, "alpha": 0.1},
+               "disc": {"n_modes": 3, "lambda_disc": 2.0}, "trunc": {"cap": 4}}
+
+
+@pytest.mark.parametrize("command, config, keys", [
+    ("theorem", SINGLE_MODE_THEOREM, THEOREM_KEYS),
+    ("spectrum", SINGLE_MODE_THEOREM, ["plus", "minus", "degenerate_energy_set"]),
+    ("parity-audit", SINGLE_MODE_THEOREM,
+     ["m", "n_tr", "o_value", "scale", "deficiency", "d2_diag_residuals", "d2_max_offdiag"]),
+    ("alpha-c", DISCRETIZED,
+     ["s", "alpha_c", "epsilon", "n_tr", "n_modes", "lambda_disc", "beta", "m_ref",
+      "o_value", "ln_o_over_2beta"]),
+    ("closure", DISCRETIZED,
+     ["n_modes", "n_tr", "unknowns_discarded", "independent_equations", "ratio",
+      "ratio_value", "conclusion"]),
+])
+def test_json_reports_keep_their_key_order(tmp_path, capsys, command, config, keys):
+    # The result fields in declaration order, then the echo and the stamp.
+    assert cli.main([command, "--config", write_config(tmp_path, config)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys + ["config", "versions"]
+
+
+def test_theorem_invariant_report_keeps_its_key_order(tmp_path, capsys, monkeypatch):
+    from sbparity import spectra
+
+    solve = spectra.solve_branches
+
+    def averaged(*args, **kwargs):  # lifts e_gs above the vacuum floor
+        parity, plus, minus = solve(*args, **kwargs)
+        mean = 0.5 * (plus.values + minus.values)
+        return (parity, dataclasses.replace(plus, values=mean),
+                dataclasses.replace(minus, values=mean))
+
+    monkeypatch.setattr(spectra, "solve_branches", averaged)
+    assert cli.main(["theorem", "--config", write_config(tmp_path, SINGLE_MODE_THEOREM)]) == 2
+    assert list(json.loads(capsys.readouterr().out)) == THEOREM_KEYS + [
+        "invariant_violation", "config", "versions"]
+
+
+@pytest.mark.parametrize("command", ["theorem", "spectrum", "parity-audit"])
+def test_infinite_displacement_exits_1(tmp_path, capsys, command):
+    # lam / (2 * omega) overflows to inf; this once exited 2 with max|D| = nan.
+    config = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.0,
+                        "modes": [[1e-320, 1.0]]}, "trunc": {"cap": 5}}
+    code = cli.main([command, "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"] == {"type": "ParameterError",
+                            "message": "displacement q must be finite and >= 0, got inf"}
+
+
 def test_config_error_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": -2, "alpha": 0.2})
     code = cli.main(["theorem", "--config", path])

@@ -28,6 +28,8 @@ from sbparity.fockspace import (
     FACTORIAL_GUARD,
     KroneckerParity,
     l_scaled_rational,
+    single_mode_d_row,
+    single_mode_d_table,
     single_mode_l_table,
 )
 
@@ -204,6 +206,21 @@ def test_l_occupation_guard():
         l_element_single(171, 0, 0.5)
     with pytest.raises(ParameterError):
         l_element_single(-1, 0, 0.5)
+
+
+@pytest.mark.parametrize("q", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_kernel_refuses_a_displacement_not_finite_or_negative(q):
+    # Once a bare "math domain error" for q < 0 and NaN tables for NaN or inf.
+    calls = (
+        lambda: l_element_single(1, 2, q),
+        lambda: single_mode_l_table(q, 4),
+        lambda: single_mode_d_table(q, 4),
+        lambda: single_mode_d_row(1, q, 4),
+        lambda: single_mode_d_row(1, np.array([0.5, q]), 4),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match="displacement q must be finite and >= 0"):
+            call()
 
 
 def test_l_element_length_mismatch():

@@ -664,6 +664,18 @@ def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
     assert read == [0, 1, 2, 3, 4, 5]
 
 
+def test_lockstep_search_checks_every_ladder_against_the_first(monkeypatch):
+    # Chunks of three 2-mode ladders at cap 10: a mode count that changes in
+    # a later chunk is refused too, and named by its index in the search.
+    monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", 3 * 2 * 11)
+    two = [bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0) for i in range(4)]
+    three = bath_ladder(0.5, 1.0, 3, 2.0)
+    with pytest.raises(ParameterError, match="ladder 3 has 3 modes, the first one 2"):
+        critical_alphas(two[:3] + [three, three], 10, 0.01)
+    with pytest.raises(ParameterError, match="ladder 4 has 3 modes, the first one 2"):
+        critical_alphas(two + [three], 10, 0.01)
+
+
 # ---------------------------------------------------------------------------
 # d_square_audit
 # ---------------------------------------------------------------------------
