@@ -114,6 +114,260 @@ def test_missing_required_field(tmp_path):
     assert "model.alpha" in str(err.value)
 
 
+# Every configuration key fed its bad values through cli.main: the exact
+# ConfigError message and exit code 1.
+FULL_CONFIG = {
+    "model": {"delta": 0.1, "omega_c": 1.0, "s": 0.5, "alpha": 0.1,
+              "modes": [[2.0, 0.5], [1.0, 0.25]]},
+    "disc": {"n_modes": 2, "lambda_disc": 2.0},
+    "trunc": {"policy": "per-mode", "cap": 3},
+    "solver": {"tol": 1e-10, "max_iter": 100, "k_levels": 1},
+    "parity": {"epsilon": 0.01, "m_ref": [0, 0]},
+    "sweep": {"variable": "s", "from": 0.5, "to": 1.0, "steps": 2},
+    "output": {"path": None},
+}
+# (field name, path into FULL_CONFIG, comparison, bound) of each number field.
+NUMBER_FIELDS = [
+    ("model.delta", ("model", "delta"), ">=", 0.0),
+    ("model.omega_c", ("model", "omega_c"), ">", 0.0),
+    ("model.s", ("model", "s"), ">", 0.0),
+    ("model.alpha", ("model", "alpha"), ">=", 0.0),
+    ("model.modes[0].omega", ("model", "modes", 0, 0), ">", 0.0),
+    ("model.modes[1].lam", ("model", "modes", 1, 1), ">=", 0.0),
+    ("disc.lambda_disc", ("disc", "lambda_disc"), ">", 1.0),
+    ("solver.tol", ("solver", "tol"), ">", 0.0),
+    ("parity.epsilon", ("parity", "epsilon"), ">", 0.0),
+    ("sweep.from", ("sweep", "from"), ">", 0.0),
+    ("sweep.to", ("sweep", "to"), ">", 0.0),
+]
+# (field name, path into FULL_CONFIG, lower bound) of each integer field.
+INT_FIELDS = [
+    ("disc.n_modes", ("disc", "n_modes"), 1),
+    ("trunc.cap", ("trunc", "cap"), 0),
+    ("solver.max_iter", ("solver", "max_iter"), 1),
+    ("solver.k_levels", ("solver", "k_levels"), 1),
+    ("parity.m_ref[1]", ("parity", "m_ref", 1), 0),
+    ("sweep.steps", ("sweep", "steps"), 1),
+]
+
+
+def with_value(path, value):
+    """A copy of FULL_CONFIG with ``value`` at ``path``."""
+    config = json.loads(json.dumps(FULL_CONFIG))
+    target = config
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    return config
+
+
+def bad_value_cases():
+    for name, path, op, low in NUMBER_FIELDS:
+        key = name.split(".", 1)[1]
+        for value in ("0.5", None, [1.0], True, False):
+            yield name, path, value, f'field "{name}": expected a number, got {value!r}'
+        # Infinity is legal for disc.lambda_disc only.
+        for value in [math.nan, -math.inf] + [math.inf] * (key != "lambda_disc"):
+            yield name, path, value, f'field "{name}": must be finite, got {value!r}'
+        for value in [low] * (op == ">") + [low - 0.5, int(low) - 1]:
+            yield (name, path, value,
+                   f'field "{name}": must satisfy {key} {op} {low}, got {float(value)!r}')
+    for name, path, low in INT_FIELDS:
+        key = name.split(".", 1)[1]
+        for value in ("1", None, [1], True, False, 1.5, float(low + 1), math.nan, math.inf):
+            yield name, path, value, f'field "{name}": expected an integer, got {value!r}'
+        for value in (low - 1, low - 7):
+            yield name, path, value, f'field "{name}": must satisfy {key} >= {low}, got {value}'
+    path = ("parity", "epsilon")
+    for value in (1.0, 1, 2.5, 1e300):
+        yield ("parity.epsilon", path, value,
+               f'field "parity.epsilon": must satisfy epsilon < 1, got {float(value)!r}')
+    path = ("trunc", "policy")
+    for value in ("per mode", "", 0, True, ["per-mode"]):
+        yield ("trunc.policy", path, value,
+               f'field "trunc.policy": must be "per-mode" or "total-quanta", got {value!r}')
+    path = ("parity", "m_ref")
+    for value in (True, False, 1.5, 2.0, "2", None, {"0": 2}, math.nan):
+        yield ("parity.m_ref", path, value,
+               'field "parity.m_ref": expected an integer or a list of integers')
+    for value in (-1, -3):
+        yield ("parity.m_ref", path, value,
+               f'field "parity.m_ref": must satisfy m_ref >= 0, got {value}')
+    path = ("model", "modes")
+    for value in ([], "x", 5, {"0": [1.0, 1.0]}, True):
+        yield ("model.modes", path, value,
+               'field "model.modes": expected a non-empty list of [omega, lam] pairs')
+    for value, i in (([[1.0]], 0), ([[1.0, 0.5, 0.5]], 0), ([1.0, 0.5], 0),
+                     ([[2.0, 0.5], 1.0], 1), ([[2.0, 0.5], {"omega": 1.0, "lam": 0.5}], 1)):
+        yield "model.modes", path, value, f'field "model.modes[{i}]": expected [omega, lam]'
+    path = ("sweep", "variable")
+    for value in ("t", "S", None, 1, ["s"]):
+        yield ("sweep.variable", path, value,
+               f'field "sweep.variable": only "s" sweeps are supported, got {value!r}')
+    path = ("output", "path")
+    for value in (5, "", ["curve.csv"], True, {"path": "x"}):
+        yield ("output.path", path, value,
+               f'field "output.path": expected a non-empty string, got {value!r}')
+
+
+BAD_VALUE_CASES = list(bad_value_cases())
+
+
+def without(section, key):
+    return dict(FULL_CONFIG, **{section: {k: v for k, v in FULL_CONFIG[section].items()
+                                          if k != key}})
+
+
+def structural_cases():
+    for key in ("delta", "omega_c", "s", "alpha"):
+        yield without("model", key), f'field "model.{key}" is required'
+    for key in ("variable", "from", "to", "steps"):
+        yield without("sweep", key), f'field "sweep.{key}" is required when sweep is given'
+    for section in ("model", "disc", "trunc", "solver", "parity", "sweep", "output"):
+        config = dict(FULL_CONFIG, **{section: dict(FULL_CONFIG[section], zeta=1, beta=2)})
+        yield config, f"unknown key 'beta' in section {section!r}"
+    for key in ("n_modes", "cap", "epsilon", "zeta", "Model", "sweeps"):
+        yield dict(FULL_CONFIG, **{key: 1}), f"unknown key {key!r}"
+    for key in ("delta", "omega_c", "s", "alpha", "modes"):
+        config = dict(FULL_CONFIG, **{key: FULL_CONFIG["model"][key]})
+        yield config, f"key {key!r} given both at top level and under model"
+    for section in ("sweep", "output"):
+        for value in (5, "s", [1], True, 0.5):
+            yield dict(FULL_CONFIG, **{section: value}), f'field "{section}": expected an object'
+    for lo, hi in ((1.0, 0.5), (0.5, 0.49999999999999994), (1, 0.75)):
+        yield (dict(FULL_CONFIG, sweep=dict(FULL_CONFIG["sweep"], **{"from": lo, "to": hi})),
+               'field "sweep.to": must satisfy to >= from')
+    for value in ([1], "config", 3, None):
+        yield value, "top-level configuration must be a JSON object"
+    # Several errors at once: the first in section order, then the unknown-key
+    # check, then the required check, then key order, is the one reported.
+    model = without("model", "alpha")["model"]
+    yield ({**FULL_CONFIG, "delta": 0.2, "zeta": 1},
+           "key 'delta' given both at top level and under model")
+    yield ({**FULL_CONFIG, "zeta": 1, "model": dict(model, delta=-1.0, x=1)},
+           "unknown key 'zeta'")
+    yield dict(FULL_CONFIG, model=dict(model, delta=-1.0, x=1)), "unknown key 'x' in section 'model'"
+    yield dict(FULL_CONFIG, model=dict(model, delta=-1.0)), 'field "model.alpha" is required'
+    yield (dict(FULL_CONFIG, model=dict(FULL_CONFIG["model"], s=0.0, omega_c=0.0)),
+           'field "model.omega_c": must satisfy omega_c > 0.0, got 0.0')
+    yield (dict(FULL_CONFIG, model=dict(FULL_CONFIG["model"], modes=[]), disc={"n_modes": 0}),
+           'field "model.modes": expected a non-empty list of [omega, lam] pairs')
+    yield (dict(FULL_CONFIG, model=dict(FULL_CONFIG["model"], alpha=-1.0, modes=[])),
+           'field "model.alpha": must satisfy alpha >= 0.0, got -1.0')
+    yield (dict(FULL_CONFIG, disc={"lambda_disc": 0.5, "n_modes": 0}),
+           'field "disc.n_modes": must satisfy n_modes >= 1, got 0')
+    yield (dict(FULL_CONFIG, disc={"lambda_disc": 0.5, "bogus": 0}),
+           "unknown key 'bogus' in section 'disc'")
+    yield (dict(FULL_CONFIG, trunc={"cap": -1, "policy": "x"}),
+           'field "trunc.policy": must be "per-mode" or "total-quanta", got \'x\'')
+    yield (dict(FULL_CONFIG, solver={"k_levels": 0, "tol": 0.0}, disc={"n_modes": 0}),
+           'field "disc.n_modes": must satisfy n_modes >= 1, got 0')
+    yield (dict(FULL_CONFIG, solver={"k_levels": 0, "max_iter": 0, "tol": 0.0}),
+           'field "solver.tol": must satisfy tol > 0.0, got 0.0')
+    yield (dict(FULL_CONFIG, solver={"k_levels": 0, "max_iter": 0}),
+           'field "solver.max_iter": must satisfy max_iter >= 1, got 0')
+    yield (dict(FULL_CONFIG, parity={"m_ref": -1, "epsilon": 1.0}),
+           'field "parity.epsilon": must satisfy epsilon < 1, got 1.0')
+    yield (dict(FULL_CONFIG, parity={"m_ref": -1}, trunc={"cap": -1}),
+           'field "trunc.cap": must satisfy cap >= 0, got -1')
+    yield (dict(FULL_CONFIG, sweep=5, parity={"epsilon": 0.0}),
+           'field "parity.epsilon": must satisfy epsilon > 0.0, got 0.0')
+    yield (dict(FULL_CONFIG, sweep={"from": 0.5, "bogus": 1}),
+           "unknown key 'bogus' in section 'sweep'")
+    yield (dict(FULL_CONFIG, sweep={"variable": "t", "from": 0.5}),
+           'field "sweep.to" is required when sweep is given')
+    yield (dict(FULL_CONFIG, sweep={"steps": 0, "to": 0.1, "from": 0.5, "variable": "t"}),
+           'field "sweep.variable": only "s" sweeps are supported, got \'t\'')
+    yield (dict(FULL_CONFIG, sweep={"steps": 0, "to": 0.1, "from": 0.5, "variable": "s"}),
+           'field "sweep.steps": must satisfy steps >= 1, got 0')
+    yield (dict(FULL_CONFIG, sweep={"steps": 1.5, "to": 0.0, "from": 0.5, "variable": "s"}),
+           'field "sweep.to": must satisfy to > 0.0, got 0.0')
+    yield (dict(FULL_CONFIG, sweep={"steps": 2, "to": 0.1, "from": 0.5, "variable": "s"},
+                output=5),
+           'field "sweep.to": must satisfy to >= from')
+    yield (dict(FULL_CONFIG, output={"path": "", "zeta": 1, "beta": 1}),
+           "unknown key 'beta' in section 'output'")
+    yield dict(FULL_CONFIG, output=[], sweep=[]), 'field "sweep": expected an object'
+
+
+STRUCTURAL_CASES = list(structural_cases())
+
+
+def assert_config_error(tmp_path, capsys, config, message):
+    path = write_config(tmp_path, config)
+    code = cli.main(["theorem", "--config", path])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ConfigError", "message": message}}
+
+
+@pytest.mark.parametrize("path, value, message", [case[1:] for case in BAD_VALUE_CASES],
+                         ids=[f"{name}={value!r}" for name, _, value, _ in BAD_VALUE_CASES])
+def test_every_key_rejects_its_bad_values(tmp_path, capsys, path, value, message):
+    assert_config_error(tmp_path, capsys, with_value(path, value), message)
+
+
+@pytest.mark.parametrize("config, message", STRUCTURAL_CASES,
+                         ids=[f"{i}-{message}" for i, (_, message) in enumerate(STRUCTURAL_CASES)])
+def test_structural_config_errors_and_which_comes_first(tmp_path, capsys, config, message):
+    assert_config_error(tmp_path, capsys, config, message)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("model", "delta"), 0), (("model", "alpha"), 0.0), (("model", "modes", 1, 1), 0),
+    (("model", "modes"), None), (("disc", "n_modes"), 1), (("disc", "lambda_disc"), math.inf),
+    (("trunc", "policy"), None), (("trunc", "policy"), "total-quanta"), (("trunc", "cap"), 0),
+    (("solver", "max_iter"), 1), (("solver", "k_levels"), 1), (("parity", "m_ref"), 0),
+    (("parity", "m_ref", 1), 0), (("sweep", "to"), 0.5), (("sweep", "steps"), 1),
+    (("sweep",), None), (("output",), None), (("output", "path"), "curve.csv"),
+])
+def test_values_on_a_closed_bound_are_accepted(tmp_path, path, value):
+    cli.load_config(write_config(tmp_path, with_value(path, value)))
+
+
+def config_echo(text):
+    """The bytes of a JSON report's config echo."""
+    return text.split('"config": ', 1)[1].split(', "versions": ', 1)[0]
+
+
+def test_config_echo_bytes_of_a_full_config(tmp_path, capsys):
+    # Explicit modes, a list m_ref, sweep (echoed as given) and output, with
+    # integer-valued floats and the model keys at the top level.
+    report = tmp_path / "report.json"
+    config = {
+        "delta": 0.25, "omega_c": 2, "s": 1, "alpha": 0, "modes": [[2, 0.5], [1, 0.25]],
+        "disc": {"n_modes": 7, "lambda_disc": 3},
+        "trunc": {"policy": "per-mode", "cap": 3},
+        "solver": {"tol": 1e-9, "max_iter": 50, "k_levels": 2},
+        "parity": {"epsilon": 0.5, "m_ref": [0, 2]},
+        "sweep": {"steps": 3, "to": 12345678901234567890, "from": 1, "variable": "s"},
+        "output": {"path": str(report)},
+    }
+    assert cli.main(["theorem", "--config", write_config(tmp_path, config)]) == 0
+    assert capsys.readouterr().out == ""
+    assert config_echo(report.read_text()) == (
+        '{"model": {"delta": 0.25, "omega_c": 2, "s": 1, "alpha": 0, '
+        '"modes": [[2, 0.5], [1, 0.25]]}, "disc": {"n_modes": 2, "lambda_disc": null}, '
+        '"trunc": {"policy": "per-mode", "cap": 3}, '
+        '"solver": {"tol": 1.0000000000000001e-09, "max_iter": 50, "k_levels": 2}, '
+        '"parity": {"epsilon": 0.5, "m_ref": [0, 2]}, '
+        '"sweep": {"steps": 3, "to": 12345678901234567890, "from": 1, "variable": "s"}, '
+        f'"output": {{"path": {json.dumps(str(report))}}}}}'
+    )
+
+
+def test_config_echo_bytes_of_the_defaults(tmp_path, capsys):
+    config = {"model": {"delta": 0, "omega_c": 2, "s": 0.5, "alpha": 1},
+              "disc": {"n_modes": 3, "lambda_disc": math.inf}, "output": {}}
+    assert cli.main(["closure", "--config", write_config(tmp_path, config)]) == 0
+    assert config_echo(capsys.readouterr().out) == (
+        '{"model": {"delta": 0, "omega_c": 2, "s": 0.5, "alpha": 1}, '
+        '"disc": {"n_modes": 3, "lambda_disc": "inf"}, "trunc": {"policy": null, "cap": 20}, '
+        '"solver": {"tol": 1e-10, "max_iter": 10000, "k_levels": 1}, '
+        '"parity": {"epsilon": 0.01, "m_ref": 0}, "output": {}}'
+    )
+
+
 # ---------------------------------------------------------------------------
 # theorem
 # ---------------------------------------------------------------------------
@@ -390,6 +644,21 @@ def test_alpha_c_refuses_an_epsilon_below_float_resolution(tmp_path, capsys):
     assert out["error"]["type"] == "SearchError"
 
 
+def test_integer_m_ref_excites_the_highest_frequency_mode(tmp_path, capsys):
+    # The shorthand k puts k quanta on mode 0, the highest-frequency mode.
+    # Below s = 1 that mode has the smallest q, so m_ref 2 leaves alpha_c
+    # where the vacuum puts it; the same quanta on the lowest-frequency mode
+    # move it.
+    def alpha_c(m_ref):
+        config = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 0.5, "alpha": 0.1},
+                  "disc": {"n_modes": 30}, "trunc": {"cap": 20},
+                  "parity": {"epsilon": 0.01, "m_ref": m_ref}}
+        assert cli.main(["alpha-c", "--config", write_config(tmp_path, config)]) == 0
+        return json.loads(capsys.readouterr().out)["alpha_c"]
+
+    assert alpha_c(0) == alpha_c(2) == alpha_c([2] + [0] * 29) == 3.451091629358416e-4
+    assert alpha_c([0] * 29 + [2]) == 2.1775187087769154e-4
+
 def test_closure_command(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -559,6 +828,16 @@ def test_discretizing_commands_reject_explicit_modes(tmp_path, capsys, command):
     assert "disc.n_modes" in out["error"]["message"]
     assert '"model.modes" is not accepted' in out["error"]["message"]
 
+
+@pytest.mark.parametrize("flag", ["0", "1", "-0.5", "1.5", "nan", "inf"])
+@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram"])
+def test_epsilon_flag_outside_the_open_unit_interval_exits_1(tmp_path, capsys, command, flag):
+    path = write_config(tmp_path, PHASE_CONFIG)
+    code = cli.main([command, "--config", path, "--epsilon", flag])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "type": "ConfigError",
+        "message": f'flag "--epsilon": must lie in (0, 1), got {float(flag)!r}'}}
 
 def test_phase_diagram_runs_and_repeats_byte_identically(tmp_path, capsys):
     path = write_config(tmp_path, PHASE_CONFIG)
