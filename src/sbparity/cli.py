@@ -1,58 +1,19 @@
 """Command-line interface: configuration, sweeps, and bit-stable output.
 
-Subcommands
------------
-theorem        ground-state verdict for one parameter point (JSON)
-spectrum       lowest branch eigenpairs (JSON)
-phase-diagram  critical dissipation vs bath exponent sweep (CSV)
-parity-audit   squared-parity audit over the truncated basis (JSON)
-alpha-c        critical dissipation at a single point (JSON)
-closure        bare-basis closure counting for (n_modes, cap) (JSON)
-
-A subcommand is defined by its ``COMMANDS`` entry (runner, help text, extra
-flags) and its ``run_*`` runner; ``main`` writes the report of every one.
-
-Configuration is a single JSON object.  Model parameters may appear at the
-top level (``delta``, ``omega_c``, ``s``, ``alpha``) or nested under
-``model``; the remaining sections are ``disc`` (n_modes, lambda_disc),
-``trunc`` (policy, cap), ``solver`` (tol, max_iter, k_levels), ``parity``
-(epsilon, m_ref), ``sweep`` (variable, from, to, steps) and ``output``
-(path, the file written instead of stdout unless ``--out`` names one; an
-unwritable path exits 1).  Unknown keys are rejected.  ``model.modes`` may
-carry an explicit [[omega, lam], ...] list (decreasing omega), overriding
-the logarithmic discretization; this is how decoupled or unit-frequency
-single-mode configurations are expressed exactly.  Only ``theorem``,
-``spectrum`` and ``parity-audit`` accept it: ``alpha-c``, ``phase-diagram``
-and ``closure`` discretize ``disc.n_modes`` modes from the spectral law and
-reject ``model.modes`` with exit 1.  ``closure`` counts the per-mode bare
-basis and rejects ``trunc.policy`` "total-quanta" with exit 1 too.
+A subcommand is its ``COMMANDS`` entry (runner, help text, extra flags) and
+its ``run_*`` runner; ``main`` writes the report of every one and maps errors
+onto the ``EXIT_*`` codes.  The configuration is one JSON object checked
+against ``CONFIG_SCHEMA``, which gives every key its bound and default.
 ``alpha-c`` and ``phase-diagram`` enumerate no basis: under "total-quanta"
 they sum the deficiency by a truncated convolution over the modes, and
 refuse with exit 1 a sum needing more than ``parity.MAX_CONVOLUTION_WORK``
 multiply-adds.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical invariant
-violation, 3 solver failure, 4 search failure.
-
-Output conventions
-------------------
-Every float is printed with 17 significant digits so that emitted values
-round-trip exactly; repeated runs of the same build and config produce
-byte-identical output.  JSON reports carry the result fields, a ``config``
-echo, and a ``versions`` stamp.  Non-finite floats appear as the strings
-"inf"/"-inf"/"NaN" in JSON and as ``NaN`` cells in CSV.
-
-CSV formats (header row mandatory, LF line endings):
-
-* phase-diagram: ``s,alpha_c,epsilon,n_tr,n_modes,lambda_disc,beta,o_value,
-  m_ref`` plus ``alpha_c_ref`` when ``--reference`` is given.  A reference
-  curve file has columns ``s,alpha_c,label`` with one label and strictly
-  increasing s; it is linearly interpolated onto the sweep grid (NaN outside
-  its range).
-* table dumps (``parity-audit --dump-tables PREFIX``): ``row,col,value``,
-  lower triangle only, written to ``PREFIX_l.csv`` and ``PREFIX_d.csv``.
-* matrix dumps (``spectrum --dump-matrix PREFIX``): ``i,j,value``, lower
-  triangle only, written to ``PREFIX_hplus.csv`` and ``PREFIX_hminus.csv``.
+Every float is printed with 17 significant digits, so emitted values
+round-trip exactly and repeated runs of one build and config give identical
+bytes; CSV files have a header row and LF line endings.  README.md is the
+reference for users: the subcommands, the configuration and which commands
+accept which keys, the JSON and CSV formats, and the exit codes.
 """
 
 from __future__ import annotations
@@ -64,7 +25,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,56 +60,123 @@ EXIT_SEARCH = 4
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
-    delta: float
-    omega_c: float
-    s: float
-    alpha: float
-    modes: tuple | None
-    n_modes: int
-    lambda_disc: float
-    policy: str | None
-    cap: int
-    tol: float
-    max_iter: int
-    k_levels: int
-    epsilon: float
-    m_ref: object
-    sweep: dict | None
-    output: dict | None
+def _check(name, value, kind, bound):
+    """``value`` of the field ``name`` as parsed, if it is of ``kind`` ("int",
+    "number", which is finite, or "number or inf") within ``bound``, (">=" or
+    ">", low).  A function ``kind`` checks a key of its own form."""
+    if callable(kind):
+        return kind(name, value, bound)
+    if isinstance(value, bool) or not isinstance(value, int if kind == "int" else (int, float)):
+        expected = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f'field "{name}": expected {expected}, got {value!r}')
+    if kind != "int":
+        value = float(value)
+        if not math.isfinite(value) and not (kind == "number or inf" and value == math.inf):
+            raise ConfigError(f'field "{name}": must be finite, got {value!r}')
+    op, low = bound
+    if value < low or op == ">" and value == low:
+        key = name.split(".", 1)[1]
+        raise ConfigError(f'field "{name}": must satisfy {key} {op} {low}, got {value!r}')
+    return value
 
-    def echo(self, bath: BathModel | None = None) -> dict:
-        """The configuration as run.  ``bath`` is the bath the command built,
-        if it built one: its mode count and discretization ratio (null for
-        explicit ``model.modes``) are echoed under ``disc``."""
-        if bath is None:
-            disc = {"n_modes": self.n_modes, "lambda_disc": self.lambda_disc}
-        else:
-            disc = {"n_modes": bath.n_modes, "lambda_disc": bath.lambda_disc}
-        out = {
-            "model": {
-                "delta": self.delta,
-                "omega_c": self.omega_c,
-                "s": self.s,
-                "alpha": self.alpha,
-            },
-            "disc": disc,
-            "trunc": {"policy": self.policy, "cap": self.cap},
-            "solver": {
-                "tol": self.tol,
-                "max_iter": self.max_iter,
-                "k_levels": self.k_levels,
-            },
-            "parity": {"epsilon": self.epsilon, "m_ref": self.m_ref},
-        }
-        if self.modes is not None:
-            out["model"]["modes"] = [[m, l] for m, l in self.modes]
-        if self.sweep is not None:
-            out["sweep"] = dict(self.sweep)
-        if self.output is not None:
-            out["output"] = dict(self.output)
-        return out
+
+def _epsilon(name, value, bound):
+    value = _check(name, value, "number", bound)
+    if value >= 1.0:
+        raise ConfigError(f'field "{name}": must satisfy epsilon < 1, got {value!r}')
+    return value
+
+
+def _modes(name, value, bound):
+    if value is None:
+        return None
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f'field "{name}": expected a non-empty list of [omega, lam] pairs')
+    pairs = []
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f'field "{name}[{i}]": expected [omega, lam]')
+        pairs.append((_check(f"{name}[{i}].omega", pair[0], "number", (">", 0.0)),
+                      _check(f"{name}[{i}].lam", pair[1], "number", (">=", 0.0))))
+    return tuple(pairs)
+
+
+def _m_ref(name, value, bound):
+    if isinstance(value, bool) or not isinstance(value, (int, list)):
+        raise ConfigError(f'field "{name}": expected an integer or a list of integers')
+    if isinstance(value, int):
+        return _check(name, value, "int", bound)
+    for i, v in enumerate(value):
+        _check(f"{name}[{i}]", v, "int", bound)
+    return value
+
+
+def _policy(name, value, bound):
+    if value not in (None, "per-mode", "total-quanta"):
+        raise ConfigError(f'field "{name}": must be "per-mode" or "total-quanta", got {value!r}')
+    return value
+
+
+def _sweep_variable(name, value, bound):
+    if value != "s":
+        raise ConfigError(f'field "{name}": only "s" sweeps are supported, got {value!r}')
+    return value
+
+
+def _output_path(name, value, bound):
+    if value is not None and (not isinstance(value, str) or not value):
+        raise ConfigError(f'field "{name}": expected a non-empty string, got {value!r}')
+    return value
+
+
+# Every configuration key, named once: section -> key -> (kind, bound,
+# required, default), in the order of the RunConfig fields and the config
+# echo.  The model keys may also sit at the top level.  The optional sections
+# "sweep" and "output" are checked when given, then kept and echoed as given.
+CONFIG_SCHEMA = {
+    "model": {"delta": ("number", (">=", 0.0), True, None),
+              "omega_c": ("number", (">", 0.0), True, None),
+              "s": ("number", (">", 0.0), True, None),
+              "alpha": ("number", (">=", 0.0), True, None),
+              "modes": (_modes, None, False, None)},
+    "disc": {"n_modes": ("int", (">=", 1), False, 30),
+             "lambda_disc": ("number or inf", (">", 1.0), False, 2.0)},
+    "trunc": {"policy": (_policy, None, False, None),
+              "cap": ("int", (">=", 0), False, 20)},
+    "solver": {"tol": ("number", (">", 0.0), False, 1e-10),
+               "max_iter": ("int", (">=", 1), False, DEFAULT_MAX_ITER),
+               "k_levels": ("int", (">=", 1), False, 1)},
+    "parity": {"epsilon": (_epsilon, (">", 0.0), False, 0.01),
+               "m_ref": (_m_ref, (">=", 0), False, 0)},
+    "sweep": {"variable": (_sweep_variable, None, True, None),
+              "from": ("number", (">", 0.0), True, None),
+              "to": ("number", (">", 0.0), True, None),
+              "steps": ("int", (">=", 1), True, None)},
+    "output": {"path": (_output_path, None, False, None)},
+}
+_OPTIONAL_SECTIONS = ("sweep", "output")
+
+
+def _echo(cfg, bath: BathModel | None = None) -> dict:
+    """The configuration as run.  ``bath`` is the bath the command built,
+    if it built one: its mode count and discretization ratio (null for
+    explicit ``model.modes``) are echoed under ``disc``."""
+    out = {}
+    for section, rows in CONFIG_SCHEMA.items():
+        source = bath if section == "disc" and bath is not None else cfg
+        if section not in _OPTIONAL_SECTIONS:
+            out[section] = {key: getattr(source, key) for key in rows}
+        elif getattr(cfg, section) is not None:
+            out[section] = dict(getattr(cfg, section))
+    if cfg.modes is None:
+        del out["model"]["modes"]
+    return out
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [key for section, rows in CONFIG_SCHEMA.items() for key in rows
+                  if section not in _OPTIONAL_SECTIONS] + list(_OPTIONAL_SECTIONS),
+    frozen=True, namespace={"echo": _echo, "__module__": __name__})
 
 
 def _reject_duplicates(pairs):
@@ -161,140 +188,47 @@ def _reject_duplicates(pairs):
     return out
 
 
-def _require_number(section, key, value, low=None, low_strict=None):
-    name = f"{section}.{key}" if section else key
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f'field "{name}": expected a number, got {value!r}')
-    value = float(value)
-    if not math.isfinite(value) and not (key == "lambda_disc" and value == math.inf):
-        raise ConfigError(f'field "{name}": must be finite, got {value!r}')
-    if low is not None and value < low:
-        raise ConfigError(f'field "{name}": must satisfy {key} >= {low}, got {value!r}')
-    if low_strict is not None and value <= low_strict:
-        raise ConfigError(f'field "{name}": must satisfy {key} > {low_strict}, got {value!r}')
-    return value
-
-
-def _require_int(section, key, value, low):
-    name = f"{section}.{key}" if section else key
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f'field "{name}": expected an integer, got {value!r}')
-    if value < low:
-        raise ConfigError(f'field "{name}": must satisfy {key} >= {low}, got {value!r}')
-    return value
-
-
-def _check_keys(section, mapping, allowed):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        where = f" in section {section!r}" if section else ""
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r}{where}")
+def _object(section, value):
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f'field "{section}": expected an object')
+    return value or {}
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a decoded configuration object and apply defaults."""
+    """Check a decoded configuration against CONFIG_SCHEMA and apply its
+    defaults.  Of several errors the first found is raised: a model key given
+    twice, an unknown top-level key, then section by section the unknown
+    keys, the missing ones and each key in order."""
     if not isinstance(raw, dict):
         raise ConfigError("top-level configuration must be a JSON object")
     raw = dict(raw)
-    model = dict(raw.pop("model", {}))
-    # Top-level shorthand for the model block.
-    for key in ("delta", "omega_c", "s", "alpha", "modes"):
+    given = {section: raw.pop(section, None) for section in CONFIG_SCHEMA}
+    model = given["model"] = dict(_object("model", given["model"]))
+    for key in CONFIG_SCHEMA["model"]:
         if key in raw:
             if key in model:
                 raise ConfigError(f"key {key!r} given both at top level and under model")
             model[key] = raw.pop(key)
-    disc = dict(raw.pop("disc", {}))
-    trunc = dict(raw.pop("trunc", {}))
-    solver = dict(raw.pop("solver", {}))
-    parity = dict(raw.pop("parity", {}))
-    sweep = raw.pop("sweep", None)
-    output = raw.pop("output", None)
-    _check_keys(None, raw, ())
-
-    _check_keys("model", model, ("delta", "omega_c", "s", "alpha", "modes"))
-    for key in ("delta", "omega_c", "s", "alpha"):
-        if key not in model:
-            raise ConfigError(f'field "model.{key}" is required')
-    delta = _require_number("model", "delta", model["delta"], low=0.0)
-    omega_c = _require_number("model", "omega_c", model["omega_c"], low_strict=0.0)
-    s = _require_number("model", "s", model["s"], low_strict=0.0)
-    alpha = _require_number("model", "alpha", model["alpha"], low=0.0)
-    modes = None
-    if model.get("modes") is not None:
-        entries = model["modes"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError('field "model.modes": expected a non-empty list of [omega, lam] pairs')
-        parsed = []
-        for i, pair in enumerate(entries):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f'field "model.modes[{i}]": expected [omega, lam]')
-            parsed.append((
-                _require_number("model", f"modes[{i}].omega", pair[0], low_strict=0.0),
-                _require_number("model", f"modes[{i}].lam", pair[1], low=0.0),
-            ))
-        modes = tuple(parsed)
-
-    _check_keys("disc", disc, ("n_modes", "lambda_disc"))
-    n_modes = _require_int("disc", "n_modes", disc.get("n_modes", 30), low=1)
-    lambda_disc = _require_number("disc", "lambda_disc", disc.get("lambda_disc", 2.0), low_strict=1.0)
-
-    _check_keys("trunc", trunc, ("policy", "cap"))
-    policy = trunc.get("policy")
-    if policy is not None and policy not in ("per-mode", "total-quanta"):
-        raise ConfigError(
-            f'field "trunc.policy": must be "per-mode" or "total-quanta", got {policy!r}'
-        )
-    cap = _require_int("trunc", "cap", trunc.get("cap", 20), low=0)
-
-    _check_keys("solver", solver, ("tol", "max_iter", "k_levels"))
-    tol = _require_number("solver", "tol", solver.get("tol", 1e-10), low_strict=0.0)
-    max_iter = _require_int("solver", "max_iter", solver.get("max_iter", DEFAULT_MAX_ITER), low=1)
-    k_levels = _require_int("solver", "k_levels", solver.get("k_levels", 1), low=1)
-
-    _check_keys("parity", parity, ("epsilon", "m_ref"))
-    epsilon = _require_number("parity", "epsilon", parity.get("epsilon", 0.01), low_strict=0.0)
-    if epsilon >= 1.0:
-        raise ConfigError(f'field "parity.epsilon": must satisfy epsilon < 1, got {epsilon!r}')
-    m_ref = parity.get("m_ref", 0)
-    if isinstance(m_ref, bool) or not isinstance(m_ref, (int, list)):
-        raise ConfigError('field "parity.m_ref": expected an integer or a list of integers')
-    if isinstance(m_ref, list):
-        for i, v in enumerate(m_ref):
-            _require_int("parity", f"m_ref[{i}]", v, low=0)
-    else:
-        _require_int("parity", "m_ref", m_ref, low=0)
-
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError('field "sweep": expected an object')
-        _check_keys("sweep", sweep, ("variable", "from", "to", "steps"))
-        for key in ("variable", "from", "to", "steps"):
-            if key not in sweep:
-                raise ConfigError(f'field "sweep.{key}" is required when sweep is given')
-        if sweep["variable"] != "s":
-            raise ConfigError(
-                f'field "sweep.variable": only "s" sweeps are supported, got {sweep["variable"]!r}'
-            )
-        lo = _require_number("sweep", "from", sweep["from"], low_strict=0.0)
-        hi = _require_number("sweep", "to", sweep["to"], low_strict=0.0)
-        _require_int("sweep", "steps", sweep["steps"], low=1)
-        if hi < lo:
+    if raw:
+        raise ConfigError(f"unknown key {sorted(raw)[0]!r}")
+    fields = dict.fromkeys(_OPTIONAL_SECTIONS)
+    for section, rows in CONFIG_SCHEMA.items():
+        if section in _OPTIONAL_SECTIONS and given[section] is None:
+            continue
+        values = _object(section, given[section])
+        unknown = sorted(set(values) - set(rows))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in section {section!r}")
+        for key, (_, _, required, _) in rows.items():
+            if required and key not in values:
+                when = " when sweep is given" if section == "sweep" else ""
+                raise ConfigError(f'field "{section}.{key}" is required{when}')
+        checked = {key: _check(f"{section}.{key}", values.get(key, default), kind, bound)
+                   for key, (kind, bound, _, default) in rows.items()}
+        if section == "sweep" and checked["to"] < checked["from"]:
             raise ConfigError('field "sweep.to": must satisfy to >= from')
-
-    if output is not None:
-        if not isinstance(output, dict):
-            raise ConfigError('field "output": expected an object')
-        _check_keys("output", output, ("path",))
-        path = output.get("path")
-        if path is not None and (not isinstance(path, str) or not path):
-            raise ConfigError(f'field "output.path": expected a non-empty string, got {path!r}')
-
-    return RunConfig(
-        delta=delta, omega_c=omega_c, s=s, alpha=alpha, modes=modes,
-        n_modes=n_modes, lambda_disc=lambda_disc, policy=policy, cap=cap,
-        tol=tol, max_iter=max_iter, k_levels=k_levels,
-        epsilon=epsilon, m_ref=m_ref, sweep=sweep, output=output,
-    )
+        fields.update({section: values} if section in _OPTIONAL_SECTIONS else checked)
+    return RunConfig(**fields)
 
 
 def load_config(path) -> RunConfig:
@@ -348,10 +282,12 @@ def _reject_explicit_modes(cfg: RunConfig, command: str) -> None:
 
 
 def resolve_m_ref(cfg: RunConfig, n_modes: int) -> tuple[int, ...]:
-    """Integer shorthand k puts k quanta on the highest-frequency mode."""
+    """Integer shorthand k puts k quanta on mode 0, the highest-frequency
+    mode.  Below s = 1 that mode has the smallest displacement q, so an
+    integer m_ref rarely moves alpha_c; a list can excite any mode."""
     if isinstance(cfg.m_ref, int):
         return (cfg.m_ref,) + (0,) * (n_modes - 1)
-    vec = tuple(int(v) for v in cfg.m_ref)
+    vec = tuple(cfg.m_ref)
     if len(vec) != n_modes:
         raise ConfigError(
             f'field "parity.m_ref": length {len(vec)} does not match {n_modes} modes'
@@ -588,18 +524,12 @@ def load_reference_curve(path):
     return labels.pop(), np.array(s_vals), np.array(a_vals)
 
 
-def _format_m_ref(m_ref) -> str:
-    if isinstance(m_ref, int):
-        return str(m_ref)
-    return ";".join(str(int(v)) for v in m_ref)
-
-
 def run_phase_diagram(cfg: RunConfig, args):
     _reject_explicit_modes(cfg, "phase-diagram")
     if cfg.sweep is None:
         raise ConfigError("phase-diagram requires a sweep section with variable \"s\"")
     lo, hi, steps = float(cfg.sweep["from"]), float(cfg.sweep["to"]), int(cfg.sweep["steps"])
-    if not (0.0 < lo and hi <= 1.2):
+    if hi > 1.2:
         raise ConfigError('field "sweep": the s range must lie within (0, 1.2]')
     if steps == 1:
         points = [lo]
@@ -607,7 +537,7 @@ def run_phase_diagram(cfg: RunConfig, args):
         # Pin the endpoint exactly so it is not lost to accumulated rounding.
         points = [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
-    m_ref_text = _format_m_ref(cfg.m_ref)
+    m_ref_text = str(cfg.m_ref) if isinstance(cfg.m_ref, int) else ";".join(map(str, m_ref))
 
     def ladder(s_val):
         return bath_ladder(s_val, cfg.omega_c, cfg.n_modes, cfg.lambda_disc)
@@ -719,11 +649,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config)
-        epsilon = getattr(args, "epsilon", None)
-        if epsilon is not None:
-            if not 0.0 < epsilon < 1.0:
-                raise ConfigError(f'flag "--epsilon": must lie in (0, 1), got {epsilon!r}')
-            cfg = dataclasses.replace(cfg, epsilon=float(epsilon))
+        flag = getattr(args, "epsilon", None)
+        if flag is not None:
+            kind, bound, _, _ = CONFIG_SCHEMA["parity"]["epsilon"]
+            try:
+                cfg = dataclasses.replace(cfg, epsilon=_check("parity.epsilon", flag, kind, bound))
+            except ConfigError:
+                raise ConfigError(f'flag "--epsilon": must lie in (0, 1), got {flag!r}') from None
         code, body, bath = COMMANDS[args.command][0](cfg, args)
         if isinstance(body, dict):
             body = dumps({**body, "config": cfg.echo(bath), "versions": _versions()})

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,7 +92,12 @@ SEARCH_CHUNK_ENTRIES = 20_000
 def _normalize_m(m, n_modes: int) -> tuple[int, ...]:
     if m is None:
         return (0,) * n_modes
-    m = tuple(int(v) for v in m)
+    try:
+        m = tuple(operator.index(v) for v in m)
+    except TypeError:
+        raise ParameterError(
+            f"reference occupation must be a sequence of {n_modes} integers, got {m!r}"
+        ) from None
     if len(m) != n_modes:
         raise ParameterError(
             f"reference occupation has length {len(m)}, expected {n_modes}"
@@ -330,9 +336,10 @@ def critical_alpha(
     Raises
     ------
     ParameterError
-        If ``m_ref`` lies outside the truncated basis (some m_k > n_tr under
-        the per-mode policy, or sum(m) > n_tr under total-quanta), or is
-        excited while n_tr exceeds the factorial guard of 170.
+        If ``m_ref`` is not a sequence of one integer per mode, lies outside
+        the truncated basis (some m_k > n_tr under the per-mode policy, or
+        sum(m) > n_tr under total-quanta), or is excited while n_tr exceeds
+        the factorial guard of 170.
     CapacityError
         If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
         multiply-adds.

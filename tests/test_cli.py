@@ -313,6 +313,23 @@ def test_structural_config_errors_and_which_comes_first(tmp_path, capsys, config
     assert_config_error(tmp_path, capsys, config, message)
 
 
+@pytest.mark.parametrize("value", [5, "model", [["n_modes", 2]], True])
+@pytest.mark.parametrize("section", ["model", "disc", "trunc", "solver", "parity"])
+def test_a_section_that_is_not_an_object_exits_1(tmp_path, capsys, section, value):
+    # Such a section once escaped as a bare TypeError or ValueError, and a
+    # list of pairs was read as an object.
+    assert_config_error(tmp_path, capsys, dict(FULL_CONFIG, **{section: value}),
+                        f'field "{section}": expected an object')
+
+
+def test_a_null_section_takes_its_defaults(tmp_path):
+    config = {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2,
+              **dict.fromkeys(["model", "disc", "trunc", "solver", "parity", "sweep", "output"])}
+    cfg = cli.load_config(write_config(tmp_path, config))
+    assert cfg == cli.load_config(write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": 1,
+                                                          "alpha": 0.2}))
+    assert (cfg.n_modes, cfg.cap, cfg.epsilon, cfg.sweep, cfg.output) == (30, 20, 0.01, None, None)
+
 @pytest.mark.parametrize("path, value", [
     (("model", "delta"), 0), (("model", "alpha"), 0.0), (("model", "modes", 1, 1), 0),
     (("model", "modes"), None), (("disc", "n_modes"), 1), (("disc", "lambda_disc"), math.inf),

@@ -1,9 +1,13 @@
-"""The README examples run as written."""
+"""The README examples run as written, and its configuration block lists
+the configuration schema."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
+
+from sbparity import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +27,29 @@ def test_library_quick_tour_runs():
     assert float(margin) > 0.0 and verdict == "strictly-below"
     alpha_c, beta = map(float, out.getvalue().splitlines()[1].split())
     assert alpha_c > 0.0 and beta > 0.0
+
+
+def readme_config_block():
+    """The JSON block of the README section "Configuration", decoded."""
+    section = README.read_text().split("### Configuration\n", 1)[1].split("\n### ", 1)[0]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+def test_readme_config_block_names_the_schema_keys_and_defaults():
+    block = readme_config_block()
+    assert [(section, list(keys)) for section, keys in block.items()] == [
+        (section, list(rows)) for section, rows in cli.CONFIG_SCHEMA.items()]
+    defaults = {}
+    for section, rows in cli.CONFIG_SCHEMA.items():
+        for key, (_, _, required, default) in rows.items():
+            if not required and section not in ("sweep", "output"):  # examples there
+                defaults[f"{section}.{key}"] = default
+                shown = block[section][key]
+                assert (shown, type(shown)) == (default, type(default)), key
+    assert defaults == {
+        "model.modes": None, "disc.n_modes": 30, "disc.lambda_disc": 2.0,
+        "trunc.policy": None, "trunc.cap": 20, "solver.tol": 1e-10,
+        "solver.max_iter": 10000, "solver.k_levels": 1, "parity.epsilon": 0.01,
+        "parity.m_ref": 0,
+    }
+    cli.parse_config(block)  # the documented configuration is valid

@@ -472,6 +472,17 @@ def test_critical_alpha_refuses_reference_outside_basis(policy, m_ref):
     assert critical_alpha(ladder, n_tr=2, m_ref=inside, policy=policy).alpha_c > 0.0
 
 
+@pytest.mark.parametrize("m_ref", [0, 2, 2.0, (0.0, 1.0), ("0", "1"), "01", [None, 0]])
+def test_reference_occupation_must_be_a_sequence_of_integers(m_ref):
+    # The integer shorthand is the CLI's; the library names the form it takes.
+    ladder = bath_ladder(0.5, 1.0, 2, 2.0)
+    with pytest.raises(ParameterError, match="must be a sequence of 2 integers, got "):
+        critical_alpha(ladder, 10, 0.01, m_ref)
+    with pytest.raises(ParameterError, match="must be a sequence of 2 integers"):
+        parity_deficiency(ladder.at(0.1), 10, m_ref)
+    assert critical_alpha(ladder, 10, 0.01, np.array([0, 1])).m_ref == (0, 1)
+
+
 @pytest.mark.parametrize("m_ref", [(1, 2, 0), (3, 0, 0)])
 def test_critical_alpha_at_excited_reference_matches_exact_deficiency(m_ref):
     # The deficiency at the returned alpha_c, recomputed from the exact
