@@ -32,9 +32,9 @@ from .errors import (
 )
 from .fockspace import (
     BasisSet,
+    KroneckerParity,
     PerModeCap,
     TotalQuantaCap,
-    d_matrix,
     default_policy,
     enumerate_basis,
     l_element,
@@ -44,7 +44,7 @@ from .fockspace import (
 from .hamiltonian import (
     Branch,
     ModelParams,
-    assemble_branch,
+    branch_operator,
     degenerate_energy_set,
     h0_diagonal,
     kronecker_sum,

@@ -41,9 +41,9 @@ from .errors import (
     SearchError,
     SolverError,
 )
-from .fockspace import (BasisSet, PerModeCap, TotalQuantaCap, d_matrix, default_policy,
+from .fockspace import (BasisSet, KroneckerParity, PerModeCap, TotalQuantaCap, default_policy,
                         enumerate_basis, l_matrix)
-from .hamiltonian import Branch, ModelParams, assemble_branch, degenerate_energy_set
+from .hamiltonian import Branch, ModelParams, branch_operator, degenerate_energy_set
 from .parity import closure_report, critical_alpha, critical_alphas, d_square_audit
 from .spectra import DEFAULT_MAX_ITER, solve_branches, theorem_report
 
@@ -70,7 +70,10 @@ def _check(name, value, kind, bound):
         expected = "an integer" if kind == "int" else "a number"
         raise ConfigError(f'field "{name}": expected {expected}, got {value!r}')
     if kind != "int":
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the double range, read as 1e400 is
+            value = math.inf if value > 0 else -math.inf
         if not math.isfinite(value) and not (kind == "number or inf" and value == math.inf):
             raise ConfigError(f'field "{name}": must be finite, got {value!r}')
     op, low = bound
@@ -243,6 +246,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"parse error: {exc}") from exc
     return parse_config(raw)
 
 
@@ -435,9 +440,9 @@ def run_theorem(cfg: RunConfig, args):
 def run_spectrum(cfg: RunConfig, args):
     params = _model_params(cfg)
     if args.dump_matrix:
-        table = d_matrix(params.basis, params.bath)
+        table = KroneckerParity(params.basis, params.bath).dense()
         for name, branch in (("plus", Branch.EVEN), ("minus", Branch.ODD)):
-            h = assemble_branch(params, branch, table)
+            h = branch_operator(params, branch).dense(table)
             _emit(_triplet_csv(("i", "j", "value"), h), f"{args.dump_matrix}_h{name}.csv")
     k = min(cfg.k_levels, params.basis.dim)
     _, res_plus, res_minus = solve_branches(params, k, k, cfg.tol, cfg.max_iter)
@@ -453,7 +458,7 @@ def run_parity_audit(cfg: RunConfig, args):
     params = _model_params(cfg)
     basis, bath = params.basis, params.bath
     if args.dump_tables:
-        table = d_matrix(basis, bath)
+        table = KroneckerParity(basis, bath).dense()
         _emit(_triplet_csv(("row", "col", "value"), l_matrix(basis, bath)),
               f"{args.dump_tables}_l.csv")
         _emit(_triplet_csv(("row", "col", "value"), table), f"{args.dump_tables}_d.csv")

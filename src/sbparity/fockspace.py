@@ -21,10 +21,10 @@ request, from the same recurrence without the exp(-2 q**2) seed.  An exact
 rational evaluation backs the unit tests, and :func:`overlap_oracle` gives
 an independent route through the bare number basis.
 
-Over a multi-mode basis D comes in two forms, both built from the same
-per-mode tables: :func:`d_matrix` gathers it once into one dense dim x dim
-array, and :class:`KroneckerParity` applies it to vectors one mode at a time
-without forming it.
+Over a multi-mode basis D is one object, :class:`KroneckerParity`, built
+from the per-mode tables: it applies D to a vector one mode at a time,
+gathers it into one dense dim x dim array, and squares it for the parity
+audit.
 
 The sign convention fixed by the oracle under q = +lam/(2*omega):
 D(0, 1) = +2q * exp(-2q**2) for a single mode.  Branch spectra are invariant
@@ -58,7 +58,6 @@ __all__ = [
     "single_mode_l_table",
     "single_mode_d_table",
     "single_mode_d_row",
-    "d_matrix",
     "KroneckerParity",
     "l_matrix",
     "overlap_oracle",
@@ -76,8 +75,8 @@ MAX_BASIS_STATES = 200_000
 # Default cap on the dimension of the dense D array (memory bound, dim**2 floats).
 MAX_TABLE_DIM = 5_000
 
-# Cap on the per-mode box a matrix-free product embeds a vector in (8 bytes
-# per state and vector).
+# Cap on the per-mode box a product embeds its vector in (8 bytes per state),
+# checked at each product.
 MAX_BOX_STATES = 4_000_000
 
 # |D_mn| <= 1 and (D@D)_mm <= 1 hold exactly; this is their slack in the guards.
@@ -320,25 +319,6 @@ def _mode_tables(basis: BasisSet, bath: BathModel, table) -> list[np.ndarray]:
     return [table(q, size - 1) for q, size in zip(bath.qs, basis.box_shape)]
 
 
-def _checked_d_tables(basis: BasisSet, bath: BathModel) -> list[np.ndarray]:
-    """Single-mode D tables up to each mode's cap in ``basis``.
-
-    Every D element over any basis is a product of entries of these tables,
-    so |D| <= 1 holds everywhere once it holds for each table.
-
-    Raises
-    ------
-    InvariantViolation
-        If any table entry has magnitude above 1 + 1e-12 or is NaN.
-    """
-    tables = _mode_tables(basis, bath, single_mode_d_table)
-    for k, table in enumerate(tables):
-        worst = max(np.max(table), -np.min(table))  # NaN if any entry is NaN
-        if not worst <= D_BOUND:
-            raise InvariantViolation(f"mode {k}: max|D| = {worst:.6g} breaks |D| <= 1")
-    return tables
-
-
 def _gather(occ: np.ndarray, tables) -> np.ndarray:
     """len(occ) x len(occ) product over modes, in mode order, of the
     single-mode ``tables`` gathered at the occupation rows ``occ`` (all ones
@@ -356,23 +336,6 @@ def _check_table_dim(dim: int, max_dim: int = MAX_TABLE_DIM):
         )
 
 
-def d_matrix(basis: BasisSet, bath: BathModel, max_dim: int = MAX_TABLE_DIM) -> np.ndarray:
-    """Parity matrix D over ``basis`` as one dense dim x dim array.
-
-    Each entry is the product over modes of single-mode D table entries.
-    The tables are exactly symmetric, so D is too.
-
-    Raises
-    ------
-    CapacityError
-        If ``basis.dim`` exceeds ``max_dim``.
-    InvariantViolation
-        If any |D_mn| exceeds 1 + 1e-12 or is NaN.
-    """
-    _check_table_dim(basis.dim, max_dim)
-    return _gather(basis.occupations, _checked_d_tables(basis, bath))
-
-
 def l_matrix(basis: BasisSet, bath: BathModel) -> np.ndarray:
     """Multi-mode L over ``basis`` as a dense array, for table dumps only;
     may overflow to inf at large coupling, where D does not."""
@@ -380,7 +343,7 @@ def l_matrix(basis: BasisSet, bath: BathModel) -> np.ndarray:
 
 
 class KroneckerParity:
-    """D over ``basis`` as an operator, never as a dim x dim table.
+    """The parity matrix D over ``basis``, built from the single-mode tables.
 
     On the per-mode box D is exactly the Kronecker product of the
     single-mode tables, so D @ x is applied one mode axis at a time in
@@ -388,21 +351,39 @@ class KroneckerParity:
     & Stewart, J. ACM 45(3), 1998).  A total-quanta basis is a subset of
     the box: vectors are embedded by their flat box index, multiplied and
     restricted back, which is exact because D over the subset is the
-    principal submatrix of the box operator.
+    principal submatrix of the box operator.  :meth:`dense` gathers D into
+    one dim x dim array and :meth:`square` squares it for the parity audit.
+    The tables are built and checked once, on first use; the box guard is
+    checked at each product, so a box too large for products keeps the rest.
     """
 
     def __init__(self, basis: BasisSet, bath: BathModel):
-        box = math.prod(basis.box_shape)
-        if box > MAX_BOX_STATES:
-            raise CapacityError(
-                f"per-mode box of {box} states exceeds guard {MAX_BOX_STATES}"
-            )
         self.basis = basis
-        self.tables = _checked_d_tables(basis, bath)
-        self.box = box
+        self.bath = bath
+        self.box = math.prod(basis.box_shape)
+
+    @cached_property
+    def tables(self) -> list[np.ndarray]:
+        """Single-mode D tables up to each mode's cap in ``basis``.  Every
+        element of D is a product of their entries, so |D| <= 1 holds once it
+        holds for each table: InvariantViolation if not, or if one is NaN."""
+        tables = _mode_tables(self.basis, self.bath, single_mode_d_table)
+        for k, table in enumerate(tables):
+            worst = max(np.max(table), -np.min(table))  # NaN if any entry is NaN
+            if not worst <= D_BOUND:
+                raise InvariantViolation(f"mode {k}: max|D| = {worst:.6g} breaks |D| <= 1")
+        return tables
+
+    @cached_property
+    def _index(self) -> np.ndarray | None:
+        """Flat box index of each state; None when the basis is the box."""
+        if self.box > MAX_BOX_STATES:
+            raise CapacityError(
+                f"per-mode box of {self.box} states exceeds guard {MAX_BOX_STATES}"
+            )
         # Lexicographic order is C order on the box, so the flat indices ascend.
-        self.index = (None if box == basis.dim
-                      else np.ravel_multi_index(basis.occupations.T, basis.box_shape))
+        return (None if self.box == self.basis.dim
+                else np.ravel_multi_index(self.basis.occupations.T, self.basis.box_shape))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -412,21 +393,88 @@ class KroneckerParity:
         return self.apply(x)
 
     def apply(self, x) -> np.ndarray:
-        """D @ x for x of shape (dim,) or (dim, m)."""
+        """D @ x for one vector x of shape (dim,); CapacityError if the box
+        holds more than MAX_BOX_STATES states."""
         x = np.asarray(x, dtype=float)
-        cols = x.shape[1:]
-        if self.index is None:
+        if x.shape != self.shape[:1]:
+            raise ParameterError(f"D takes one vector of shape {self.shape[:1]}, got {x.shape}")
+        index = self._index
+        if index is None:
             t = x
         else:
-            t = np.zeros((self.box,) + cols)
-            t[self.index] = x
+            t = np.zeros(self.box)
+            t[index] = x
         # Each step contracts the leading mode axis and moves it to the back,
-        # so after every mode the axes are back in order, behind the columns.
+        # so after every mode the axes are back in order.
         for table in self.tables:
             t = t.reshape(table.shape[0], -1).T @ table.T
-        t = t.reshape(-1, self.box).T
-        out = t if self.index is None else t[self.index]
-        return out.reshape(x.shape)
+        t = t.reshape(-1)
+        return t if index is None else t[index]
+
+    def dense(self, max_dim: int = MAX_TABLE_DIM) -> np.ndarray:
+        """D as one dim x dim array, each entry the product over modes of
+        table entries, so exactly symmetric; CapacityError above ``max_dim``."""
+        _check_table_dim(self.basis.dim, max_dim)
+        return _gather(self.basis.occupations, self.tables)
+
+    def square(self) -> tuple[np.ndarray, float]:
+        """The diagonal of D@D, one entry per basis state, and its largest
+        off-diagonal magnitude, from per-mode pieces.
+
+        Write each basis state as a prefix u over modes 0..n-2 and a
+        last-mode occupation a <= room(u), where room(u) is the cap under a
+        per-mode cap and cap - |u| under a total-quanta cap.  Summing the
+        middle index over the basis gives
+
+            (D@D)[(v,a),(w,c)] = sum_r G_r[v,w] * Q_r[a,c],
+            G_r = D'[:, U_r] @ D'[U_r, :],    Q_r = T[:, :r+1] @ T[:r+1, :],
+
+        with D' the parity matrix over the prefix basis, U_r the prefixes of
+        room r and T the last mode's table.  A per-mode basis has the single
+        room cap, so D@D = D'@D' (x) T@T; a single mode has one empty
+        prefix, so D@D = T@T.  Neither D nor any dim x dim product is
+        formed: the prefixes are sorted by room and each group of rows with
+        room s is paired with the columns of room >= s, which covers every
+        unordered pair of the symmetric D@D once.  The last-mode axis is
+        padded to cap + 1 and masked.
+
+        A per-mode basis still squares to one dim x dim block, so the
+        dimension guard of :meth:`dense` holds here too.
+        """
+        _check_table_dim(self.basis.dim)
+        tables = self.tables
+        occ = self.basis.occupations
+        # Lexicographic order runs the last mode fastest, so each prefix owns
+        # the contiguous states from its last-mode occupation 0 up to its room.
+        starts = np.flatnonzero(occ[:, -1] == 0)
+        room = np.maximum.reduceat(occ[:, -1], starts)
+        order = np.argsort(room, kind="stable")
+        starts, room = starts[order], room[order]
+        # One group (room r, sorted positions lo:hi) per distinct room.
+        cuts = [0, *(np.flatnonzero(np.diff(room)) + 1), len(room)]
+        groups = [(room[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        d_prefix = _gather(occ[starts, :-1], tables[:-1])
+        last = tables[-1]
+        g = np.empty((len(groups),) + d_prefix.shape)
+        q = np.empty((len(groups),) + last.shape)
+        for i, (r, lo, hi) in enumerate(groups):
+            np.matmul(d_prefix[:, lo:hi], d_prefix[lo:hi], out=g[i])
+            np.matmul(last[:, : r + 1], last[: r + 1], out=q[i])
+        # Padded last-mode occupations c > room(w) lie outside the basis.
+        inside = np.arange(last.shape[0]) <= room[:, None]
+        diag = np.empty(self.basis.dim)
+        offdiag = 0.0
+        for r, lo, hi in groups:
+            # Rows of room r against every column of room >= r: by symmetry
+            # this meets each unordered pair of states once.
+            block = np.tensordot(g[:, lo:hi, lo:], q[:, : r + 1, :], axes=(0, 0))
+            block *= inside[None, lo:, None, :]  # axes (v, w, a, c)
+            v = np.arange(hi - lo)[:, None]
+            a = np.arange(r + 1)
+            diag[starts[lo:hi, None] + a] = block[v, v, a, a]
+            block[v, v, a, a] = 0.0
+            offdiag = max(offdiag, float(np.max(block)), -float(np.min(block)))
+        return diag, offdiag
 
 
 # ---------------------------------------------------------------------------

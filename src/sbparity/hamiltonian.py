@@ -12,10 +12,9 @@ so H(even) + H(odd) = 2*H0 entrywise, and the odd branch at delta equals the
 even branch at -delta.  Only delta >= 0 is accepted at the API boundary; the
 swap identity covers negative tunneling.
 
-H0 is carried as its diagonal, :func:`h0_diagonal`.  A branch is either a
-dense dim x dim array, :func:`assemble_branch` on the :func:`d_matrix`
-array, or a matrix-free :class:`BranchOperator` on a
-:class:`KroneckerParity`; both apply to a vector with ``@``.
+H0 is carried as its diagonal, :func:`h0_diagonal`.  A branch is one
+:class:`BranchOperator` on a :class:`KroneckerParity`: it applies to a
+vector with ``@`` and gives its dense dim x dim array with ``dense``.
 """
 
 from __future__ import annotations
@@ -28,13 +27,12 @@ import numpy as np
 
 from .bath import BathModel
 from .errors import CapacityError, ParameterError
-from .fockspace import BasisSet, KroneckerParity, d_matrix
+from .fockspace import BasisSet, KroneckerParity
 
 __all__ = [
     "Branch",
     "ModelParams",
     "h0_diagonal",
-    "assemble_branch",
     "BranchOperator",
     "branch_operator",
     "degenerate_energy_set",
@@ -83,33 +81,9 @@ def h0_diagonal(basis: BasisSet, bath: BathModel) -> np.ndarray:
     return basis.occupations @ omegas - bath.sum_wq2
 
 
-def assemble_branch(
-    params: ModelParams,
-    branch: Branch,
-    table: np.ndarray | None = None,
-) -> np.ndarray:
-    """One parity branch H0 -/+ (delta/2)*D as a dense dim x dim array.
-
-    ``table`` may carry the :func:`d_matrix` array over ``params.basis`` to
-    share across both branches.
-    """
-    dim = params.basis.dim
-    if table is None:
-        table = d_matrix(params.basis, params.bath)
-    elif table.shape != (dim, dim):
-        raise ParameterError(
-            f"parity table has shape {table.shape}, expected ({dim}, {dim}) for the basis"
-        )
-    # Summed onto the diagonal matrix, so a -0.0 product off the diagonal
-    # becomes +0.0, as it would in H0 + coupling * D.
-    h = np.diag(h0_diagonal(params.basis, params.bath))
-    h += branch.coupling_sign * (0.5 * params.delta) * table
-    return h
-
-
 @dataclass(frozen=True)
 class BranchOperator:
-    """One parity branch H0 + coupling * D, applied without forming a table.
+    """One parity branch H0 + coupling * D.
 
     ``h0`` is the diagonal of H0 and ``coupling`` is -delta/2 for the even
     branch, +delta/2 for the odd one.
@@ -127,10 +101,23 @@ class BranchOperator:
         return self.apply(x)
 
     def apply(self, x) -> np.ndarray:
-        """H @ x for x of shape (dim,) or (dim, m)."""
-        x = np.asarray(x, dtype=float)
-        h0 = self.h0 if x.ndim == 1 else self.h0[:, None]
-        return h0 * x + self.coupling * self.parity.apply(x)
+        """H @ x for one vector x of shape (dim,), without forming H."""
+        return self.h0 * x + self.coupling * self.parity.apply(x)
+
+    def dense(self, table: np.ndarray | None = None) -> np.ndarray:
+        """This branch as one dim x dim array; ``table`` may carry
+        ``self.parity.dense()`` to share across both branches."""
+        if table is None:
+            table = self.parity.dense()
+        elif table.shape != self.shape:
+            raise ParameterError(
+                f"parity table has shape {table.shape}, expected {self.shape} for the basis"
+            )
+        # Summed onto the diagonal matrix, so a -0.0 product off the diagonal
+        # becomes +0.0, as it would in H0 + coupling * D.
+        h = np.diag(self.h0)
+        h += self.coupling * table
+        return h
 
 
 def branch_operator(
@@ -138,10 +125,10 @@ def branch_operator(
     branch: Branch,
     parity: KroneckerParity | None = None,
 ) -> BranchOperator:
-    """One parity branch as a matrix-free operator.
+    """One parity branch H0 -/+ (delta/2)*D.
 
-    ``parity`` may carry an operator built over ``params.basis`` to share
-    across both branches.
+    ``parity`` may carry a :class:`KroneckerParity` built over
+    ``params.basis`` to share across both branches.
     """
     if parity is None:
         parity = KroneckerParity(params.basis, params.bath)

@@ -46,15 +46,7 @@ from .errors import (
     SearchError,
     SpinBosonError,
 )
-from .fockspace import (
-    D_BOUND,
-    FACTORIAL_GUARD,
-    BasisSet,
-    _check_table_dim,
-    _checked_d_tables,
-    _gather,
-    single_mode_d_row,
-)
+from .fockspace import D_BOUND, FACTORIAL_GUARD, BasisSet, KroneckerParity, single_mode_d_row
 
 __all__ = [
     "o_diagonal",
@@ -549,67 +541,10 @@ class ParityAudit:
 
 
 def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
-    """Square D over ``basis`` from per-mode pieces and report departures
-    from identity.
-
-    Write each basis state as a prefix u over modes 0..n-2 and a last-mode
-    occupation a <= room(u), where room(u) is the cap under a per-mode cap
-    and cap - |u| under a total-quanta cap.  Summing the middle index over
-    the basis gives
-
-        (D@D)[(v,a),(w,c)] = sum_r G_r[v,w] * Q_r[a,c],
-        G_r = D'[:, U_r] @ D'[U_r, :],    Q_r = T[:, :r+1] @ T[:r+1, :],
-
-    with D' the parity matrix over the prefix basis, U_r the prefixes of
-    room r and T the last mode's table.  A per-mode basis has the single
-    room cap, so D@D = D'@D' (x) T@T; a single mode has one empty prefix, so
-    D@D = T@T.  Neither D nor any dim x dim product is formed: the prefixes
-    are sorted by room and each group of rows with room s is paired with the
-    columns of room >= s, which covers every unordered pair of the symmetric
-    D@D once.  The last-mode axis is padded to cap + 1 and masked.
-
-    Raises
-    ------
-    CapacityError
-        If ``basis.dim`` exceeds MAX_TABLE_DIM: a per-mode basis still
-        squares to one dim x dim block.
-    InvariantViolation
-        If any |D_mn| exceeds 1 + 1e-12, or a row norm (D@D)_mm exceeds
-        1 + 1e-12.
-    """
-    _check_table_dim(basis.dim)
-    tables = _checked_d_tables(basis, bath)
-    occ = basis.occupations
-    # Lexicographic order runs the last mode fastest, so each prefix owns the
-    # contiguous states from its last-mode occupation 0 up to its room.
-    starts = np.flatnonzero(occ[:, -1] == 0)
-    room = np.maximum.reduceat(occ[:, -1], starts)
-    order = np.argsort(room, kind="stable")
-    starts, room = starts[order], room[order]
-    # One group (room r, sorted positions lo:hi) per distinct room.
-    cuts = [0, *(np.flatnonzero(np.diff(room)) + 1), len(room)]
-    groups = [(room[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    d_prefix = _gather(occ[starts, :-1], tables[:-1])
-    last = tables[-1]
-    g = np.empty((len(groups),) + d_prefix.shape)
-    q = np.empty((len(groups),) + last.shape)
-    for i, (r, lo, hi) in enumerate(groups):
-        np.matmul(d_prefix[:, lo:hi], d_prefix[lo:hi], out=g[i])
-        np.matmul(last[:, : r + 1], last[: r + 1], out=q[i])
-    # Padded last-mode occupations c > room(w) lie outside the basis.
-    inside = np.arange(last.shape[0]) <= room[:, None]
-    diag = np.empty(basis.dim)
-    offdiag = 0.0
-    for r, lo, hi in groups:
-        # Rows of room r against every column of room >= r: by symmetry
-        # this meets each unordered pair of states once.
-        block = np.tensordot(g[:, lo:hi, lo:], q[:, : r + 1, :], axes=(0, 0))
-        block *= inside[None, lo:, None, :]  # axes (v, w, a, c)
-        v = np.arange(hi - lo)[:, None]
-        a = np.arange(r + 1)
-        diag[starts[lo:hi, None] + a] = block[v, v, a, a]
-        block[v, v, a, a] = 0.0
-        offdiag = max(offdiag, float(np.max(block)), -float(np.min(block)))
+    """Square D over ``basis`` with :meth:`KroneckerParity.square` and report
+    departures from identity; InvariantViolation if a row norm (D@D)_mm
+    exceeds 1 + 1e-12."""
+    diag, offdiag = KroneckerParity(basis, bath).square()
     worst = float(np.max(diag))
     if not worst <= D_BOUND:
         raise InvariantViolation(f"max (D@D)_mm = {worst:.17g} breaks the row-norm bound 1")

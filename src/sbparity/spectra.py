@@ -12,10 +12,11 @@ never exceeds twice the lowest degeneracy energy, and the difference of any
 two branch eigenvalues equals delta * <phi+|D|phi-> / <phi+|phi-> whenever
 the eigenvector overlap is resolvable.
 
-Branch eigenpairs come from one of two solvers, picked per basis by
-:func:`use_lanczos`: a dense symmetric solve of the assembled branch matrix
-for small bases, and ARPACK Lanczos on the matrix-free branch operator,
-whose parity factor is applied one mode at a time, above the crossover.
+Both branches are :class:`BranchOperator`s on one :class:`KroneckerParity`.
+Their eigenpairs come from one of two solvers, picked per basis by
+:func:`use_lanczos`: a dense symmetric solve of the branch's dense array
+for small bases, and ARPACK Lanczos on the operator itself, whose parity
+factor is applied one mode at a time, above the crossover.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import scipy.linalg
 
 from .bath import e_min_eo
 from .errors import InvariantViolation, OverlapGuardError, ParameterError, SolverError
-from .fockspace import MAX_BOX_STATES, BasisSet, KroneckerParity, d_matrix
-from .hamiltonian import (Branch, BranchOperator, ModelParams, assemble_branch, branch_operator,
-                          h0_diagonal)
+from .fockspace import MAX_BOX_STATES, BasisSet, KroneckerParity
+from .hamiltonian import Branch, BranchOperator, ModelParams, branch_operator, h0_diagonal
 
 __all__ = [
     "EigenResult",
@@ -134,7 +134,7 @@ def eigen_lowest(
         return _lanczos_lowest(h, k, tol, max_iter)
     values, vectors = scipy.linalg.eigh(h, subset_by_index=[0, k - 1])
     _fix_signs(vectors)
-    resid = _residual(h @ vectors, values, vectors)
+    resid = _residual(h, values, vectors)
     _check_residual(resid, tol * float(np.linalg.norm(h, np.inf)))
     return EigenResult(values=values, vectors=vectors, residual=resid)
 
@@ -147,7 +147,10 @@ def _fix_signs(vectors: np.ndarray) -> None:
             vectors[:, col] = -vectors[:, col]
 
 
-def _residual(h_vectors: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
+def _residual(h: np.ndarray | BranchOperator, values: np.ndarray, vectors: np.ndarray) -> float:
+    # A dense array takes the block in one GEMM; the operator one column at a time.
+    h_vectors = h @ vectors if isinstance(h, np.ndarray) else np.column_stack(
+        [h @ v for v in vectors.T])
     return float(np.max(np.linalg.norm(h_vectors - vectors * values, axis=0)))
 
 
@@ -192,7 +195,7 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
             return eigsh(op, k=n_pairs, which="SA", tol=0, maxiter=max_iter, v0=v0)
         except ArpackError as exc:
             found = getattr(exc, "eigenvectors", None)
-            resid = (_residual(h @ found, exc.eigenvalues + sigma, found)
+            resid = (_residual(h, exc.eigenvalues + sigma, found)
                      if found is not None and found.size else math.inf)
             raise SolverError(
                 f"Lanczos failed within max_iter = {max_iter} restarts: {exc}",
@@ -205,13 +208,12 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     vectors = np.ascontiguousarray(vectors[:, order])
     values = shifted_values + sigma
     _fix_signs(vectors)
-    resid = _residual(h @ vectors, values, vectors)
+    resid = _residual(h, values, vectors)
     _check_residual(resid, tol * norm_bound)
 
     c = 2.0 * shifted_values[-1]
 
     def deflated(x):
-        x = np.ravel(x)
         vx = vectors.T @ x
         y = shifted(x - vectors @ vx)
         return y - vectors @ (vectors.T @ y) + c * (vectors @ vx)
@@ -233,22 +235,20 @@ def solve_branches(
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray | KroneckerParity, EigenResult, EigenResult]:
-    """Lowest pairs of both branches on one parity operator.
+    """Lowest pairs of both branch operators on one :class:`KroneckerParity`.
 
-    Returns ``(parity, res_plus, res_minus)``.  The parity operator is built
-    once, on the path :func:`use_lanczos` picks: the dense D array shared by
-    both assembled branches, or a :class:`KroneckerParity` shared by both
-    branch operators.  Either one applies D to a vector with ``@``.
+    Returns ``(parity, res_plus, res_minus)``: ``parity`` is that object on
+    the path :func:`use_lanczos` picks, and on the dense path the D array
+    that each branch's dense array, formed while it is solved, is built on.
     """
-    if use_lanczos(params.basis, max(k_plus, k_minus)):
-        parity = KroneckerParity(params.basis, params.bath)
-        build = branch_operator
-    else:
-        parity = d_matrix(params.basis, params.bath)
-        build = assemble_branch
-    res_plus = eigen_lowest(build(params, Branch.EVEN, parity), k_plus, tol, max_iter)
-    res_minus = eigen_lowest(build(params, Branch.ODD, parity), k_minus, tol, max_iter)
-    return parity, res_plus, res_minus
+    parity = KroneckerParity(params.basis, params.bath)
+    lanczos = use_lanczos(params.basis, max(k_plus, k_minus))
+    table = None if lanczos else parity.dense()
+    results = []
+    for branch, k in ((Branch.EVEN, k_plus), (Branch.ODD, k_minus)):
+        op = branch_operator(params, branch, parity)
+        results.append(eigen_lowest(op if lanczos else op.dense(table), k, tol, max_iter))
+    return (parity if lanczos else table), *results
 
 
 @dataclass(frozen=True)

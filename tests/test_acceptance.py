@@ -19,16 +19,16 @@ from scipy.optimize import brentq
 from sbparity import (
     BathLadder,
     Branch,
+    KroneckerParity,
     ModelParams,
     PerModeCap,
     SpectralLaw,
     TotalQuantaCap,
-    assemble_branch,
     bath_from_modes,
     bath_ladder,
+    branch_operator,
     closure_report,
     critical_alpha,
-    d_matrix,
     default_policy,
     degenerate_energy_set,
     discretize_bath,
@@ -108,7 +108,7 @@ def test_criterion_1_branches_degenerate_at_zero_tunneling():
             params = ModelParams(delta=0.0, bath=bath, basis=basis)
             ladder = degenerate_energy_set(basis, bath)
             for branch in (Branch.EVEN, Branch.ODD):
-                res = eigen_lowest(assemble_branch(params, branch), basis.dim, 1e-10)
+                res = eigen_lowest(branch_operator(params, branch).dense(), basis.dim, 1e-10)
                 assert np.max(np.abs(res.values - ladder)) <= 1e-12
             report = theorem_report(params, tol=1e-10)
             assert report.verdict == VERDICT_DEGENERATE
@@ -188,7 +188,7 @@ def test_criterion_6_matrix_element_oracle():
                 if sum(m) + sum(n) <= 8:
                     break
             basis = enumerate_basis(n_modes, PerModeCap(4))
-            table = d_matrix(basis, bath)
+            table = KroneckerParity(basis, bath).dense()
             direct = table[basis.index_of(m), basis.index_of(n)]
             assert abs(direct - overlap_oracle(m, n, bath, 80)) <= 1e-8
             assert table[basis.index_of(n), basis.index_of(m)] == direct
@@ -196,7 +196,7 @@ def test_criterion_6_matrix_element_oracle():
         # q = 0 collapses D to the signed identity exactly.
         bath0 = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
         basis0 = enumerate_basis(2, PerModeCap(3))
-        dense = d_matrix(basis0, bath0)
+        dense = KroneckerParity(basis0, bath0).dense()
         signs = np.array([(-1.0) ** sum(v) for v in basis0.vectors])
         assert np.array_equal(dense, np.diag(signs))
 
@@ -282,9 +282,9 @@ def test_criterion_10_kronecker_sum_spectral_property():
         bath = bath_from_modes([(1.0, 1.0)])
         basis = enumerate_basis(1, PerModeCap(3))
         params = ModelParams(delta=0.2, bath=bath, basis=basis)
-        table = d_matrix(basis, bath)
-        hplus = assemble_branch(params, Branch.EVEN, table)
-        hminus = assemble_branch(params, Branch.ODD, table)
+        table = KroneckerParity(basis, bath).dense()
+        hplus = branch_operator(params, Branch.EVEN).dense(table)
+        hminus = branch_operator(params, Branch.ODD).dense(table)
         combined = eigen_lowest(kronecker_sum(hplus, hminus), 16, 1e-10).values
         ev_plus = eigen_lowest(hplus, 4, 1e-10).values
         ev_minus = eigen_lowest(hminus, 4, 1e-10).values

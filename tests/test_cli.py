@@ -26,9 +26,18 @@ from sbparity.errors import ConfigError, ParameterError, SearchError
 from conftest import bare_fock_ground_energy
 
 
+# Integer literals written into a config file in place of their marker
+# string, which keeps test ids short (json.dumps refuses an int past 4300
+# digits).
+LONG_LITERALS = {"<1 and 400 zeros>": "1" + "0" * 400, "<1 and 5000 zeros>": "1" + "0" * 5000}
+
+
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    text = json.dumps(data)
+    for marker, digits in LONG_LITERALS.items():
+        text = text.replace(json.dumps(marker), digits)
+    path.write_text(text)
     return str(path)
 
 
@@ -169,6 +178,10 @@ def bad_value_cases():
         # Infinity is legal for disc.lambda_disc only.
         for value in [math.nan, -math.inf] + [math.inf] * (key != "lambda_disc"):
             yield name, path, value, f'field "{name}": must be finite, got {value!r}'
+        # An integer past the double range reads as inf, as the literal 1e400
+        # does; it once escaped as an OverflowError.
+        if key != "lambda_disc":
+            yield name, path, "<1 and 400 zeros>", f'field "{name}": must be finite, got inf'
         for value in [low] * (op == ">") + [low - 0.5, int(low) - 1]:
             yield (name, path, value,
                    f'field "{name}": must satisfy {key} {op} {low}, got {float(value)!r}')
@@ -208,6 +221,11 @@ def bad_value_cases():
     for value in (5, "", ["curve.csv"], True, {"path": "x"}):
         yield ("output.path", path, value,
                f'field "output.path": expected a non-empty string, got {value!r}')
+    # Past Python's 4300-digit limit json.loads itself refuses the literal; this
+    # once escaped as a bare ValueError.
+    yield ("model.delta", ("model", "delta"), "<1 and 5000 zeros>",
+           "parse error: Exceeds the limit (4300 digits) for integer string conversion: "
+           "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit")
 
 
 BAD_VALUE_CASES = list(bad_value_cases())

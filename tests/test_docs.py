@@ -1,12 +1,16 @@
-"""The README examples run as written, and its configuration block lists
-the configuration schema."""
+"""The README examples run as written, its configuration block lists the
+configuration schema, and every exported name resolves."""
 
+import ast
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import sbparity
 from sbparity import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -53,3 +57,20 @@ def test_readme_config_block_names_the_schema_keys_and_defaults():
         "parity.m_ref": 0,
     }
     cli.parse_config(block)  # the documented configuration is valid
+
+
+def test_every_exported_name_resolves():
+    # A deleted function must not linger in an export list.
+    package = Path(sbparity.__file__).parent
+    for info in pkgutil.iter_modules([str(package)]):
+        module = importlib.import_module(f"sbparity.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"sbparity.{info.name}.__all__ names {name!r}"
+    # The package re-exports names of its modules, each in that module's
+    # __all__ where it has one.
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"sbparity.{node.module}")
+            for alias in node.names:
+                assert alias.name in getattr(module, "__all__", [alias.name]), alias.name
+                assert getattr(sbparity, alias.name) is getattr(module, alias.name)

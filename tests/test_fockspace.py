@@ -1,6 +1,7 @@
 """Basis enumeration and parity matrix elements against independent routes:
 an exact rational evaluation and the bare-basis expansion oracle."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from sbparity import (
     PerModeCap,
     TotalQuantaCap,
     bath_from_modes,
-    d_matrix,
+    cli,
     default_policy,
     enumerate_basis,
     l_element,
@@ -177,7 +178,7 @@ def exact_d(m, n, q):
 )
 def test_d_matches_rational_reference_up_to_occupation_eighty(m, n, q):
     bath = bath_from_modes([(1.0, 2.0 * float(q))])
-    table = d_matrix(enumerate_basis(1, PerModeCap(max(m, n))), bath)
+    table = KroneckerParity(enumerate_basis(1, PerModeCap(max(m, n))), bath).dense()
     assert table[m, n] == pytest.approx(exact_d(m, n, q), abs=1e-12)
 
 
@@ -186,7 +187,7 @@ def test_d_table_edge_rows_match_rational_reference(q, cap):
     # The last row and the diagonal carry the largest cancellations of the
     # alternating sum; every entry must still be exact to a few ulps of 1.
     bath = bath_from_modes([(1.0, 2.0 * q)])
-    d = d_matrix(enumerate_basis(1, PerModeCap(cap)), bath)
+    d = KroneckerParity(enumerate_basis(1, PerModeCap(cap)), bath).dense()
     for n in range(0, cap + 1, 10):
         assert d[cap, n] == pytest.approx(exact_d(cap, n, Fraction(q)), abs=1e-12)
         assert d[n, n] == pytest.approx(exact_d(n, n, Fraction(q)), abs=1e-12)
@@ -236,7 +237,7 @@ def test_l_element_length_mismatch():
 def test_d_table_single_mode_values():
     bath = single_mode_bath(1.0, 1.0)  # q = 0.5
     basis = enumerate_basis(1, PerModeCap(3))
-    table = d_matrix(basis, bath)
+    table = KroneckerParity(basis, bath).dense()
     assert table[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
     assert table[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-12)
     assert table[1, 0] == table[0, 1]
@@ -245,7 +246,7 @@ def test_d_table_single_mode_values():
 def test_d_table_zero_coupling_is_signed_diagonal():
     bath = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
     basis = enumerate_basis(2, PerModeCap(2))
-    dense = d_matrix(basis, bath)
+    dense = KroneckerParity(basis, bath).dense()
     signs = np.array([(-1.0) ** sum(v) for v in basis.vectors])
     assert np.array_equal(dense, np.diag(signs))
 
@@ -253,7 +254,7 @@ def test_d_table_zero_coupling_is_signed_diagonal():
 def test_d_table_matches_per_pair_product():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.4)])
     basis = enumerate_basis(2, PerModeCap(3))
-    table = d_matrix(basis, bath)
+    table = KroneckerParity(basis, bath).dense()
     for i, mv in enumerate(basis.vectors):
         for j, nv in enumerate(basis.vectors):
             expected = math.exp(-2.0 * bath.sum_q2) * l_element(mv, nv, bath)
@@ -264,16 +265,16 @@ def test_d_table_capacity_guard():
     bath = single_mode_bath()
     basis = enumerate_basis(1, PerModeCap(30))
     with pytest.raises(CapacityError):
-        d_matrix(basis, bath, max_dim=10)
+        KroneckerParity(basis, bath).dense(max_dim=10)
 
 
 def test_d_table_occupation_guard():
     # Above the factorial guard exp(-2 q**2) seeds underflow and the
     # recurrence would return exact zeros, so occupations stop at the guard.
     bath = single_mode_bath()
-    d_matrix(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD)), bath)
+    KroneckerParity(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD)), bath).dense()
     with pytest.raises(CapacityError):
-        d_matrix(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD + 1)), bath)
+        KroneckerParity(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD + 1)), bath).dense()
 
 
 @pytest.mark.parametrize(
@@ -290,22 +291,33 @@ def test_kronecker_parity_matches_dense_table(modes, policy, rng):
     # bases, against the gathered dense table.
     bath = bath_from_modes(modes)
     basis = enumerate_basis(len(modes), policy)
-    dense = d_matrix(basis, bath)
     parity = KroneckerParity(basis, bath)
-    x = rng.standard_normal(basis.dim)
-    block = rng.standard_normal((basis.dim, 3))
-    assert np.allclose(parity.apply(x), dense @ x, rtol=0.0, atol=1e-13)
-    assert np.allclose(parity.apply(block), dense @ block, rtol=0.0, atol=1e-13)
-    assert parity.apply(block).shape == (basis.dim, 3)
+    dense = parity.dense()
+    for x in rng.standard_normal((3, basis.dim)):
+        assert np.allclose(parity.apply(x), dense @ x, rtol=0.0, atol=1e-13)
+    # Products take one vector; a block is refused, not misread.
+    with pytest.raises(ParameterError, match="one vector"):
+        parity.apply(rng.standard_normal((basis.dim, 3)))
 
 
-def test_kronecker_parity_guards():
-    bath = bath_from_modes([(1.0 / 2 ** k, 0.5) for k in range(6)])
-    basis = enumerate_basis(6, TotalQuantaCap(12))  # 18564 states in a box of 13**6
-    with pytest.raises(CapacityError, match="box"):
-        KroneckerParity(basis, bath)
+def test_kronecker_parity_guards(tmp_path, capsys):
+    # 10 modes at total-quanta cap 4: 1001 states in a box of 5**10.  The
+    # object builds and gathers its dense D; only a product meets the box guard.
+    bath = bath_from_modes([(1.0 / 2 ** k, 0.5) for k in range(10)])
+    basis = enumerate_basis(10, TotalQuantaCap(4))
+    parity = KroneckerParity(basis, bath)
+    assert parity.dense().shape == (1001, 1001)
+    with pytest.raises(CapacityError, match="box of 9765625 states"):
+        parity.apply(np.ones(basis.dim))
     with pytest.raises(ParameterError):
-        KroneckerParity(enumerate_basis(2, PerModeCap(2)), bath)
+        KroneckerParity(enumerate_basis(2, PerModeCap(2)), bath).dense()
+    # The theorem on that basis takes the dense path and succeeds.
+    config = {"model": {"delta": 0.3, "omega_c": 1.0, "s": 0.6, "alpha": 0.2},
+              "disc": {"n_modes": 10}, "trunc": {"policy": "total-quanta", "cap": 4}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["theorem", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "strictly-below"
 
 
 def test_spectra_invariant_under_odd_row_sign_flip():
@@ -314,7 +326,7 @@ def test_spectra_invariant_under_odd_row_sign_flip():
     # sign convention of the odd elements.
     bath = single_mode_bath(1.0, 1.2)
     basis = enumerate_basis(1, PerModeCap(12))
-    d = d_matrix(basis, bath)
+    d = KroneckerParity(basis, bath).dense()
     h0 = np.diag([v[0] * 1.0 for v in basis.vectors]) - bath.sum_wq2 * np.eye(basis.dim)
     flip = np.diag([(-1.0) ** v[0] for v in basis.vectors])
     for sign in (+1.0, -1.0):
@@ -364,7 +376,7 @@ def test_oracle_agrees_with_d_table_on_random_draws(rng):
             if sum(m) + sum(n) <= 8:
                 break
         basis = enumerate_basis(n_modes, PerModeCap(4))
-        table = d_matrix(basis, bath)
+        table = KroneckerParity(basis, bath).dense()
         direct = table[basis.index_of(m), basis.index_of(n)]
         assert overlap_oracle(m, n, bath, 80) == pytest.approx(direct, abs=1e-8)
 
@@ -379,7 +391,7 @@ def test_d_square_residual_small_in_the_inner_block():
     cap = 32
     bath = bath_from_modes([(1.0, 1.0)])  # 4q^2 = 1
     basis = enumerate_basis(1, PerModeCap(cap))
-    d = d_matrix(basis, bath)
+    d = KroneckerParity(basis, bath).dense()
     residual = d @ d - np.eye(cap + 1)
     half = cap // 2
     inner = np.abs(residual[: half + 1, : half + 1]).max()

@@ -11,13 +11,13 @@ import scipy.linalg
 from sbparity import (
     Branch,
     CapacityError,
+    KroneckerParity,
     ModelParams,
     ParameterError,
     PerModeCap,
     TotalQuantaCap,
-    assemble_branch,
     bath_from_modes,
-    d_matrix,
+    branch_operator,
     degenerate_energy_set,
     e_min_eo,
     enumerate_basis,
@@ -58,8 +58,8 @@ def test_branches_coincide_at_zero_tunneling():
     bath = single_mode_bath(1.0, 0.8)
     basis = enumerate_basis(1, PerModeCap(5))
     params = ModelParams(delta=0.0, bath=bath, basis=basis)
-    hplus = assemble_branch(params, Branch.EVEN)
-    hminus = assemble_branch(params, Branch.ODD)
+    hplus = branch_operator(params, Branch.EVEN).dense()
+    hminus = branch_operator(params, Branch.ODD).dense()
     h0 = np.diag(h0_diagonal(basis, bath))
     assert np.array_equal(hplus, h0)
     assert np.array_equal(hminus, h0)
@@ -69,8 +69,8 @@ def test_decoupled_branches_are_shifted_diagonals():
     bath = bath_from_modes([(1.0, 0.0)])
     basis = enumerate_basis(1, PerModeCap(1))
     params = ModelParams(delta=0.3, bath=bath, basis=basis)
-    hplus = assemble_branch(params, Branch.EVEN)
-    hminus = assemble_branch(params, Branch.ODD)
+    hplus = branch_operator(params, Branch.EVEN).dense()
+    hminus = branch_operator(params, Branch.ODD).dense()
     assert np.allclose(hplus, np.diag([-0.15, 1.15]), atol=1e-15)
     assert np.allclose(hminus, np.diag([0.15, 0.85]), atol=1e-15)
 
@@ -80,9 +80,9 @@ def test_branch_sum_recovers_twice_h0(rng):
         bath = random_bath(rng, 2)
         basis = enumerate_basis(2, PerModeCap(3))
         params = ModelParams(delta=float(rng.uniform(0.0, 1.0)), bath=bath, basis=basis)
-        table = d_matrix(basis, bath)
-        hplus = assemble_branch(params, Branch.EVEN, table)
-        hminus = assemble_branch(params, Branch.ODD, table)
+        table = KroneckerParity(basis, bath).dense()
+        hplus = branch_operator(params, Branch.EVEN).dense(table)
+        hminus = branch_operator(params, Branch.ODD).dense(table)
         h0 = np.diag(h0_diagonal(basis, bath))
         assert np.allclose(hplus + hminus, 2.0 * h0, atol=1e-15)
 
@@ -94,8 +94,8 @@ def test_branch_swap_identity(rng):
     basis = enumerate_basis(1, PerModeCap(6))
     delta = 0.37
     params = ModelParams(delta=delta, bath=bath, basis=basis)
-    table = d_matrix(basis, bath)
-    hminus = assemble_branch(params, Branch.ODD, table)
+    table = KroneckerParity(basis, bath).dense()
+    hminus = branch_operator(params, Branch.ODD).dense(table)
     manual = np.diag(h0_diagonal(basis, bath)) + 0.5 * delta * table
     assert np.array_equal(hminus, manual)
     with pytest.raises(ParameterError):
@@ -105,9 +105,9 @@ def test_branch_swap_identity(rng):
 def test_branch_spectra_swap_under_delta_sign(rng):
     bath = random_bath(rng, 1)
     basis = enumerate_basis(1, PerModeCap(8))
-    table = d_matrix(basis, bath)
+    table = KroneckerParity(basis, bath).dense()
     params = ModelParams(delta=0.4, bath=bath, basis=basis)
-    hminus = assemble_branch(params, Branch.ODD, table)
+    hminus = branch_operator(params, Branch.ODD).dense(table)
     h_plus_neg = np.diag(h0_diagonal(basis, bath)) + 0.2 * table
     ev_minus = scipy.linalg.eigvalsh(hminus)
     ev_plus_neg = scipy.linalg.eigvalsh(h_plus_neg)
@@ -153,9 +153,9 @@ def test_kronecker_sum_spectral_property_on_branches():
     bath = single_mode_bath(1.0, 1.0)
     basis = enumerate_basis(1, PerModeCap(3))
     params = ModelParams(delta=0.2, bath=bath, basis=basis)
-    table = d_matrix(basis, bath)
-    hplus = assemble_branch(params, Branch.EVEN, table)
-    hminus = assemble_branch(params, Branch.ODD, table)
+    table = KroneckerParity(basis, bath).dense()
+    hplus = branch_operator(params, Branch.EVEN).dense(table)
+    hminus = branch_operator(params, Branch.ODD).dense(table)
     ksum = kronecker_sum(hplus, hminus)
     ev = np.sort(scipy.linalg.eigvalsh(ksum))
     ev_plus = scipy.linalg.eigvalsh(hplus)
@@ -185,22 +185,26 @@ def test_d_matrix_is_the_restricted_kronecker_product(n_modes, policy):
     tables = [single_mode_d_table(mode.q, size - 1)
               for mode, size in zip(bath.modes, basis.box_shape)]
     idx = np.ravel_multi_index(basis.occupations.T, basis.box_shape)
-    d = d_matrix(basis, bath)
+    parity = KroneckerParity(basis, bath)
+    d = parity.dense()
     assert np.array_equal(d, reduce(np.kron, tables)[np.ix_(idx, idx)])
     assert np.array_equal(d, d.T)
     params = ModelParams(delta=0.3, bath=bath, basis=basis)
     h0 = h0_diagonal(basis, bath)
     for branch in (Branch.EVEN, Branch.ODD):
         c = branch.coupling_sign * 0.15
-        assert np.array_equal(assemble_branch(params, branch, d), np.diag(h0) + c * d)
+        op = branch_operator(params, branch, parity)
+        assert np.array_equal(op.dense(d), np.diag(h0) + c * d)
+        # Without a table the branch gathers its own D, with the same bits.
+        assert np.array_equal(branch_operator(params, branch).dense(), np.diag(h0) + c * d)
 
 
-def test_assemble_branch_rejects_a_table_of_another_size():
+def test_branch_dense_rejects_a_table_of_another_size():
     bath = single_mode_bath()
     params = ModelParams(delta=0.1, bath=bath, basis=enumerate_basis(1, PerModeCap(3)))
-    table = d_matrix(enumerate_basis(1, PerModeCap(4)), bath)
+    table = KroneckerParity(enumerate_basis(1, PerModeCap(4)), bath).dense()
     with pytest.raises(ParameterError, match="shape"):
-        assemble_branch(params, Branch.EVEN, table)
+        branch_operator(params, Branch.EVEN).dense(table)
 
 
 def test_model_params_mode_count_mismatch():

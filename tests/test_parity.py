@@ -27,7 +27,6 @@ from sbparity import (
     closure_report,
     critical_alpha,
     critical_alphas,
-    d_matrix,
     d_square_audit,
     discretize_bath,
     enumerate_basis,

@@ -10,15 +10,15 @@ import scipy.linalg
 
 from sbparity import (
     Branch,
+    KroneckerParity,
     ModelParams,
     OverlapGuardError,
     ParameterError,
     PerModeCap,
     SolverError,
     TotalQuantaCap,
-    assemble_branch,
     bath_from_modes,
-    d_matrix,
+    branch_operator,
     degeneracy_condition_value,
     degenerate_energy_set,
     e_min_eo,
@@ -28,8 +28,6 @@ from sbparity import (
     theorem_report,
 )
 from sbparity import spectra
-from sbparity.fockspace import KroneckerParity
-from sbparity.hamiltonian import branch_operator
 from sbparity.spectra import (
     VERDICT_DEGENERATE,
     VERDICT_INDETERMINATE,
@@ -64,7 +62,7 @@ def test_eigen_sorts_diagonal():
 
 def test_eigen_orthonormal_vectors():
     params = make_params(1.0, 1.0, 0.2, 20)
-    h = assemble_branch(params, Branch.EVEN)
+    h = branch_operator(params, Branch.EVEN).dense()
     res = eigen_lowest(h, 4, 1e-10)
     gram = res.vectors.T @ res.vectors
     assert np.allclose(gram, np.eye(4), atol=1e-10)
@@ -72,7 +70,7 @@ def test_eigen_orthonormal_vectors():
 
 def test_eigen_is_deterministic():
     params = make_params(1.0, 1.3, 0.4, 25)
-    h = assemble_branch(params, Branch.EVEN)
+    h = branch_operator(params, Branch.EVEN).dense()
     a = eigen_lowest(h, 3, 1e-10)
     b = eigen_lowest(h, 3, 1e-10)
     assert np.array_equal(a.values, b.values)
@@ -91,7 +89,7 @@ def test_eigen_validation():
 
 def test_eigen_residual_contract():
     params = make_params(1.0, 1.0, 0.2, 30)
-    h = assemble_branch(params, Branch.EVEN)
+    h = branch_operator(params, Branch.EVEN).dense()
     with pytest.raises(SolverError) as err:
         eigen_lowest(h, 1, 1e-30)
     assert err.value.residual is not None
@@ -100,7 +98,7 @@ def test_eigen_residual_contract():
 def test_ground_energy_matches_bare_basis_oracle():
     # Displaced-basis branch minimum vs full bare-basis diagonalization.
     params = make_params(1.0, 1.0, 0.2, 40)
-    res = eigen_lowest(assemble_branch(params, Branch.EVEN), 1, 1e-10)
+    res = eigen_lowest(branch_operator(params, Branch.EVEN).dense(), 1, 1e-10)
     oracle = bare_fock_ground_energy(1.0, 1.0, 0.2, 200)
     assert res.values[0] == pytest.approx(oracle, abs=1e-8)
 
@@ -193,7 +191,7 @@ def test_branch_spectra_match_ladder_exactly_at_zero_delta(rng):
         params = ModelParams(delta=0.0, bath=bath, basis=basis)
         ladder = degenerate_energy_set(basis, bath)
         for branch in (Branch.EVEN, Branch.ODD):
-            res = eigen_lowest(assemble_branch(params, branch), basis.dim, 1e-10)
+            res = eigen_lowest(branch_operator(params, branch).dense(), basis.dim, 1e-10)
             assert np.allclose(res.values, ladder, atol=1e-12)
 
 
@@ -238,7 +236,7 @@ def test_gap_identity_excited_levels():
 def test_degeneracy_condition_on_basis_vectors():
     bath = single_mode_bath(1.0, 1.0)  # q = 0.5
     basis = enumerate_basis(1, PerModeCap(3))
-    table = d_matrix(basis, bath)
+    table = KroneckerParity(basis, bath).dense()
     e0 = np.zeros(basis.dim)
     e0[0] = 1.0
     assert degeneracy_condition_value(e0, e0, table) == pytest.approx(
@@ -249,7 +247,7 @@ def test_degeneracy_condition_on_basis_vectors():
 def test_degeneracy_condition_zero_displacement():
     bath = bath_from_modes([(1.0, 0.0)])
     basis = enumerate_basis(1, PerModeCap(3))
-    table = d_matrix(basis, bath)
+    table = KroneckerParity(basis, bath).dense()
     e0 = np.zeros(basis.dim)
     e0[0] = 1.0
     e1 = np.zeros(basis.dim)
@@ -259,9 +257,9 @@ def test_degeneracy_condition_zero_displacement():
 
 def test_degeneracy_condition_consistent_with_gap():
     params = make_params(1.0, 1.0, 0.2, 30)
-    table = d_matrix(params.basis, params.bath)
-    res_plus = eigen_lowest(assemble_branch(params, Branch.EVEN, table), 1, 1e-10)
-    res_minus = eigen_lowest(assemble_branch(params, Branch.ODD, table), 1, 1e-10)
+    table = KroneckerParity(params.basis, params.bath).dense()
+    res_plus = eigen_lowest(branch_operator(params, Branch.EVEN).dense(table), 1, 1e-10)
+    res_minus = eigen_lowest(branch_operator(params, Branch.ODD).dense(table), 1, 1e-10)
     phi_plus = res_plus.vectors[:, 0]
     phi_minus = res_minus.vectors[:, 0]
     value = degeneracy_condition_value(phi_plus, phi_minus, table)
@@ -310,13 +308,14 @@ LANCZOS_CASES = {
 def test_lanczos_matches_dense_solve(case):
     params = LANCZOS_CASES[case]()
     parity = KroneckerParity(params.basis, params.bath)
-    table = d_matrix(params.basis, params.bath)
+    table = parity.dense()
     for branch in (Branch.EVEN, Branch.ODD):
-        dense = assemble_branch(params, branch, table)
+        op = branch_operator(params, branch, parity)
+        dense = op.dense(table)
         reference = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, 3])
         for k in (1, 4):
             assert use_lanczos(params.basis, k)
-            res = eigen_lowest(branch_operator(params, branch, parity), k, 1e-10)
+            res = eigen_lowest(op, k, 1e-10)
             # Degenerate levels appear as often as in the dense solve.
             assert np.allclose(res.values, reference[:k], rtol=0.0, atol=1e-10)
             assert np.max(np.linalg.norm(dense @ res.vectors - res.vectors * res.values,
@@ -344,13 +343,30 @@ def test_theorem_and_gap_identity_agree_on_both_paths(monkeypatch):
     assert gap.rhs == pytest.approx(dense_gap.rhs, abs=1e-9)
 
 
+def test_solve_branches_returns_the_d_of_its_path():
+    # The dense path hands back the dense D array its branches were built on,
+    # so later products with D (the theorem's predicted gap) stay dense ones.
+    dense_params = seeded_params(5, 3, PerModeCap(6))
+    assert not use_lanczos(dense_params.basis, 1)
+    table, res_plus, _ = spectra.solve_branches(dense_params, 1, 1, 1e-10)
+    assert isinstance(table, np.ndarray)
+    assert np.array_equal(table, KroneckerParity(dense_params.basis, dense_params.bath).dense())
+    h = branch_operator(dense_params, Branch.EVEN).dense()
+    assert np.array_equal(res_plus.values, eigen_lowest(h, 1, 1e-10).values)
+    lanczos_params = seeded_params(5, 3, TotalQuantaCap(16))
+    assert use_lanczos(lanczos_params.basis, 1)
+    parity, _, _ = spectra.solve_branches(lanczos_params, 1, 1, 1e-10)
+    assert isinstance(parity, KroneckerParity)
+    assert parity.basis is lanczos_params.basis
+
+
 def test_degeneracy_condition_through_the_operator(rng):
     params = seeded_params(4, 3, TotalQuantaCap(5))
     a = rng.standard_normal(params.basis.dim)
     b = rng.standard_normal(params.basis.dim)
-    through_table = degeneracy_condition_value(a, b, d_matrix(params.basis, params.bath))
-    through_operator = degeneracy_condition_value(
-        a, b, KroneckerParity(params.basis, params.bath))
+    parity = KroneckerParity(params.basis, params.bath)
+    through_table = degeneracy_condition_value(a, b, parity.dense())
+    through_operator = degeneracy_condition_value(a, b, parity)
     assert through_operator == pytest.approx(through_table, rel=1e-12)
 
 
