@@ -16,7 +16,9 @@ Both branches are :class:`BranchOperator`s on one :class:`KroneckerParity`.
 Their eigenpairs come from one of two solvers, picked per basis by
 :func:`use_lanczos`: a dense symmetric solve of the branch's dense array
 for small bases, and ARPACK Lanczos on the operator itself, whose parity
-factor is applied one mode at a time, above the crossover.
+factor is applied one mode at a time, above the crossover.  A Lanczos solve
+is then checked for a level it passed over by a short preconditioned
+(Davidson) search on the operator with the returned levels deflated.
 """
 
 from __future__ import annotations
@@ -72,9 +74,12 @@ LANCZOS_DIM3_PER_MAC = 600
 # ARPACK needs k well below dim: Lanczos is taken only for k <= dim / 20.
 LANCZOS_K_FACTOR = 20
 
-# Fixed seeds of the Lanczos start vectors: the solve and its completeness check.
+# Fixed seeds of the start vectors: the Lanczos solve and its completeness check.
 _SOLVE_SEED = 1
 _CHECK_SEED = 2
+
+# Basis size of the completeness check's search, ARPACK's default ncv here.
+_CHECK_BASIS = 20
 
 
 @dataclass(frozen=True)
@@ -168,10 +173,12 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
 
     norm(D) <= 1, because D is a compression of an involution, so every
     eigenvalue of the shifted operator is >= 1; ARPACK is asked for the
-    smallest ones to machine precision (tol=0).  Afterwards one deflated
-    solve on P (H - sigma) P + c V V^T, with P = 1 - V V^T and c above the
-    k-th shifted value, looks for a level the first solve passed over: a
-    value more than 10 * tol * scale below the k-th level raises.
+    smallest ones to machine precision (tol=0).  Afterwards
+    :func:`_lowest_level` searches P (H - sigma) P + c V V^T, with
+    P = 1 - V V^T and c above the k-th shifted value, for a level the solve
+    passed over: a value more than 10 * tol * scale below the k-th level
+    raises, and so does a search that does not converge within ``max_iter``
+    restarts.
     """
     # Imported here: scipy.sparse.linalg adds ~25 ms to every CLI start.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -188,21 +195,18 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     def shifted(x):
         return h @ x - sigma * x
 
-    def lowest(matvec, n_pairs, seed):
-        op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-        v0 = np.random.default_rng(seed).standard_normal(dim)
-        try:
-            return eigsh(op, k=n_pairs, which="SA", tol=0, maxiter=max_iter, v0=v0)
-        except ArpackError as exc:
-            found = getattr(exc, "eigenvectors", None)
-            resid = (_residual(h, exc.eigenvalues + sigma, found)
-                     if found is not None and found.size else math.inf)
-            raise SolverError(
-                f"Lanczos failed within max_iter = {max_iter} restarts: {exc}",
-                residual=resid,
-            ) from None
-
-    shifted_values, vectors = lowest(shifted, k, _SOLVE_SEED)
+    op = LinearOperator((dim, dim), matvec=shifted, dtype=float)
+    v0 = np.random.default_rng(_SOLVE_SEED).standard_normal(dim)
+    try:
+        shifted_values, vectors = eigsh(op, k=k, which="SA", tol=0, maxiter=max_iter, v0=v0)
+    except ArpackError as exc:
+        found = getattr(exc, "eigenvectors", None)
+        resid = (_residual(h, exc.eigenvalues + sigma, found)
+                 if found is not None and found.size else math.inf)
+        raise SolverError(
+            f"Lanczos failed within max_iter = {max_iter} restarts: {exc}",
+            residual=resid,
+        ) from None
     order = np.argsort(shifted_values, kind="stable")
     shifted_values = shifted_values[order]
     vectors = np.ascontiguousarray(vectors[:, order])
@@ -218,7 +222,14 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
         y = shifted(x - vectors @ vx)
         return y - vectors @ (vectors.T @ y) + c * (vectors @ vx)
 
-    missed = float(lowest(deflated, 1, _CHECK_SEED)[0][0]) + sigma
+    missed = _lowest_level(deflated, h.h0 - sigma, tol * norm_bound, max_iter)
+    if missed is None:
+        raise SolverError(
+            f"Lanczos completeness check did not converge within max_iter = {max_iter} "
+            "restarts",
+            residual=resid,
+        )
+    missed += sigma
     if missed < values[-1] - 10.0 * tol * max(1.0, norm_bound):
         raise SolverError(
             f"Lanczos missed a level: {missed:.17g} lies below the highest of the "
@@ -226,6 +237,49 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
             residual=resid,
         )
     return EigenResult(values=values, vectors=vectors, residual=resid)
+
+
+def _lowest_level(matvec, diag: np.ndarray, bound: float, max_iter: int) -> float | None:
+    """Lowest eigenvalue of the symmetric operator ``matvec`` by Davidson's
+    method, or None if it is not found within ``max_iter`` restarts or the
+    search stalls.
+
+    The search starts from a fixed-seed random vector and grows an
+    orthonormal basis of at most ``_CHECK_BASIS`` vectors by the Ritz
+    residual r preconditioned as r / diag; ``diag`` must be positive, so the
+    new direction never lies in the basis while r does not vanish.  A full
+    basis restarts from the two lowest Ritz vectors.  A value is returned
+    only once its residual norm is at most ``bound``.
+    """
+    dim = diag.shape[0]
+    size = min(_CHECK_BASIS, dim)
+    basis = np.empty((dim, size))
+    images = np.empty((dim, size))
+    gram = np.zeros((size, size))
+    t = np.random.default_rng(_CHECK_SEED).standard_normal(dim)
+    n = 0
+    for _ in range(max_iter):
+        while n < size:
+            before = np.linalg.norm(t)
+            for _ in range(2):  # twice is enough for orthogonality
+                t -= basis[:, :n] @ (basis[:, :n].T @ t)
+            norm = np.linalg.norm(t)
+            if not norm > dim * _EPS * before:
+                return None  # no new direction: the search has stalled
+            basis[:, n] = t / norm
+            images[:, n] = matvec(basis[:, n])
+            gram[n, : n + 1] = images[:, : n + 1].T @ basis[:, n]
+            n += 1
+            theta, s = np.linalg.eigh(gram[:n, :n])  # reads the lower triangle
+            r = images[:, :n] @ s[:, 0] - theta[0] * (basis[:, :n] @ s[:, 0])
+            if np.linalg.norm(r) <= bound:
+                return float(theta[0])
+            t = r / diag
+        basis[:, :2] = basis @ s[:, :2]
+        images[:, :2] = images @ s[:, :2]
+        gram[:2, :2] = np.diag(theta[:2])
+        n = 2
+    return None
 
 
 def solve_branches(

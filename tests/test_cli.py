@@ -727,6 +727,44 @@ def test_closure_refuses_total_quanta_policy(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ratio"] == "3/5"
 
 
+def closure_config(n_modes, cap):
+    return {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.1},
+            "disc": {"n_modes": n_modes, "lambda_disc": 2.0}, "trunc": {"cap": cap}}
+
+
+@pytest.mark.parametrize("n_modes, cap", [
+    ("<1 and 400 zeros>", 20),  # a power of ~1.8e400 bits, never formed
+    (4000, 20),  # counts of 5289 digits, past Python's int-to-str limit
+    ("<1 and 400 zeros>", 0),  # a ratio of 1e400, past the double range
+    (4298, 9),  # unknowns_discarded 4298 * 10**4297: one digit too many
+    (2 ** 1024, 0),  # a ratio one past the double range
+])
+def test_closure_refuses_counts_it_cannot_print(tmp_path, capsys, n_modes, cap):
+    path = write_config(tmp_path, closure_config(n_modes, cap))
+    start = time.perf_counter()
+    code = cli.main(["closure", "--config", path])
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "ConfigError"
+    assert "disc.n_modes" in out["error"]["message"]
+    assert "trunc.cap" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("n_modes, cap", [
+    (3000, 20),
+    (4297, 9),  # unknowns_discarded 4297 * 10**4296: 4300 digits, the limit
+    (int(sys.float_info.max), 0),  # the largest double as the ratio
+])
+def test_closure_prints_counts_up_to_the_limits(tmp_path, capsys, n_modes, cap):
+    path = write_config(tmp_path, closure_config(n_modes, cap))
+    assert cli.main(["closure", "--config", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["unknowns_discarded"] == n_modes * (cap + 1) ** (n_modes - 1)
+    assert out["independent_equations"] == (cap + 1) ** n_modes
+    assert out["ratio_value"] == n_modes / (cap + 1)
+
+
 TOTAL_QUANTA_ALPHA_C = {
     "model": {"delta": 0.1, "omega_c": 1.0, "s": 0.8, "alpha": 0.1},
     "disc": {"n_modes": 3, "lambda_disc": 2.0},

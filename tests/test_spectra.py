@@ -2,6 +2,7 @@
 bare-basis diagonalization oracle for the single-mode model."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from sbparity import (
     gap_identity_check,
     theorem_report,
 )
-from sbparity import spectra
+from sbparity import cli, spectra
 from sbparity.spectra import (
     VERDICT_DEGENERATE,
     VERDICT_INDETERMINATE,
@@ -390,7 +391,133 @@ def test_lanczos_completeness_check_catches_a_skipped_level(monkeypatch):
     with pytest.raises(SolverError, match="missed a level") as err:
         eigen_lowest(branch_operator(params, Branch.EVEN), 2, 1e-10)
     assert err.value.residual is not None
-    assert calls == [2, 1]
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_completeness_check_finds_the_next_level(case, monkeypatch):
+    # The check's search returns the lowest level of H with the k returned
+    # pairs deflated to c = 2 * (lambda_k - sigma) in the shifted operator:
+    # lambda_{k+1}, or c + sigma where that lies lower.
+    found = []
+    search = spectra._lowest_level
+
+    def spy(matvec, diag, bound, max_iter):
+        found.append((search(matvec, diag, bound, max_iter), diag))
+        return found[-1][0]
+
+    monkeypatch.setattr(spectra, "_lowest_level", spy)
+    params = LANCZOS_CASES[case]()
+    for branch in (Branch.EVEN, Branch.ODD):
+        op = branch_operator(params, branch)
+        reference = scipy.linalg.eigh(op.dense(), eigvals_only=True, subset_by_index=[0, 4])
+        for k in (1, 4):
+            res = eigen_lowest(op, k, 1e-10)
+            value, diag = found[-1]
+            sigma = op.h0 - diag
+            assert np.allclose(sigma, sigma[0], rtol=0.0, atol=1e-13)
+            expected = min(reference[k], 2.0 * res.values[-1] - sigma[0])
+            assert value + sigma[0] == pytest.approx(expected, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_completeness_check_raises_exactly_on_a_skipped_level(case, monkeypatch):
+    # The solve hands back levels 0..top but one; from every start seed the
+    # check must raise exactly when the skipped level lies more than its
+    # margin below the highest returned.  Only the degenerate levels of
+    # zero-delta-q0-pair (0, 1, 1, 2) give a skip that must pass.
+    import scipy.sparse.linalg as sla
+
+    params = LANCZOS_CASES[case]()
+    tol = 1e-10
+    for branch in (Branch.EVEN, Branch.ODD):
+        op = branch_operator(params, branch)
+        levels, vectors = scipy.linalg.eigh(op.dense(), subset_by_index=[0, 3])
+        margin = 10.0 * tol * max(1.0, np.max(np.abs(op.h0)) + abs(op.coupling))
+        for top, skipped in ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
+            kept = vectors[:, [i for i in range(top + 1) if i != skipped]]
+
+            def solve(shifted, k, **kwargs):
+                return np.array([v @ shifted.matvec(v) for v in kept.T]), kept
+
+            monkeypatch.setattr(sla, "eigsh", solve)
+            for seed in range(2, 7):
+                monkeypatch.setattr(spectra, "_CHECK_SEED", seed)
+                if levels[skipped] < levels[top] - margin:
+                    with pytest.raises(SolverError, match="missed a level"):
+                        eigen_lowest(op, top, tol)
+                else:
+                    assert eigen_lowest(op, top, tol).values[-1] == pytest.approx(
+                        levels[top], rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+def test_completeness_check_product_budget(case, monkeypatch):
+    # A tripwire on the check's cost, counted through the parity operator:
+    # every product after the solve returns, less the k residual products.
+    # The search takes 14-41 here; a check by a second Lanczos solve, 111-181.
+    import scipy.sparse.linalg as sla
+
+    products = []
+    solve_products = []
+    apply = KroneckerParity.apply
+    solve = sla.eigsh
+
+    def counting_apply(self, x):
+        products.append(1)
+        return apply(self, x)
+
+    def counting_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        solve_products.append(len(products))
+        return result
+
+    monkeypatch.setattr(KroneckerParity, "apply", counting_apply)
+    monkeypatch.setattr(sla, "eigsh", counting_solve)
+    params = LANCZOS_CASES[case]()
+    for branch in (Branch.EVEN, Branch.ODD):
+        op = branch_operator(params, branch)
+        for k in (1, 4):
+            eigen_lowest(op, k, 1e-10)
+            assert 0 < len(products) - solve_products[-1] - k <= 60
+
+
+def solve_to_convergence(monkeypatch):
+    """Let every ``eigsh`` call run to convergence whatever ``max_iter`` is
+    passed, so that only the completeness check can fail on it."""
+    import scipy.sparse.linalg as sla
+
+    solve = sla.eigsh
+
+    def converged(shifted, k, **kwargs):
+        return solve(shifted, k=k, **{**kwargs, "maxiter": None})
+
+    monkeypatch.setattr(sla, "eigsh", converged)
+
+
+def test_completeness_check_without_convergence_is_a_solver_error(monkeypatch):
+    solve_to_convergence(monkeypatch)
+    params = LANCZOS_CASES["m3-tq16-seed2"]()
+    op = branch_operator(params, Branch.EVEN)
+    assert eigen_lowest(op, 1, 1e-10, max_iter=2).values.shape == (1,)
+    with pytest.raises(SolverError, match="completeness check did not converge "
+                                          "within max_iter = 1") as err:
+        eigen_lowest(op, 1, 1e-10, max_iter=1)
+    assert err.value.residual is not None and err.value.residual <= 1e-9
+
+
+def test_completeness_check_without_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    solve_to_convergence(monkeypatch)
+    config = {"model": {"delta": 0.3, "omega_c": 1.0, "s": 0.6, "alpha": 0.2},
+              "disc": {"n_modes": 3, "lambda_disc": 2.0},
+              "trunc": {"policy": "total-quanta", "cap": 16},
+              "solver": {"max_iter": 1}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["theorem", "--config", str(path)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "SolverError"
+    assert "completeness check did not converge" in error["message"]
 
 
 def test_lanczos_without_convergence_is_a_solver_error():
