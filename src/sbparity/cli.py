@@ -41,8 +41,8 @@ from .errors import (
     SearchError,
     SolverError,
 )
-from .fockspace import (BasisSet, KroneckerParity, PerModeCap, TotalQuantaCap, default_policy,
-                        enumerate_basis, l_matrix)
+from .fockspace import (BasisSet, PerModeCap, TotalQuantaCap, default_policy, enumerate_basis,
+                        l_matrix)
 from .hamiltonian import Branch, ModelParams, branch_operator, degenerate_energy_set
 from .parity import closure_report, critical_alpha, critical_alphas, d_square_audit
 from .spectra import DEFAULT_MAX_ITER, solve_branches, theorem_report
@@ -440,9 +440,8 @@ def run_theorem(cfg: RunConfig, args):
 def run_spectrum(cfg: RunConfig, args):
     params = _model_params(cfg)
     if args.dump_matrix:
-        table = KroneckerParity(params.basis, params.bath).dense()
         for name, branch in (("plus", Branch.EVEN), ("minus", Branch.ODD)):
-            h = branch_operator(params, branch).dense(table)
+            h = branch_operator(params, branch).dense()
             _emit(_triplet_csv(("i", "j", "value"), h), f"{args.dump_matrix}_h{name}.csv")
     k = min(cfg.k_levels, params.basis.dim)
     _, res_plus, res_minus = solve_branches(params, k, k, cfg.tol, cfg.max_iter)
@@ -458,7 +457,7 @@ def run_parity_audit(cfg: RunConfig, args):
     params = _model_params(cfg)
     basis, bath = params.basis, params.bath
     if args.dump_tables:
-        table = KroneckerParity(basis, bath).dense()
+        table = params.parity.dense()
         _emit(_triplet_csv(("row", "col", "value"), l_matrix(basis, bath)),
               f"{args.dump_tables}_l.csv")
         _emit(_triplet_csv(("row", "col", "value"), table), f"{args.dump_tables}_d.csv")
@@ -482,44 +481,14 @@ def run_closure(cfg: RunConfig, args):
             'closure counts the per-mode bare basis; field "trunc.policy" '
             '"total-quanta" is not accepted'
         )
-    report = _printable_closure(cfg.n_modes, cfg.cap)
+    try:
+        report = closure_report(cfg.n_modes, cfg.cap)
+    except ParameterError as exc:
+        raise ConfigError(f'fields "disc.n_modes" and "trunc.cap": {exc}') from None
     ratio = report.ratio
     body = {**_fields(report), "ratio": f"{ratio.numerator}/{ratio.denominator}",
             "ratio_value": report.ratio_value, "conclusion": report.conclusion}
     return EXIT_OK, body, None
-
-
-def _printable_closure(n_modes: int, cap: int):
-    """``closure_report(n_modes, cap)``, refused with a ConfigError when a
-    count has more digits than ``str`` converts or the ratio overflows a
-    double.
-
-    Logarithms refuse counts past the limit by more than a digit before any
-    power is formed (a huge ``n_modes`` would otherwise take unbounded time
-    and memory); within that digit the exact counts decide.  Where the digit
-    limit is switched off, Python's default limit stands in for it.
-    """
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    log_base = math.log10(cap + 1)
-    log_ratio = math.log10(n_modes) - log_base
-    # log10 of the larger count, n_modes * (cap + 1)**(n_modes - 1) or
-    # (cap + 1)**n_modes.  min() keeps the product a finite float: at cap >= 1,
-    # 1e300 modes are already far past any digit limit, and at cap 0 the
-    # product is 0 whatever n_modes is.
-    log_count = min(n_modes, 1e300) * log_base + max(log_ratio, 0.0)
-    if log_count < digits + 1 and log_ratio < math.log10(sys.float_info.max) + 1:
-        report = closure_report(n_modes, cap)
-        try:
-            report.ratio_value
-        except OverflowError:
-            pass
-        else:
-            if max(report.unknowns_discarded, report.independent_equations) < 10 ** digits:
-                return report
-    raise ConfigError(
-        f'fields "disc.n_modes" and "trunc.cap": the closure counts must have at most '
-        f"{digits} digits and the ratio n_modes / (cap + 1) must fit a double"
-    )
 
 
 def load_reference_curve(path):

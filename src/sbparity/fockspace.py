@@ -329,10 +329,10 @@ def _gather(occ: np.ndarray, tables) -> np.ndarray:
     return out
 
 
-def _check_table_dim(dim: int, max_dim: int = MAX_TABLE_DIM):
-    if dim > max_dim:
+def _check_table_dim(dim: int):
+    if dim > MAX_TABLE_DIM:
         raise CapacityError(
-            f"dense parity table of dimension {dim} exceeds guard {max_dim}"
+            f"dense parity table of dimension {dim} exceeds guard {MAX_TABLE_DIM}"
         )
 
 
@@ -411,11 +411,18 @@ class KroneckerParity:
         t = t.reshape(-1)
         return t if index is None else t[index]
 
-    def dense(self, max_dim: int = MAX_TABLE_DIM) -> np.ndarray:
-        """D as one dim x dim array, each entry the product over modes of
-        table entries, so exactly symmetric; CapacityError above ``max_dim``."""
-        _check_table_dim(self.basis.dim, max_dim)
-        return _gather(self.basis.occupations, self.tables)
+    def dense(self) -> np.ndarray:
+        """D as one read-only dim x dim array, gathered once, each entry the
+        product over modes of table entries, so exactly symmetric;
+        CapacityError above MAX_TABLE_DIM."""
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        _check_table_dim(self.basis.dim)
+        d = _gather(self.basis.occupations, self.tables)
+        d.setflags(write=False)
+        return d
 
     def square(self) -> tuple[np.ndarray, float]:
         """The diagonal of D@D, one entry per basis state, and its largest

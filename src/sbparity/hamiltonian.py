@@ -12,9 +12,10 @@ so H(even) + H(odd) = 2*H0 entrywise, and the odd branch at delta equals the
 even branch at -delta.  Only delta >= 0 is accepted at the API boundary; the
 swap identity covers negative tunneling.
 
-H0 is carried as its diagonal, :func:`h0_diagonal`.  A branch is one
-:class:`BranchOperator` on a :class:`KroneckerParity`: it applies to a
-vector with ``@`` and gives its dense dim x dim array with ``dense``.
+H0 is carried as its diagonal, :func:`h0_diagonal`.  D is one
+:class:`KroneckerParity` per model, :attr:`ModelParams.parity`.  A branch is
+one :class:`BranchOperator` on it: it applies to a vector with ``@`` and
+gives its dense dim x dim array, formed on the one dense D, with ``dense``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +72,12 @@ class ModelParams:
                 f"bath has {self.bath.n_modes} modes but basis has {self.basis.n_modes}"
             )
 
+    @cached_property
+    def parity(self) -> KroneckerParity:
+        """The model's one parity matrix D, shared by both branches, their
+        dense arrays, the gap check and the dumps."""
+        return KroneckerParity(self.basis, self.bath)
+
 
 def h0_diagonal(basis: BasisSet, bath: BathModel) -> np.ndarray:
     """Diagonal entries sum_k omega_k*n_k - sum_k omega_k*q_k**2 per vector."""
@@ -104,40 +112,21 @@ class BranchOperator:
         """H @ x for one vector x of shape (dim,), without forming H."""
         return self.h0 * x + self.coupling * self.parity.apply(x)
 
-    def dense(self, table: np.ndarray | None = None) -> np.ndarray:
-        """This branch as one dim x dim array; ``table`` may carry
-        ``self.parity.dense()`` to share across both branches."""
-        if table is None:
-            table = self.parity.dense()
-        elif table.shape != self.shape:
-            raise ParameterError(
-                f"parity table has shape {table.shape}, expected {self.shape} for the basis"
-            )
+    def dense(self) -> np.ndarray:
+        """This branch as one new dim x dim array, formed on ``parity.dense()``."""
         # Summed onto the diagonal matrix, so a -0.0 product off the diagonal
         # becomes +0.0, as it would in H0 + coupling * D.
         h = np.diag(self.h0)
-        h += self.coupling * table
+        h += self.coupling * self.parity.dense()
         return h
 
 
-def branch_operator(
-    params: ModelParams,
-    branch: Branch,
-    parity: KroneckerParity | None = None,
-) -> BranchOperator:
-    """One parity branch H0 -/+ (delta/2)*D.
-
-    ``parity`` may carry a :class:`KroneckerParity` built over
-    ``params.basis`` to share across both branches.
-    """
-    if parity is None:
-        parity = KroneckerParity(params.basis, params.bath)
-    elif parity.basis is not params.basis and parity.basis != params.basis:
-        raise ParameterError("parity operator was built over a different basis")
+def branch_operator(params: ModelParams, branch: Branch) -> BranchOperator:
+    """One parity branch H0 -/+ (delta/2)*D on ``params.parity``."""
     return BranchOperator(
         h0=h0_diagonal(params.basis, params.bath),
         coupling=branch.coupling_sign * (0.5 * params.delta),
-        parity=parity,
+        parity=params.parity,
     )
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -594,15 +595,45 @@ class ClosureReport:
 
 
 def closure_report(n_modes: int, n_tr: int) -> ClosureReport:
-    """Exact discarded-unknowns ratio n_modes/(n_tr + 1) with its counts."""
+    """Exact discarded-unknowns ratio n_modes/(n_tr + 1) with its counts, at
+    per-mode cap ``n_tr``.
+
+    ParameterError when a count has more digits than ``str`` converts or the
+    ratio overflows a double.  Logarithms refuse counts past the digit limit
+    by more than a digit before any power is formed (a huge ``n_modes``
+    would otherwise take unbounded time and memory); within that digit the
+    exact counts decide.  Where the digit limit is switched off, Python's
+    default limit stands in for it.
+    """
     if not isinstance(n_modes, int) or n_modes < 1:
         raise ParameterError(f"n_modes must be an integer >= 1, got {n_modes}")
     if not isinstance(n_tr, int) or n_tr < 0:
         raise ParameterError(f"n_tr must be an integer >= 0, got {n_tr}")
-    return ClosureReport(
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    refused = ParameterError(
+        f"the closure counts must have at most {digits} digits and the ratio "
+        f"n_modes / (cap + 1) must fit a double"
+    )
+    log_base = math.log10(n_tr + 1)
+    log_ratio = math.log10(n_modes) - log_base
+    # log10 of the larger count, n_modes * (n_tr + 1)**(n_modes - 1) or
+    # (n_tr + 1)**n_modes.  min() keeps the product a finite float: at
+    # n_tr >= 1, 1e300 modes are already far past any digit limit, and at
+    # n_tr 0 the product is 0 whatever n_modes is.
+    log_count = min(n_modes, 1e300) * log_base + max(log_ratio, 0.0)
+    if not (log_count < digits + 1 and log_ratio < math.log10(sys.float_info.max) + 1):
+        raise refused
+    report = ClosureReport(
         n_modes=n_modes,
         n_tr=n_tr,
         unknowns_discarded=n_modes * (n_tr + 1) ** (n_modes - 1),
         independent_equations=(n_tr + 1) ** n_modes,
         ratio=Fraction(n_modes, n_tr + 1),
     )
+    try:
+        report.ratio_value
+    except OverflowError:
+        raise refused from None
+    if max(report.unknowns_discarded, report.independent_equations) >= 10 ** digits:
+        raise refused
+    return report

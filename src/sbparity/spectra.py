@@ -12,13 +12,14 @@ never exceeds twice the lowest degeneracy energy, and the difference of any
 two branch eigenvalues equals delta * <phi+|D|phi-> / <phi+|phi-> whenever
 the eigenvector overlap is resolvable.
 
-Both branches are :class:`BranchOperator`s on one :class:`KroneckerParity`.
-Their eigenpairs come from one of two solvers, picked per basis by
-:func:`use_lanczos`: a dense symmetric solve of the branch's dense array
-for small bases, and ARPACK Lanczos on the operator itself, whose parity
-factor is applied one mode at a time, above the crossover.  A Lanczos solve
-is then checked for a level it passed over by a short preconditioned
-(Davidson) search on the operator with the returned levels deflated.
+Both branches are :class:`BranchOperator`s on the model's one
+:class:`KroneckerParity`, ``params.parity``.  Their eigenpairs come from one
+of two solvers, picked per basis by :func:`use_lanczos`: a dense symmetric
+solve of the branch's dense array (on the one dense D) for small bases, and
+ARPACK Lanczos on the operator itself, whose parity factor is applied one
+mode at a time, above the crossover.  A Lanczos solve is then checked for
+a level it passed over by a short preconditioned (Davidson) search on the
+operator with the returned levels deflated.
 """
 
 from __future__ import annotations
@@ -289,20 +290,19 @@ def solve_branches(
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray | KroneckerParity, EigenResult, EigenResult]:
-    """Lowest pairs of both branch operators on one :class:`KroneckerParity`.
+    """Lowest pairs of both branch operators on ``params.parity``.
 
-    Returns ``(parity, res_plus, res_minus)``: ``parity`` is that object on
-    the path :func:`use_lanczos` picks, and on the dense path the D array
-    that each branch's dense array, formed while it is solved, is built on.
+    Returns ``(parity, res_plus, res_minus)``: ``parity`` is
+    ``params.parity`` on the path :func:`use_lanczos` picks, and on the dense
+    path ``params.parity.dense()``, on which each branch's dense array is
+    formed while it is solved.
     """
-    parity = KroneckerParity(params.basis, params.bath)
     lanczos = use_lanczos(params.basis, max(k_plus, k_minus))
-    table = None if lanczos else parity.dense()
     results = []
     for branch, k in ((Branch.EVEN, k_plus), (Branch.ODD, k_minus)):
-        op = branch_operator(params, branch, parity)
-        results.append(eigen_lowest(op if lanczos else op.dense(table), k, tol, max_iter))
-    return (parity if lanczos else table), *results
+        op = branch_operator(params, branch)
+        results.append(eigen_lowest(op if lanczos else op.dense(), k, tol, max_iter))
+    return (params.parity if lanczos else params.parity.dense()), *results
 
 
 @dataclass(frozen=True)
@@ -361,8 +361,8 @@ def theorem_report(
     if abs(overlap) < OVERLAP_GUARD:
         predicted_gap = None
     else:
-        d_phi = parity @ phi_minus
-        predicted_gap = params.delta * float(phi_plus @ d_phi) / overlap
+        predicted_gap = (params.delta * degeneracy_condition_value(phi_plus, phi_minus, parity)
+                         / overlap)
 
     scale = energy_scale(params)
     slack = 10.0 * tol * scale
@@ -447,7 +447,7 @@ def gap_identity_check(
             "the gap identity is uninformative here"
         )
     lhs = float(res_minus.values[level_minus] - res_plus.values[level_plus])
-    rhs = params.delta * float(phi_plus @ (parity @ phi_minus)) / overlap
+    rhs = params.delta * degeneracy_condition_value(phi_plus, phi_minus, parity) / overlap
     return GapIdentityResult(lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs), overlap=overlap)
 
 

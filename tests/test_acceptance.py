@@ -282,9 +282,8 @@ def test_criterion_10_kronecker_sum_spectral_property():
         bath = bath_from_modes([(1.0, 1.0)])
         basis = enumerate_basis(1, PerModeCap(3))
         params = ModelParams(delta=0.2, bath=bath, basis=basis)
-        table = KroneckerParity(basis, bath).dense()
-        hplus = branch_operator(params, Branch.EVEN).dense(table)
-        hminus = branch_operator(params, Branch.ODD).dense(table)
+        hplus = branch_operator(params, Branch.EVEN).dense()
+        hminus = branch_operator(params, Branch.ODD).dense()
         combined = eigen_lowest(kronecker_sum(hplus, hminus), 16, 1e-10).values
         ev_plus = eigen_lowest(hplus, 4, 1e-10).values
         ev_minus = eigen_lowest(hminus, 4, 1e-10).values

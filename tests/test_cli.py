@@ -582,6 +582,53 @@ def test_spectrum_dump_matrix(tmp_path, capsys):
         assert len(lines) == 1 + 6  # lower triangle of a 3x3 matrix
 
 
+# Two modes at per-mode cap 8 (dim 81): the dense path.
+DENSE_PATH_SPECTRUM = {
+    "model": {"delta": 0.3, "omega_c": 1.0, "s": 0.6, "alpha": 0.2},
+    "disc": {"n_modes": 2, "lambda_disc": 2.0},
+    "trunc": {"policy": "per-mode", "cap": 8},
+    "solver": {"k_levels": 4},
+}
+
+
+def test_spectrum_dump_matrix_and_solve_share_one_parity(tmp_path, capsys, monkeypatch):
+    # The dumps and the dense solve read the model's one D: each mode's table
+    # is built once and D is gathered once.
+    from sbparity import Branch, branch_operator, fockspace, spectra
+
+    calls = {"_gather": 0, "single_mode_d_table": 0}
+
+    def counted(name):
+        original = getattr(fockspace, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fockspace, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    path = write_config(tmp_path, DENSE_PATH_SPECTRUM)
+    prefix = str(tmp_path / "mat")
+    assert cli.main(["spectrum", "--config", path, "--dump-matrix", prefix]) == 0
+    capsys.readouterr()
+    assert calls == {"_gather": 1, "single_mode_d_table": 2}
+
+    params = cli._model_params(cli.load_config(path))
+    assert not spectra.use_lanczos(params.basis, 4)
+    for name, branch in (("plus", Branch.EVEN), ("minus", Branch.ODD)):
+        expected = branch_operator(params, branch).dense()
+        with open(tmp_path / f"mat_h{name}.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert len(rows) == params.basis.dim * (params.basis.dim + 1) // 2
+        dumped = np.zeros_like(expected)
+        for i, j, value in rows:
+            dumped[int(i), int(j)] = float(value)
+        # 17 significant digits parse back to the same double.
+        assert np.array_equal(dumped, np.tril(expected))
+
+
 # ---------------------------------------------------------------------------
 # parity-audit
 # ---------------------------------------------------------------------------

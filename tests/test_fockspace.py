@@ -21,6 +21,7 @@ from sbparity import (
     cli,
     default_policy,
     enumerate_basis,
+    fockspace,
     l_element,
     l_element_single,
     overlap_oracle,
@@ -261,11 +262,22 @@ def test_d_table_matches_per_pair_product():
             assert table[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
 
-def test_d_table_capacity_guard():
+def test_d_table_capacity_guard(monkeypatch):
     bath = single_mode_bath()
     basis = enumerate_basis(1, PerModeCap(30))
+    monkeypatch.setattr(fockspace, "MAX_TABLE_DIM", 10)
     with pytest.raises(CapacityError):
-        KroneckerParity(basis, bath).dense(max_dim=10)
+        KroneckerParity(basis, bath).dense()
+
+
+def test_dense_is_gathered_once_and_read_only():
+    bath = bath_from_modes([(1.0, 0.9), (0.6, 0.4)])
+    parity = KroneckerParity(enumerate_basis(2, PerModeCap(3)), bath)
+    d = parity.dense()
+    assert parity.dense() is d
+    assert not d.flags.writeable
+    with pytest.raises(ValueError):
+        d[0, 0] = 0.0
 
 
 def test_d_table_occupation_guard():

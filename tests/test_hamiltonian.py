@@ -80,9 +80,8 @@ def test_branch_sum_recovers_twice_h0(rng):
         bath = random_bath(rng, 2)
         basis = enumerate_basis(2, PerModeCap(3))
         params = ModelParams(delta=float(rng.uniform(0.0, 1.0)), bath=bath, basis=basis)
-        table = KroneckerParity(basis, bath).dense()
-        hplus = branch_operator(params, Branch.EVEN).dense(table)
-        hminus = branch_operator(params, Branch.ODD).dense(table)
+        hplus = branch_operator(params, Branch.EVEN).dense()
+        hminus = branch_operator(params, Branch.ODD).dense()
         h0 = np.diag(h0_diagonal(basis, bath))
         assert np.allclose(hplus + hminus, 2.0 * h0, atol=1e-15)
 
@@ -95,7 +94,7 @@ def test_branch_swap_identity(rng):
     delta = 0.37
     params = ModelParams(delta=delta, bath=bath, basis=basis)
     table = KroneckerParity(basis, bath).dense()
-    hminus = branch_operator(params, Branch.ODD).dense(table)
+    hminus = branch_operator(params, Branch.ODD).dense()
     manual = np.diag(h0_diagonal(basis, bath)) + 0.5 * delta * table
     assert np.array_equal(hminus, manual)
     with pytest.raises(ParameterError):
@@ -107,7 +106,7 @@ def test_branch_spectra_swap_under_delta_sign(rng):
     basis = enumerate_basis(1, PerModeCap(8))
     table = KroneckerParity(basis, bath).dense()
     params = ModelParams(delta=0.4, bath=bath, basis=basis)
-    hminus = branch_operator(params, Branch.ODD).dense(table)
+    hminus = branch_operator(params, Branch.ODD).dense()
     h_plus_neg = np.diag(h0_diagonal(basis, bath)) + 0.2 * table
     ev_minus = scipy.linalg.eigvalsh(hminus)
     ev_plus_neg = scipy.linalg.eigvalsh(h_plus_neg)
@@ -153,9 +152,8 @@ def test_kronecker_sum_spectral_property_on_branches():
     bath = single_mode_bath(1.0, 1.0)
     basis = enumerate_basis(1, PerModeCap(3))
     params = ModelParams(delta=0.2, bath=bath, basis=basis)
-    table = KroneckerParity(basis, bath).dense()
-    hplus = branch_operator(params, Branch.EVEN).dense(table)
-    hminus = branch_operator(params, Branch.ODD).dense(table)
+    hplus = branch_operator(params, Branch.EVEN).dense()
+    hminus = branch_operator(params, Branch.ODD).dense()
     ksum = kronecker_sum(hplus, hminus)
     ev = np.sort(scipy.linalg.eigvalsh(ksum))
     ev_plus = scipy.linalg.eigvalsh(hplus)
@@ -193,18 +191,17 @@ def test_d_matrix_is_the_restricted_kronecker_product(n_modes, policy):
     h0 = h0_diagonal(basis, bath)
     for branch in (Branch.EVEN, Branch.ODD):
         c = branch.coupling_sign * 0.15
-        op = branch_operator(params, branch, parity)
-        assert np.array_equal(op.dense(d), np.diag(h0) + c * d)
-        # Without a table the branch gathers its own D, with the same bits.
+        # The branch is formed on the model's own D, with the same bits.
         assert np.array_equal(branch_operator(params, branch).dense(), np.diag(h0) + c * d)
 
 
-def test_branch_dense_rejects_a_table_of_another_size():
-    bath = single_mode_bath()
-    params = ModelParams(delta=0.1, bath=bath, basis=enumerate_basis(1, PerModeCap(3)))
-    table = KroneckerParity(enumerate_basis(1, PerModeCap(4)), bath).dense()
-    with pytest.raises(ParameterError, match="shape"):
-        branch_operator(params, Branch.EVEN).dense(table)
+def test_model_params_own_one_parity_shared_by_both_branches():
+    bath = bath_from_modes(KRONECKER_MODES[:2])
+    params = ModelParams(delta=0.3, bath=bath, basis=enumerate_basis(2, PerModeCap(3)))
+    assert params.parity is params.parity
+    assert (params.parity.basis, params.parity.bath) == (params.basis, params.bath)
+    for branch in (Branch.EVEN, Branch.ODD):
+        assert branch_operator(params, branch).parity is params.parity
 
 
 def test_model_params_mode_count_mismatch():

@@ -4,6 +4,7 @@ the regularized upper incomplete gamma from scipy, brentq root solving, and
 brute-force table enumeration."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -818,3 +819,22 @@ def test_closure_validation():
         closure_report(0, 5)
     with pytest.raises(ParameterError):
         closure_report(2, -1)
+
+
+@pytest.mark.parametrize("n_modes, n_tr", [
+    (10 ** 400, 20),  # a power of ~1.8e400 bits, never formed
+    (4000, 20),  # counts of 5289 digits, past Python's int-to-str limit
+    (2 ** 1024, 0),  # a ratio one past the double range
+])
+def test_closure_refuses_counts_it_cannot_print(n_modes, n_tr):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="digits"):
+        closure_report(n_modes, n_tr)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_closure_returns_counts_at_the_digit_limit():
+    # unknowns_discarded 4297 * 10**4296 has 4300 digits, Python's default limit.
+    rep = closure_report(4297, 9)
+    assert rep.unknowns_discarded == 4297 * 10 ** 4296
+    assert rep.independent_equations == 10 ** 4297

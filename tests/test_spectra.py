@@ -259,8 +259,8 @@ def test_degeneracy_condition_zero_displacement():
 def test_degeneracy_condition_consistent_with_gap():
     params = make_params(1.0, 1.0, 0.2, 30)
     table = KroneckerParity(params.basis, params.bath).dense()
-    res_plus = eigen_lowest(branch_operator(params, Branch.EVEN).dense(table), 1, 1e-10)
-    res_minus = eigen_lowest(branch_operator(params, Branch.ODD).dense(table), 1, 1e-10)
+    res_plus = eigen_lowest(branch_operator(params, Branch.EVEN).dense(), 1, 1e-10)
+    res_minus = eigen_lowest(branch_operator(params, Branch.ODD).dense(), 1, 1e-10)
     phi_plus = res_plus.vectors[:, 0]
     phi_minus = res_minus.vectors[:, 0]
     value = degeneracy_condition_value(phi_plus, phi_minus, table)
@@ -308,11 +308,9 @@ LANCZOS_CASES = {
 @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
 def test_lanczos_matches_dense_solve(case):
     params = LANCZOS_CASES[case]()
-    parity = KroneckerParity(params.basis, params.bath)
-    table = parity.dense()
     for branch in (Branch.EVEN, Branch.ODD):
-        op = branch_operator(params, branch, parity)
-        dense = op.dense(table)
+        op = branch_operator(params, branch)
+        dense = op.dense()
         reference = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, 3])
         for k in (1, 4):
             assert use_lanczos(params.basis, k)
