@@ -1,6 +1,9 @@
 """Truncated multi-mode occupation bases and the matrix elements of the
 bosonic parity factor between displaced oscillator number states.
 
+A basis, :class:`BasisSet`, is one read-only int64 array of occupation
+vectors cut at a per-mode or a total-quanta cap; one loop enumerates both.
+
 The single-mode overlap factor
 
     L(m, n; q) = sum_{j=0}^{min(m,n)} (-1)**j * sqrt(m! n!) * (2q)**(m+n-2j)
@@ -106,34 +109,31 @@ def default_policy(n_modes: int, cap: int):
     return PerModeCap(cap) if n_modes <= 2 else TotalQuantaCap(cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSet:
-    """Lexicographically ordered occupation vectors under a truncation policy.
+    """The truncated basis as one read-only int64 (dim, n_modes) array of
+    occupation vectors, in lexicographic order with row 0 all zeros.  Two
+    bases compare equal only when they are the same object."""
 
-    Index 0 is always the all-zeros vector; ``index_of`` inverts ``vectors``.
-    Immutable after construction.
-    """
-
-    n_modes: int
     policy: PerModeCap | TotalQuantaCap
-    vectors: tuple[tuple[int, ...], ...]
+    occupations: np.ndarray
+
+    @property
+    def n_modes(self) -> int:
+        return self.occupations.shape[1]
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
-
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        occ = np.array(self.vectors, dtype=np.int64).reshape(self.dim, self.n_modes)
-        occ.setflags(write=False)
-        return occ
-
-    @cached_property
-    def _index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vectors)}
+        return self.occupations.shape[0]
 
     def index_of(self, vec) -> int:
-        return self._index[tuple(int(v) for v in vec)]
+        """Row of ``vec`` in ``occupations``; KeyError if it is not a state."""
+        key = tuple(int(v) for v in vec)
+        if len(key) == self.n_modes and all(0 <= v <= self.policy.cap for v in key):
+            hit = np.flatnonzero((self.occupations == key).all(axis=1))
+            if hit.size:
+                return int(hit[0])
+        raise KeyError(key)
 
     @property
     def box_shape(self) -> tuple[int, ...]:
@@ -142,53 +142,45 @@ class BasisSet:
         return (self.policy.cap + 1,) * self.n_modes
 
 
-def _total_quanta_vectors(n_modes: int, cap: int):
-    vec = [0] * n_modes
-    out = []
-
-    def rec(pos, budget):
-        if pos == n_modes - 1:
-            for v in range(budget + 1):
-                vec[pos] = v
-                out.append(tuple(vec))
-            vec[pos] = 0
-            return
-        for v in range(budget + 1):
-            vec[pos] = v
-            rec(pos + 1, budget - v)
-        vec[pos] = 0
-
-    rec(0, cap)
-    return out
+def _check_count(name: str, value, least: int):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
 
 
-def enumerate_basis(n_modes: int, policy, max_states: int = MAX_BASIS_STATES) -> BasisSet:
+def enumerate_basis(n_modes: int, policy) -> BasisSet:
     """Enumerate the truncated basis in lexicographic order.
+
+    Each prefix over the modes so far is followed by the next mode's
+    occupations 0 up to its room: the cap under a per-mode cap, the cap minus
+    the prefix's quanta under a total-quanta cap.
 
     Raises
     ------
+    ParameterError
+        If ``policy`` is neither cap class, or ``n_modes`` or the cap is a
+        bool, not an int, or below 1 (0 for the cap).
     CapacityError
-        If the basis dimension would exceed ``max_states``.
+        If the closed-form dimension exceeds ``MAX_BASIS_STATES``.
     """
-    if not isinstance(n_modes, int) or n_modes < 1:
-        raise ParameterError(f"n_modes must be an integer >= 1, got {n_modes}")
-    if policy.cap < 0:
-        raise ParameterError(f"truncation cap must be >= 0, got {policy.cap}")
-    if isinstance(policy, PerModeCap):
-        dim = (policy.cap + 1) ** n_modes
-    elif isinstance(policy, TotalQuantaCap):
-        dim = math.comb(policy.cap + n_modes, n_modes)
-    else:
+    _check_count("n_modes", n_modes, 1)
+    if not isinstance(policy, (PerModeCap, TotalQuantaCap)):
         raise ParameterError(f"unknown truncation policy {policy!r}")
-    if dim > max_states:
+    cap = policy.cap
+    _check_count("truncation cap", cap, 0)
+    total = isinstance(policy, TotalQuantaCap)
+    dim = math.comb(cap + n_modes, n_modes) if total else (cap + 1) ** n_modes
+    if dim > MAX_BASIS_STATES:
         raise CapacityError(
-            f"basis would hold {dim} states, above the guard of {max_states}"
+            f"basis would hold {dim} states, above the guard of {MAX_BASIS_STATES}"
         )
-    if isinstance(policy, PerModeCap):
-        vectors = tuple(itertools.product(range(policy.cap + 1), repeat=n_modes))
-    else:
-        vectors = tuple(_total_quanta_vectors(n_modes, policy.cap))
-    return BasisSet(n_modes=n_modes, policy=policy, vectors=vectors)
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_modes):
+        counts = (cap - occ.sum(axis=1) if total else np.full(len(occ), cap)) + 1
+        firsts = np.repeat(np.cumsum(counts) - counts, counts)
+        last = np.arange(len(firsts), dtype=np.int64) - firsts
+        occ = np.column_stack([np.repeat(occ, counts, axis=0), last])
+    occ.setflags(write=False)
+    return BasisSet(policy=policy, occupations=occ)
 
 
 def _check_occupation(n: int):

@@ -41,6 +41,9 @@ __all__ = [
     "kronecker_sum",
 ]
 
+# Cap on the dimension of a dense Kronecker sum (memory bound, dim**2 floats).
+MAX_KRONECKER_DIM = 4096
+
 
 class Branch(enum.Enum):
     """Parity branch label; ``coupling_sign`` multiplies +(delta/2)*D."""
@@ -139,17 +142,17 @@ def degenerate_energy_set(basis: BasisSet, bath: BathModel) -> np.ndarray:
     return np.sort(h0_diagonal(basis, bath))
 
 
-def kronecker_sum(a: np.ndarray, b: np.ndarray, max_dim: int = 4096) -> np.ndarray:
+def kronecker_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A (x) I + I (x) B; its spectrum is all pairwise eigenvalue sums.
 
     Raises
     ------
     CapacityError
-        If dim(A) * dim(B) exceeds ``max_dim`` (dense storage bound).
+        If dim(A) * dim(B) exceeds ``MAX_KRONECKER_DIM`` (dense storage bound).
     """
     prod = a.shape[0] * b.shape[0]
-    if prod > max_dim:
+    if prod > MAX_KRONECKER_DIM:
         raise CapacityError(
-            f"Kronecker sum of dimension {prod} exceeds guard {max_dim}"
+            f"Kronecker sum of dimension {prod} exceeds guard {MAX_KRONECKER_DIM}"
         )
     return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)

@@ -197,7 +197,7 @@ def test_criterion_6_matrix_element_oracle():
         bath0 = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
         basis0 = enumerate_basis(2, PerModeCap(3))
         dense = KroneckerParity(basis0, bath0).dense()
-        signs = np.array([(-1.0) ** sum(v) for v in basis0.vectors])
+        signs = np.array([(-1.0) ** sum(v) for v in basis0.occupations])
         assert np.array_equal(dense, np.diag(signs))
 
 

@@ -1,6 +1,7 @@
 """Basis enumeration and parity matrix elements against independent routes:
 an exact rational evaluation and the bare-basis expansion oracle."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -44,39 +45,41 @@ from conftest import single_mode_bath
 
 def test_single_mode_enumeration():
     basis = enumerate_basis(1, PerModeCap(2))
-    assert basis.vectors == ((0,), (1,), (2,))
+    assert basis.occupations.tolist() == [[0], [1], [2]]
     assert basis.dim == 3
 
 
 def test_two_mode_per_mode_enumeration():
     basis = enumerate_basis(2, PerModeCap(1))
-    assert basis.vectors == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert basis.occupations.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert basis.dim == 4
 
 
 def test_total_quanta_count_is_stars_and_bars():
     basis = enumerate_basis(3, TotalQuantaCap(2))
     assert basis.dim == math.comb(5, 3) == 10
-    assert all(sum(v) <= 2 for v in basis.vectors)
+    assert all(sum(v) <= 2 for v in basis.occupations)
 
 
 def test_enumeration_is_lexicographic_with_zero_first():
     for policy in (PerModeCap(3), TotalQuantaCap(4)):
         basis = enumerate_basis(3, policy)
-        assert basis.vectors[0] == (0, 0, 0)
-        assert list(basis.vectors) == sorted(basis.vectors)
+        rows = basis.occupations.tolist()
+        assert rows[0] == [0, 0, 0]
+        assert rows == sorted(rows)
 
 
 def test_index_round_trip():
     basis = enumerate_basis(2, TotalQuantaCap(5))
-    for i, vec in enumerate(basis.vectors):
+    for i, vec in enumerate(basis.occupations):
         assert basis.index_of(vec) == i
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_basis(6, PerModeCap(9))  # 10**6 states
-    enumerate_basis(6, PerModeCap(9), max_states=10 ** 6)  # explicit raise of the guard
+    monkeypatch.setattr(fockspace, "MAX_BASIS_STATES", 10 ** 6)
+    enumerate_basis(6, PerModeCap(9))  # the guard raised
 
 
 def test_default_policy_switches_at_three_modes():
@@ -90,8 +93,62 @@ def test_default_policy_switches_at_three_modes():
 def test_per_mode_enumeration_is_bijective(n_modes, cap):
     basis = enumerate_basis(n_modes, PerModeCap(cap))
     assert basis.dim == (cap + 1) ** n_modes
-    assert len(set(basis.vectors)) == basis.dim
-    assert all(basis.index_of(v) == i for i, v in enumerate(basis.vectors))
+    assert len(set(map(tuple, basis.occupations.tolist()))) == basis.dim
+    assert all(basis.index_of(v) == i for i, v in enumerate(basis.occupations))
+
+
+def _policy_keeps(policy, vec) -> bool:
+    return sum(vec) <= policy.cap if isinstance(policy, TotalQuantaCap) else max(vec) <= policy.cap
+
+
+@pytest.mark.parametrize("policy_type", [PerModeCap, TotalQuantaCap])
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_enumeration_matches_the_filtered_product(policy_type, n_modes):
+    for cap in range(7):
+        policy = policy_type(cap)
+        basis = enumerate_basis(n_modes, policy)
+        expected = [list(v) for v in itertools.product(range(cap + 1), repeat=n_modes)
+                    if _policy_keeps(policy, v)]
+        assert basis.occupations.tolist() == expected
+        assert basis.occupations.dtype == np.int64
+        assert (basis.dim, basis.n_modes) == (len(expected), n_modes)
+        assert not basis.occupations[0].any()
+        with pytest.raises(ValueError):
+            basis.occupations[0, 0] = 1
+
+
+@pytest.mark.parametrize("n_modes, cap", [(12, 3), (30, 2)])
+def test_total_quanta_enumeration_beyond_the_product(n_modes, cap):
+    occ = enumerate_basis(n_modes, TotalQuantaCap(cap)).occupations
+    rows = occ.tolist()
+    assert len(rows) == math.comb(cap + n_modes, n_modes)
+    assert len(set(map(tuple, rows))) == len(rows)
+    assert rows == sorted(rows)
+    assert occ.sum(axis=1).max() <= cap and occ.min() == 0
+
+
+@pytest.mark.parametrize("vec", [(3, 0), (0, -1), (1, 1, 0), (1,), (2, 1)])
+def test_index_of_refuses_a_vector_outside_the_basis(vec):
+    basis = enumerate_basis(2, TotalQuantaCap(2))
+    with pytest.raises(KeyError):
+        basis.index_of(vec)
+
+
+@pytest.mark.parametrize("n_modes, policy", [
+    (2, "per-mode"),
+    (2, None),
+    (2, PerModeCap(2.5)),
+    (2, TotalQuantaCap(2.0)),
+    (2, PerModeCap(True)),
+    (2, TotalQuantaCap(False)),
+    (2, PerModeCap(-1)),
+    (True, PerModeCap(2)),
+    (2.0, TotalQuantaCap(2)),
+    (0, TotalQuantaCap(2)),
+])
+def test_enumeration_refuses_malformed_input(n_modes, policy):
+    with pytest.raises(ParameterError):
+        enumerate_basis(n_modes, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +305,7 @@ def test_d_table_zero_coupling_is_signed_diagonal():
     bath = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
     basis = enumerate_basis(2, PerModeCap(2))
     dense = KroneckerParity(basis, bath).dense()
-    signs = np.array([(-1.0) ** sum(v) for v in basis.vectors])
+    signs = np.array([(-1.0) ** sum(v) for v in basis.occupations])
     assert np.array_equal(dense, np.diag(signs))
 
 
@@ -256,8 +313,8 @@ def test_d_table_matches_per_pair_product():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.4)])
     basis = enumerate_basis(2, PerModeCap(3))
     table = KroneckerParity(basis, bath).dense()
-    for i, mv in enumerate(basis.vectors):
-        for j, nv in enumerate(basis.vectors):
+    for i, mv in enumerate(basis.occupations):
+        for j, nv in enumerate(basis.occupations):
             expected = math.exp(-2.0 * bath.sum_q2) * l_element(mv, nv, bath)
             assert table[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
@@ -339,8 +396,8 @@ def test_spectra_invariant_under_odd_row_sign_flip():
     bath = single_mode_bath(1.0, 1.2)
     basis = enumerate_basis(1, PerModeCap(12))
     d = KroneckerParity(basis, bath).dense()
-    h0 = np.diag([v[0] * 1.0 for v in basis.vectors]) - bath.sum_wq2 * np.eye(basis.dim)
-    flip = np.diag([(-1.0) ** v[0] for v in basis.vectors])
+    h0 = np.diag([v[0] * 1.0 for v in basis.occupations]) - bath.sum_wq2 * np.eye(basis.dim)
+    flip = np.diag([(-1.0) ** v[0] for v in basis.occupations])
     for sign in (+1.0, -1.0):
         h = h0 + sign * 0.15 * d
         h_flipped = h0 + sign * 0.15 * (flip @ d @ flip)

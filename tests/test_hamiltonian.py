@@ -22,6 +22,7 @@ from sbparity import (
     e_min_eo,
     enumerate_basis,
     h0_diagonal,
+    hamiltonian,
     kronecker_sum,
 )
 
@@ -162,10 +163,12 @@ def test_kronecker_sum_spectral_property_on_branches():
     assert np.allclose(ev, pairwise, atol=1e-10)
 
 
-def test_kronecker_sum_capacity_guard():
+def test_kronecker_sum_capacity_guard(monkeypatch):
     a = np.zeros((30, 30))
+    kronecker_sum(a, a)  # 900 states, under the default guard
+    monkeypatch.setattr(hamiltonian, "MAX_KRONECKER_DIM", 100)
     with pytest.raises(CapacityError):
-        kronecker_sum(a, a, max_dim=100)
+        kronecker_sum(a, a)
 
 
 KRONECKER_MODES = [(1.0, 0.9), (0.6, 0.4), (0.3, 0.0), (0.15, 0.2)]

@@ -116,7 +116,7 @@ def test_o_general_m_matches_brute_force():
     for m in [(0, 0), (1, 0), (2, 1)]:
         brute = math.fsum(
             l_element(m, n, bath) ** 2
-            for n in enumerate_basis(2, PerModeCap(cap)).vectors
+            for n in enumerate_basis(2, PerModeCap(cap)).occupations
         )
         assert o_diagonal(m, bath, cap) == pytest.approx(brute, rel=1e-12)
 
@@ -127,7 +127,7 @@ def test_o_total_quanta_matches_brute_force():
     for m in [(0, 0), (1, 1)]:
         brute = math.fsum(
             l_element(m, n, bath) ** 2
-            for n in enumerate_basis(2, TotalQuantaCap(cap)).vectors
+            for n in enumerate_basis(2, TotalQuantaCap(cap)).occupations
         )
         assert o_diagonal(m, bath, cap, policy="total-quanta") == pytest.approx(
             brute, rel=1e-12
@@ -171,7 +171,7 @@ def test_two_mode_deficiency_matches_exact_sums(policy, n_modes):
     for m in refs:
         rows = [[exact_l2(mk, n, qk) for n in range(n_tr + 1)] for mk, qk in zip(m, q)]
         exact = sum(math.prod((row[nk] for row, nk in zip(rows, n)), start=Fraction(1))
-                    for n in basis.vectors)
+                    for n in basis.occupations)
         assert o_diagonal(m, bath, n_tr, policy) == pytest.approx(float(exact), rel=1e-12)
         assert parity_deficiency(bath, n_tr, m, policy) == pytest.approx(
             1.0 - scale * float(exact), abs=1e-12
@@ -381,7 +381,7 @@ def test_deficiency_general_m_consistent_with_brute_force():
     m = (1, 2)
     brute = 1.0 - math.exp(-4.0 * bath.sum_q2) * math.fsum(
         l_element(m, n, bath) ** 2
-        for n in enumerate_basis(2, PerModeCap(cap)).vectors
+        for n in enumerate_basis(2, PerModeCap(cap)).occupations
     )
     assert parity_deficiency(bath, cap, m) == pytest.approx(brute, abs=1e-12)
 
