@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bath import (
     BathLadder,
     BathModel,
-    Mode,
     SpectralLaw,
     bath_from_modes,
     bath_ladder,
@@ -37,8 +36,6 @@ from .fockspace import (
     TotalQuantaCap,
     default_policy,
     enumerate_basis,
-    l_element,
-    l_element_single,
     overlap_oracle,
 )
 from .hamiltonian import (

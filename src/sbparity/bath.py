@@ -23,17 +23,16 @@ Derived scalars used downstream:
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 
 __all__ = [
     "SpectralLaw",
-    "Mode",
     "BathModel",
     "BathLadder",
     "LadderStack",
@@ -97,34 +96,14 @@ def _check_lam(lam: float) -> None:
 
 
 @dataclass(frozen=True)
-class Mode:
-    """One discretized bath mode.
-
-    ``q`` is the dimensionless displacement lam / (2 * omega), kept as a
-    property so the defining relation can never drift out of sync.
-    """
-
-    omega: float
-    lam: float
-
-    def __post_init__(self):
-        _check_omega(self.omega)
-        _check_lam(self.lam)
-
-    @property
-    def q(self) -> float:
-        return self.lam / (2.0 * self.omega)
-
-
-@dataclass(frozen=True)
 class BathModel:
     """Immutable discretized bath plus the derived scalars.
 
     ``lambda_disc`` is the geometric bin ratio, None when the modes were
-    supplied directly.  Mode k has frequency ``omegas[k]``, coupling
-    ``lams[k]`` and displacement ``qs[k]`` = lams[k] / (2 * omegas[k]);
-    ``modes`` offers the same as :class:`Mode` objects, built on first
-    access.  Safe to share across workers; all operations on it are pure.
+    supplied directly.  The modes are the three parallel tuples: mode k has
+    frequency ``omegas[k]``, coupling ``lams[k]`` and displacement
+    ``qs[k]`` = lams[k] / (2 * omegas[k]).  Safe to share across workers;
+    all operations on it are pure.
     """
 
     lambda_disc: float | None
@@ -138,10 +117,6 @@ class BathModel:
     @property
     def n_modes(self) -> int:
         return len(self.qs)
-
-    @functools.cached_property
-    def modes(self) -> tuple[Mode, ...]:
-        return tuple(Mode(omega, lam) for omega, lam in zip(self.omegas, self.lams))
 
 
 def _derived_sums(omegas, qs) -> tuple[float, float]:
@@ -242,8 +217,7 @@ def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> B
         frequency comes out non-finite.
     """
     _check_shape(s, omega_c)
-    if not isinstance(n_modes, int) or n_modes < 1:
-        raise ParameterError(f"n_modes must be an integer >= 1, got {n_modes}")
+    check_count("n_modes", n_modes, 1)
     if not lambda_disc > 1.0:
         raise ParameterError(f"lambda_disc must satisfy lambda_disc > 1, got {lambda_disc}")
     r = 0.0 if math.isinf(lambda_disc) else 1.0 / lambda_disc
@@ -293,24 +267,35 @@ def discretize_bath(law: SpectralLaw, n_modes: int, lambda_disc: float) -> BathM
 
 
 def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
-    """Assemble a bath from explicit (omega, lam) modes.
+    """Assemble a bath from explicit (omega, lam) pairs of real numbers,
+    checked as :meth:`BathLadder.at` checks its modes, q = lam / (2 * omega).
 
-    Modes must be ordered by strictly decreasing frequency.  A ``law``, used
-    but not stored, bounds them by its omega_c and makes ``beta``
-    2*sum_q2/alpha when its alpha > 0; for a decoupled bath beta is 0, and
-    otherwise it is NaN because the alpha-scaling argument that makes beta
-    well defined does not apply to hand-picked couplings.
+    Pairs must be ordered by strictly decreasing frequency; a malformed pair
+    is a ParameterError naming its index.  A ``law``, used but not stored,
+    bounds them by its omega_c and makes ``beta`` 2*sum_q2/alpha when its
+    alpha > 0; for a decoupled bath beta is 0, and otherwise it is NaN
+    because the alpha-scaling argument that makes beta well defined does not
+    apply to hand-picked couplings.
     """
-    modes = tuple(m if isinstance(m, Mode) else Mode(*m) for m in modes)
-    if not modes:
+    omegas, lams = [], []
+    for i, pair in enumerate(modes):
+        try:
+            omega, lam = pair
+        except (TypeError, ValueError):
+            omega = lam = None
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (omega, lam)):
+            raise ParameterError(f"mode {i} must be an (omega, lam) pair of numbers, got {pair!r}")
+        _check_omega(omega)
+        _check_lam(lam)
+        omegas.append(omega)
+        lams.append(lam)
+    if not omegas:
         raise ParameterError("at least one mode is required")
-    for a, b in zip(modes, modes[1:]):
-        if not a.omega > b.omega:
-            raise ParameterError("modes must be ordered by decreasing frequency")
-    if law is not None and any(m.omega > law.omega_c for m in modes):
+    if not all(a > b for a, b in zip(omegas, omegas[1:])):
+        raise ParameterError("modes must be ordered by decreasing frequency")
+    if law is not None and any(omega > law.omega_c for omega in omegas):
         raise ParameterError("mode frequencies must lie in (0, omega_c]")
-    omegas = tuple(m.omega for m in modes)
-    qs = tuple(m.q for m in modes)
+    qs = tuple(lam / (2.0 * omega) for lam, omega in zip(lams, omegas))
     sum_wq2, sum_q2 = _derived_sums(omegas, qs)
     if law is not None and law.alpha > 0.0:
         beta = 2.0 * sum_q2 / law.alpha
@@ -318,8 +303,7 @@ def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
         beta = 0.0
     else:
         beta = math.nan
-    return BathModel(lambda_disc=None, omegas=omegas,
-                     lams=tuple(m.lam for m in modes), qs=qs,
+    return BathModel(lambda_disc=None, omegas=tuple(omegas), lams=tuple(lams), qs=qs,
                      sum_wq2=sum_wq2, sum_q2=sum_q2, beta=beta)
 
 

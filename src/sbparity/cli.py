@@ -35,7 +35,6 @@ from .bath import BathModel, SpectralLaw, bath_from_modes, bath_ladder, discreti
 from .errors import (
     CapacityError,
     ConfigError,
-    ConvergenceError,
     InvariantViolation,
     ParameterError,
     SearchError,
@@ -674,7 +673,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         _emit_error(exc)
         return EXIT_INVARIANT
-    except (SolverError, ConvergenceError) as exc:
+    except SolverError as exc:
         _emit_error(exc)
         return EXIT_SOLVER
     except SearchError as exc:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all sbparity modules."""
+"""Exception hierarchy shared by all sbparity modules, and their count check."""
 
 
 class SpinBosonError(Exception):
@@ -49,3 +49,9 @@ class OverlapGuardError(SpinBosonError):
 
 class ConfigError(SpinBosonError):
     """A run configuration failed to parse or validate."""
+
+
+def check_count(name: str, value, least: int):
+    """ParameterError unless ``value`` is an int >= ``least``, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value}")

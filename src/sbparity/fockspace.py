@@ -19,10 +19,11 @@ The alternating sum cancels catastrophically, so it is never summed: the
 normalized functions obey the three-term recurrence of DLMF §18.9, run in n
 along every diagonal k at once, which is stable to about 1e-14 absolute over
 the whole occupation range.  D is the stored quantity, because
-L * exp(-2 sum_k q_k**2) is 0 * inf at strong coupling; L is formed only on
-request, from the same recurrence without the exp(-2 q**2) seed.  An exact
-rational evaluation backs the unit tests, and :func:`overlap_oracle` gives
-an independent route through the bare number basis.
+L * exp(-2 sum_k q_k**2) is 0 * inf at strong coupling; L is formed only for
+table dumps (:func:`l_matrix`), from the same recurrence without the
+exp(-2 q**2) seed.  An exact rational evaluation backs the unit tests, and
+:func:`overlap_oracle` gives an independent route through the bare number
+basis.
 
 Over a multi-mode basis D is one object, :class:`KroneckerParity`, built
 from the per-mode tables: it applies D to a vector one mode at a time,
@@ -47,7 +48,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bath import BathModel
-from .errors import CapacityError, ConvergenceError, InvariantViolation, ParameterError
+from .errors import (CapacityError, ConvergenceError, InvariantViolation, ParameterError,
+                     check_count)
 
 __all__ = [
     "PerModeCap",
@@ -55,8 +57,6 @@ __all__ = [
     "default_policy",
     "BasisSet",
     "enumerate_basis",
-    "l_element_single",
-    "l_element",
     "l_scaled_rational",
     "single_mode_l_table",
     "single_mode_d_table",
@@ -142,11 +142,6 @@ class BasisSet:
         return (self.policy.cap + 1,) * self.n_modes
 
 
-def _check_count(name: str, value, least: int):
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
-
-
 def enumerate_basis(n_modes: int, policy) -> BasisSet:
     """Enumerate the truncated basis in lexicographic order.
 
@@ -162,11 +157,11 @@ def enumerate_basis(n_modes: int, policy) -> BasisSet:
     CapacityError
         If the closed-form dimension exceeds ``MAX_BASIS_STATES``.
     """
-    _check_count("n_modes", n_modes, 1)
+    check_count("n_modes", n_modes, 1)
     if not isinstance(policy, (PerModeCap, TotalQuantaCap)):
         raise ParameterError(f"unknown truncation policy {policy!r}")
     cap = policy.cap
-    _check_count("truncation cap", cap, 0)
+    check_count("truncation cap", cap, 0)
     total = isinstance(policy, TotalQuantaCap)
     dim = math.comb(cap + n_modes, n_modes) if total else (cap + 1) ** n_modes
     if dim > MAX_BASIS_STATES:
@@ -245,28 +240,6 @@ def _recurrence_factors(m_max: int, n_max: int):
     for array in (k, half_lgamma, *itertools.chain.from_iterable(factors)):
         array.setflags(write=False)
     return k, half_lgamma, factors
-
-
-def l_element_single(m: int, n: int, q: float) -> float:
-    """Single-mode L(m, n; q) in double precision."""
-    _check_occupation(m)
-    _check_occupation(n)
-    return float(_single_mode_block(q, m, n, scaled=False)[m, n])
-
-
-def l_element(m, n, bath: BathModel) -> float:
-    """Multi-mode L element: product of per-mode factors."""
-    m = tuple(int(v) for v in m)
-    n = tuple(int(v) for v in n)
-    if len(m) != bath.n_modes or len(n) != bath.n_modes:
-        raise ParameterError(
-            f"occupation vectors of length {len(m)}/{len(n)} do not match "
-            f"{bath.n_modes} bath modes"
-        )
-    out = 1.0
-    for mk, nk, q in zip(m, n, bath.qs):
-        out *= l_element_single(mk, nk, q)
-    return out
 
 
 def l_scaled_rational(m: int, n: int, q: Fraction) -> Fraction:

@@ -46,6 +46,7 @@ from .errors import (
     ParameterError,
     SearchError,
     SpinBosonError,
+    check_count,
 )
 from .fockspace import D_BOUND, FACTORIAL_GUARD, BasisSet, KroneckerParity, single_mode_d_row
 
@@ -86,7 +87,8 @@ def _normalize_m(m, n_modes: int) -> tuple[int, ...]:
     if m is None:
         return (0,) * n_modes
     try:
-        m = tuple(operator.index(v) for v in m)
+        # A bool is not an occupation: as None, operator.index refuses it.
+        m = tuple(operator.index(None if isinstance(v, bool) else v) for v in m)
     except TypeError:
         raise ParameterError(
             f"reference occupation must be a sequence of {n_modes} integers, got {m!r}"
@@ -106,8 +108,7 @@ def _normalize_m(m, n_modes: int) -> tuple[int, ...]:
 
 
 def _check_cap(n_tr: int):
-    if not isinstance(n_tr, int) or n_tr < 0:
-        raise ParameterError(f"truncation cap must be an integer >= 0, got {n_tr}")
+    check_count("truncation cap", n_tr, 0)
     if n_tr > MAX_SERIES_CAP:
         raise ParameterError(
             f"truncation cap {n_tr} exceeds the series guard of {MAX_SERIES_CAP}"
@@ -544,7 +545,8 @@ class ParityAudit:
 def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
     """Square D over ``basis`` with :meth:`KroneckerParity.square` and report
     departures from identity; InvariantViolation if a row norm (D@D)_mm
-    exceeds 1 + 1e-12."""
+    exceeds 1 + 1e-12, or if row 0, the vacuum, and the series deficiency
+    differ by more than 1e-12 * max(1, 4 * sum_q2)."""
     diag, offdiag = KroneckerParity(basis, bath).square()
     worst = float(np.max(diag))
     if not worst <= D_BOUND:
@@ -552,13 +554,18 @@ def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
     policy = basis.policy
     zeros = (0,) * basis.n_modes
     log_o = _log_o(zeros, bath, policy.cap, policy.kind)
+    deficiency = _deficiency(log_o, bath.sum_q2)
+    residuals = np.abs(diag - 1.0)
+    if not abs(residuals[0] - deficiency) <= 1e-12 * max(1.0, 4.0 * bath.sum_q2):
+        raise InvariantViolation(f"vacuum deficiency {deficiency:.17g} from the series and "
+                                 f"{residuals[0]:.17g} from the square disagree")
     return ParityAudit(
         m=zeros,
         n_tr=policy.cap,
         o_value=_exp_or_inf(log_o),
         scale=math.exp(-4.0 * bath.sum_q2),
-        deficiency=_deficiency(log_o, bath.sum_q2),
-        d2_diag_residuals=np.abs(diag - 1.0),
+        deficiency=deficiency,
+        d2_diag_residuals=residuals,
         d2_max_offdiag=offdiag,
     )
 
@@ -605,10 +612,8 @@ def closure_report(n_modes: int, n_tr: int) -> ClosureReport:
     exact counts decide.  Where the digit limit is switched off, Python's
     default limit stands in for it.
     """
-    if not isinstance(n_modes, int) or n_modes < 1:
-        raise ParameterError(f"n_modes must be an integer >= 1, got {n_modes}")
-    if not isinstance(n_tr, int) or n_tr < 0:
-        raise ParameterError(f"n_tr must be an integer >= 0, got {n_tr}")
+    check_count("n_modes", n_modes, 1)
+    check_count("n_tr", n_tr, 0)
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     refused = ParameterError(
         f"the closure counts must have at most {digits} digits and the ratio "

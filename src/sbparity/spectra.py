@@ -433,6 +433,8 @@ def gap_identity_check(
     OverlapGuardError
         If the eigenvector overlap magnitude falls below 1e-12.
     """
+    if isinstance(level_plus, bool) or isinstance(level_minus, bool):
+        raise ParameterError(f"levels must be integers, got {level_plus!r}, {level_minus!r}")
     if level_plus < 0 or level_minus < 0:
         raise ParameterError("levels must be >= 0")
     parity, res_plus, res_minus = solve_branches(

@@ -43,7 +43,6 @@ from sbparity import (
     theorem_report,
 )
 from sbparity import cli
-from sbparity.fockspace import l_element_single
 from sbparity.spectra import energy_scale, GAP_RESOLUTION_FACTOR, VERDICT_DEGENERATE
 
 from conftest import bare_fock_ground_energy

@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from sbparity import (
-    Mode,
     ParameterError,
     SpectralLaw,
     bath_from_modes,
@@ -49,7 +48,7 @@ def test_discretize_validation():
 
 def test_zero_coupling_is_fully_decoupled():
     bath = discretize_bath(SpectralLaw(0.0, 1.0, 1.0), 3, 2.0)
-    assert all(m.lam == 0.0 and m.q == 0.0 for m in bath.modes)
+    assert all(lam == 0.0 for lam in bath.lams) and all(q == 0.0 for q in bath.qs)
     assert bath.sum_q2 == 0.0
     assert bath.sum_wq2 == 0.0
     assert e_min_eo(bath) == 0.0
@@ -59,7 +58,7 @@ def test_single_bin_carries_the_full_weight():
     # Analytic: (1/pi) * int_0^1 2*pi*0.1*w dw = 0.1.
     law = SpectralLaw(0.1, 1.0, 1.0)
     bath = discretize_bath(law, 1, math.inf)
-    lam2 = bath.modes[0].lam ** 2
+    lam2 = bath.lams[0] ** 2
     assert lam2 == pytest.approx(0.1, abs=1e-14)
     assert lam2 == pytest.approx(total_weight_quad(law, 0.0, 1.0), abs=1e-12)
 
@@ -69,7 +68,7 @@ def test_single_bin_carries_the_full_weight():
 def test_weight_conservation_over_covered_range(s, lam_disc, n_modes):
     law = SpectralLaw(0.3, s, 1.5)
     bath = discretize_bath(law, n_modes, lam_disc)
-    total = math.fsum(m.lam ** 2 for m in bath.modes)
+    total = math.fsum(lam ** 2 for lam in bath.lams)
     lowest_edge = law.omega_c * lam_disc ** -n_modes
     closed = (
         2.0 * law.alpha * law.omega_c ** (1.0 - s)
@@ -87,7 +86,7 @@ def test_weight_conservation_full_integral(s):
     # the 1e-10 relative tolerance against the full continuum integral.
     law = SpectralLaw(0.1, s, 1.0)
     bath = discretize_bath(law, 40, 2.0)
-    total = math.fsum(m.lam ** 2 for m in bath.modes)
+    total = math.fsum(lam ** 2 for lam in bath.lams)
     assert total == pytest.approx(total_weight_quad(law, 0.0, 1.0), rel=1e-10)
 
 
@@ -147,13 +146,13 @@ def test_beta_two_independent_routes_agree():
 
 def test_q_definition_holds_for_every_mode():
     bath = discretize_bath(SpectralLaw(0.3, 0.7, 2.0), 25, 1.8)
-    for mode in bath.modes:
-        assert mode.q == mode.lam / (2.0 * mode.omega)
+    for omega, lam, q in zip(bath.omegas, bath.lams, bath.qs, strict=True):
+        assert q == lam / (2.0 * omega)
 
 
 def test_modes_ordered_and_within_cutoff():
     bath = discretize_bath(SpectralLaw(0.3, 0.7, 2.0), 25, 1.8)
-    omegas = [m.omega for m in bath.modes]
+    omegas = bath.omegas
     assert all(a > b for a, b in zip(omegas, omegas[1:]))
     assert all(0.0 < w <= 2.0 for w in omegas)
 
@@ -164,27 +163,42 @@ def test_bath_from_modes_validation():
     with pytest.raises(ParameterError):
         bath_from_modes([(0.5, 0.1), (1.0, 0.1)])  # increasing frequency
     with pytest.raises(ParameterError):
-        Mode(omega=-1.0, lam=0.0)
+        bath_from_modes([(-1.0, 0.0)])
     bath = bath_from_modes([(1.0, 0.0)])
     assert bath.beta == 0.0
+
+
+@pytest.mark.parametrize("modes, bad", [
+    ([(1.0,)], 0),
+    ([(1.0, 0.5, 2.0)], 0),
+    ([1.0], 0),
+    ([("a", 0.5)], 0),
+    ([(2.0, 0.1), (1.0, None)], 1),
+    ([(2.0, 0.1), (True, 0.5)], 1),
+])
+def test_bath_from_modes_refuses_malformed_pairs(modes, bad):
+    # Once a bare TypeError from the mode constructor.
+    with pytest.raises(ParameterError, match=rf"^mode {bad} must be an \(omega, lam\) pair"):
+        bath_from_modes(modes)
 
 
 def test_deep_ladders_stay_finite():
     # Ratio-form binning must not produce zero or non-finite frequencies even
     # when bin weights underflow.
     bath = discretize_bath(SpectralLaw(0.1, 1.0, 1.0), 200, 4.0)
-    assert all(m.omega > 0.0 and math.isfinite(m.omega) for m in bath.modes)
+    assert all(w > 0.0 and math.isfinite(w) for w in bath.omegas)
     assert math.isfinite(bath.sum_wq2)
 
 
 def mode_loop_bath(law, n_modes, lambda_disc):
-    """Reference: the per-mode loop that built one Mode per bin, returning
-    (modes, qs, sum_wq2, sum_q2, beta)."""
+    """Reference: the per-mode loop that binned one (omega, lam) pair at a
+    time, checked by bath_from_modes, returning (omegas, lams, qs, sum_wq2,
+    sum_q2, beta)."""
     alpha, s, wc = law.alpha, law.s, law.omega_c
     r = 0.0 if math.isinf(lambda_disc) else 1.0 / lambda_disc
     w_shape = (1.0 - r ** (s + 1.0)) / (s + 1.0)
     f_shape = ((s + 1.0) * (1.0 - r ** (s + 2.0))) / ((s + 2.0) * (1.0 - r ** (s + 1.0)))
-    modes = []
+    pairs = []
     for k in range(n_modes):
         hi = wc * r ** k if k else wc
         if hi <= 0.0:
@@ -192,15 +206,16 @@ def mode_loop_bath(law, n_modes, lambda_disc):
                 f"bin edge underflowed at mode {k}; reduce n_modes or lambda_disc"
             )
         lam2 = 2.0 * alpha * wc ** (1.0 - s) * hi ** (s + 1.0) * w_shape
-        modes.append(Mode(omega=hi * f_shape, lam=math.sqrt(lam2)))
-    modes = tuple(modes)
-    sum_wq2 = math.fsum(m.omega * m.q * m.q for m in modes)
-    sum_q2 = math.fsum(m.q * m.q for m in modes)
+        pairs.append((hi * f_shape, math.sqrt(lam2)))
+    bath = bath_from_modes(pairs)
+    omegas, lams, qs = bath.omegas, bath.lams, bath.qs
+    sum_wq2 = math.fsum(w * q * q for w, q in zip(omegas, qs))
+    sum_q2 = math.fsum(q * q for q in qs)
     if alpha > 0.0:
         beta = 2.0 * sum_q2 / alpha
     else:
-        beta = mode_loop_bath(SpectralLaw(1.0, s, wc), n_modes, lambda_disc)[4]
-    return modes, tuple(m.q for m in modes), sum_wq2, sum_q2, beta
+        beta = mode_loop_bath(SpectralLaw(1.0, s, wc), n_modes, lambda_disc)[5]
+    return omegas, lams, qs, sum_wq2, sum_q2, beta
 
 
 def bits(values):
@@ -215,10 +230,10 @@ def test_discretize_bath_is_bit_identical_to_the_mode_loop(s, omega_c, n_modes, 
     ladder = bath_ladder(s, omega_c, n_modes, lambda_disc)
     for alpha in (0.0, 1e-6, 0.01, 0.1, 0.37, 1.0, 2.5, 1e3):
         law = SpectralLaw(alpha, s, omega_c)
-        modes, qs, sum_wq2, sum_q2, beta = mode_loop_bath(law, n_modes, lambda_disc)
+        omegas, lams, qs, sum_wq2, sum_q2, beta = mode_loop_bath(law, n_modes, lambda_disc)
         for bath in (discretize_bath(law, n_modes, lambda_disc), ladder.at(alpha)):
-            assert bits(m.omega for m in bath.modes) == bits(m.omega for m in modes)
-            assert bits(m.lam for m in bath.modes) == bits(m.lam for m in modes)
+            assert bits(bath.omegas) == bits(omegas)
+            assert bits(bath.lams) == bits(lams)
             assert bits(bath.qs) == bits(qs)
             assert bits([bath.sum_wq2, bath.sum_q2, bath.beta]) == bits([sum_wq2, sum_q2, beta])
             assert bath.lambda_disc == lambda_disc

@@ -1252,6 +1252,30 @@ def test_corrupted_parity_table_exits_2(tmp_path, capsys, monkeypatch, command, 
     assert guard in out["error"]["message"]
 
 
+@pytest.mark.parametrize("config", [SINGLE_MODE_THEOREM, MATRIX_FREE_THEOREM],
+                         ids=["1-mode", "2-modes"])
+def test_audit_vacuum_mismatch_exits_2(tmp_path, capsys, monkeypatch, config):
+    # Row 0 of the basis is the vacuum, so the square's first row norm and
+    # the series deficiency are one number; a square whose vacuum row drifts
+    # by 1e-9, inside every other bound, must not print.
+    from sbparity import fockspace
+
+    square = fockspace.KroneckerParity.square
+
+    def drifted(self):
+        diag, offdiag = square(self)
+        diag[0] -= 1e-9
+        return diag, offdiag
+
+    path = write_config(tmp_path, config)
+    monkeypatch.setattr(fockspace.KroneckerParity, "square", drifted)
+    code = cli.main(["parity-audit", "--config", path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["type"] == "InvariantViolation"
+    assert "vacuum deficiency" in out["error"]["message"]
+
+
 THEOREM_KEYS = ["e_gs", "e_plus_min", "e_minus_min", "e_min_eo", "margin", "predicted_gap",
                 "measured_gap", "verdict"]
 DISCRETIZED = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 0.5, "alpha": 0.1},

@@ -23,13 +23,12 @@ from sbparity import (
     default_policy,
     enumerate_basis,
     fockspace,
-    l_element,
-    l_element_single,
     overlap_oracle,
 )
 from sbparity.fockspace import (
     FACTORIAL_GUARD,
     KroneckerParity,
+    l_matrix,
     l_scaled_rational,
     single_mode_d_row,
     single_mode_d_table,
@@ -157,7 +156,7 @@ def test_enumeration_refuses_malformed_input(n_modes, policy):
 
 def test_l_vacuum_is_one():
     for q in (0.0, 0.2, 1.0, 3.0):
-        assert l_element_single(0, 0, q) == 1.0
+        assert single_mode_l_table(q, 0)[0, 0] == 1.0
 
 
 def test_l_one_one_closed_form():
@@ -165,30 +164,27 @@ def test_l_one_one_closed_form():
     q = Fraction(1, 2)
     assert l_scaled_rational(1, 1, q) == Fraction(0)          # 4q^2 - 1 at q = 1/2
     assert l_scaled_rational(1, 1, Fraction(3, 10)) == Fraction(9, 25) - 1
-    assert l_element_single(1, 1, 0.3) == pytest.approx(4 * 0.09 - 1.0, abs=1e-15)
-    assert l_element_single(1, 1, 0.0) == -1.0
+    assert single_mode_l_table(0.3, 1)[1, 1] == pytest.approx(4 * 0.09 - 1.0, abs=1e-15)
+    assert single_mode_l_table(0.0, 1)[1, 1] == -1.0
 
 
 def test_l_at_zero_displacement_is_signed_identity():
-    for m in range(6):
-        for n in range(6):
-            expected = (-1.0) ** m if m == n else 0.0
-            assert l_element_single(m, n, 0.0) == expected
+    assert np.array_equal(single_mode_l_table(0.0, 5), np.diag((-1.0) ** np.arange(6)))
 
 
 def test_l_symmetry_is_exact():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        m, n = rng.integers(0, 12, size=2)
-        q = float(rng.uniform(0.0, 1.5))
-        assert l_element_single(int(m), int(n), q) == l_element_single(int(n), int(m), q)
+        table = single_mode_l_table(float(rng.uniform(0.0, 1.5)), 11)
+        assert np.array_equal(table, table.T)
 
 
 def test_l_zero_row_closed_form():
     q = 0.6
+    row = single_mode_l_table(q, 11)[0]
     for n in range(12):
         closed = (2 * q) ** n / math.sqrt(math.factorial(n))
-        assert l_element_single(0, n, q) == pytest.approx(closed, rel=1e-12)
+        assert row[n] == pytest.approx(closed, rel=1e-12)
 
 
 def test_l_against_exact_rational_up_to_occupation_ten(rng):
@@ -200,7 +196,7 @@ def test_l_against_exact_rational_up_to_occupation_ten(rng):
         exact = float(l_scaled_rational(m, n, qf)) * math.sqrt(
             math.factorial(m) * math.factorial(n)
         )
-        got = l_element_single(m, n, float(qf))
+        got = single_mode_l_table(float(qf), 10)[m, n]
         worst = max(worst, abs(got - exact) / max(1.0, abs(exact)))
     assert worst < 1e-11
 
@@ -215,7 +211,8 @@ def test_l_matches_rational_reference(m, n, q):
     exact = float(l_scaled_rational(m, n, q)) * math.sqrt(
         math.factorial(m) * math.factorial(n)
     )
-    assert l_element_single(m, n, float(q)) == pytest.approx(exact, abs=1e-10, rel=1e-10)
+    got = single_mode_l_table(float(q), max(m, n))[m, n]
+    assert got == pytest.approx(exact, abs=1e-10, rel=1e-10)
 
 
 def exact_d(m, n, q):
@@ -253,25 +250,25 @@ def test_d_table_edge_rows_match_rational_reference(q, cap):
 
 def test_l_multiplicative_across_modes():
     bath = bath_from_modes([(1.0, 0.8), (0.5, 0.7)])
-    q0, q1 = bath.modes[0].q, bath.modes[1].q
+    basis = enumerate_basis(2, PerModeCap(4))
+    combined = l_matrix(basis, bath)
+    t0, t1 = (single_mode_l_table(q, 4) for q in bath.qs)
     for mv, nv in [((2, 3), (1, 0)), ((0, 4), (2, 2)), ((1, 1), (1, 1))]:
-        combined = l_element(mv, nv, bath)
-        product = l_element_single(mv[0], nv[0], q0) * l_element_single(mv[1], nv[1], q1)
-        assert combined == pytest.approx(product, rel=1e-15, abs=1e-300)
+        product = t0[mv[0], nv[0]] * t1[mv[1], nv[1]]
+        assert combined[basis.index_of(mv), basis.index_of(nv)] == product
 
 
 def test_l_occupation_guard():
     with pytest.raises(CapacityError):
-        l_element_single(171, 0, 0.5)
+        single_mode_l_table(0.5, 171)
     with pytest.raises(ParameterError):
-        l_element_single(-1, 0, 0.5)
+        single_mode_l_table(0.5, -1)
 
 
 @pytest.mark.parametrize("q", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
 def test_kernel_refuses_a_displacement_not_finite_or_negative(q):
     # Once a bare "math domain error" for q < 0 and NaN tables for NaN or inf.
     calls = (
-        lambda: l_element_single(1, 2, q),
         lambda: single_mode_l_table(q, 4),
         lambda: single_mode_d_table(q, 4),
         lambda: single_mode_d_row(1, q, 4),
@@ -280,12 +277,6 @@ def test_kernel_refuses_a_displacement_not_finite_or_negative(q):
     for call in calls:
         with pytest.raises(ParameterError, match="displacement q must be finite and >= 0"):
             call()
-
-
-def test_l_element_length_mismatch():
-    bath = single_mode_bath()
-    with pytest.raises(ParameterError):
-        l_element((0, 0), (0,), bath)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +304,8 @@ def test_d_table_matches_per_pair_product():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.4)])
     basis = enumerate_basis(2, PerModeCap(3))
     table = KroneckerParity(basis, bath).dense()
-    for i, mv in enumerate(basis.occupations):
-        for j, nv in enumerate(basis.occupations):
-            expected = math.exp(-2.0 * bath.sum_q2) * l_element(mv, nv, bath)
-            assert table[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-300)
+    expected = math.exp(-2.0 * bath.sum_q2) * l_matrix(basis, bath)
+    assert np.allclose(table, expected, rtol=1e-13, atol=1e-300)
 
 
 def test_d_table_capacity_guard(monkeypatch):
@@ -469,7 +458,31 @@ def test_d_square_residual_small_in_the_inner_block():
 
 
 def test_single_mode_l_table_matches_elements():
-    table = single_mode_l_table(0.7, 5)
-    for m in range(6):
-        for n in range(6):
-            assert table[m, n] == l_element_single(m, n, 0.7)
+    # Entry (m, n) has the same bits in every table of cap >= max(m, n), so
+    # reading it from the smallest such table reads the dumped value.
+    small = single_mode_l_table(0.7, 5)
+    for cap in (10, 40, FACTORIAL_GUARD):
+        assert np.array_equal(single_mode_l_table(0.7, cap)[:6, :6], small)
+
+
+def exact_l(m, n, q):
+    """L(m, n; q) from the exact rational sum; its square m! n! r**2 is
+    exact, so only the float conversion and the square root round."""
+    r = l_scaled_rational(m, n, q)
+    return math.copysign(math.sqrt(r * r * math.factorial(m) * math.factorial(n)), r)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3),
+                               Fraction(5)])
+def test_l_table_matches_rational_reference_up_to_cap_170(q):
+    # --dump-tables prints L up to the largest cap the CLI accepts.  The
+    # corners, the mid-diagonal and 25 seeded pairs are held to the D tests'
+    # absolute bound of 1e-12, scaled to L by exp(2 q**2).
+    cap = FACTORIAL_GUARD
+    table = single_mode_l_table(float(q), cap)
+    rng = np.random.default_rng(int(10 * q))
+    pairs = [(0, 0), (0, cap), (cap, 0), (cap, cap), (cap // 2, cap // 2),
+             *rng.integers(0, cap + 1, size=(25, 2)).tolist()]
+    bound = 1e-12 * math.exp(2.0 * float(q) ** 2)
+    for m, n in pairs:
+        assert table[m, n] == pytest.approx(exact_l(m, n, q), abs=bound), (m, n)

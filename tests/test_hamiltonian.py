@@ -183,8 +183,7 @@ def test_d_matrix_is_the_restricted_kronecker_product(n_modes, policy):
     # states, gathered in the same mode order, so the match is exact.
     bath = bath_from_modes(KRONECKER_MODES[:n_modes])
     basis = enumerate_basis(n_modes, policy)
-    tables = [single_mode_d_table(mode.q, size - 1)
-              for mode, size in zip(bath.modes, basis.box_shape)]
+    tables = [single_mode_d_table(q, size - 1) for q, size in zip(bath.qs, basis.box_shape)]
     idx = np.ravel_multi_index(basis.occupations.T, basis.box_shape)
     parity = KroneckerParity(basis, bath)
     d = parity.dense()

@@ -4,6 +4,7 @@ the regularized upper incomplete gamma from scipy, brentq root solving, and
 brute-force table enumeration."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from sbparity import (
     BathLadder,
     CapacityError,
     InvariantViolation,
+    ModelParams,
     ParameterError,
     PerModeCap,
     SearchError,
@@ -31,13 +33,13 @@ from sbparity import (
     d_square_audit,
     discretize_bath,
     enumerate_basis,
-    l_element,
+    gap_identity_check,
     o_diagonal,
     parity_deficiency,
 )
 
 from sbparity import parity
-from sbparity.fockspace import l_scaled_rational, single_mode_d_table
+from sbparity.fockspace import l_matrix, l_scaled_rational, single_mode_d_table
 from sbparity.parity import (
     MAX_CONVOLUTION_WORK,
     _deficiency,
@@ -113,22 +115,18 @@ def test_o_monotone_in_cap():
 def test_o_general_m_matches_brute_force():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.5)])
     cap = 6
+    basis = enumerate_basis(2, PerModeCap(cap))
     for m in [(0, 0), (1, 0), (2, 1)]:
-        brute = math.fsum(
-            l_element(m, n, bath) ** 2
-            for n in enumerate_basis(2, PerModeCap(cap)).occupations
-        )
+        brute = math.fsum(l_matrix(basis, bath)[basis.index_of(m)] ** 2)
         assert o_diagonal(m, bath, cap) == pytest.approx(brute, rel=1e-12)
 
 
 def test_o_total_quanta_matches_brute_force():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.5)])
     cap = 5
+    basis = enumerate_basis(2, TotalQuantaCap(cap))
     for m in [(0, 0), (1, 1)]:
-        brute = math.fsum(
-            l_element(m, n, bath) ** 2
-            for n in enumerate_basis(2, TotalQuantaCap(cap)).occupations
-        )
+        brute = math.fsum(l_matrix(basis, bath)[basis.index_of(m)] ** 2)
         assert o_diagonal(m, bath, cap, policy="total-quanta") == pytest.approx(
             brute, rel=1e-12
         )
@@ -161,7 +159,7 @@ def test_two_mode_deficiency_matches_exact_sums(policy, n_modes):
     # q = lam / (2 omega), chosen so that every float q is exact.
     q = (Fraction(3, 2), Fraction(3), Fraction(1, 2))[:n_modes]
     bath = bath_from_modes([(1.0, 3.0), (0.5, 3.0), (0.25, 0.25)][:n_modes])
-    assert [Fraction(mode.q) for mode in bath.modes] == list(q)
+    assert [Fraction(qk) for qk in bath.qs] == list(q)
     scale = math.exp(-4.0 * bath.sum_q2)
     n_tr = 24
     basis = enumerate_basis(
@@ -182,8 +180,8 @@ def _log_o_enumerated(m, bath, cap):
     """log O under a total-quanta cap by summing over the enumerated basis."""
     occ = enumerate_basis(bath.n_modes, TotalQuantaCap(cap)).occupations
     log_prod = np.zeros(occ.shape[0])
-    for k, mode in enumerate(bath.modes):
-        log_prod += series_log_l2_row(m[k], mode.q, cap)[occ[:, k]]
+    for k, q in enumerate(bath.qs):
+        log_prod += series_log_l2_row(m[k], q, cap)[occ[:, k]]
     return _log_sum_exp(log_prod)
 
 
@@ -354,7 +352,7 @@ def test_deficiency_matches_poisson_cdf_product():
     bath = discretize_bath(SpectralLaw(0.4, 0.6, 1.0), 8, 2.0)
     for cap in (1, 3, 10):
         oracle = 1.0 - math.prod(
-            float(gammaincc(cap + 1, 4.0 * m.q ** 2)) for m in bath.modes
+            float(gammaincc(cap + 1, 4.0 * q ** 2)) for q in bath.qs
         )
         assert parity_deficiency(bath, cap) == pytest.approx(oracle, abs=1e-10)
 
@@ -379,9 +377,9 @@ def test_deficiency_general_m_consistent_with_brute_force():
     bath = bath_from_modes([(1.0, 0.8), (0.5, 0.3)])
     cap = 8
     m = (1, 2)
+    basis = enumerate_basis(2, PerModeCap(cap))
     brute = 1.0 - math.exp(-4.0 * bath.sum_q2) * math.fsum(
-        l_element(m, n, bath) ** 2
-        for n in enumerate_basis(2, PerModeCap(cap)).occupations
+        l_matrix(basis, bath)[basis.index_of(m)] ** 2
     )
     assert parity_deficiency(bath, cap, m) == pytest.approx(brute, abs=1e-12)
 
@@ -483,6 +481,41 @@ def test_reference_occupation_must_be_a_sequence_of_integers(m_ref):
     assert critical_alpha(ladder, 10, 0.01, np.array([0, 1])).m_ref == (0, 1)
 
 
+LADDER = bath_ladder(0.5, 1.0, 2, 2.0)
+BOOL_SLIPS = {
+    "discretize_bath-n_modes": (lambda: discretize_bath(SpectralLaw(0.1, 1.0, 1.0), True, 2.0),
+                                "n_modes must be an integer >= 1, got True"),
+    "bath_ladder-n_modes": (lambda: bath_ladder(0.5, 1.0, True, 2.0),
+                            "n_modes must be an integer >= 1, got True"),
+    "closure_report-n_modes": (lambda: closure_report(True, 4),
+                               "n_modes must be an integer >= 1, got True"),
+    "closure_report-n_tr": (lambda: closure_report(2, True), "n_tr must be an integer >= 0, got True"),
+    "o_diagonal-cap": (lambda: o_diagonal((0, 0), LADDER.at(0.1), True),
+                       "truncation cap must be an integer >= 0, got True"),
+    "parity_deficiency-cap": (lambda: parity_deficiency(LADDER.at(0.1), True),
+                              "truncation cap must be an integer >= 0, got True"),
+    "critical_alpha-cap": (lambda: critical_alpha(LADDER, True),
+                           "truncation cap must be an integer >= 0, got True"),
+    "critical_alphas-cap": (lambda: critical_alphas([LADDER], True),
+                            "truncation cap must be an integer >= 0, got True"),
+    "critical_alpha-m_ref": (lambda: critical_alpha(LADDER, 10, 0.01, (True, 0)),
+                             "must be a sequence of 2 integers, got (True, 0)"),
+    "parity_deficiency-m_ref": (lambda: parity_deficiency(LADDER.at(0.1), 10, [0, False]),
+                                "must be a sequence of 2 integers, got [0, False]"),
+    "gap_identity_check-level": (
+        lambda: gap_identity_check(
+            ModelParams(0.1, LADDER.at(0.1), enumerate_basis(2, PerModeCap(3))), 0, True),
+        "levels must be integers, got 0, True"),
+}
+
+
+@pytest.mark.parametrize("call, message", BOOL_SLIPS.values(), ids=BOOL_SLIPS)
+def test_a_bool_is_not_a_count(call, message):
+    # Once True ran as 1: a 1-mode bath, ratio 1/2, cap 1, m_ref (1, 0).
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
+
+
 @pytest.mark.parametrize("m_ref", [(1, 2, 0), (3, 0, 0)])
 def test_critical_alpha_at_excited_reference_matches_exact_deficiency(m_ref):
     # The deficiency at the returned alpha_c, recomputed from the exact
@@ -492,9 +525,9 @@ def test_critical_alpha_at_excited_reference_matches_exact_deficiency(m_ref):
     assert point.m_ref == m_ref
     bath = discretize_bath(SpectralLaw(point.alpha_c, s, 1.0), 3, 2.0)
     o_exact = Fraction(1)
-    for mk, mode in zip(m_ref, bath.modes):
-        o_exact *= sum(exact_l2(mk, n, Fraction(mode.q)) for n in range(cap + 1))
-    deficiency = 1.0 - math.exp(-4.0 * sum(mode.q ** 2 for mode in bath.modes)) * float(o_exact)
+    for mk, q in zip(m_ref, bath.qs):
+        o_exact *= sum(exact_l2(mk, n, Fraction(q)) for n in range(cap + 1))
+    deficiency = 1.0 - math.exp(-4.0 * sum(q ** 2 for q in bath.qs)) * float(o_exact)
     assert abs(deficiency - epsilon) <= 1e-9
 
 
@@ -734,8 +767,8 @@ def _extended_precision_audit(basis, bath):
     the float64 single-mode tables and squared in extended precision."""
     occ = basis.occupations
     d = np.ones((basis.dim, basis.dim), dtype=np.longdouble)
-    for k, mode in enumerate(bath.modes):
-        table = single_mode_d_table(mode.q, basis.policy.cap).astype(np.longdouble)
+    for k, q in enumerate(bath.qs):
+        table = single_mode_d_table(q, basis.policy.cap).astype(np.longdouble)
         d *= table[np.ix_(occ[:, k], occ[:, k])]
     square = d @ d
     diag = np.abs(np.diagonal(square) - 1)
