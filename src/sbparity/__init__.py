@@ -32,8 +32,6 @@ from .errors import (
 from .fockspace import (
     BasisSet,
     KroneckerParity,
-    PerModeCap,
-    TotalQuantaCap,
     default_policy,
     enumerate_basis,
     overlap_oracle,

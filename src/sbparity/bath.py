@@ -217,7 +217,7 @@ def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> B
         frequency comes out non-finite.
     """
     _check_shape(s, omega_c)
-    check_count("n_modes", n_modes, 1)
+    n_modes = check_count("n_modes", n_modes, 1)
     if not lambda_disc > 1.0:
         raise ParameterError(f"lambda_disc must satisfy lambda_disc > 1, got {lambda_disc}")
     r = 0.0 if math.isinf(lambda_disc) else 1.0 / lambda_disc

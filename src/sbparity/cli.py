@@ -40,8 +40,7 @@ from .errors import (
     SearchError,
     SolverError,
 )
-from .fockspace import (BasisSet, PerModeCap, TotalQuantaCap, default_policy, enumerate_basis,
-                        l_matrix)
+from .fockspace import BasisSet, default_policy, enumerate_basis, l_matrix
 from .hamiltonian import Branch, ModelParams, branch_operator, degenerate_energy_set
 from .parity import closure_report, critical_alpha, critical_alphas, d_square_audit
 from .spectra import DEFAULT_MAX_ITER, solve_branches, theorem_report
@@ -258,17 +257,12 @@ def build_bath(cfg: RunConfig) -> BathModel:
 
 
 def build_basis(cfg: RunConfig, bath: BathModel) -> BasisSet:
-    if cfg.policy == "per-mode":
-        policy = PerModeCap(cfg.cap)
-    elif cfg.policy == "total-quanta":
-        policy = TotalQuantaCap(cfg.cap)
-    else:
-        policy = default_policy(bath.n_modes, cfg.cap)
+    policy = cfg.policy or default_policy(bath.n_modes)
     try:
-        return enumerate_basis(bath.n_modes, policy)
+        return enumerate_basis(bath.n_modes, cfg.cap, policy)
     except CapacityError as exc:
         raise CapacityError(
-            f"{exc} ({bath.n_modes} modes, {policy.kind} cap {policy.cap}); lower "
+            f"{exc} ({bath.n_modes} modes, {policy} cap {cfg.cap}); lower "
             f"disc.n_modes (or list fewer model.modes) or trunc.cap, or set "
             f'trunc.policy to "total-quanta", which keeps comb(cap + n_modes, n_modes) '
             f"states instead of (cap + 1)**n_modes"
@@ -545,30 +539,22 @@ def run_phase_diagram(cfg: RunConfig, args):
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
     m_ref_text = str(cfg.m_ref) if isinstance(cfg.m_ref, int) else ";".join(map(str, m_ref))
 
-    def ladder(s_val):
-        return bath_ladder(s_val, cfg.omega_c, cfg.n_modes, cfg.lambda_disc)
-
-    ladder_error = []
-
-    def ladders():
-        # A point whose bins fail ends the sweep there; its error is raised
-        # once every point before it is searched, as a loop over points would.
-        for s_val in points:
-            try:
-                built = ladder(s_val)
-            except ParameterError as exc:
-                ladder_error.append(exc)
-                return
-            yield built
-
-    outcomes = critical_alphas(ladders(), cfg.cap, epsilon=cfg.epsilon, m_ref=m_ref,
+    # A point whose bins fail ends the sweep, raised once the points before it are searched.
+    ladders, ladder_error = [], None
+    for s_val in points:
+        try:
+            ladders.append(bath_ladder(s_val, cfg.omega_c, cfg.n_modes, cfg.lambda_disc))
+        except ParameterError as exc:
+            ladder_error = exc
+            break
+    outcomes = critical_alphas(ladders, cfg.cap, epsilon=cfg.epsilon, m_ref=m_ref,
                                policy=cfg.policy or "per-mode")
     if ladder_error:
-        raise ladder_error[0]
+        raise ladder_error
     solved = [
-        (math.nan, ladder(s_val).at(1.0).beta, math.nan) if isinstance(pt, SearchError)
+        (math.nan, ladder.at(1.0).beta, math.nan) if isinstance(pt, SearchError)
         else (pt.alpha_c, pt.beta, pt.o_value)
-        for s_val, pt in zip(points, outcomes)
+        for ladder, pt in zip(ladders, outcomes)
     ]
 
     ref_interp = None

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all sbparity modules, and their count check."""
+"""Exception hierarchy shared by all sbparity modules, and the checks every
+layer shares: an integer, a count and the name of a truncation policy."""
+
+import operator
 
 
 class SpinBosonError(Exception):
@@ -51,7 +54,24 @@ class ConfigError(SpinBosonError):
     """A run configuration failed to parse or validate."""
 
 
-def check_count(name: str, value, least: int):
-    """ParameterError unless ``value`` is an int >= ``least``, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+def as_integer(value) -> int | None:
+    """``value`` as an int if ``operator.index`` takes it and it is no bool, else None."""
+    try:
+        return operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        return None
+
+
+def check_count(name: str, value, least: int) -> int:
+    """:func:`as_integer` of ``value``; ParameterError unless that is >= ``least``."""
+    count = as_integer(value)
+    if count is None or count < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
+    return count
+
+
+def check_policy(policy: str) -> str:
+    """``policy``; ParameterError unless it is "per-mode" or "total-quanta"."""
+    if policy not in ("per-mode", "total-quanta"):
+        raise ParameterError(f"unknown truncation policy {policy!r}")
+    return policy

@@ -2,7 +2,8 @@
 bosonic parity factor between displaced oscillator number states.
 
 A basis, :class:`BasisSet`, is one read-only int64 array of occupation
-vectors cut at a per-mode or a total-quanta cap; one loop enumerates both.
+vectors cut at ``(cap, policy)``, with the ``trunc.policy`` strings of the
+configuration: "per-mode" or "total-quanta".  One loop enumerates both.
 
 The single-mode overlap factor
 
@@ -49,11 +50,9 @@ from scipy.special import gammaln
 
 from .bath import BathModel
 from .errors import (CapacityError, ConvergenceError, InvariantViolation, ParameterError,
-                     check_count)
+                     as_integer, check_count, check_policy)
 
 __all__ = [
-    "PerModeCap",
-    "TotalQuantaCap",
     "default_policy",
     "BasisSet",
     "enumerate_basis",
@@ -88,34 +87,20 @@ D_BOUND = 1.0 + 1e-12
 _LGAMMA = math.lgamma
 
 
-@dataclass(frozen=True)
-class PerModeCap:
-    """Keep occupation vectors with every entry <= cap."""
-
-    cap: int
-    kind = "per-mode"
-
-
-@dataclass(frozen=True)
-class TotalQuantaCap:
-    """Keep occupation vectors whose entries sum to <= cap."""
-
-    cap: int
-    kind = "total-quanta"
-
-
-def default_policy(n_modes: int, cap: int):
-    """Per-mode cap for one or two modes, total-quanta cap beyond that."""
-    return PerModeCap(cap) if n_modes <= 2 else TotalQuantaCap(cap)
+def default_policy(n_modes: int) -> str:
+    """"per-mode" for one or two modes, "total-quanta" beyond that."""
+    return "per-mode" if n_modes <= 2 else "total-quanta"
 
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """The truncated basis as one read-only int64 (dim, n_modes) array of
+    """The basis cut at ``cap`` under ``policy`` ("per-mode" or
+    "total-quanta"), as one read-only int64 (dim, n_modes) array of
     occupation vectors, in lexicographic order with row 0 all zeros.  Two
     bases compare equal only when they are the same object."""
 
-    policy: PerModeCap | TotalQuantaCap
+    cap: int
+    policy: str
     occupations: np.ndarray
 
     @property
@@ -127,42 +112,42 @@ class BasisSet:
         return self.occupations.shape[0]
 
     def index_of(self, vec) -> int:
-        """Row of ``vec`` in ``occupations``; KeyError if it is not a state."""
-        key = tuple(int(v) for v in vec)
-        if len(key) == self.n_modes and all(0 <= v <= self.policy.cap for v in key):
+        """Row of ``vec`` in ``occupations``; KeyError if it is not a state,
+        as a vector with a bool or a non-integer entry is not."""
+        vec = tuple(vec)
+        key = tuple(map(as_integer, vec))
+        if len(key) == self.n_modes and all(v is not None and 0 <= v <= self.cap for v in key):
             hit = np.flatnonzero((self.occupations == key).all(axis=1))
             if hit.size:
                 return int(hit[0])
-        raise KeyError(key)
+        raise KeyError(vec)
 
     @property
     def box_shape(self) -> tuple[int, ...]:
         """Shape of the per-mode box {0..cap}**n_modes that holds the basis
         under either policy."""
-        return (self.policy.cap + 1,) * self.n_modes
+        return (self.cap + 1,) * self.n_modes
 
 
-def enumerate_basis(n_modes: int, policy) -> BasisSet:
-    """Enumerate the truncated basis in lexicographic order.
+def enumerate_basis(n_modes: int, cap: int, policy: str) -> BasisSet:
+    """Enumerate the basis cut at ``cap`` under ``policy`` in lexicographic
+    order.
 
     Each prefix over the modes so far is followed by the next mode's
-    occupations 0 up to its room: the cap under a per-mode cap, the cap minus
-    the prefix's quanta under a total-quanta cap.
+    occupations 0 up to its room: the cap under "per-mode", the cap minus
+    the prefix's quanta under "total-quanta".
 
     Raises
     ------
     ParameterError
-        If ``policy`` is neither cap class, or ``n_modes`` or the cap is a
-        bool, not an int, or below 1 (0 for the cap).
+        If ``policy`` is neither policy string, or ``n_modes`` or ``cap`` is
+        a bool, not an integer, or below 1 (0 for the cap).
     CapacityError
         If the closed-form dimension exceeds ``MAX_BASIS_STATES``.
     """
-    check_count("n_modes", n_modes, 1)
-    if not isinstance(policy, (PerModeCap, TotalQuantaCap)):
-        raise ParameterError(f"unknown truncation policy {policy!r}")
-    cap = policy.cap
-    check_count("truncation cap", cap, 0)
-    total = isinstance(policy, TotalQuantaCap)
+    n_modes = check_count("n_modes", n_modes, 1)
+    total = check_policy(policy) == "total-quanta"
+    cap = check_count("truncation cap", cap, 0)
     dim = math.comb(cap + n_modes, n_modes) if total else (cap + 1) ** n_modes
     if dim > MAX_BASIS_STATES:
         raise CapacityError(
@@ -175,7 +160,7 @@ def enumerate_basis(n_modes: int, policy) -> BasisSet:
         last = np.arange(len(firsts), dtype=np.int64) - firsts
         occ = np.column_stack([np.repeat(occ, counts, axis=0), last])
     occ.setflags(write=False)
-    return BasisSet(policy=policy, occupations=occ)
+    return BasisSet(cap=cap, policy=policy, occupations=occ)
 
 
 def _check_occupation(n: int):

@@ -29,10 +29,9 @@ point.  :func:`critical_alpha` is the one-point case.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +45,9 @@ from .errors import (
     ParameterError,
     SearchError,
     SpinBosonError,
+    as_integer,
     check_count,
+    check_policy,
 )
 from .fockspace import D_BOUND, FACTORIAL_GUARD, BasisSet, KroneckerParity, single_mode_d_row
 
@@ -86,33 +87,32 @@ SEARCH_CHUNK_ENTRIES = 20_000
 def _normalize_m(m, n_modes: int) -> tuple[int, ...]:
     if m is None:
         return (0,) * n_modes
-    try:
-        # A bool is not an occupation: as None, operator.index refuses it.
-        m = tuple(operator.index(None if isinstance(v, bool) else v) for v in m)
-    except TypeError:
+    occ = tuple(map(as_integer, m)) if isinstance(m, Iterable) else (None,)
+    if None in occ:
         raise ParameterError(
             f"reference occupation must be a sequence of {n_modes} integers, got {m!r}"
-        ) from None
-    if len(m) != n_modes:
-        raise ParameterError(
-            f"reference occupation has length {len(m)}, expected {n_modes}"
         )
-    for v in m:
+    if len(occ) != n_modes:
+        raise ParameterError(
+            f"reference occupation has length {len(occ)}, expected {n_modes}"
+        )
+    for v in occ:
         if v < 0:
             raise ParameterError(f"occupations must be >= 0, got {v}")
         if v > FACTORIAL_GUARD:
             raise ParameterError(
                 f"reference occupation {v} exceeds the guard of {FACTORIAL_GUARD}"
             )
-    return m
+    return occ
 
 
-def _check_cap(n_tr: int):
-    check_count("truncation cap", n_tr, 0)
+def _check_cap(n_tr: int) -> int:
+    n_tr = check_count("truncation cap", n_tr, 0)
     if n_tr > MAX_SERIES_CAP:
         raise ParameterError(
             f"truncation cap {n_tr} exceeds the series guard of {MAX_SERIES_CAP}"
         )
+    return n_tr
 
 
 def _log_l2_row(m: int, q, n_tr: int) -> np.ndarray:
@@ -125,7 +125,7 @@ def _log_l2_row(m: int, q, n_tr: int) -> np.ndarray:
 
 
 def _check_policy(policy: str, n_modes: int, n_tr: int):
-    if policy == "total-quanta":
+    if check_policy(policy) == "total-quanta":
         work = (n_modes - 1) * (n_tr + 1) ** 2
         if work > MAX_CONVOLUTION_WORK:
             raise CapacityError(
@@ -133,8 +133,6 @@ def _check_policy(policy: str, n_modes: int, n_tr: int):
                 f"multiply-adds, above the guard of {MAX_CONVOLUTION_WORK}; lower "
                 f"disc.n_modes or trunc.cap"
             )
-    elif policy != "per-mode":
-        raise ParameterError(f"unknown truncation policy {policy!r}")
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
@@ -236,7 +234,7 @@ def o_diagonal(m, bath: BathModel, n_tr: int, policy: str = "per-mode") -> float
     needing the scaled combination should use :func:`parity_deficiency`,
     which works in log space throughout.
     """
-    _check_cap(n_tr)
+    n_tr = _check_cap(n_tr)
     m = _normalize_m(m, bath.n_modes)
     return _exp_or_inf(_log_o(m, bath, n_tr, policy))
 
@@ -261,7 +259,7 @@ def parity_deficiency(
         If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
         multiply-adds.
     """
-    _check_cap(n_tr)
+    n_tr = _check_cap(n_tr)
     m = _normalize_m(m, bath.n_modes)
     return _deficiency(_log_o(m, bath, n_tr, policy), bath.sum_q2)
 
@@ -362,37 +360,33 @@ def critical_alphas(
     gets the same result as alone; only the evaluations are shared.  Each
     round rescales the ladders of every point still searching to their own
     alphas and sums their deficiencies in one (points, modes, n_tr + 1)
-    array.  ``ladders`` may be any iterable of ladders with one mode count
-    (a ladder whose count differs from the first one's fails with a
-    ParameterError naming its index); it is read and searched in chunks of
-    SEARCH_CHUNK_ENTRIES row entries, so memory does not grow with the
-    number of points beyond the results.
+    array.  ``ladders`` is a sequence of ladders with one mode count (a
+    ladder whose count differs from the first one's fails with a
+    ParameterError naming its index); it is searched in slices of
+    SEARCH_CHUNK_ENTRIES row entries, so the working arrays do not grow
+    with the number of points.
 
     Raises
     ------
     SpinBosonError
         Any error other than SearchError, for the first ladder whose search
-        raises it, as a loop of :func:`critical_alpha` calls would; the
-        ladders after it may not have been read.
+        raises it, as a loop of :func:`critical_alpha` calls would.
     """
-    ladders = iter(ladders)
-    chunk = list(itertools.islice(ladders, 1))
-    if not chunk:
+    if not ladders:
         return []
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    _check_cap(n_tr)
-    n_modes = len(chunk[0].omegas)
+    n_tr = _check_cap(n_tr)
+    n_modes = len(ladders[0].omegas)
     size = max(1, SEARCH_CHUNK_ENTRIES // (n_modes * (n_tr + 1)))
     out = []
-    while chunk:
-        chunk += itertools.islice(ladders, size - len(chunk))
-        outcomes = _search_chunk(chunk, len(out), n_modes, n_tr, epsilon, m_ref, policy)
+    for first in range(0, len(ladders), size):
+        outcomes = _search_chunk(ladders[first:first + size], first, n_modes, n_tr, epsilon,
+                                 m_ref, policy)
         for outcome in outcomes:
             if isinstance(outcome, SpinBosonError) and not isinstance(outcome, SearchError):
                 raise outcome
         out += outcomes
-        chunk = list(itertools.islice(ladders, size))
     return out
 
 
@@ -401,7 +395,7 @@ def _search_setup(ladder: BathLadder, n_tr: int, m_ref, policy: str) -> tuple[in
     normalized reference occupation."""
     probe = ladder.at(1.0)
     m = _normalize_m(m_ref, probe.n_modes)
-    quanta = max(m) if policy == "per-mode" else sum(m)
+    quanta = max(m) if check_policy(policy) == "per-mode" else sum(m)
     if quanta > n_tr:
         # At alpha -> 0 the deficiency of such a state tends to 1, so the
         # search would only stall; say what is wrong instead.
@@ -551,9 +545,8 @@ def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
     worst = float(np.max(diag))
     if not worst <= D_BOUND:
         raise InvariantViolation(f"max (D@D)_mm = {worst:.17g} breaks the row-norm bound 1")
-    policy = basis.policy
     zeros = (0,) * basis.n_modes
-    log_o = _log_o(zeros, bath, policy.cap, policy.kind)
+    log_o = _log_o(zeros, bath, basis.cap, basis.policy)
     deficiency = _deficiency(log_o, bath.sum_q2)
     residuals = np.abs(diag - 1.0)
     if not abs(residuals[0] - deficiency) <= 1e-12 * max(1.0, 4.0 * bath.sum_q2):
@@ -561,7 +554,7 @@ def d_square_audit(basis: BasisSet, bath: BathModel) -> ParityAudit:
                                  f"{residuals[0]:.17g} from the square disagree")
     return ParityAudit(
         m=zeros,
-        n_tr=policy.cap,
+        n_tr=basis.cap,
         o_value=_exp_or_inf(log_o),
         scale=math.exp(-4.0 * bath.sum_q2),
         deficiency=deficiency,
@@ -612,8 +605,8 @@ def closure_report(n_modes: int, n_tr: int) -> ClosureReport:
     exact counts decide.  Where the digit limit is switched off, Python's
     default limit stands in for it.
     """
-    check_count("n_modes", n_modes, 1)
-    check_count("n_tr", n_tr, 0)
+    n_modes = check_count("n_modes", n_modes, 1)
+    n_tr = check_count("n_tr", n_tr, 0)
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     refused = ParameterError(
         f"the closure counts must have at most {digits} digits and the ratio "

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .bath import e_min_eo
-from .errors import InvariantViolation, OverlapGuardError, ParameterError, SolverError
+from .errors import InvariantViolation, OverlapGuardError, ParameterError, SolverError, as_integer
 from .fockspace import MAX_BOX_STATES, BasisSet, KroneckerParity
 from .hamiltonian import Branch, BranchOperator, ModelParams, branch_operator, h0_diagonal
 
@@ -130,11 +130,11 @@ def eigen_lowest(
         not converge or misses a level; carries the residual reached.
     """
     dim = h.shape[0]
-    if not 1 <= k <= dim:
+    if not 1 <= (as_integer(k) or 0) <= dim:
         raise ParameterError(f"k must lie in [1, {dim}], got {k}")
     if not tol > 0.0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    if not max_iter >= 1:
+    if not (as_integer(max_iter) or 0) >= 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if isinstance(h, BranchOperator):
         return _lanczos_lowest(h, k, tol, max_iter)
@@ -433,8 +433,10 @@ def gap_identity_check(
     OverlapGuardError
         If the eigenvector overlap magnitude falls below 1e-12.
     """
-    if isinstance(level_plus, bool) or isinstance(level_minus, bool):
+    levels = as_integer(level_plus), as_integer(level_minus)
+    if None in levels:
         raise ParameterError(f"levels must be integers, got {level_plus!r}, {level_minus!r}")
+    level_plus, level_minus = levels
     if level_plus < 0 or level_minus < 0:
         raise ParameterError("levels must be >= 0")
     parity, res_plus, res_minus = solve_branches(

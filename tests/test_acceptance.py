@@ -21,9 +21,7 @@ from sbparity import (
     Branch,
     KroneckerParity,
     ModelParams,
-    PerModeCap,
     SpectralLaw,
-    TotalQuantaCap,
     bath_from_modes,
     bath_ladder,
     branch_operator,
@@ -75,9 +73,9 @@ def theorem_grid():
     for delta in (0.05, 0.1, 0.5):
         for s in (0.3, 0.5, 0.7, 1.0):
             for alpha in (0.01, 0.1, 0.5, 1.0):
-                for n_modes, policy in ((1, PerModeCap(40)), (3, TotalQuantaCap(10))):
+                for n_modes, cap, policy in ((1, 40, "per-mode"), (3, 10, "total-quanta")):
                     bath = discretize_bath(SpectralLaw(alpha, s, 1.0), n_modes, 2.0)
-                    basis = enumerate_basis(n_modes, policy)
+                    basis = enumerate_basis(n_modes, cap, policy)
                     params = ModelParams(delta=delta, bath=bath, basis=basis)
                     report = theorem_report(params, tol=GRID_TOL)
                     record = {
@@ -103,7 +101,7 @@ def test_criterion_1_branches_degenerate_at_zero_tunneling():
             alpha = float(rng.uniform(0.01, 0.6))
             s = float(rng.uniform(0.3, 1.0))
             bath = discretize_bath(SpectralLaw(alpha, s, 1.0), n_modes, 2.0)
-            basis = enumerate_basis(n_modes, default_policy(n_modes, cap))
+            basis = enumerate_basis(n_modes, cap, default_policy(n_modes))
             params = ModelParams(delta=0.0, bath=bath, basis=basis)
             ladder = degenerate_energy_set(basis, bath)
             for branch in (Branch.EVEN, Branch.ODD):
@@ -162,7 +160,7 @@ def test_criterion_5_single_mode_oracle_equivalence():
         for lam in (0.5, 1.0, 1.5, 2.0):
             for delta in (0.25, 0.5, 1.0):
                 bath = bath_from_modes([(1.0, lam)])
-                basis = enumerate_basis(1, PerModeCap(40))
+                basis = enumerate_basis(1, 40, "per-mode")
                 params = ModelParams(delta=delta, bath=bath, basis=basis)
                 report = theorem_report(params, tol=1e-10)
                 oracle = bare_fock_ground_energy(1.0, lam, delta, 200)
@@ -186,7 +184,7 @@ def test_criterion_6_matrix_element_oracle():
                 n = tuple(int(v) for v in rng.integers(0, 5, size=n_modes))
                 if sum(m) + sum(n) <= 8:
                     break
-            basis = enumerate_basis(n_modes, PerModeCap(4))
+            basis = enumerate_basis(n_modes, 4, "per-mode")
             table = KroneckerParity(basis, bath).dense()
             direct = table[basis.index_of(m), basis.index_of(n)]
             assert abs(direct - overlap_oracle(m, n, bath, 80)) <= 1e-8
@@ -194,7 +192,7 @@ def test_criterion_6_matrix_element_oracle():
             assert np.array_equal(table, table.T)
         # q = 0 collapses D to the signed identity exactly.
         bath0 = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
-        basis0 = enumerate_basis(2, PerModeCap(3))
+        basis0 = enumerate_basis(2, 3, "per-mode")
         dense = KroneckerParity(basis0, bath0).dense()
         signs = np.array([(-1.0) ** sum(v) for v in basis0.occupations])
         assert np.array_equal(dense, np.diag(signs))
@@ -279,7 +277,7 @@ def test_criterion_9_phase_diagram_reproducibility(tmp_path):
 def test_criterion_10_kronecker_sum_spectral_property():
     with criterion(10, "direct-sum spectrum equals all pairwise branch sums"):
         bath = bath_from_modes([(1.0, 1.0)])
-        basis = enumerate_basis(1, PerModeCap(3))
+        basis = enumerate_basis(1, 3, "per-mode")
         params = ModelParams(delta=0.2, bath=bath, basis=basis)
         hplus = branch_operator(params, Branch.EVEN).dense()
         hminus = branch_operator(params, Branch.ODD).dense()

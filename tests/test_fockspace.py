@@ -16,8 +16,6 @@ from sbparity import (
     CapacityError,
     ConvergenceError,
     ParameterError,
-    PerModeCap,
-    TotalQuantaCap,
     bath_from_modes,
     cli,
     default_policy,
@@ -43,71 +41,71 @@ from conftest import single_mode_bath
 # ---------------------------------------------------------------------------
 
 def test_single_mode_enumeration():
-    basis = enumerate_basis(1, PerModeCap(2))
+    basis = enumerate_basis(1, 2, "per-mode")
     assert basis.occupations.tolist() == [[0], [1], [2]]
     assert basis.dim == 3
 
 
 def test_two_mode_per_mode_enumeration():
-    basis = enumerate_basis(2, PerModeCap(1))
+    basis = enumerate_basis(2, 1, "per-mode")
     assert basis.occupations.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert basis.dim == 4
 
 
 def test_total_quanta_count_is_stars_and_bars():
-    basis = enumerate_basis(3, TotalQuantaCap(2))
+    basis = enumerate_basis(3, 2, "total-quanta")
     assert basis.dim == math.comb(5, 3) == 10
     assert all(sum(v) <= 2 for v in basis.occupations)
 
 
 def test_enumeration_is_lexicographic_with_zero_first():
-    for policy in (PerModeCap(3), TotalQuantaCap(4)):
-        basis = enumerate_basis(3, policy)
+    for cap, policy in ((3, "per-mode"), (4, "total-quanta")):
+        basis = enumerate_basis(3, cap, policy)
         rows = basis.occupations.tolist()
         assert rows[0] == [0, 0, 0]
         assert rows == sorted(rows)
 
 
 def test_index_round_trip():
-    basis = enumerate_basis(2, TotalQuantaCap(5))
+    basis = enumerate_basis(2, 5, "total-quanta")
     for i, vec in enumerate(basis.occupations):
         assert basis.index_of(vec) == i
 
 
 def test_capacity_guard(monkeypatch):
     with pytest.raises(CapacityError):
-        enumerate_basis(6, PerModeCap(9))  # 10**6 states
+        enumerate_basis(6, 9, "per-mode")  # 10**6 states
     monkeypatch.setattr(fockspace, "MAX_BASIS_STATES", 10 ** 6)
-    enumerate_basis(6, PerModeCap(9))  # the guard raised
+    enumerate_basis(6, 9, "per-mode")  # the guard raised
 
 
 def test_default_policy_switches_at_three_modes():
-    assert isinstance(default_policy(1, 5), PerModeCap)
-    assert isinstance(default_policy(2, 5), PerModeCap)
-    assert isinstance(default_policy(3, 5), TotalQuantaCap)
+    assert [default_policy(n) for n in (1, 2, 3, 30)] == [
+        "per-mode", "per-mode", "total-quanta", "total-quanta"]
 
 
 @settings(max_examples=50, deadline=None)
 @given(n_modes=st.integers(1, 3), cap=st.integers(0, 4))
 def test_per_mode_enumeration_is_bijective(n_modes, cap):
-    basis = enumerate_basis(n_modes, PerModeCap(cap))
+    basis = enumerate_basis(n_modes, cap, "per-mode")
     assert basis.dim == (cap + 1) ** n_modes
     assert len(set(map(tuple, basis.occupations.tolist()))) == basis.dim
     assert all(basis.index_of(v) == i for i, v in enumerate(basis.occupations))
 
 
-def _policy_keeps(policy, vec) -> bool:
-    return sum(vec) <= policy.cap if isinstance(policy, TotalQuantaCap) else max(vec) <= policy.cap
+def _policy_keeps(cap, policy, vec) -> bool:
+    return (sum(vec) if policy == "total-quanta" else max(vec)) <= cap
 
 
-@pytest.mark.parametrize("policy_type", [PerModeCap, TotalQuantaCap])
+@pytest.mark.parametrize("policy", ["per-mode", "total-quanta"],
+                         ids=["PerModeCap", "TotalQuantaCap"])
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
-def test_enumeration_matches_the_filtered_product(policy_type, n_modes):
+def test_enumeration_matches_the_filtered_product(policy, n_modes):
     for cap in range(7):
-        policy = policy_type(cap)
-        basis = enumerate_basis(n_modes, policy)
+        basis = enumerate_basis(n_modes, cap, policy)
+        assert (basis.cap, basis.policy) == (cap, policy)
         expected = [list(v) for v in itertools.product(range(cap + 1), repeat=n_modes)
-                    if _policy_keeps(policy, v)]
+                    if _policy_keeps(cap, policy, v)]
         assert basis.occupations.tolist() == expected
         assert basis.occupations.dtype == np.int64
         assert (basis.dim, basis.n_modes) == (len(expected), n_modes)
@@ -118,7 +116,7 @@ def test_enumeration_matches_the_filtered_product(policy_type, n_modes):
 
 @pytest.mark.parametrize("n_modes, cap", [(12, 3), (30, 2)])
 def test_total_quanta_enumeration_beyond_the_product(n_modes, cap):
-    occ = enumerate_basis(n_modes, TotalQuantaCap(cap)).occupations
+    occ = enumerate_basis(n_modes, cap, "total-quanta").occupations
     rows = occ.tolist()
     assert len(rows) == math.comb(cap + n_modes, n_modes)
     assert len(set(map(tuple, rows))) == len(rows)
@@ -126,28 +124,31 @@ def test_total_quanta_enumeration_beyond_the_product(n_modes, cap):
     assert occ.sum(axis=1).max() <= cap and occ.min() == 0
 
 
-@pytest.mark.parametrize("vec", [(3, 0), (0, -1), (1, 1, 0), (1,), (2, 1)])
+@pytest.mark.parametrize("vec", [(3, 0), (0, -1), (1, 1, 0), (1,), (2, 1),
+                                 (2.7, 0), (True, 0), (1.0, 0)])
 def test_index_of_refuses_a_vector_outside_the_basis(vec):
-    basis = enumerate_basis(2, TotalQuantaCap(2))
+    basis = enumerate_basis(2, 2, "total-quanta")
     with pytest.raises(KeyError):
         basis.index_of(vec)
 
 
 @pytest.mark.parametrize("n_modes, policy", [
-    (2, "per-mode"),
-    (2, None),
-    (2, PerModeCap(2.5)),
-    (2, TotalQuantaCap(2.0)),
-    (2, PerModeCap(True)),
-    (2, TotalQuantaCap(False)),
-    (2, PerModeCap(-1)),
-    (True, PerModeCap(2)),
-    (2.0, TotalQuantaCap(2)),
-    (0, TotalQuantaCap(2)),
+    pytest.param(2, ("per-mode", "per-mode"), id="2-per-mode"),
+    pytest.param(2, (2, None), id="2-None"),
+    (2, (2.5, "per-mode")),
+    (2, (2.0, "total-quanta")),
+    (2, (True, "per-mode")),
+    (2, (False, "total-quanta")),
+    (2, (-1, "per-mode")),
+    (True, (2, "per-mode")),
+    (2.0, (2, "total-quanta")),
+    (0, (2, "total-quanta")),
+    (2, (2, "box")),
 ])
 def test_enumeration_refuses_malformed_input(n_modes, policy):
+    # policy is a (cap, policy) pair.
     with pytest.raises(ParameterError):
-        enumerate_basis(n_modes, policy)
+        enumerate_basis(n_modes, *policy)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,7 @@ def exact_d(m, n, q):
 )
 def test_d_matches_rational_reference_up_to_occupation_eighty(m, n, q):
     bath = bath_from_modes([(1.0, 2.0 * float(q))])
-    table = KroneckerParity(enumerate_basis(1, PerModeCap(max(m, n))), bath).dense()
+    table = KroneckerParity(enumerate_basis(1, max(m, n), "per-mode"), bath).dense()
     assert table[m, n] == pytest.approx(exact_d(m, n, q), abs=1e-12)
 
 
@@ -242,7 +243,7 @@ def test_d_table_edge_rows_match_rational_reference(q, cap):
     # The last row and the diagonal carry the largest cancellations of the
     # alternating sum; every entry must still be exact to a few ulps of 1.
     bath = bath_from_modes([(1.0, 2.0 * q)])
-    d = KroneckerParity(enumerate_basis(1, PerModeCap(cap)), bath).dense()
+    d = KroneckerParity(enumerate_basis(1, cap, "per-mode"), bath).dense()
     for n in range(0, cap + 1, 10):
         assert d[cap, n] == pytest.approx(exact_d(cap, n, Fraction(q)), abs=1e-12)
         assert d[n, n] == pytest.approx(exact_d(n, n, Fraction(q)), abs=1e-12)
@@ -250,7 +251,7 @@ def test_d_table_edge_rows_match_rational_reference(q, cap):
 
 def test_l_multiplicative_across_modes():
     bath = bath_from_modes([(1.0, 0.8), (0.5, 0.7)])
-    basis = enumerate_basis(2, PerModeCap(4))
+    basis = enumerate_basis(2, 4, "per-mode")
     combined = l_matrix(basis, bath)
     t0, t1 = (single_mode_l_table(q, 4) for q in bath.qs)
     for mv, nv in [((2, 3), (1, 0)), ((0, 4), (2, 2)), ((1, 1), (1, 1))]:
@@ -285,7 +286,7 @@ def test_kernel_refuses_a_displacement_not_finite_or_negative(q):
 
 def test_d_table_single_mode_values():
     bath = single_mode_bath(1.0, 1.0)  # q = 0.5
-    basis = enumerate_basis(1, PerModeCap(3))
+    basis = enumerate_basis(1, 3, "per-mode")
     table = KroneckerParity(basis, bath).dense()
     assert table[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
     assert table[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-12)
@@ -294,7 +295,7 @@ def test_d_table_single_mode_values():
 
 def test_d_table_zero_coupling_is_signed_diagonal():
     bath = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
-    basis = enumerate_basis(2, PerModeCap(2))
+    basis = enumerate_basis(2, 2, "per-mode")
     dense = KroneckerParity(basis, bath).dense()
     signs = np.array([(-1.0) ** sum(v) for v in basis.occupations])
     assert np.array_equal(dense, np.diag(signs))
@@ -302,7 +303,7 @@ def test_d_table_zero_coupling_is_signed_diagonal():
 
 def test_d_table_matches_per_pair_product():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.4)])
-    basis = enumerate_basis(2, PerModeCap(3))
+    basis = enumerate_basis(2, 3, "per-mode")
     table = KroneckerParity(basis, bath).dense()
     expected = math.exp(-2.0 * bath.sum_q2) * l_matrix(basis, bath)
     assert np.allclose(table, expected, rtol=1e-13, atol=1e-300)
@@ -310,7 +311,7 @@ def test_d_table_matches_per_pair_product():
 
 def test_d_table_capacity_guard(monkeypatch):
     bath = single_mode_bath()
-    basis = enumerate_basis(1, PerModeCap(30))
+    basis = enumerate_basis(1, 30, "per-mode")
     monkeypatch.setattr(fockspace, "MAX_TABLE_DIM", 10)
     with pytest.raises(CapacityError):
         KroneckerParity(basis, bath).dense()
@@ -318,7 +319,7 @@ def test_d_table_capacity_guard(monkeypatch):
 
 def test_dense_is_gathered_once_and_read_only():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.4)])
-    parity = KroneckerParity(enumerate_basis(2, PerModeCap(3)), bath)
+    parity = KroneckerParity(enumerate_basis(2, 3, "per-mode"), bath)
     d = parity.dense()
     assert parity.dense() is d
     assert not d.flags.writeable
@@ -330,25 +331,25 @@ def test_d_table_occupation_guard():
     # Above the factorial guard exp(-2 q**2) seeds underflow and the
     # recurrence would return exact zeros, so occupations stop at the guard.
     bath = single_mode_bath()
-    KroneckerParity(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD)), bath).dense()
+    KroneckerParity(enumerate_basis(1, FACTORIAL_GUARD, "per-mode"), bath).dense()
     with pytest.raises(CapacityError):
-        KroneckerParity(enumerate_basis(1, PerModeCap(FACTORIAL_GUARD + 1)), bath).dense()
+        KroneckerParity(enumerate_basis(1, FACTORIAL_GUARD + 1, "per-mode"), bath).dense()
 
 
 @pytest.mark.parametrize(
     "modes, policy",
     [
-        ([(1.0, 1.3)], PerModeCap(12)),
-        ([(1.0, 0.9), (0.6, 0.4)], PerModeCap(7)),
-        ([(1.0, 0.9), (0.6, 0.0), (0.3, 0.5)], TotalQuantaCap(6)),
-        ([(1.0, 0.7), (0.5, 0.6), (0.25, 0.2), (0.125, 0.1)], TotalQuantaCap(4)),
+        ([(1.0, 1.3)], (12, "per-mode")),
+        ([(1.0, 0.9), (0.6, 0.4)], (7, "per-mode")),
+        ([(1.0, 0.9), (0.6, 0.0), (0.3, 0.5)], (6, "total-quanta")),
+        ([(1.0, 0.7), (0.5, 0.6), (0.25, 0.2), (0.125, 0.1)], (4, "total-quanta")),
     ],
 )
 def test_kronecker_parity_matches_dense_table(modes, policy, rng):
     # The mode-by-mode product, through the box embedding on total-quanta
     # bases, against the gathered dense table.
     bath = bath_from_modes(modes)
-    basis = enumerate_basis(len(modes), policy)
+    basis = enumerate_basis(len(modes), *policy)
     parity = KroneckerParity(basis, bath)
     dense = parity.dense()
     for x in rng.standard_normal((3, basis.dim)):
@@ -362,13 +363,13 @@ def test_kronecker_parity_guards(tmp_path, capsys):
     # 10 modes at total-quanta cap 4: 1001 states in a box of 5**10.  The
     # object builds and gathers its dense D; only a product meets the box guard.
     bath = bath_from_modes([(1.0 / 2 ** k, 0.5) for k in range(10)])
-    basis = enumerate_basis(10, TotalQuantaCap(4))
+    basis = enumerate_basis(10, 4, "total-quanta")
     parity = KroneckerParity(basis, bath)
     assert parity.dense().shape == (1001, 1001)
     with pytest.raises(CapacityError, match="box of 9765625 states"):
         parity.apply(np.ones(basis.dim))
     with pytest.raises(ParameterError):
-        KroneckerParity(enumerate_basis(2, PerModeCap(2)), bath).dense()
+        KroneckerParity(enumerate_basis(2, 2, "per-mode"), bath).dense()
     # The theorem on that basis takes the dense path and succeeds.
     config = {"model": {"delta": 0.3, "omega_c": 1.0, "s": 0.6, "alpha": 0.2},
               "disc": {"n_modes": 10}, "trunc": {"policy": "total-quanta", "cap": 4}}
@@ -383,7 +384,7 @@ def test_spectra_invariant_under_odd_row_sign_flip():
     # similarity transform, so branch spectra cannot depend on the basis-wide
     # sign convention of the odd elements.
     bath = single_mode_bath(1.0, 1.2)
-    basis = enumerate_basis(1, PerModeCap(12))
+    basis = enumerate_basis(1, 12, "per-mode")
     d = KroneckerParity(basis, bath).dense()
     h0 = np.diag([v[0] * 1.0 for v in basis.occupations]) - bath.sum_wq2 * np.eye(basis.dim)
     flip = np.diag([(-1.0) ** v[0] for v in basis.occupations])
@@ -433,7 +434,7 @@ def test_oracle_agrees_with_d_table_on_random_draws(rng):
             n = tuple(int(v) for v in rng.integers(0, 5, size=n_modes))
             if sum(m) + sum(n) <= 8:
                 break
-        basis = enumerate_basis(n_modes, PerModeCap(4))
+        basis = enumerate_basis(n_modes, 4, "per-mode")
         table = KroneckerParity(basis, bath).dense()
         direct = table[basis.index_of(m), basis.index_of(n)]
         assert overlap_oracle(m, n, bath, 80) == pytest.approx(direct, abs=1e-8)
@@ -448,7 +449,7 @@ def test_d_square_residual_small_in_the_inner_block():
     # identity to 1e-6; the residual grows toward the cutoff edge.
     cap = 32
     bath = bath_from_modes([(1.0, 1.0)])  # 4q^2 = 1
-    basis = enumerate_basis(1, PerModeCap(cap))
+    basis = enumerate_basis(1, cap, "per-mode")
     d = KroneckerParity(basis, bath).dense()
     residual = d @ d - np.eye(cap + 1)
     half = cap // 2

@@ -14,8 +14,6 @@ from sbparity import (
     KroneckerParity,
     ModelParams,
     ParameterError,
-    PerModeCap,
-    TotalQuantaCap,
     bath_from_modes,
     branch_operator,
     degenerate_energy_set,
@@ -33,20 +31,20 @@ from conftest import random_bath, single_mode_bath
 
 def test_h0_single_mode_ladder():
     bath = single_mode_bath(1.0, 1.0)  # q = 0.5 shifts everything by -0.25
-    basis = enumerate_basis(1, PerModeCap(2))
+    basis = enumerate_basis(1, 2, "per-mode")
     h0 = h0_diagonal(basis, bath)
     assert np.array_equal(h0, [-0.25, 0.75, 1.75])
 
 
 def test_h0_decoupled_is_bare_ladder():
     bath = bath_from_modes([(1.0, 0.0)])
-    basis = enumerate_basis(1, PerModeCap(4))
+    basis = enumerate_basis(1, 4, "per-mode")
     assert np.array_equal(h0_diagonal(basis, bath), [0, 1, 2, 3, 4])
 
 
 def test_h0_two_mode_hand_sum():
     bath = bath_from_modes([(1.0, 1.0), (0.5, 0.0)])  # q = (0.5, 0)
-    basis = enumerate_basis(2, PerModeCap(1))
+    basis = enumerate_basis(2, 1, "per-mode")
     h0 = h0_diagonal(basis, bath)
     idx = basis.index_of((1, 1))
     # 1*1 + 0.5*1 - (1*0.25 + 0.5*0) accumulated independently by hand
@@ -57,7 +55,7 @@ def test_h0_two_mode_hand_sum():
 
 def test_branches_coincide_at_zero_tunneling():
     bath = single_mode_bath(1.0, 0.8)
-    basis = enumerate_basis(1, PerModeCap(5))
+    basis = enumerate_basis(1, 5, "per-mode")
     params = ModelParams(delta=0.0, bath=bath, basis=basis)
     hplus = branch_operator(params, Branch.EVEN).dense()
     hminus = branch_operator(params, Branch.ODD).dense()
@@ -68,7 +66,7 @@ def test_branches_coincide_at_zero_tunneling():
 
 def test_decoupled_branches_are_shifted_diagonals():
     bath = bath_from_modes([(1.0, 0.0)])
-    basis = enumerate_basis(1, PerModeCap(1))
+    basis = enumerate_basis(1, 1, "per-mode")
     params = ModelParams(delta=0.3, bath=bath, basis=basis)
     hplus = branch_operator(params, Branch.EVEN).dense()
     hminus = branch_operator(params, Branch.ODD).dense()
@@ -79,7 +77,7 @@ def test_decoupled_branches_are_shifted_diagonals():
 def test_branch_sum_recovers_twice_h0(rng):
     for _ in range(10):
         bath = random_bath(rng, 2)
-        basis = enumerate_basis(2, PerModeCap(3))
+        basis = enumerate_basis(2, 3, "per-mode")
         params = ModelParams(delta=float(rng.uniform(0.0, 1.0)), bath=bath, basis=basis)
         hplus = branch_operator(params, Branch.EVEN).dense()
         hminus = branch_operator(params, Branch.ODD).dense()
@@ -91,7 +89,7 @@ def test_branch_swap_identity(rng):
     # The API rejects delta < 0; the swap identity H-(delta) = H0 + (delta/2) D
     # = "H+ at -delta" is asserted entrywise from the assembled pieces.
     bath = random_bath(rng, 1)
-    basis = enumerate_basis(1, PerModeCap(6))
+    basis = enumerate_basis(1, 6, "per-mode")
     delta = 0.37
     params = ModelParams(delta=delta, bath=bath, basis=basis)
     table = KroneckerParity(basis, bath).dense()
@@ -104,7 +102,7 @@ def test_branch_swap_identity(rng):
 
 def test_branch_spectra_swap_under_delta_sign(rng):
     bath = random_bath(rng, 1)
-    basis = enumerate_basis(1, PerModeCap(8))
+    basis = enumerate_basis(1, 8, "per-mode")
     table = KroneckerParity(basis, bath).dense()
     params = ModelParams(delta=0.4, bath=bath, basis=basis)
     hminus = branch_operator(params, Branch.ODD).dense()
@@ -116,13 +114,13 @@ def test_branch_spectra_swap_under_delta_sign(rng):
 
 def test_degenerate_energy_set_single_mode():
     bath = single_mode_bath(1.0, 1.0)
-    basis = enumerate_basis(1, PerModeCap(2))
+    basis = enumerate_basis(1, 2, "per-mode")
     assert np.array_equal(degenerate_energy_set(basis, bath), [-0.25, 0.75, 1.75])
 
 
 def test_degenerate_energy_set_decoupled():
     bath = bath_from_modes([(1.0, 0.0)])
-    basis = enumerate_basis(1, PerModeCap(5))
+    basis = enumerate_basis(1, 5, "per-mode")
     assert np.array_equal(degenerate_energy_set(basis, bath), np.arange(6.0))
 
 
@@ -130,7 +128,7 @@ def test_degenerate_set_minimum_is_e_min_eo(rng):
     for _ in range(50):
         n_modes = int(rng.integers(1, 4))
         bath = random_bath(rng, n_modes)
-        basis = enumerate_basis(n_modes, PerModeCap(int(rng.integers(1, 4))))
+        basis = enumerate_basis(n_modes, int(rng.integers(1, 4)), "per-mode")
         energies = degenerate_energy_set(basis, bath)
         assert energies[0] == pytest.approx(e_min_eo(bath), abs=1e-15)
         assert np.all(np.diff(energies) >= 0.0)
@@ -151,7 +149,7 @@ def test_kronecker_sum_of_flips():
 
 def test_kronecker_sum_spectral_property_on_branches():
     bath = single_mode_bath(1.0, 1.0)
-    basis = enumerate_basis(1, PerModeCap(3))
+    basis = enumerate_basis(1, 3, "per-mode")
     params = ModelParams(delta=0.2, bath=bath, basis=basis)
     hplus = branch_operator(params, Branch.EVEN).dense()
     hminus = branch_operator(params, Branch.ODD).dense()
@@ -174,15 +172,15 @@ def test_kronecker_sum_capacity_guard(monkeypatch):
 KRONECKER_MODES = [(1.0, 0.9), (0.6, 0.4), (0.3, 0.0), (0.15, 0.2)]
 
 
-@pytest.mark.parametrize("policy", [PerModeCap(3), TotalQuantaCap(5)],
+@pytest.mark.parametrize("cap, policy", [(3, "per-mode"), (5, "total-quanta")],
                          ids=["per-mode", "total-quanta"])
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
-def test_d_matrix_is_the_restricted_kronecker_product(n_modes, policy):
+def test_d_matrix_is_the_restricted_kronecker_product(n_modes, cap, policy):
     # Over the per-mode box D is the Kronecker product of the single-mode
     # tables; over any basis it is the principal submatrix at the basis
     # states, gathered in the same mode order, so the match is exact.
     bath = bath_from_modes(KRONECKER_MODES[:n_modes])
-    basis = enumerate_basis(n_modes, policy)
+    basis = enumerate_basis(n_modes, cap, policy)
     tables = [single_mode_d_table(q, size - 1) for q, size in zip(bath.qs, basis.box_shape)]
     idx = np.ravel_multi_index(basis.occupations.T, basis.box_shape)
     parity = KroneckerParity(basis, bath)
@@ -199,7 +197,7 @@ def test_d_matrix_is_the_restricted_kronecker_product(n_modes, policy):
 
 def test_model_params_own_one_parity_shared_by_both_branches():
     bath = bath_from_modes(KRONECKER_MODES[:2])
-    params = ModelParams(delta=0.3, bath=bath, basis=enumerate_basis(2, PerModeCap(3)))
+    params = ModelParams(delta=0.3, bath=bath, basis=enumerate_basis(2, 3, "per-mode"))
     assert params.parity is params.parity
     assert (params.parity.basis, params.parity.bath) == (params.basis, params.bath)
     for branch in (Branch.EVEN, Branch.ODD):
@@ -208,6 +206,6 @@ def test_model_params_own_one_parity_shared_by_both_branches():
 
 def test_model_params_mode_count_mismatch():
     bath = single_mode_bath()
-    basis = enumerate_basis(2, PerModeCap(1))
+    basis = enumerate_basis(2, 1, "per-mode")
     with pytest.raises(ParameterError):
         ModelParams(delta=0.1, bath=bath, basis=basis)

@@ -21,10 +21,8 @@ from sbparity import (
     InvariantViolation,
     ModelParams,
     ParameterError,
-    PerModeCap,
     SearchError,
     SpectralLaw,
-    TotalQuantaCap,
     bath_from_modes,
     bath_ladder,
     closure_report,
@@ -32,6 +30,7 @@ from sbparity import (
     critical_alphas,
     d_square_audit,
     discretize_bath,
+    eigen_lowest,
     enumerate_basis,
     gap_identity_check,
     o_diagonal,
@@ -115,7 +114,7 @@ def test_o_monotone_in_cap():
 def test_o_general_m_matches_brute_force():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.5)])
     cap = 6
-    basis = enumerate_basis(2, PerModeCap(cap))
+    basis = enumerate_basis(2, cap, "per-mode")
     for m in [(0, 0), (1, 0), (2, 1)]:
         brute = math.fsum(l_matrix(basis, bath)[basis.index_of(m)] ** 2)
         assert o_diagonal(m, bath, cap) == pytest.approx(brute, rel=1e-12)
@@ -124,7 +123,7 @@ def test_o_general_m_matches_brute_force():
 def test_o_total_quanta_matches_brute_force():
     bath = bath_from_modes([(1.0, 0.9), (0.6, 0.5)])
     cap = 5
-    basis = enumerate_basis(2, TotalQuantaCap(cap))
+    basis = enumerate_basis(2, cap, "total-quanta")
     for m in [(0, 0), (1, 1)]:
         brute = math.fsum(l_matrix(basis, bath)[basis.index_of(m)] ** 2)
         assert o_diagonal(m, bath, cap, policy="total-quanta") == pytest.approx(
@@ -162,9 +161,7 @@ def test_two_mode_deficiency_matches_exact_sums(policy, n_modes):
     assert [Fraction(qk) for qk in bath.qs] == list(q)
     scale = math.exp(-4.0 * bath.sum_q2)
     n_tr = 24
-    basis = enumerate_basis(
-        n_modes, PerModeCap(n_tr) if policy == "per-mode" else TotalQuantaCap(n_tr)
-    )
+    basis = enumerate_basis(n_modes, n_tr, policy)
     refs = [(1, 0), (0, 2), (5, 3)] if n_modes == 2 else [(1, 0, 0), (0, 2, 1), (5, 3, 2)]
     for m in refs:
         rows = [[exact_l2(mk, n, qk) for n in range(n_tr + 1)] for mk, qk in zip(m, q)]
@@ -178,7 +175,7 @@ def test_two_mode_deficiency_matches_exact_sums(policy, n_modes):
 
 def _log_o_enumerated(m, bath, cap):
     """log O under a total-quanta cap by summing over the enumerated basis."""
-    occ = enumerate_basis(bath.n_modes, TotalQuantaCap(cap)).occupations
+    occ = enumerate_basis(bath.n_modes, cap, "total-quanta").occupations
     log_prod = np.zeros(occ.shape[0])
     for k, q in enumerate(bath.qs):
         log_prod += series_log_l2_row(m[k], q, cap)[occ[:, k]]
@@ -325,8 +322,11 @@ def test_o_validation():
         o_diagonal((0, 0), bath, 3)
     with pytest.raises(ParameterError):
         o_diagonal((0,), bath, -1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown truncation policy 'fancy'"):
         o_diagonal((0,), bath, 3, policy="fancy")
+    # Named as such, not as a basis that m_ref falls outside.
+    with pytest.raises(ParameterError, match="unknown truncation policy 'fancy'"):
+        critical_alpha(bath_ladder(0.5, 1.0, 2, 2.0), 5, m_ref=(6, 0), policy="fancy")
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def test_deficiency_general_m_consistent_with_brute_force():
     bath = bath_from_modes([(1.0, 0.8), (0.5, 0.3)])
     cap = 8
     m = (1, 2)
-    basis = enumerate_basis(2, PerModeCap(cap))
+    basis = enumerate_basis(2, cap, "per-mode")
     brute = 1.0 - math.exp(-4.0 * bath.sum_q2) * math.fsum(
         l_matrix(basis, bath)[basis.index_of(m)] ** 2
     )
@@ -504,16 +504,62 @@ BOOL_SLIPS = {
                                 "must be a sequence of 2 integers, got [0, False]"),
     "gap_identity_check-level": (
         lambda: gap_identity_check(
-            ModelParams(0.1, LADDER.at(0.1), enumerate_basis(2, PerModeCap(3))), 0, True),
+            ModelParams(0.1, LADDER.at(0.1), enumerate_basis(2, 3, "per-mode")), 0, True),
         "levels must be integers, got 0, True"),
+    "gap_identity_check-float-level": (
+        lambda: gap_identity_check(
+            ModelParams(0.1, LADDER.at(0.1), enumerate_basis(2, 3, "per-mode")), 0.5),
+        "levels must be integers, got 0.5, 0"),
+    "eigen_lowest-k": (lambda: eigen_lowest(np.diag([1.0, 2.0, 3.0]), True, 1e-10),
+                       "k must lie in [1, 3], got True"),
+    "eigen_lowest-float-k": (lambda: eigen_lowest(np.diag([1.0, 2.0, 3.0]), 2.5, 1e-10),
+                             "k must lie in [1, 3], got 2.5"),
+    "eigen_lowest-max_iter": (lambda: eigen_lowest(np.diag([1.0, 2.0]), 1, 1e-10, True),
+                              "max_iter must be >= 1, got True"),
+    "eigen_lowest-float-max_iter": (lambda: eigen_lowest(np.diag([1.0, 2.0]), 1, 1e-10, 2.5),
+                                    "max_iter must be >= 1, got 2.5"),
 }
 
 
 @pytest.mark.parametrize("call, message", BOOL_SLIPS.values(), ids=BOOL_SLIPS)
 def test_a_bool_is_not_a_count(call, message):
-    # Once True ran as 1: a 1-mode bath, ratio 1/2, cap 1, m_ref (1, 0).
+    # Once True ran as 1: a 1-mode bath, ratio 1/2, cap 1, m_ref (1, 0).  A
+    # float ran truncated, or as itself where only a comparison read it.
     with pytest.raises(ParameterError, match=re.escape(message)):
         call()
+
+
+def _basis_of(n):
+    basis = enumerate_basis(n(2), n(3), "total-quanta")
+    return basis.cap, type(basis.cap), basis.occupations.tolist()
+
+
+def _closure_of(n):
+    # (n_tr + 1)**n_modes wraps in int64 here.
+    report = closure_report(n(30), n(20))
+    return report, type(report.independent_equations)
+
+
+NUMPY_COUNTS = {
+    "enumerate_basis": _basis_of,
+    "discretize_bath": lambda n: discretize_bath(SpectralLaw(0.1, 0.5, 1.0), n(3), 2.0),
+    "bath_ladder": lambda n: bath_ladder(0.5, 1.0, n(3), 2.0),
+    "closure_report": _closure_of,
+    "o_diagonal": lambda n: o_diagonal((0, 1), LADDER.at(0.1), n(5), "total-quanta"),
+    "parity_deficiency": lambda n: parity_deficiency(LADDER.at(0.1), n(5)),
+    "critical_alpha": lambda n: critical_alpha(LADDER, n(5)),
+    "critical_alphas": lambda n: critical_alphas([LADDER, LADDER], n(5)),
+    "eigen_lowest": lambda n: eigen_lowest(np.diag([3.0, 1.0, 2.0]), n(2), 1e-10, n(5)
+                                           ).values.tolist(),
+    "gap_identity_check": lambda n: gap_identity_check(
+        ModelParams(0.1, LADDER.at(0.1), enumerate_basis(2, 3, "per-mode")), n(1), n(0)),
+}
+
+
+@pytest.mark.parametrize("call", NUMPY_COUNTS.values(), ids=NUMPY_COUNTS)
+def test_a_numpy_integer_is_a_count(call):
+    # A numpy integer runs as the Python int of the same value.
+    assert call(np.int64) == call(int)
 
 
 @pytest.mark.parametrize("m_ref", [(1, 2, 0), (3, 0, 0)])
@@ -690,22 +736,26 @@ def test_lockstep_search_refuses_ladders_of_different_mode_counts():
 
 
 def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
-    # Memory stays bounded by the chunk, whatever the number of points: the
-    # search reads no ladder beyond the chunk it is on, and reads none
+    # The working arrays stay bounded by the chunk, whatever the number of
+    # points: the search takes its ladders a slice at a time, and takes none
     # after the chunk of a failed point.
     monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", 3 * 2 * 11)
-    read = []
+    chunks = []
+    search_chunk = parity._search_chunk
 
-    def ladders(failing):
-        for i in range(10):
-            read.append(i)
-            yield NAN_COUPLING if i == failing else bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0)
+    def recorded(ladders, first, *args):
+        chunks.append((first, len(ladders)))
+        return search_chunk(ladders, first, *args)
 
-    assert len(critical_alphas(ladders(None), 10, 0.01)) == 10
-    read.clear()
+    monkeypatch.setattr(parity, "_search_chunk", recorded)
+    ladders = [bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0) for i in range(10)]
+    assert len(critical_alphas(ladders, 10, 0.01)) == 10
+    assert chunks == [(0, 3), (3, 3), (6, 3), (9, 1)]
+    chunks.clear()
+    ladders[4] = NAN_COUPLING
     with pytest.raises(ParameterError, match="got nan"):
-        critical_alphas(ladders(4), 10, 0.01)
-    assert read == [0, 1, 2, 3, 4, 5]
+        critical_alphas(ladders, 10, 0.01)
+    assert chunks == [(0, 3), (3, 3)]
 
 
 def test_lockstep_search_checks_every_ladder_against_the_first(monkeypatch):
@@ -726,7 +776,7 @@ def test_lockstep_search_checks_every_ladder_against_the_first(monkeypatch):
 
 def test_audit_zero_displacement_is_exact():
     bath = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])
-    basis = enumerate_basis(2, PerModeCap(3))
+    basis = enumerate_basis(2, 3, "per-mode")
     audit = d_square_audit(basis, bath)
     assert np.all(audit.d2_diag_residuals == 0.0)
     assert audit.d2_max_offdiag == 0.0
@@ -736,7 +786,7 @@ def test_audit_zero_displacement_is_exact():
 
 def test_audit_small_cap_matches_deficiency_closed_form():
     bath = single_mode_bath(1.0, 1.0)  # 4q^2 = 1
-    basis = enumerate_basis(1, PerModeCap(1))
+    basis = enumerate_basis(1, 1, "per-mode")
     audit = d_square_audit(basis, bath)
     assert audit.d2_diag_residuals[0] == pytest.approx(
         1.0 - 2.0 * math.exp(-1.0), abs=1e-12
@@ -746,7 +796,7 @@ def test_audit_small_cap_matches_deficiency_closed_form():
 
 def test_audit_large_cap_restores_invariance_at_vacuum():
     bath = bath_from_modes([(1.0, 0.6)])  # q = 0.3, Poisson tail beyond 30 is tiny
-    basis = enumerate_basis(1, PerModeCap(30))
+    basis = enumerate_basis(1, 30, "per-mode")
     audit = d_square_audit(basis, bath)
     assert audit.d2_diag_residuals[0] <= 1e-12
     assert audit.d2_diag_residuals[-1] >= audit.d2_diag_residuals[0]
@@ -754,10 +804,10 @@ def test_audit_large_cap_restores_invariance_at_vacuum():
 
 def test_audit_consistency_with_parity_deficiency():
     bath = bath_from_modes([(1.0, 0.8), (0.4, 0.3)])
-    for policy in (PerModeCap(5), TotalQuantaCap(6)):
-        basis = enumerate_basis(2, policy)
+    for cap, policy in ((5, "per-mode"), (6, "total-quanta")):
+        basis = enumerate_basis(2, cap, policy)
         audit = d_square_audit(basis, bath)
-        direct = parity_deficiency(bath, policy.cap, (0, 0), policy.kind)
+        direct = parity_deficiency(bath, cap, (0, 0), policy)
         assert audit.deficiency == pytest.approx(direct, abs=1e-12)
         assert audit.d2_diag_residuals[0] == pytest.approx(direct, abs=1e-12)
 
@@ -768,7 +818,7 @@ def _extended_precision_audit(basis, bath):
     occ = basis.occupations
     d = np.ones((basis.dim, basis.dim), dtype=np.longdouble)
     for k, q in enumerate(bath.qs):
-        table = single_mode_d_table(q, basis.policy.cap).astype(np.longdouble)
+        table = single_mode_d_table(q, basis.cap).astype(np.longdouble)
         d *= table[np.ix_(occ[:, k], occ[:, k])]
     square = d @ d
     diag = np.abs(np.diagonal(square) - 1)
@@ -779,27 +829,27 @@ def _extended_precision_audit(basis, bath):
 AUDIT_Q = (1.1, 0.7, 0.4, 0.2)
 
 AUDIT_CASES = {
-    "m1-pm30": (1, PerModeCap(30)),
-    "m1-tq30": (1, TotalQuantaCap(30)),
-    "m2-pm8": (2, PerModeCap(8)),
-    "m2-tq12": (2, TotalQuantaCap(12)),
-    "m3-pm5": (3, PerModeCap(5)),
-    "m3-tq8": (3, TotalQuantaCap(8)),
-    "m4-pm3": (4, PerModeCap(3)),
-    "m4-tq6": (4, TotalQuantaCap(6)),
+    "m1-pm30": (1, 30, "per-mode"),
+    "m1-tq30": (1, 30, "total-quanta"),
+    "m2-pm8": (2, 8, "per-mode"),
+    "m2-tq12": (2, 12, "total-quanta"),
+    "m3-pm5": (3, 5, "per-mode"),
+    "m3-tq8": (3, 8, "total-quanta"),
+    "m4-pm3": (4, 3, "per-mode"),
+    "m4-tq6": (4, 6, "total-quanta"),
 }
 
 
 def _audit_case(case):
     if case == "cap0":
-        return bath_from_modes([(1.0, 1.0), (0.5, 0.3)]), enumerate_basis(2, TotalQuantaCap(0))
+        return bath_from_modes([(1.0, 1.0), (0.5, 0.3)]), enumerate_basis(2, 0, "total-quanta")
     if case == "q0-beside-coupled":
-        return bath_from_modes([(1.0, 1.6), (0.5, 0.0)]), enumerate_basis(2, TotalQuantaCap(10))
+        return bath_from_modes([(1.0, 1.6), (0.5, 0.0)]), enumerate_basis(2, 10, "total-quanta")
     if case == "m1-cap120-q1.5":
-        return bath_from_modes([(1.0, 3.0)]), enumerate_basis(1, PerModeCap(120))
-    n_modes, policy = AUDIT_CASES[case]
+        return bath_from_modes([(1.0, 3.0)]), enumerate_basis(1, 120, "per-mode")
+    n_modes, cap, policy = AUDIT_CASES[case]
     bath = bath_from_modes([(0.5 ** k, 2.0 * q * 0.5 ** k) for k, q in enumerate(AUDIT_Q[:n_modes])])
-    return bath, enumerate_basis(n_modes, policy)
+    return bath, enumerate_basis(n_modes, cap, policy)
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,7 @@ from sbparity import (
     ModelParams,
     OverlapGuardError,
     ParameterError,
-    PerModeCap,
     SolverError,
-    TotalQuantaCap,
     bath_from_modes,
     branch_operator,
     degeneracy_condition_value,
@@ -41,7 +39,7 @@ from conftest import bare_fock_ground_energy, random_bath, single_mode_bath
 
 def make_params(omega, lam, delta, cap):
     bath = bath_from_modes([(omega, lam)])
-    return ModelParams(delta=delta, bath=bath, basis=enumerate_basis(1, PerModeCap(cap)))
+    return ModelParams(delta=delta, bath=bath, basis=enumerate_basis(1, cap, "per-mode"))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +108,7 @@ def test_ground_energy_matches_bare_basis_oracle():
 
 def test_theorem_degenerate_at_zero_tunneling(rng):
     bath = random_bath(rng, 1)
-    params = ModelParams(delta=0.0, bath=bath, basis=enumerate_basis(1, PerModeCap(10)))
+    params = ModelParams(delta=0.0, bath=bath, basis=enumerate_basis(1, 10, "per-mode"))
     report = theorem_report(params)
     assert report.verdict == VERDICT_DEGENERATE
     assert report.margin == pytest.approx(0.0, abs=1e-12)
@@ -122,7 +120,7 @@ def test_theorem_decoupled_limit():
     params = ModelParams(
         delta=0.4,
         bath=bath_from_modes([(1.0, 0.0)]),
-        basis=enumerate_basis(1, PerModeCap(6)),
+        basis=enumerate_basis(1, 6, "per-mode"),
     )
     report = theorem_report(params)
     assert report.e_gs == pytest.approx(-0.2, abs=1e-12)
@@ -147,7 +145,7 @@ def test_theorem_rayleigh_inequality_holds(rng):
         params = ModelParams(
             delta=float(rng.uniform(0.0, 1.0)),
             bath=bath,
-            basis=enumerate_basis(1, PerModeCap(25)),
+            basis=enumerate_basis(1, 25, "per-mode"),
         )
         report = theorem_report(params, tol=1e-10)
         assert report.e_plus_min + report.e_minus_min <= 2.0 * report.e_min_eo + 1e-8
@@ -166,7 +164,7 @@ def test_theorem_handles_orthogonal_ground_pair():
     params = ModelParams(
         delta=3.0,
         bath=bath_from_modes([(1.0, 0.0)]),
-        basis=enumerate_basis(1, PerModeCap(4)),
+        basis=enumerate_basis(1, 4, "per-mode"),
     )
     report = theorem_report(params)
     assert report.predicted_gap is None
@@ -188,7 +186,7 @@ def test_branch_spectra_match_ladder_exactly_at_zero_delta(rng):
     for _ in range(5):
         n_modes = int(rng.integers(1, 4))
         bath = random_bath(rng, n_modes)
-        basis = enumerate_basis(n_modes, PerModeCap(3))
+        basis = enumerate_basis(n_modes, 3, "per-mode")
         params = ModelParams(delta=0.0, bath=bath, basis=basis)
         ladder = degenerate_energy_set(basis, bath)
         for branch in (Branch.EVEN, Branch.ODD):
@@ -204,7 +202,7 @@ def test_gap_identity_decoupled():
     params = ModelParams(
         delta=0.5,
         bath=bath_from_modes([(1.0, 0.0)]),
-        basis=enumerate_basis(1, PerModeCap(5)),
+        basis=enumerate_basis(1, 5, "per-mode"),
     )
     result = gap_identity_check(params)
     assert result.lhs == pytest.approx(0.5, abs=1e-12)
@@ -236,7 +234,7 @@ def test_gap_identity_excited_levels():
 
 def test_degeneracy_condition_on_basis_vectors():
     bath = single_mode_bath(1.0, 1.0)  # q = 0.5
-    basis = enumerate_basis(1, PerModeCap(3))
+    basis = enumerate_basis(1, 3, "per-mode")
     table = KroneckerParity(basis, bath).dense()
     e0 = np.zeros(basis.dim)
     e0[0] = 1.0
@@ -247,7 +245,7 @@ def test_degeneracy_condition_on_basis_vectors():
 
 def test_degeneracy_condition_zero_displacement():
     bath = bath_from_modes([(1.0, 0.0)])
-    basis = enumerate_basis(1, PerModeCap(3))
+    basis = enumerate_basis(1, 3, "per-mode")
     table = KroneckerParity(basis, bath).dense()
     e0 = np.zeros(basis.dim)
     e0[0] = 1.0
@@ -281,27 +279,27 @@ def identical_modes_bath(omega, lam):
                                sum_wq2=2.0 * one.sum_wq2, sum_q2=2.0 * one.sum_q2)
 
 
-def seeded_params(seed, n_modes, policy):
+def seeded_params(seed, n_modes, cap, policy):
     rng = np.random.default_rng(seed)
     bath = random_bath(rng, n_modes)
     return ModelParams(delta=float(rng.uniform(0.05, 0.5)), bath=bath,
-                       basis=enumerate_basis(n_modes, policy))
+                       basis=enumerate_basis(n_modes, cap, policy))
 
 
 LANCZOS_CASES = {
     # H is diag(n1 + n2): levels exactly 0, 1, 1, 2.
     "zero-delta-q0-pair": lambda: ModelParams(
-        delta=0.0, bath=identical_modes_bath(1.0, 0.0), basis=enumerate_basis(2, PerModeCap(25))),
+        delta=0.0, bath=identical_modes_bath(1.0, 0.0), basis=enumerate_basis(2, 25, "per-mode")),
     # Exchange symmetry of the two modes makes levels degenerate.
     "identical-modes": lambda: ModelParams(
-        delta=0.2, bath=identical_modes_bath(1.0, 0.8), basis=enumerate_basis(2, PerModeCap(25))),
+        delta=0.2, bath=identical_modes_bath(1.0, 0.8), basis=enumerate_basis(2, 25, "per-mode")),
     "q0-beside-coupled": lambda: ModelParams(
         delta=0.3, bath=bath_from_modes([(1.0, 0.9), (0.5, 0.0)]),
-        basis=enumerate_basis(2, PerModeCap(25))),
-    "m2-pm30-seed1": lambda: seeded_params(1, 2, PerModeCap(30)),
-    "m2-pm30-seed2": lambda: seeded_params(2, 2, PerModeCap(30)),
-    "m3-tq16-seed1": lambda: seeded_params(1, 3, TotalQuantaCap(16)),
-    "m3-tq16-seed2": lambda: seeded_params(2, 3, TotalQuantaCap(16)),
+        basis=enumerate_basis(2, 25, "per-mode")),
+    "m2-pm30-seed1": lambda: seeded_params(1, 2, 30, "per-mode"),
+    "m2-pm30-seed2": lambda: seeded_params(2, 2, 30, "per-mode"),
+    "m3-tq16-seed1": lambda: seeded_params(1, 3, 16, "total-quanta"),
+    "m3-tq16-seed2": lambda: seeded_params(2, 3, 16, "total-quanta"),
 }
 
 
@@ -327,7 +325,7 @@ def test_lanczos_matches_dense_solve(case):
 
 
 def test_theorem_and_gap_identity_agree_on_both_paths(monkeypatch):
-    params = seeded_params(3, 3, TotalQuantaCap(16))
+    params = seeded_params(3, 3, 16, "total-quanta")
     assert use_lanczos(params.basis, 2)
     lanczos = theorem_report(params)
     gap = gap_identity_check(params, level_plus=1, level_minus=1)
@@ -345,14 +343,14 @@ def test_theorem_and_gap_identity_agree_on_both_paths(monkeypatch):
 def test_solve_branches_returns_the_d_of_its_path():
     # The dense path hands back the dense D array its branches were built on,
     # so later products with D (the theorem's predicted gap) stay dense ones.
-    dense_params = seeded_params(5, 3, PerModeCap(6))
+    dense_params = seeded_params(5, 3, 6, "per-mode")
     assert not use_lanczos(dense_params.basis, 1)
     table, res_plus, _ = spectra.solve_branches(dense_params, 1, 1, 1e-10)
     assert isinstance(table, np.ndarray)
     assert np.array_equal(table, KroneckerParity(dense_params.basis, dense_params.bath).dense())
     h = branch_operator(dense_params, Branch.EVEN).dense()
     assert np.array_equal(res_plus.values, eigen_lowest(h, 1, 1e-10).values)
-    lanczos_params = seeded_params(5, 3, TotalQuantaCap(16))
+    lanczos_params = seeded_params(5, 3, 16, "total-quanta")
     assert use_lanczos(lanczos_params.basis, 1)
     parity, _, _ = spectra.solve_branches(lanczos_params, 1, 1, 1e-10)
     assert isinstance(parity, KroneckerParity)
@@ -360,7 +358,7 @@ def test_solve_branches_returns_the_d_of_its_path():
 
 
 def test_degeneracy_condition_through_the_operator(rng):
-    params = seeded_params(4, 3, TotalQuantaCap(5))
+    params = seeded_params(4, 3, 5, "total-quanta")
     a = rng.standard_normal(params.basis.dim)
     b = rng.standard_normal(params.basis.dim)
     parity = KroneckerParity(params.basis, params.bath)
