@@ -37,11 +37,8 @@ from .fockspace import (
     overlap_oracle,
 )
 from .hamiltonian import (
-    Branch,
     ModelParams,
-    branch_operator,
     degenerate_energy_set,
-    h0_diagonal,
     kronecker_sum,
 )
 from .parity import (

@@ -24,12 +24,11 @@ Derived scalars used downstream:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_count
+from .errors import ParameterError, check_count, is_real
 
 __all__ = [
     "SpectralLaw",
@@ -45,14 +44,14 @@ __all__ = [
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (alpha >= 0.0 and math.isfinite(alpha)):
+    if not (is_real(alpha) and alpha >= 0.0 and math.isfinite(alpha)):
         raise ParameterError(f"alpha must satisfy alpha >= 0, got {alpha}")
 
 
 def _check_shape(s: float, omega_c: float) -> None:
-    if not (s > 0.0 and math.isfinite(s)):
+    if not (is_real(s) and s > 0.0 and math.isfinite(s)):
         raise ParameterError(f"s must satisfy s > 0, got {s}")
-    if not (omega_c > 0.0 and math.isfinite(omega_c)):
+    if not (is_real(omega_c) and omega_c > 0.0 and math.isfinite(omega_c)):
         raise ParameterError(f"omega_c must satisfy omega_c > 0, got {omega_c}")
 
 
@@ -283,7 +282,7 @@ def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
             omega, lam = pair
         except (TypeError, ValueError):
             omega = lam = None
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (omega, lam)):
+        if not (is_real(omega) and is_real(lam)):
             raise ParameterError(f"mode {i} must be an (omega, lam) pair of numbers, got {pair!r}")
         _check_omega(omega)
         _check_lam(lam)

@@ -41,7 +41,7 @@ from .errors import (
     SolverError,
 )
 from .fockspace import BasisSet, default_policy, enumerate_basis, l_matrix
-from .hamiltonian import Branch, ModelParams, branch_operator, degenerate_energy_set
+from .hamiltonian import ModelParams, degenerate_energy_set
 from .parity import closure_report, critical_alpha, critical_alphas, d_square_audit
 from .spectra import DEFAULT_MAX_ITER, solve_branches, theorem_report
 
@@ -422,10 +422,9 @@ def run_theorem(cfg: RunConfig, args):
     try:
         report = theorem_report(params, tol=cfg.tol, max_iter=cfg.max_iter)
     except InvariantViolation as exc:
-        report = getattr(exc, "report", None)
-        if report is None:
+        if exc.report is None:
             raise  # no report to attach: the plain error JSON from main
-        body = {**_fields(report), "invariant_violation": str(exc)}
+        body = {**_fields(exc.report), "invariant_violation": str(exc)}
         return EXIT_INVARIANT, body, params.bath
     return EXIT_OK, _fields(report), params.bath
 
@@ -433,16 +432,16 @@ def run_theorem(cfg: RunConfig, args):
 def run_spectrum(cfg: RunConfig, args):
     params = _model_params(cfg)
     if args.dump_matrix:
-        for name, branch in (("plus", Branch.EVEN), ("minus", Branch.ODD)):
-            h = branch_operator(params, branch).dense()
-            _emit(_triplet_csv(("i", "j", "value"), h), f"{args.dump_matrix}_h{name}.csv")
+        for name, branch in zip(("plus", "minus"), params.branches):
+            _emit(_triplet_csv(("i", "j", "value"), branch.dense()),
+                  f"{args.dump_matrix}_h{name}.csv")
     k = min(cfg.k_levels, params.basis.dim)
     _, res_plus, res_minus = solve_branches(params, k, k, cfg.tol, cfg.max_iter)
     body = {
         name: {"values": res.values, "vectors": res.vectors.T, "residual": res.residual}
         for name, res in (("plus", res_plus), ("minus", res_minus))
     }
-    body["degenerate_energy_set"] = degenerate_energy_set(params.basis, params.bath)[:k]
+    body["degenerate_energy_set"] = degenerate_energy_set(params)[:k]
     return EXIT_OK, body, params.bath
 
 

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all sbparity modules, and the checks every
-layer shares: an integer, a count and the name of a truncation policy."""
+layer shares: a real number, an integer, a count and the name of a
+truncation policy.  A bool is neither a real number nor an integer here."""
 
+import numbers
 import operator
 
 
@@ -43,7 +45,14 @@ class SearchError(SpinBosonError):
 
 
 class InvariantViolation(SpinBosonError):
-    """A mathematically guaranteed inequality failed beyond numerical slack."""
+    """A mathematically guaranteed inequality failed beyond numerical slack.
+
+    Carries the report whose numbers broke it in ``report``, if one was made.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class OverlapGuardError(SpinBosonError):
@@ -52,6 +61,11 @@ class OverlapGuardError(SpinBosonError):
 
 class ConfigError(SpinBosonError):
     """A run configuration failed to parse or validate."""
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (``numbers.Real``) and no bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def as_integer(value) -> int | None:

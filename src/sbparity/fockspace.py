@@ -67,8 +67,10 @@ __all__ = [
     "MAX_BASIS_STATES",
 ]
 
-# Occupations above this would overflow Gamma in double precision anyway;
-# everything downstream relies on staying below it.
+# A fixed bound on every occupation, kept for now; the name is historical.
+# The kernel forms no factorial (it seeds in logs with gammaln), and its
+# exp(-2 q**2) seed depends on q, not on the occupation: it underflows only
+# past q ~ 19.
 FACTORIAL_GUARD = 170
 
 # Default cap on enumerated basis dimension.

@@ -12,15 +12,16 @@ so H(even) + H(odd) = 2*H0 entrywise, and the odd branch at delta equals the
 even branch at -delta.  Only delta >= 0 is accepted at the API boundary; the
 swap identity covers negative tunneling.
 
-H0 is carried as its diagonal, :func:`h0_diagonal`.  D is one
-:class:`KroneckerParity` per model, :attr:`ModelParams.parity`.  A branch is
-one :class:`BranchOperator` on it: it applies to a vector with ``@`` and
-gives its dense dim x dim array, formed on the one dense D, with ``dense``.
+One :class:`ModelParams` per parameter point builds, once each, everything
+the point derives: H0 as its diagonal (:attr:`ModelParams.h0`), D as one
+:class:`KroneckerParity` (:attr:`ModelParams.parity`), and the two branches
+(:attr:`ModelParams.branches`), each a :class:`BranchOperator` on that one
+H0 array and that one D.  A branch applies to a vector with ``@`` and gives
+its dense dim x dim array, formed on the one dense D, with ``dense``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,15 +29,12 @@ from functools import cached_property
 import numpy as np
 
 from .bath import BathModel
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, is_real
 from .fockspace import BasisSet, KroneckerParity
 
 __all__ = [
-    "Branch",
     "ModelParams",
-    "h0_diagonal",
     "BranchOperator",
-    "branch_operator",
     "degenerate_energy_set",
     "kronecker_sum",
 ]
@@ -45,27 +43,19 @@ __all__ = [
 MAX_KRONECKER_DIM = 4096
 
 
-class Branch(enum.Enum):
-    """Parity branch label; ``coupling_sign`` multiplies +(delta/2)*D."""
-
-    EVEN = "+"
-    ODD = "-"
-
-    @property
-    def coupling_sign(self) -> float:
-        return -1.0 if self is Branch.EVEN else 1.0
-
-
 @dataclass(frozen=True)
 class ModelParams:
-    """Tunneling amplitude plus the bath and basis it acts in."""
+    """Tunneling amplitude plus the bath and basis it acts in, and the one
+    owner of what they derive: ``h0``, ``parity`` and ``branches``, each
+    built on first use and then shared by the solve, the verdict and the
+    dumps."""
 
     delta: float
     bath: BathModel
     basis: BasisSet
 
     def __post_init__(self):
-        if not (self.delta >= 0.0 and math.isfinite(self.delta)):
+        if not (is_real(self.delta) and self.delta >= 0.0 and math.isfinite(self.delta)):
             raise ParameterError(
                 f"delta must satisfy delta >= 0 (use the branch-swap identity "
                 f"for negative tunneling), got {self.delta}"
@@ -81,15 +71,21 @@ class ModelParams:
         dense arrays, the gap check and the dumps."""
         return KroneckerParity(self.basis, self.bath)
 
+    @cached_property
+    def h0(self) -> np.ndarray:
+        """The diagonal of H0, sum_k omega_k*n_k - sum_k omega_k*q_k**2 per
+        basis vector, as one read-only array."""
+        h0 = self.basis.occupations @ np.array(self.bath.omegas) - self.bath.sum_wq2
+        h0.flags.writeable = False
+        return h0
 
-def h0_diagonal(basis: BasisSet, bath: BathModel) -> np.ndarray:
-    """Diagonal entries sum_k omega_k*n_k - sum_k omega_k*q_k**2 per vector."""
-    if basis.n_modes != bath.n_modes:
-        raise ParameterError(
-            f"basis has {basis.n_modes} modes but bath has {bath.n_modes}"
-        )
-    omegas = np.array(bath.omegas)
-    return basis.occupations @ omegas - bath.sum_wq2
+    @cached_property
+    def branches(self) -> tuple[BranchOperator, BranchOperator]:
+        """(even, odd): H0 - (delta/2)*D and H0 + (delta/2)*D, both on ``h0``
+        and ``parity``."""
+        half = 0.5 * self.delta
+        return tuple(BranchOperator(h0=self.h0, coupling=c, parity=self.parity)
+                     for c in (-half, half))
 
 
 @dataclass(frozen=True)
@@ -124,22 +120,13 @@ class BranchOperator:
         return h
 
 
-def branch_operator(params: ModelParams, branch: Branch) -> BranchOperator:
-    """One parity branch H0 -/+ (delta/2)*D on ``params.parity``."""
-    return BranchOperator(
-        h0=h0_diagonal(params.basis, params.bath),
-        coupling=branch.coupling_sign * (0.5 * params.delta),
-        parity=params.parity,
-    )
-
-
-def degenerate_energy_set(basis: BasisSet, bath: BathModel) -> np.ndarray:
+def degenerate_energy_set(params: ModelParams) -> np.ndarray:
     """Ascending energies at which the two branches could be degenerate.
 
     These are exactly the diagonal entries of H0; the minimum is
     -sum_k omega_k*q_k**2, independent of the tunneling amplitude.
     """
-    return np.sort(h0_diagonal(basis, bath))
+    return np.sort(params.h0)
 
 
 def kronecker_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

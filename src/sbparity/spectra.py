@@ -12,7 +12,8 @@ never exceeds twice the lowest degeneracy energy, and the difference of any
 two branch eigenvalues equals delta * <phi+|D|phi-> / <phi+|phi-> whenever
 the eigenvector overlap is resolvable.
 
-Both branches are :class:`BranchOperator`s on the model's one
+Both branches are the model's own, ``params.branches``: two
+:class:`BranchOperator`s on its one H0 array and its one
 :class:`KroneckerParity`, ``params.parity``.  Their eigenpairs come from one
 of two solvers, picked per basis by :func:`use_lanczos`: a dense symmetric
 solve of the branch's dense array (on the one dense D) for small bases, and
@@ -31,9 +32,10 @@ import numpy as np
 import scipy.linalg
 
 from .bath import e_min_eo
-from .errors import InvariantViolation, OverlapGuardError, ParameterError, SolverError, as_integer
+from .errors import (InvariantViolation, OverlapGuardError, ParameterError, SolverError,
+                     as_integer, is_real)
 from .fockspace import MAX_BOX_STATES, BasisSet, KroneckerParity
-from .hamiltonian import Branch, BranchOperator, ModelParams, branch_operator, h0_diagonal
+from .hamiltonian import BranchOperator, ModelParams
 
 __all__ = [
     "EigenResult",
@@ -132,7 +134,7 @@ def eigen_lowest(
     dim = h.shape[0]
     if not 1 <= (as_integer(k) or 0) <= dim:
         raise ParameterError(f"k must lie in [1, {dim}], got {k}")
-    if not tol > 0.0:
+    if not (is_real(tol) and tol > 0.0):
         raise ParameterError(f"tol must be > 0, got {tol}")
     if not (as_integer(max_iter) or 0) >= 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
@@ -290,7 +292,7 @@ def solve_branches(
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray | KroneckerParity, EigenResult, EigenResult]:
-    """Lowest pairs of both branch operators on ``params.parity``.
+    """Lowest pairs of both branches, ``params.branches``.
 
     Returns ``(parity, res_plus, res_minus)``: ``parity`` is
     ``params.parity`` on the path :func:`use_lanczos` picks, and on the dense
@@ -299,8 +301,7 @@ def solve_branches(
     """
     lanczos = use_lanczos(params.basis, max(k_plus, k_minus))
     results = []
-    for branch, k in ((Branch.EVEN, k_plus), (Branch.ODD, k_minus)):
-        op = branch_operator(params, branch)
+    for op, k in zip(params.branches, (k_plus, k_minus)):
         results.append(eigen_lowest(op if lanczos else op.dense(), k, tol, max_iter))
     return (params.parity if lanczos else params.parity.dense()), *results
 
@@ -326,8 +327,19 @@ class TheoremReport:
 
 def energy_scale(params: ModelParams) -> float:
     """Reference scale for slack terms: spread of H0 plus the tunneling."""
-    diag = h0_diagonal(params.basis, params.bath)
-    return max(1.0, float(np.max(np.abs(diag))) + 0.5 * params.delta)
+    return max(1.0, float(np.max(np.abs(params.h0))) + 0.5 * params.delta)
+
+
+def _gap_term(delta: float, parity, phi_plus: np.ndarray,
+              phi_minus: np.ndarray) -> tuple[float, float | None]:
+    """(overlap, predicted gap) of a branch eigenvector pair: <phi+|phi->
+    and delta * <phi+|D|phi-> / <phi+|phi->, or None for the gap when the
+    overlap magnitude falls below OVERLAP_GUARD."""
+    overlap = float(phi_plus @ phi_minus)
+    if abs(overlap) < OVERLAP_GUARD:
+        return overlap, None
+    return overlap, (delta * degeneracy_condition_value(phi_plus, phi_minus, parity)
+                     / overlap)
 
 
 def theorem_report(
@@ -345,7 +357,7 @@ def theorem_report(
         If a guaranteed inequality fails beyond 10 * tol * scale: the
         two-branch sum bound or the vacuum floor, or if the margin is not
         positive at resolvable gap.  The offending report rides on the
-        exception as ``.report``.
+        exception as ``report``.
     """
     parity, res_plus, res_minus = solve_branches(params, 1, 1, tol, max_iter)
     e_plus = float(res_plus.values[0])
@@ -355,14 +367,8 @@ def theorem_report(
     margin = e_deg - e_gs
     measured_gap = e_minus - e_plus
 
-    phi_plus = res_plus.vectors[:, 0]
-    phi_minus = res_minus.vectors[:, 0]
-    overlap = float(phi_plus @ phi_minus)
-    if abs(overlap) < OVERLAP_GUARD:
-        predicted_gap = None
-    else:
-        predicted_gap = (params.delta * degeneracy_condition_value(phi_plus, phi_minus, parity)
-                         / overlap)
+    _, predicted_gap = _gap_term(params.delta, parity, res_plus.vectors[:, 0],
+                                 res_minus.vectors[:, 0])
 
     scale = energy_scale(params)
     slack = 10.0 * tol * scale
@@ -383,31 +389,28 @@ def theorem_report(
     )
 
     if e_plus + e_minus > 2.0 * e_deg + slack:
-        exc = InvariantViolation(
+        raise InvariantViolation(
             f"branch minima sum {e_plus + e_minus:.17g} exceeds "
-            f"2*e_min_eo + slack = {2.0 * e_deg + slack:.17g}"
+            f"2*e_min_eo + slack = {2.0 * e_deg + slack:.17g}",
+            report=report,
         )
-        exc.report = report
-        raise exc
     if margin < vacuum_floor - slack:
-        exc = InvariantViolation(
+        raise InvariantViolation(
             f"margin {margin:.17g} below the vacuum floor (delta/2)*exp(-2*sum_q2) "
-            f"- slack = {vacuum_floor - slack:.17g}"
+            f"- slack = {vacuum_floor - slack:.17g}",
+            report=report,
         )
-        exc.report = report
-        raise exc
     if (
         params.delta > 0.0
         and predicted_gap is not None
         and abs(predicted_gap) > gap_floor
         and margin <= 0.0
     ):
-        exc = InvariantViolation(
+        raise InvariantViolation(
             f"margin {margin:.17g} not positive although the predicted gap "
-            f"{predicted_gap:.17g} is resolvable"
+            f"{predicted_gap:.17g} is resolvable",
+            report=report,
         )
-        exc.report = report
-        raise exc
     return report
 
 
@@ -442,16 +445,14 @@ def gap_identity_check(
     parity, res_plus, res_minus = solve_branches(
         params, level_plus + 1, level_minus + 1, tol, max_iter
     )
-    phi_plus = res_plus.vectors[:, level_plus]
-    phi_minus = res_minus.vectors[:, level_minus]
-    overlap = float(phi_plus @ phi_minus)
-    if abs(overlap) < OVERLAP_GUARD:
+    overlap, rhs = _gap_term(params.delta, parity, res_plus.vectors[:, level_plus],
+                             res_minus.vectors[:, level_minus])
+    if rhs is None:
         raise OverlapGuardError(
             f"eigenvector overlap {overlap:.3e} below guard {OVERLAP_GUARD:g}; "
             "the gap identity is uninformative here"
         )
     lhs = float(res_minus.values[level_minus] - res_plus.values[level_plus])
-    rhs = params.delta * degeneracy_condition_value(phi_plus, phi_minus, parity) / overlap
     return GapIdentityResult(lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs), overlap=overlap)
 
 

@@ -18,13 +18,11 @@ from scipy.optimize import brentq
 
 from sbparity import (
     BathLadder,
-    Branch,
     KroneckerParity,
     ModelParams,
     SpectralLaw,
     bath_from_modes,
     bath_ladder,
-    branch_operator,
     closure_report,
     critical_alpha,
     default_policy,
@@ -103,9 +101,9 @@ def test_criterion_1_branches_degenerate_at_zero_tunneling():
             bath = discretize_bath(SpectralLaw(alpha, s, 1.0), n_modes, 2.0)
             basis = enumerate_basis(n_modes, cap, default_policy(n_modes))
             params = ModelParams(delta=0.0, bath=bath, basis=basis)
-            ladder = degenerate_energy_set(basis, bath)
-            for branch in (Branch.EVEN, Branch.ODD):
-                res = eigen_lowest(branch_operator(params, branch).dense(), basis.dim, 1e-10)
+            ladder = degenerate_energy_set(params)
+            for branch in params.branches:
+                res = eigen_lowest(branch.dense(), basis.dim, 1e-10)
                 assert np.max(np.abs(res.values - ladder)) <= 1e-12
             report = theorem_report(params, tol=1e-10)
             assert report.verdict == VERDICT_DEGENERATE
@@ -279,8 +277,7 @@ def test_criterion_10_kronecker_sum_spectral_property():
         bath = bath_from_modes([(1.0, 1.0)])
         basis = enumerate_basis(1, 3, "per-mode")
         params = ModelParams(delta=0.2, bath=bath, basis=basis)
-        hplus = branch_operator(params, Branch.EVEN).dense()
-        hminus = branch_operator(params, Branch.ODD).dense()
+        hplus, hminus = (branch.dense() for branch in params.branches)
         combined = eigen_lowest(kronecker_sum(hplus, hminus), 16, 1e-10).values
         ev_plus = eigen_lowest(hplus, 4, 1e-10).values
         ev_minus = eigen_lowest(hminus, 4, 1e-10).values

@@ -594,7 +594,7 @@ DENSE_PATH_SPECTRUM = {
 def test_spectrum_dump_matrix_and_solve_share_one_parity(tmp_path, capsys, monkeypatch):
     # The dumps and the dense solve read the model's one D: each mode's table
     # is built once and D is gathered once.
-    from sbparity import Branch, branch_operator, fockspace, spectra
+    from sbparity import fockspace, spectra
 
     calls = {"_gather": 0, "single_mode_d_table": 0}
 
@@ -617,8 +617,8 @@ def test_spectrum_dump_matrix_and_solve_share_one_parity(tmp_path, capsys, monke
 
     params = cli._model_params(cli.load_config(path))
     assert not spectra.use_lanczos(params.basis, 4)
-    for name, branch in (("plus", Branch.EVEN), ("minus", Branch.ODD)):
-        expected = branch_operator(params, branch).dense()
+    for name, branch in zip(("plus", "minus"), params.branches):
+        expected = branch.dense()
         with open(tmp_path / f"mat_h{name}.csv", newline="") as f:
             rows = list(csv.reader(f))[1:]
         assert len(rows) == params.basis.dim * (params.basis.dim + 1) // 2
@@ -627,6 +627,38 @@ def test_spectrum_dump_matrix_and_solve_share_one_parity(tmp_path, capsys, monke
             dumped[int(i), int(j)] = float(value)
         # 17 significant digits parse back to the same double.
         assert np.array_equal(dumped, np.tril(expected))
+
+
+@pytest.mark.parametrize("config, argv", [
+    (DENSE_PATH_SPECTRUM, ["theorem"]),
+    (MATRIX_FREE_THEOREM, ["theorem"]),
+    (DENSE_PATH_SPECTRUM, ["spectrum", "--dump-matrix", "mat"]),
+], ids=["theorem-dense", "theorem-lanczos", "spectrum-dump-matrix"])
+def test_one_op_builds_h0_and_each_mode_table_once(tmp_path, capsys, monkeypatch, config, argv):
+    # The solve, the verdict's energy scale, the degenerate set and the dumps
+    # all read the model's one H0 and its one D, so an op builds H0 once and
+    # each mode's table once.
+    from sbparity import ModelParams, fockspace
+
+    calls = {"h0": 0, "single_mode_d_table": 0}
+    cached_h0 = vars(ModelParams)["h0"]  # the cached property, whose builder is counted
+    build_h0, build_table = cached_h0.func, fockspace.single_mode_d_table
+
+    def h0(self):
+        calls["h0"] += 1
+        return build_h0(self)
+
+    def table(*args):
+        calls["single_mode_d_table"] += 1
+        return build_table(*args)
+
+    monkeypatch.setattr(cached_h0, "func", h0)
+    monkeypatch.setattr(fockspace, "single_mode_d_table", table)
+    argv = [argv[0], "--config", write_config(tmp_path, config)] + [
+        str(tmp_path / arg) if arg == "mat" else arg for arg in argv[1:]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"h0": 1, "single_mode_d_table": 2}  # both configs have two modes
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,12 @@ import pytest
 import scipy.linalg
 
 from sbparity import (
-    Branch,
     KroneckerParity,
     ModelParams,
     OverlapGuardError,
     ParameterError,
     SolverError,
     bath_from_modes,
-    branch_operator,
     degeneracy_condition_value,
     degenerate_energy_set,
     e_min_eo,
@@ -61,7 +59,7 @@ def test_eigen_sorts_diagonal():
 
 def test_eigen_orthonormal_vectors():
     params = make_params(1.0, 1.0, 0.2, 20)
-    h = branch_operator(params, Branch.EVEN).dense()
+    h = params.branches[0].dense()
     res = eigen_lowest(h, 4, 1e-10)
     gram = res.vectors.T @ res.vectors
     assert np.allclose(gram, np.eye(4), atol=1e-10)
@@ -69,7 +67,7 @@ def test_eigen_orthonormal_vectors():
 
 def test_eigen_is_deterministic():
     params = make_params(1.0, 1.3, 0.4, 25)
-    h = branch_operator(params, Branch.EVEN).dense()
+    h = params.branches[0].dense()
     a = eigen_lowest(h, 3, 1e-10)
     b = eigen_lowest(h, 3, 1e-10)
     assert np.array_equal(a.values, b.values)
@@ -88,7 +86,7 @@ def test_eigen_validation():
 
 def test_eigen_residual_contract():
     params = make_params(1.0, 1.0, 0.2, 30)
-    h = branch_operator(params, Branch.EVEN).dense()
+    h = params.branches[0].dense()
     with pytest.raises(SolverError) as err:
         eigen_lowest(h, 1, 1e-30)
     assert err.value.residual is not None
@@ -97,7 +95,7 @@ def test_eigen_residual_contract():
 def test_ground_energy_matches_bare_basis_oracle():
     # Displaced-basis branch minimum vs full bare-basis diagonalization.
     params = make_params(1.0, 1.0, 0.2, 40)
-    res = eigen_lowest(branch_operator(params, Branch.EVEN).dense(), 1, 1e-10)
+    res = eigen_lowest(params.branches[0].dense(), 1, 1e-10)
     oracle = bare_fock_ground_energy(1.0, 1.0, 0.2, 200)
     assert res.values[0] == pytest.approx(oracle, abs=1e-8)
 
@@ -188,9 +186,9 @@ def test_branch_spectra_match_ladder_exactly_at_zero_delta(rng):
         bath = random_bath(rng, n_modes)
         basis = enumerate_basis(n_modes, 3, "per-mode")
         params = ModelParams(delta=0.0, bath=bath, basis=basis)
-        ladder = degenerate_energy_set(basis, bath)
-        for branch in (Branch.EVEN, Branch.ODD):
-            res = eigen_lowest(branch_operator(params, branch).dense(), basis.dim, 1e-10)
+        ladder = degenerate_energy_set(params)
+        for branch in params.branches:
+            res = eigen_lowest(branch.dense(), basis.dim, 1e-10)
             assert np.allclose(res.values, ladder, atol=1e-12)
 
 
@@ -257,8 +255,8 @@ def test_degeneracy_condition_zero_displacement():
 def test_degeneracy_condition_consistent_with_gap():
     params = make_params(1.0, 1.0, 0.2, 30)
     table = KroneckerParity(params.basis, params.bath).dense()
-    res_plus = eigen_lowest(branch_operator(params, Branch.EVEN).dense(), 1, 1e-10)
-    res_minus = eigen_lowest(branch_operator(params, Branch.ODD).dense(), 1, 1e-10)
+    res_plus = eigen_lowest(params.branches[0].dense(), 1, 1e-10)
+    res_minus = eigen_lowest(params.branches[1].dense(), 1, 1e-10)
     phi_plus = res_plus.vectors[:, 0]
     phi_minus = res_minus.vectors[:, 0]
     value = degeneracy_condition_value(phi_plus, phi_minus, table)
@@ -306,8 +304,7 @@ LANCZOS_CASES = {
 @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
 def test_lanczos_matches_dense_solve(case):
     params = LANCZOS_CASES[case]()
-    for branch in (Branch.EVEN, Branch.ODD):
-        op = branch_operator(params, branch)
+    for op in params.branches:
         dense = op.dense()
         reference = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=[0, 3])
         for k in (1, 4):
@@ -348,7 +345,7 @@ def test_solve_branches_returns_the_d_of_its_path():
     table, res_plus, _ = spectra.solve_branches(dense_params, 1, 1, 1e-10)
     assert isinstance(table, np.ndarray)
     assert np.array_equal(table, KroneckerParity(dense_params.basis, dense_params.bath).dense())
-    h = branch_operator(dense_params, Branch.EVEN).dense()
+    h = dense_params.branches[0].dense()
     assert np.array_equal(res_plus.values, eigen_lowest(h, 1, 1e-10).values)
     lanczos_params = seeded_params(5, 3, 16, "total-quanta")
     assert use_lanczos(lanczos_params.basis, 1)
@@ -385,7 +382,7 @@ def test_lanczos_completeness_check_catches_a_skipped_level(monkeypatch):
     monkeypatch.setattr(sla, "eigsh", skipping)
     params = LANCZOS_CASES["m2-pm30-seed1"]()
     with pytest.raises(SolverError, match="missed a level") as err:
-        eigen_lowest(branch_operator(params, Branch.EVEN), 2, 1e-10)
+        eigen_lowest(params.branches[0], 2, 1e-10)
     assert err.value.residual is not None
     assert calls == [2]
 
@@ -404,8 +401,7 @@ def test_completeness_check_finds_the_next_level(case, monkeypatch):
 
     monkeypatch.setattr(spectra, "_lowest_level", spy)
     params = LANCZOS_CASES[case]()
-    for branch in (Branch.EVEN, Branch.ODD):
-        op = branch_operator(params, branch)
+    for op in params.branches:
         reference = scipy.linalg.eigh(op.dense(), eigvals_only=True, subset_by_index=[0, 4])
         for k in (1, 4):
             res = eigen_lowest(op, k, 1e-10)
@@ -426,8 +422,7 @@ def test_completeness_check_raises_exactly_on_a_skipped_level(case, monkeypatch)
 
     params = LANCZOS_CASES[case]()
     tol = 1e-10
-    for branch in (Branch.EVEN, Branch.ODD):
-        op = branch_operator(params, branch)
+    for op in params.branches:
         levels, vectors = scipy.linalg.eigh(op.dense(), subset_by_index=[0, 3])
         margin = 10.0 * tol * max(1.0, np.max(np.abs(op.h0)) + abs(op.coupling))
         for top, skipped in ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
@@ -471,8 +466,7 @@ def test_completeness_check_product_budget(case, monkeypatch):
     monkeypatch.setattr(KroneckerParity, "apply", counting_apply)
     monkeypatch.setattr(sla, "eigsh", counting_solve)
     params = LANCZOS_CASES[case]()
-    for branch in (Branch.EVEN, Branch.ODD):
-        op = branch_operator(params, branch)
+    for op in params.branches:
         for k in (1, 4):
             eigen_lowest(op, k, 1e-10)
             assert 0 < len(products) - solve_products[-1] - k <= 60
@@ -494,7 +488,7 @@ def solve_to_convergence(monkeypatch):
 def test_completeness_check_without_convergence_is_a_solver_error(monkeypatch):
     solve_to_convergence(monkeypatch)
     params = LANCZOS_CASES["m3-tq16-seed2"]()
-    op = branch_operator(params, Branch.EVEN)
+    op = params.branches[0]
     assert eigen_lowest(op, 1, 1e-10, max_iter=2).values.shape == (1,)
     with pytest.raises(SolverError, match="completeness check did not converge "
                                           "within max_iter = 1") as err:
@@ -519,13 +513,13 @@ def test_completeness_check_without_convergence_exits_3(tmp_path, capsys, monkey
 def test_lanczos_without_convergence_is_a_solver_error():
     params = LANCZOS_CASES["m2-pm30-seed1"]()
     with pytest.raises(SolverError, match="max_iter = 1") as err:
-        eigen_lowest(branch_operator(params, Branch.EVEN), 1, 1e-10, max_iter=1)
+        eigen_lowest(params.branches[0], 1, 1e-10, max_iter=1)
     assert err.value.residual is not None
 
 
 def test_lanczos_validation():
     params = make_params(1.0, 1.0, 0.2, 30)
-    h = branch_operator(params, Branch.EVEN)
+    h = params.branches[0]
     with pytest.raises(ParameterError):
         eigen_lowest(h, 2, 1e-10)  # k = 2 is too close to dim = 31
     with pytest.raises(ParameterError):
