@@ -8,13 +8,15 @@ J-weighted bin mean, so the total weight (1/pi) * integral of J is conserved
 over the covered range by construction.  Only the factor alpha of each
 squared coupling depends on the dissipation strength: a :class:`BathLadder`
 holds everything else, so the critical-alpha search takes one ladder as its
-bath and bins the law once, and a :class:`LadderStack` rescales the ladders
-of many sweep points to their own alphas in one array pass.
+bath and bins the law once.  A :class:`LadderStack` rescales the ladders of
+many sweep points to their own alphas in one array pass, and
+:meth:`BathLadder.at` is its one-row case.
 
-Derived scalars used downstream:
+Derived scalars used downstream, each from one formula:
 
 * ``sum_wq2``  -- sum over modes of omega_k * q_k**2; the polaron shift.
-* ``sum_q2``   -- sum over modes of q_k**2.
+* ``sum_q2``   -- sum over modes of q_k**2.  Both sums are exactly rounded,
+  and a ParameterError if they overflow a double.
 * ``beta``     -- 2 * sum_q2 / alpha; independent of alpha because every
   q_k**2 scales linearly with alpha.  The continuum analogue diverges for
   s <= 1, so beta inherits a dependence on (n_modes, lambda_disc) that is
@@ -118,10 +120,19 @@ class BathModel:
         return len(self.qs)
 
 
-def _derived_sums(omegas, qs) -> tuple[float, float]:
-    sum_wq2 = math.fsum(w * q * q for w, q in zip(omegas, qs))
-    sum_q2 = math.fsum(q * q for q in qs)
-    return sum_wq2, sum_q2
+def _mode_sum(name: str, terms) -> float:
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ParameterError(f"{name} overflows a double") from None
+
+
+def _sum_wq2(omegas, qs) -> float:
+    return _mode_sum("sum_k omega_k * q_k**2", [w * q * q for w, q in zip(omegas, qs)])
+
+
+def _beta(sum_q2: float, alpha: float) -> float:
+    return 2.0 * sum_q2 / alpha
 
 
 @dataclass(frozen=True)
@@ -153,24 +164,19 @@ class BathLadder:
         Raises
         ------
         ParameterError
-            If alpha is negative or not finite, or a mode coupling comes out
-            non-finite.
+            If alpha is negative or not finite, or a coupling is not finite or
+            a sum overflows at alpha (or at 1, for the beta at alpha = 0).
         """
         _check_alpha(alpha)
-        # The product 2.0 * alpha * wc_pow * h * w_shape, rounded left to right.
-        scale, w_shape = 2.0 * alpha * self.wc_pow, self.w_shape
-        lams = tuple(math.sqrt(scale * h * w_shape) for h in self.hi_pows)
-        for lam in lams:
-            _check_lam(lam)
-        qs = tuple(lam / (2.0 * omega) for lam, omega in zip(lams, self.omegas))
-        sum_wq2, sum_q2 = _derived_sums(self.omegas, qs)
-        if alpha > 0.0:
-            beta = 2.0 * sum_q2 / alpha
-        else:
-            # q_k**2 is exactly linear in alpha, so expose the slope at alpha = 1.
-            beta = self.at(1.0).beta
-        return BathModel(lambda_disc=self.lambda_disc, omegas=self.omegas,
-                         lams=lams, qs=qs, sum_wq2=sum_wq2, sum_q2=sum_q2, beta=beta)
+        # q_k**2 is exactly linear in alpha, so at alpha = 0 beta is the slope at alpha = 1.
+        alphas = [alpha] if alpha > 0.0 else [alpha, 1.0]
+        lams, qs, sums, errors = LadderStack([self]).at([0] * len(alphas), alphas)
+        if errors:
+            raise errors[min(errors)]
+        qs = tuple(qs[0].tolist())
+        return BathModel(lambda_disc=self.lambda_disc, omegas=self.omegas, qs=qs,
+                         lams=tuple(lams[0].tolist()), sum_wq2=_sum_wq2(self.omegas, qs),
+                         sum_q2=sums[0], beta=_beta(sums[-1], alphas[-1]))
 
 
 class LadderStack:
@@ -183,26 +189,28 @@ class LadderStack:
         self.wc_pow = np.array([ladder.wc_pow for ladder in ladders])
         self.w_shape = np.array([ladder.w_shape for ladder in ladders])
 
-    def qs(self, rows, alphas) -> tuple[np.ndarray, dict]:
-        """Displacements of the ladders ``rows[i]`` at ``alphas[i]``, one row
-        each, equal to the ``qs`` of :meth:`BathLadder.at`, with the
-        ParameterError that :meth:`BathLadder.at` raises for a row whose
-        couplings are not finite, keyed by i.  The alphas are search points,
-        finite and >= 0, and are not checked again."""
-        # 2.0 * alpha * wc_pow * h * w_shape, rounded left to right as in at().
+    def at(self, rows, alphas) -> tuple[np.ndarray, np.ndarray, list, dict]:
+        """The ladders ``rows[i]`` at ``alphas[i]`` (finite and >= 0, not checked
+        here): couplings and displacements as (rows, modes) arrays, sum_q2 as a
+        list, and the ParameterError of each row whose couplings are not finite
+        or whose sum_q2 overflows, keyed by i (its sum_q2 is None)."""
+        # The squared coupling 2.0 * alpha * wc_pow * h * w_shape, rounded left to right.
         rows = np.asarray(rows)
-        with np.errstate(over="ignore"):  # an overflow is reported per row below
+        with np.errstate(over="ignore", invalid="ignore"):  # reported per row below
             scale = 2.0 * np.asarray(alphas) * self.wc_pow[rows]
             lams = np.sqrt(scale[:, None] * self.hi_pows[rows] * self.w_shape[rows, None])
-        errors = {}
-        if not np.isfinite(lams).all():
-            for i in np.flatnonzero(~np.isfinite(lams).all(axis=1)).tolist():
-                try:
+            qs = lams / (2.0 * self.omegas[rows])
+            q2 = (qs * qs).tolist()
+        sums, errors = [None] * len(q2), {}
+        for i, (row, finite) in enumerate(zip(q2, np.isfinite(lams).all(axis=1).tolist())):
+            try:
+                if not finite:
                     for lam in lams[i].tolist():
                         _check_lam(lam)
-                except ParameterError as exc:
-                    errors[i] = exc
-        return lams / (2.0 * self.omegas[rows]), errors
+                sums[i] = _mode_sum("sum_k q_k**2", row)
+            except ParameterError as exc:
+                errors[i] = exc
+        return lams, qs, sums, errors
 
 
 def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> BathLadder:
@@ -295,15 +303,15 @@ def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
     if law is not None and any(omega > law.omega_c for omega in omegas):
         raise ParameterError("mode frequencies must lie in (0, omega_c]")
     qs = tuple(lam / (2.0 * omega) for lam, omega in zip(lams, omegas))
-    sum_wq2, sum_q2 = _derived_sums(omegas, qs)
+    sum_q2 = _mode_sum("sum_k q_k**2", [q * q for q in qs])
     if law is not None and law.alpha > 0.0:
-        beta = 2.0 * sum_q2 / law.alpha
+        beta = _beta(sum_q2, law.alpha)
     elif sum_q2 == 0.0:
         beta = 0.0
     else:
         beta = math.nan
     return BathModel(lambda_disc=None, omegas=tuple(omegas), lams=tuple(lams), qs=qs,
-                     sum_wq2=sum_wq2, sum_q2=sum_q2, beta=beta)
+                     sum_wq2=_sum_wq2(omegas, qs), sum_q2=sum_q2, beta=beta)
 
 
 def e_min_eo(bath: BathModel) -> float:

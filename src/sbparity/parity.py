@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .bath import BathLadder, BathModel, LadderStack
+from .bath import BathLadder, BathModel, LadderStack, _beta
 from .errors import (
     CapacityError,
     InvariantViolation,
@@ -70,8 +70,6 @@ MAX_SERIES_CAP = 1_000_000
 # which it is refused.  np.convolve runs at 0.25-0.5 ns per multiply-add on a
 # 2-vCPU x86 host, so one sum at the guard takes 12-25 ms.
 MAX_CONVOLUTION_WORK = 50_000_000
-
-_CLAMP_SLACK = 1e-14
 
 # The critical-alpha search doubles its bracket from alpha = 1 up to this.
 MAX_BRACKET_ALPHA = 1e4
@@ -249,9 +247,9 @@ def parity_deficiency(
 ) -> float:
     """1 - exp(-4 * sum_q2) * O at reference ``m`` (defaults to all zeros).
 
-    Always lies in [0, 1]; float noise within 1e-14 of the boundary is
-    clamped, anything beyond raises because the underlying sum of squares
-    cannot exceed the complete-basis value.
+    At most 1; float noise up to 1e-14 * max(1, 4 * sum_q2) below 0 is clamped
+    to 0, anything further raises, as the truncated sum of squares cannot beat
+    the complete basis.  NaN where 4 * q_k**2 overflows a double.
 
     Raises
     ------
@@ -268,20 +266,15 @@ def _deficiency(log_o: float, sum_q2: float) -> float:
     """1 - exp(-4 * sum_q2) * O from log O, clamped as parity_deficiency says."""
     log_scaled = log_o - 4.0 * sum_q2
     deficiency = 1.0 - math.exp(min(log_scaled, 700.0))
-    # The log-space roundoff grows with the exponent magnitude, so the clamp
-    # slack does too; it stays at 1e-14 whenever 4*sum_q2 <= 1.
-    slack = _CLAMP_SLACK * max(1.0, 4.0 * sum_q2)
     if deficiency < 0.0:
-        if deficiency < -slack:
+        # The log-space roundoff grows with the exponent magnitude, so the
+        # clamp slack does too; it stays at 1e-14 whenever 4*sum_q2 <= 1.
+        if deficiency < -1e-14 * max(1.0, 4.0 * sum_q2):
             raise InvariantViolation(
                 f"scaled diagonal sum exceeds 1 by {-deficiency:.3e}; "
                 "the truncated sum of squares cannot beat the complete basis"
             )
         deficiency = 0.0
-    elif deficiency > 1.0:
-        if deficiency > 1.0 + slack:
-            raise InvariantViolation(f"deficiency {deficiency:.17g} above 1")
-        deficiency = 1.0
     return deficiency
 
 
@@ -331,7 +324,8 @@ def critical_alpha(
         If ``m_ref`` is not a sequence of one integer per mode, lies outside
         the truncated basis (some m_k > n_tr under the per-mode policy, or
         sum(m) > n_tr under total-quanta), or is excited while n_tr exceeds
-        the factorial guard of 170.
+        the factorial guard of 170; or if the ladder's couplings or sum_q2,
+        or 4 * q_k**2 of a mode, overflow at an alpha the search tries.
     CapacityError
         If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
         multiply-adds.
@@ -393,8 +387,7 @@ def critical_alphas(
 def _search_setup(ladder: BathLadder, n_tr: int, m_ref, policy: str) -> tuple[int, ...]:
     """The checks of one point's search before its first step; returns the
     normalized reference occupation."""
-    probe = ladder.at(1.0)
-    m = _normalize_m(m_ref, probe.n_modes)
+    m = _normalize_m(m_ref, ladder.at(1.0).n_modes)  # at() checks the ladder first
     quanta = max(m) if check_policy(policy) == "per-mode" else sum(m)
     if quanta > n_tr:
         # At alpha -> 0 the deficiency of such a state tends to 1, so the
@@ -410,7 +403,6 @@ def _search_setup(ladder: BathLadder, n_tr: int, m_ref, policy: str) -> tuple[in
             f"for the excited parity.m_ref {list(m)}; only the vacuum reference "
             f"takes a larger cap"
         )
-    _check_policy(policy, len(m), n_tr)
     return m
 
 
@@ -459,7 +451,7 @@ def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, 
     ``n_modes`` modes."""
     tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
     outcomes = [None] * len(ladders)
-    live, m = [], None
+    live, m, log_o = [], None, None
     for i, ladder in enumerate(ladders):
         try:
             m_i = _search_setup(ladder, n_tr, m_ref, policy)
@@ -468,6 +460,8 @@ def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, 
                     f"ladder {first + i} has {len(m_i)} modes, the first one {n_modes}; "
                     f"the ladders of one search share their mode count"
                 )
+            if log_o is None:  # once: its work guard reads m, n_tr and policy, all shared
+                log_o = _LogO(m_i, n_tr, policy)
         except SpinBosonError as exc:
             outcomes[i] = exc
             continue
@@ -476,23 +470,21 @@ def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, 
     if not live:
         return outcomes
     stack = LadderStack([ladders[i] for i in live])
-    log_o = _LogO(m, n_tr, policy)
     searches = [_bisection(epsilon, tol) for _ in live]
     pending = {r: next(search) for r, search in enumerate(searches)}  # row -> alpha
     roots = {}
     while pending:
-        rows = list(pending)
-        qs, errors = stack.qs(rows, list(pending.values()))
+        rows, alphas = list(pending), list(pending.values())
+        _, qs, sums, errors = stack.at(rows, alphas)
         for i, exc in errors.items():
             outcomes[live[rows[i]]] = exc
             del pending[rows[i]]
-        if errors:
-            kept = [i for i in range(len(rows)) if i not in errors]
-            rows, qs = [rows[i] for i in kept], qs[kept]
-        q2 = (qs * qs).tolist()
-        for r, log_o_r, q2_r in zip(rows, log_o(qs), q2):
+        kept = [i for i in range(len(rows)) if i not in errors]
+        for i, log_o_r in zip(kept, log_o(qs[kept])):
+            r, sum_q2 = rows[i], sums[i]
             try:
-                sum_q2 = math.fsum(q2_r)
+                if math.isnan(log_o_r):  # only where 4 * q_k**2 is inf
+                    raise ParameterError(f"4 * q_k**2 overflows a double at alpha = {alphas[i]!r}")
                 miss = _deficiency(log_o_r, sum_q2) - epsilon
                 pending[r] = searches[r].send((miss, (log_o_r, sum_q2)))
             except StopIteration as stop:
@@ -503,7 +495,7 @@ def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, 
                 del pending[r]
     for r, (root, (log_o_r, sum_q2)) in roots.items():
         ladder = ladders[live[r]]
-        beta = 2.0 * sum_q2 / root  # BathLadder.at(root).beta, as root > 0
+        beta = _beta(sum_q2, root)
         outcomes[live[r]] = CriticalPoint(
             s=ladder.s,
             alpha_c=root,

@@ -1,6 +1,7 @@
 """Bath discretization: weight conservation, derived scalars, convergence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,12 @@ def test_bath_from_modes_validation():
         bath_from_modes([(-1.0, 0.0)])
     bath = bath_from_modes([(1.0, 0.0)])
     assert bath.beta == 0.0
+    law = SpectralLaw(0.2, 1.0, 1.5)
+    with pytest.raises(ParameterError, match=re.escape("frequencies must lie in (0, omega_c]")):
+        bath_from_modes([(2.0, 0.1), (1.0, 0.1)], law)
+    pairs = [(1.5, 0.6), (0.5, 0.3)]
+    qs = [lam / (2.0 * omega) for omega, lam in pairs]
+    assert bath_from_modes(pairs, law).beta == 2.0 * math.fsum(q * q for q in qs) / 0.2
 
 
 @pytest.mark.parametrize("modes, bad", [
@@ -263,25 +270,31 @@ def test_discretize_bath_errors_match_the_mode_loop(law, n_modes, lambda_disc):
 
 def test_ladder_stack_rescales_every_row_as_at_does():
     # Rows of several ladders at their own alphas, in one array pass: each
-    # row's q_k must carry the bits of BathLadder.at, and a row whose
-    # couplings overflow must get the error at() raises.
+    # row's couplings, displacements and sum_q2 must carry the bits of the
+    # mode loop, and a row whose couplings overflow must get its error.
     rng = np.random.default_rng(7)
-    ladders = [bath_ladder(float(s), float(wc), 40, float(lam))
-               for s, wc, lam in zip(rng.uniform(0.05, 1.2, 12), rng.uniform(0.2, 3.0, 12),
-                                     rng.uniform(1.2, 5.0, 12))]
-    ladders.append(bath_ladder(1.0, 1e153, 40, 2.0))  # couplings overflow from alpha ~ 240
+    params = [(float(s), float(wc), float(lam))
+              for s, wc, lam in zip(rng.uniform(0.05, 1.2, 12), rng.uniform(0.2, 3.0, 12),
+                                    rng.uniform(1.2, 5.0, 12))]
+    params.append((1.0, 1e153, 2.0))  # couplings overflow from alpha ~ 240
+    ladders = [bath_ladder(s, wc, 40, lam) for s, wc, lam in params]
     stack = LadderStack(ladders)
     failed = 0
     for _ in range(40):
         rows = sorted(rng.choice(len(ladders), size=int(rng.integers(1, 14)), replace=False))
         alphas = (10.0 ** rng.uniform(-6.0, 4.0, len(rows))).tolist()
-        qs, errors = stack.qs(rows, alphas)
+        lams, qs, sums, errors = stack.at(rows, alphas)
         for i, (row, alpha) in enumerate(zip(rows, alphas)):
+            s, wc, lam = params[row]
             if i in errors:
                 with pytest.raises(ParameterError) as expected:
-                    ladders[row].at(alpha)
+                    mode_loop_bath(SpectralLaw(alpha, s, wc), 40, lam)
                 assert str(errors[i]) == str(expected.value)
+                assert sums[i] is None
             else:
-                assert bits(qs[i]) == bits(ladders[row].at(alpha).qs)
+                _, lams_i, qs_i, _, sum_q2, _ = mode_loop_bath(SpectralLaw(alpha, s, wc), 40, lam)
+                assert bits(lams[i]) == bits(lams_i)
+                assert bits(qs[i]) == bits(qs_i)
+                assert bits([sums[i]]) == bits([sum_q2])
         failed += len(errors)
     assert failed

@@ -1155,6 +1155,70 @@ def test_reference_curve_validation(tmp_path):
         cli.load_reference_curve(str(mixed))
 
 
+def reference_cases(tmp_path):
+    """(reference path, error message) for each curve the sweep refuses."""
+    def curve(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    missing = str(tmp_path / "missing.csv")
+    yield missing, (f"cannot read reference curve {missing}: [Errno 2] No such file or "
+                    f"directory: {missing!r}")
+    path = curve("empty.csv", "")
+    yield path, f"reference curve {path} is empty"
+    path = curve("header.csv", "s,alpha,label\n0.5,0.1,qmc\n")
+    yield path, f"reference curve {path} must have header s,alpha_c,label"
+    path = curve("columns.csv", "s,alpha_c,label\n0.5,0.1,qmc\n0.7,0.2\n")
+    yield path, f"reference curve {path}:3: expected 3 columns"
+    path = curve("number.csv", "s,alpha_c,label\n0.5,x,qmc\n")
+    yield path, f"reference curve {path}:2: could not convert string to float: 'x'"
+    path = curve("rows.csv", "s,alpha_c,label\n\n")
+    yield path, f"reference curve {path} has no data rows"
+    path = curve("finite.csv", "s,alpha_c,label\n0.5,0.1,qmc\n1.0,inf,qmc\n")
+    yield path, f"reference curve {path} contains non-finite values"
+
+
+def test_phase_diagram_refuses_each_malformed_reference_curve(tmp_path, capsys):
+    config = write_config(tmp_path, PHASE_CONFIG)
+    out = tmp_path / "out.csv"
+    for path, message in reference_cases(tmp_path):
+        code = cli.main(["phase-diagram", "--config", config, "--reference", path,
+                         "--out", str(out)])
+        assert code == 1, message
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"type": "ConfigError", "message": message}}
+        assert not out.exists()
+
+
+def test_reference_curve_skips_blank_lines(tmp_path, capsys):
+    config = write_config(tmp_path, PHASE_CONFIG)
+    outputs = []
+    for name, text in (("plain.csv", "s,alpha_c,label\n0.5,0.1,qmc\n1.0,0.3,qmc\n"),
+                       ("blank.csv", "s,alpha_c,label\n\n0.5,0.1,qmc\n\n1.0,0.3,qmc\n\n")):
+        (tmp_path / name).write_text(text)
+        assert cli.main(["phase-diagram", "--config", config,
+                         "--reference", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert cli.load_reference_curve(str(tmp_path / "blank.csv"))[0] == "qmc"
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("alpha-c", dict(PHASE_CONFIG, parity={"m_ref": [0, 1]}),
+     'field "parity.m_ref": length 2 does not match 10 modes'),
+    ("phase-diagram", dict(PHASE_CONFIG, parity={"m_ref": [0] * 11}),
+     'field "parity.m_ref": length 11 does not match 10 modes'),
+    ("phase-diagram", {key: value for key, value in PHASE_CONFIG.items() if key != "sweep"},
+     'phase-diagram requires a sweep section with variable "s"'),
+])
+def test_search_commands_refuse_a_config_they_cannot_run(tmp_path, capsys, command, config,
+                                                         message):
+    assert cli.main([command, "--config", write_config(tmp_path, config)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"type": "ConfigError", "message": message}}
+
+
 # ---------------------------------------------------------------------------
 # exit codes and serialization details
 # ---------------------------------------------------------------------------
@@ -1361,6 +1425,68 @@ def test_infinite_displacement_exits_1(tmp_path, capsys, command):
                             "message": "displacement q must be finite and >= 0, got inf"}
 
 
+# Two modes with q_k**2 = 1.69e308 each: their sum overflows a double.
+OVERFLOWING_SUM_Q2 = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.0,
+                                "modes": [[1.0, 2.6e154], [0.5, 1.3e154]]}, "trunc": {"cap": 0}}
+
+
+@pytest.mark.parametrize("command", ["theorem", "spectrum", "parity-audit"])
+def test_a_sum_q2_past_the_double_range_exits_1(tmp_path, capsys, command):
+    # Once a bare OverflowError from math.fsum.
+    code = cli.main([command, "--config", write_config(tmp_path, OVERFLOWING_SUM_Q2)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"] == {"type": "ParameterError",
+                            "message": "sum_k q_k**2 overflows a double"}
+
+
+# At alpha = 1, 4 * q_k**2 of a mode overflows a double.  310 modes at
+# Lambda 10: two q_k**2 are inf, and further down their sum overflows fsum.
+# 3 modes at Lambda 3.2e155: the last q_k**2 is 1.5e308.
+OVERFLOWING_SEARCH = {
+    "310-modes": {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1e-4, "alpha": 0.1},
+                  "disc": {"n_modes": 310, "lambda_disc": 10}, "trunc": {"cap": 0}},
+    "3-modes": {"model": {"delta": 0.1, "omega_c": 1.0, "s": 0.01, "alpha": 0.1},
+                "disc": {"n_modes": 3, "lambda_disc": 3.1622776601683794e155},
+                "trunc": {"cap": 4}},
+}
+
+
+@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram"])
+@pytest.mark.parametrize("config", OVERFLOWING_SEARCH.values(), ids=OVERFLOWING_SEARCH)
+def test_alpha_c_refuses_a_parity_sum_past_the_double_range(tmp_path, capsys, config, command):
+    # Once an OverflowError traceback (310 modes), and alpha_c 1 with beta
+    # inf and o_value NaN (3 modes; exit 0, and 4 for the sweep's next point):
+    # every comparison with the NaN deficiency was false, so the bisection
+    # kept its first point.
+    s = config["model"]["s"]
+    config = dict(config, sweep={"variable": "s", "from": s, "to": 2 * s, "steps": 2})
+    code = cli.main([command, "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"] == {
+        "type": "ParameterError",
+        "message": "4 * q_k**2 overflows a double at alpha = 1.0"}
+
+
+@pytest.mark.parametrize("command, config, code, expected", [
+    ("theorem", "310-modes", 0, {"verdict": "indeterminate-below-resolution"}),
+    ("parity-audit", "310-modes", 2, {"error": {
+        "type": "InvariantViolation",
+        "message": "vacuum deficiency nan from the series and 1 from the square disagree"}}),
+    ("theorem", "3-modes", 0, {"verdict": "indeterminate-below-resolution"}),
+    ("parity-audit", "3-modes", 0, {"deficiency": 1.0}),
+])
+def test_the_other_commands_keep_their_reports_on_those_baths(tmp_path, capsys, command,
+                                                              config, code, expected):
+    # The refusal is the search's: the commands that build these baths at
+    # their own alpha print what they printed before.
+    path = write_config(tmp_path, OVERFLOWING_SEARCH[config])
+    assert cli.main([command, "--config", path]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert {key: out[key] for key in expected} == expected
+
+
 def test_config_error_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": -2, "alpha": 0.2})
     code = cli.main(["theorem", "--config", path])
@@ -1541,6 +1667,18 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n_modes, code", [(3, 0), (0, 1)], ids=["closure", "refused"])
+def test_module_entry_point_runs_main(tmp_path, capsys, n_modes, code):
+    # python -m sbparity.cli prints what main prints and exits with its code.
+    path = write_config(tmp_path, closure_config(n_modes, 4))
+    assert cli.main(["closure", "--config", path]) == code
+    expected = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "sbparity.cli", "closure", "--config", path],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.stdout, proc.returncode) == (expected, code)
 
 
 MAX_FUZZ_DIM = 400

@@ -606,6 +606,49 @@ def test_a_numpy_integer_is_a_count(call):
     assert call(np.int64) == call(int)
 
 
+REFUSALS = {
+    "o_diagonal-cap": (lambda: o_diagonal((0, 0), LADDER.at(0.1), 1_000_001),
+                       "truncation cap 1000001 exceeds the series guard of 1000000"),
+    "critical_alpha-cap": (lambda: critical_alpha(LADDER, 1_000_001),
+                           "truncation cap 1000001 exceeds the series guard of 1000000"),
+    "parity_deficiency-negative-m": (lambda: parity_deficiency(LADDER.at(0.1), 10, (0, -1)),
+                                     "occupations must be >= 0, got -1"),
+    "critical_alpha-negative-m": (lambda: critical_alpha(LADDER, 10, 0.01, (-2, 0)),
+                                  "occupations must be >= 0, got -2"),
+    "parity_deficiency-m-above-170": (lambda: parity_deficiency(LADDER.at(0.1), 200, (171, 0)),
+                                      "reference occupation 171 exceeds the guard of 170"),
+    "critical_alpha-m-above-170": (lambda: critical_alpha(LADDER, 200, 0.01, (0, 171)),
+                                   "reference occupation 171 exceeds the guard of 170"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS)
+def test_caps_and_occupations_out_of_range_are_refused(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
+
+
+# At alpha = 1, 4 * q_k**2 of its last mode (1.5e308) overflows a double.
+OVERFLOWING_PARITY_SUM = bath_ladder(0.01, 1.0, 3, 3.1622776601683794e155)
+
+
+def test_search_refuses_a_point_whose_parity_sum_overflows():
+    # log O is NaN there, and the NaN deficiency once returned alpha_c = 1.
+    # In a sweep the error is its point's, as a non-finite coupling's is.
+    message = "4 * q_k**2 overflows a double at alpha = 1.0"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        critical_alpha(OVERFLOWING_PARITY_SUM, 4)
+    nan_coupling = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(1.0, 0.5, 0.25),
+                              hi_pows=(1.0, math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
+    ladders = [bath_ladder(0.5, 1.0, 3, 2.0), OVERFLOWING_PARITY_SUM, nan_coupling]
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        critical_alphas(ladders, 4)
+    with pytest.raises(ParameterError, match="got nan"):
+        critical_alphas(ladders[::-1], 4)
+    # The bath itself is built at any alpha; only the search refuses it.
+    assert math.isinf(4.0 * OVERFLOWING_PARITY_SUM.at(1.0).qs[2] ** 2)
+
+
 @pytest.mark.parametrize("m_ref", [(1, 2, 0), (3, 0, 0)])
 def test_critical_alpha_at_excited_reference_matches_exact_deficiency(m_ref):
     # The deficiency at the returned alpha_c, recomputed from the exact
@@ -884,6 +927,25 @@ def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
     with pytest.raises(ParameterError, match="got nan"):
         critical_alphas(ladders, 10, 0.01)
     assert chunks == [(0, 3), (3, 3)]
+
+
+def test_lockstep_search_checks_the_convolution_guard_once_per_chunk(monkeypatch):
+    # Its work depends on the mode count and the cap alone, which every
+    # ladder of a search shares; a ladder's own error still comes first.
+    monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", 3 * 2 * 11)
+    calls = []
+    check = parity._check_policy
+    monkeypatch.setattr(parity, "_check_policy", lambda *args: calls.append(args) or check(*args))
+    ladders = [bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0) for i in range(10)]
+    assert len(critical_alphas(ladders, 10, 0.01, policy="total-quanta")) == 10
+    assert calls == [("total-quanta", 2, 10)] * 4
+    nan_coupling = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(1.0, 0.5),
+                              hi_pows=(math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
+    cap = 8000  # (2 - 1) * 8001**2 multiply-adds, above the guard
+    with pytest.raises(ParameterError, match="got nan"):
+        critical_alphas([nan_coupling] + ladders, cap, 0.01, policy="total-quanta")
+    with pytest.raises(CapacityError, match="above the guard"):
+        critical_alphas(ladders + [nan_coupling], cap, 0.01, policy="total-quanta")
 
 
 def test_lockstep_search_checks_every_ladder_against_the_first(monkeypatch):
