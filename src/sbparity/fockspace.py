@@ -46,7 +46,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bath import BathModel
 from .errors import (CapacityError, ConvergenceError, InvariantViolation, ParameterError,
@@ -63,14 +62,15 @@ __all__ = [
     "KroneckerParity",
     "l_matrix",
     "overlap_oracle",
+    "log_factorials",
     "FACTORIAL_GUARD",
     "MAX_BASIS_STATES",
 ]
 
 # A fixed bound on every occupation, kept for now; the name is historical.
-# The kernel forms no factorial (it seeds in logs with gammaln), and its
-# exp(-2 q**2) seed depends on q, not on the occupation: it underflows only
-# past q ~ 19.
+# The kernel forms no factorial (it seeds in logs with log_factorials), and
+# its exp(-2 q**2) seed depends on q, not on the occupation: it underflows
+# only past q ~ 19.
 FACTORIAL_GUARD = 170
 
 # Default cap on enumerated basis dimension.
@@ -87,6 +87,45 @@ MAX_BOX_STATES = 4_000_000
 D_BOUND = 1.0 + 1e-12
 
 _LGAMMA = math.lgamma
+
+# Cephes lgam (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the routine scipy.special.gammaln runs: log(sqrt(2 pi)) and the
+# coefficients of its Stirling series for 13 <= x < 1000, highest power first.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    """math.log of every entry, as an array of the same shape.  np.log may
+    take a SIMD route that rounds differently, and the sweep bytes rest on
+    the scalar logs."""
+    return np.array(list(map(math.log, values.ravel().tolist()))).reshape(values.shape)
+
+
+def log_factorials(n_max: int) -> np.ndarray:
+    """log k! for k = 0..n_max, each rounded exactly as
+    ``scipy.special.gammaln(k + 1.0)`` rounds it.
+
+    Cephes lgam at x = k + 1, operation for operation: below x = 13 the log
+    of the exact product (x - 1)!; from there the Stirling series
+    (x - 0.5) log x - x + log sqrt(2 pi) + P(1/x**2) / x, with Cephes' short
+    P from x = 1000.  The logs are :func:`_logs`; everything else is IEEE
+    arithmetic, which numpy rounds as C does.
+    """
+    out = np.empty(n_max + 1)
+    head = min(n_max + 1, 12)
+    out[:head] = [math.log(math.factorial(k)) for k in range(head)]
+    x = np.arange(13.0, n_max + 2.0)
+    p = 1.0 / (x * x)
+    mid, big = p[:987], p[987:]  # x < 1000 and x >= 1000
+    a0, a1, a2, a3, a4 = _LGAM_A
+    series = np.concatenate([
+        (((a0 * mid + a1) * mid + a2) * mid + a3) * mid + a4,
+        (7.9365079365079365079365e-4 * big - 2.7777777777777777777778e-3) * big
+        + 0.0833333333333333333333])
+    out[12:] = (x - 0.5) * _logs(x) - x + _LS2PI + series / x
+    return out
 
 
 def default_policy(n_modes: int) -> str:
@@ -196,16 +235,19 @@ def _single_mode_block(q, m_max: int, n_max: int, scaled: bool) -> np.ndarray:
     out = np.zeros((len(qs), m_max + 1, n_max + 1))
     k, half_lgamma, factors = _recurrence_factors(m_max, n_max)
     x = 2.0 * qs
-    t = (x * x)[:, None]
     log_x = np.array([math.log(v) if v != 0.0 else 0.0 for v in x.tolist()])
-    f = np.exp((-0.5 * t if scaled else 0.0) + k * log_x[:, None] - half_lgamma)
-    f_prev = np.zeros_like(f)
-    for j, (diag, back, ahead) in enumerate(factors):
-        out[:, j:, j] = f[:, : m_max + 1 - j]  # (j + k, j)
-        out[:, j, j + 1:] = f[:, 1 : n_max + 1 - j]  # (j, j + k), k >= 1
-        if j + 1 < len(factors):
-            # (t - diag) is -(diag - t) exactly.
-            f, f_prev = ((t - diag) * f - back * f_prev) / ahead, f
+    # No warnings: L overflows to inf at large q (see l_matrix), and past
+    # q ~ 6.7e153 t is inf and D NaN, which the |D| <= 1 guard refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (x * x)[:, None]
+        f = np.exp((-0.5 * t if scaled else 0.0) + k * log_x[:, None] - half_lgamma)
+        f_prev = np.zeros_like(f)
+        for j, (diag, back, ahead) in enumerate(factors):
+            out[:, j:, j] = f[:, : m_max + 1 - j]  # (j + k, j)
+            out[:, j, j + 1:] = f[:, 1 : n_max + 1 - j]  # (j, j + k), k >= 1
+            if j + 1 < len(factors):
+                # (t - diag) is -(diag - t) exactly.
+                f, f_prev = ((t - diag) * f - back * f_prev) / ahead, f
     zero = qs == 0.0
     if zero.any():
         j = np.arange(len(factors))
@@ -223,7 +265,7 @@ def _recurrence_factors(m_max: int, n_max: int):
     k = np.arange(max(m_max, n_max) + 1)
     factors = tuple((2 * j + 1 + k, np.sqrt(j * (j + k)), np.sqrt((j + 1) * (j + 1 + k)))
                     for j in range(min(m_max, n_max) + 1))
-    half_lgamma = 0.5 * gammaln(k + 1.0)
+    half_lgamma = 0.5 * log_factorials(len(k) - 1)
     for array in (k, half_lgamma, *itertools.chain.from_iterable(factors)):
         array.setflags(write=False)
     return k, half_lgamma, factors

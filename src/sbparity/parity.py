@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bath import BathLadder, BathModel, LadderStack, _beta
 from .errors import (
@@ -49,7 +48,8 @@ from .errors import (
     check_count,
     check_policy,
 )
-from .fockspace import D_BOUND, FACTORIAL_GUARD, BasisSet, KroneckerParity, single_mode_d_row
+from .fockspace import (D_BOUND, FACTORIAL_GUARD, BasisSet, KroneckerParity, _logs, log_factorials,
+                        single_mode_d_row)
 
 __all__ = [
     "o_diagonal",
@@ -133,13 +133,6 @@ def _check_policy(policy: str, n_modes: int, n_tr: int):
             )
 
 
-def _logs(values: np.ndarray) -> np.ndarray:
-    """math.log of every entry, as an array of the same shape.  np.log may
-    take a SIMD route that rounds differently, and the sweep bytes rest on
-    the scalar logs."""
-    return np.array(list(map(math.log, values.ravel().tolist()))).reshape(values.shape)
-
-
 class _LogO:
     """log of the diagonal sum O at reference ``m`` for a stack of baths,
     with the constants of the rows (log n!, the excited modes) built once.
@@ -167,7 +160,7 @@ class _LogO:
         _check_policy(policy, len(m), n_tr)
         self.n_tr, self.policy = n_tr, policy
         n = np.arange(n_tr + 1, dtype=float)
-        self.n, self.log_fact = n, gammaln(n + 1.0)
+        self.n, self.log_fact = n, log_factorials(n_tr)
         self.decoupled = np.where(n == 0.0, 0.0, -math.inf)
         self.vacuum = np.array([mk == 0 for mk in m])
         self.excited = {}  # occupation -> the modes that hold it
@@ -177,12 +170,15 @@ class _LogO:
 
     def __call__(self, qs: np.ndarray) -> list[float]:
         """log O for every row of ``qs``, an array of shape (baths, modes)."""
-        mus = 4.0 * qs * qs
-        decoupled = mus == 0.0
-        some_decoupled = decoupled.any()
-        if some_decoupled:
-            mus[decoupled] = 1.0  # no log 0; these rows are set below
-        rows = self.n * _logs(mus)[:, :, None]
+        # A 4 q**2 past the double range is inf, and inf * (n = 0) makes log O
+        # NaN, which the search refuses by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mus = 4.0 * qs * qs
+            decoupled = mus == 0.0
+            some_decoupled = decoupled.any()
+            if some_decoupled:
+                mus[decoupled] = 1.0  # no log 0; these rows are set below
+            rows = self.n * _logs(mus)[:, :, None]
         rows -= self.log_fact
         if some_decoupled:
             rows[decoupled & self.vacuum] = self.decoupled

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bath import e_min_eo
 from .errors import (InvariantViolation, OverlapGuardError, ParameterError, SolverError,
@@ -140,6 +139,10 @@ def eigen_lowest(
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if isinstance(h, BranchOperator):
         return _lanczos_lowest(h, k, tol, max_iter)
+    # Imported here, as scipy.sparse.linalg is in the Lanczos path: loading
+    # scipy.linalg takes ~0.2 s, and only theorem and spectrum solve.
+    import scipy.linalg
+
     values, vectors = scipy.linalg.eigh(h, subset_by_index=[0, k - 1])
     _fix_signs(vectors)
     resid = _residual(h, values, vectors)
@@ -183,7 +186,8 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     raises, and so does a search that does not converge within ``max_iter``
     restarts.
     """
-    # Imported here: scipy.sparse.linalg adds ~25 ms to every CLI start.
+    # Imported here, as scipy.linalg is in the dense path: scipy.sparse.linalg
+    # takes ~25 ms more to load.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     dim = h.shape[0]

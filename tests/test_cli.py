@@ -1452,6 +1452,8 @@ OVERFLOWING_SEARCH = {
 }
 
 
+# Both once printed numpy RuntimeWarnings beside the error JSON.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["alpha-c", "phase-diagram"])
 @pytest.mark.parametrize("config", OVERFLOWING_SEARCH.values(), ids=OVERFLOWING_SEARCH)
 def test_alpha_c_refuses_a_parity_sum_past_the_double_range(tmp_path, capsys, config, command):
@@ -1469,6 +1471,7 @@ def test_alpha_c_refuses_a_parity_sum_past_the_double_range(tmp_path, capsys, co
         "message": "4 * q_k**2 overflows a double at alpha = 1.0"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, config, code, expected", [
     ("theorem", "310-modes", 0, {"verdict": "indeterminate-below-resolution"}),
     ("parity-audit", "310-modes", 2, {"error": {
@@ -1658,15 +1661,36 @@ def test_dumps_matches_the_recursive_serializer(seed):
 # Robustness
 # ---------------------------------------------------------------------------
 
-def test_cli_import_leaves_sparse_linalg_unloaded():
-    # scipy.sparse.linalg is imported only by the Lanczos path; loading it
-    # at import time would add ~25 ms to every command.
+def test_cli_import_leaves_sparse_linalg_unloaded(tmp_path):
+    # scipy.linalg and scipy.sparse.linalg are imported only by the solves
+    # that use them, and scipy.special not at all: loading them at import
+    # took ~0.3 s of every command.  The commands that solve nothing load
+    # none of them; a dense theorem loads scipy.linalg alone.
+    audit = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 0.6, "alpha": 0.2},
+             "disc": {"n_modes": 3, "lambda_disc": 2.0}, "trunc": {"cap": 4}}
+    quiet = [[command, "--config", write_config(tmp_path, config, f"{command}.json")]
+             for command, config in [("phase-diagram", PHASE_CONFIG), ("alpha-c", PHASE_CONFIG),
+                                     ("closure", closure_config(3, 4)), ("parity-audit", audit)]]
+    theorem = ["theorem", "--config", write_config(tmp_path, SINGLE_MODE_THEOREM)]
+    code = f"""
+import contextlib, io, sys
+from sbparity import cli
+def loaded():
+    print([m for m in ("scipy.special", "scipy.linalg", "scipy.sparse.linalg") if m in sys.modules])
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded()
+for argv in {quiet!r}:
+    run(argv)
+loaded()
+run({theorem!r})
+loaded()
+"""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, sbparity.cli; "
-            "print('scipy.sparse.linalg' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["[]", "[]", "['scipy.linalg']"]
 
 
 @pytest.mark.parametrize("n_modes, code", [(3, 0), (0, 1)], ids=["closure", "refused"])

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from sbparity import (
     CapacityError,
@@ -26,12 +27,15 @@ from sbparity import (
 from sbparity.fockspace import (
     FACTORIAL_GUARD,
     KroneckerParity,
+    _recurrence_factors,
     l_matrix,
     l_scaled_rational,
+    log_factorials,
     single_mode_d_row,
     single_mode_d_table,
     single_mode_l_table,
 )
+from sbparity.parity import MAX_SERIES_CAP
 
 from conftest import single_mode_bath
 
@@ -278,6 +282,31 @@ def test_kernel_refuses_a_displacement_not_finite_or_negative(q):
     for call in calls:
         with pytest.raises(ParameterError, match="displacement q must be finite and >= 0"):
             call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [1e3, 6.8e153, 1e300])
+def test_kernel_tables_past_the_double_range_are_quiet(q):
+    # L overflows to inf, and past q ~ 6.7e153 D is NaN, which the |D| <= 1
+    # guard refuses; once numpy warned on stderr at both.
+    assert np.isinf(single_mode_l_table(q, 170)).any()
+    d = single_mode_d_table(q, 4)
+    assert d[0, 0] == 0.0
+    assert np.isnan(d[1:, 1:]).all() == (q > 6.7e153)
+
+
+def test_log_factorials_round_as_gammaln_bit_for_bit():
+    # log k! seeds the kernel and the partial exponential series; the golden
+    # bytes rest on the rounding of scipy's gammaln, which scipy.special took
+    # ~0.3 s to import for.  A scipy or libm that rounds otherwise fails here.
+    n = MAX_SERIES_CAP
+    expected = gammaln(np.arange(n + 1) + 1.0)
+    assert np.array_equal(log_factorials(n).view(np.int64), expected.view(np.int64))
+    for n_max in (0, 1, 11, 12, 13, 998, 999):  # the branch edges of Cephes lgam
+        assert np.array_equal(log_factorials(n_max).view(np.int64),
+                              expected[: n_max + 1].view(np.int64))
+    k, half_lgamma, _ = _recurrence_factors(FACTORIAL_GUARD, FACTORIAL_GUARD)
+    assert np.array_equal(half_lgamma.view(np.int64), (0.5 * gammaln(k + 1.0)).view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,7 @@ def test_caps_and_occupations_out_of_range_are_refused(call, message):
 OVERFLOWING_PARITY_SUM = bath_ladder(0.01, 1.0, 3, 3.1622776601683794e155)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # once two, from _LogO
 def test_search_refuses_a_point_whose_parity_sum_overflows():
     # log O is NaN there, and the NaN deficiency once returned alpha_c = 1.
     # In a sweep the error is its point's, as a non-finite coupling's is.
@@ -753,6 +754,34 @@ def test_critical_alpha_tolerance_at_a_large_sum_q2():
     # 30 modes at per-mode cap 200: alpha_c is 702 and 4 * sum_q2 is 4007.
     # The float deficiency sits 6.2e-13 below epsilon, the true one 2.0e-12.
     assert _oracle_miss(1.0, 1.0, 30, 1.1, 200, 1e-6, (0,) * 30, "per-mode") <= 1.0
+
+
+def gammaincc_alpha_c(ladder, cap: int, epsilon: float, policy: str) -> float:
+    """alpha_c of the vacuum from scipy's regularized upper incomplete gamma
+    Q, solved with brentq.  Per-mode the deficiency is
+    1 - prod_k Q(cap + 1, 4 alpha q_k**2), with q_k the displacement at
+    alpha = 1; under total-quanta it is one factor,
+    1 - Q(cap + 1, 4 alpha sum_k q_k**2) (DLMF 8.4.10).  Shares no code with
+    the partial series of the search."""
+    mus = np.array([4.0 * q * q for q in ladder.at(1.0).qs])
+    if policy == "total-quanta":
+        mus = np.array([math.fsum(mus)])
+
+    def miss(alpha):
+        return 1.0 - float(np.prod(gammaincc(cap + 1, alpha * mus))) - epsilon
+
+    return brentq(miss, 1e-12, parity.MAX_BRACKET_ALPHA, xtol=1e-300)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("cap, policy", [(1000, "per-mode"), (100_000, "per-mode"),
+                                         (1000, "total-quanta")])
+def test_critical_alpha_at_large_caps_meets_the_incomplete_gamma_oracle(s, cap, policy):
+    # log n! up to the cap comes from fockspace.log_factorials.  Agreement
+    # measured 3.5e-10 (per-mode) and 5.5e-10 (total-quanta) at most.
+    ladder = bath_ladder(s, 1.0, 30, 2.0)
+    alpha_c = critical_alpha(ladder, cap, 0.01, policy=policy).alpha_c
+    assert alpha_c == pytest.approx(gammaincc_alpha_c(ladder, cap, 0.01, policy), rel=1e-9)
 
 
 def test_vacuum_search_takes_a_decoupled_mode_above_the_factorial_guard():
