@@ -328,7 +328,13 @@ def _json_fragment(value, parts):
     elif isinstance(value, str):
         parts.append(json.dumps(value))
     elif isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
-        _json_fragment(value.tolist(), parts)
+        if value.ndim > 1:
+            _json_fragment(list(value), parts)  # row by row
+        elif np.isfinite(value).all() and not (np.signbit(value) & (value == 0.0)).any():
+            # No entry whose ".17g" text format_float changes: one % pass.
+            parts.append("[%s]" % ", ".join(["%.17g"] * len(value)) % tuple(value.tolist()))
+        else:
+            _json_fragment(value.tolist(), parts)
     elif isinstance(value, (list, tuple)) and all(isinstance(item, float) for item in value):
         # One join instead of a call per item; format_float's text, quoted
         # when not finite.

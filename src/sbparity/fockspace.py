@@ -437,7 +437,8 @@ class KroneckerParity:
         formed: the prefixes are sorted by room and each group of rows with
         room s is paired with the columns of room >= s, which covers every
         unordered pair of the symmetric D@D once.  The last-mode axis is
-        padded to cap + 1 and masked.
+        padded to cap + 1; the padded entries of the columns of each room
+        are zeroed by slice before the maximum is taken.
 
         A per-mode basis still squares to one dim x dim block, so the
         dimension guard of :meth:`dense` holds here too.
@@ -461,19 +462,20 @@ class KroneckerParity:
         for i, (r, lo, hi) in enumerate(groups):
             np.matmul(d_prefix[:, lo:hi], d_prefix[lo:hi], out=g[i])
             np.matmul(last[:, : r + 1], last[: r + 1], out=q[i])
-        # Padded last-mode occupations c > room(w) lie outside the basis.
-        inside = np.arange(last.shape[0]) <= room[:, None]
         diag = np.empty(self.basis.dim)
         offdiag = 0.0
-        for r, lo, hi in groups:
+        for i, (r, lo, hi) in enumerate(groups):
             # Rows of room r against every column of room >= r: by symmetry
             # this meets each unordered pair of states once.
             block = np.tensordot(g[:, lo:hi, lo:], q[:, : r + 1, :], axes=(0, 0))
-            block *= inside[None, lo:, None, :]  # axes (v, w, a, c)
-            v = np.arange(hi - lo)[:, None]
+            v = np.arange(hi - lo)[:, None]  # axes (v, w, a, c)
             a = np.arange(r + 1)
             diag[starts[lo:hi, None] + a] = block[v, v, a, a]
             block[v, v, a, a] = 0.0
+            # Padded last-mode occupations c > s of the columns of room s lie
+            # outside the basis: zeroed by slice, they cannot raise the maximum.
+            for s, s_lo, s_hi in groups[i:]:
+                block[:, s_lo - lo: s_hi - lo, :, s + 1:] = 0.0
             offdiag = max(offdiag, float(np.max(block)), -float(np.min(block)))
         return diag, offdiag
 

@@ -64,6 +64,14 @@ class ModelParams:
             raise ParameterError(
                 f"bath has {self.bath.n_modes} modes but basis has {self.basis.n_modes}"
             )
+        # math.fsum returns inf without raising when a term is already inf,
+        # as q_k**2 is for a finite q_k past 1.3e154.  A q_k that is itself
+        # inf is refused by name where the D tables are built.
+        if all(map(math.isfinite, self.bath.qs)):
+            for name, total in (("sum_k q_k**2", self.bath.sum_q2),
+                                ("sum_k omega_k * q_k**2", self.bath.sum_wq2)):
+                if not math.isfinite(total):
+                    raise ParameterError(f"{name} overflows a double")
 
     @cached_property
     def parity(self) -> KroneckerParity:

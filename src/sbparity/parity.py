@@ -369,10 +369,10 @@ def critical_alphas(
     n_tr = _check_cap(n_tr)
     n_modes = len(ladders[0].omegas)
     size = max(1, SEARCH_CHUNK_ENTRIES // (n_modes * (n_tr + 1)))
-    out = []
+    out, log_o = [], None
     for first in range(0, len(ladders), size):
-        outcomes = _search_chunk(ladders[first:first + size], first, n_modes, n_tr, epsilon,
-                                 m_ref, policy)
+        outcomes, log_o = _search_chunk(ladders[first:first + size], first, n_modes, n_tr,
+                                        epsilon, m_ref, policy, log_o)
         for outcome in outcomes:
             if isinstance(outcome, SpinBosonError) and not isinstance(outcome, SearchError):
                 raise outcome
@@ -440,14 +440,16 @@ def _bisection(epsilon: float, tol: float):
 
 
 def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, m_ref,
-                  policy: str) -> list:
+                  policy: str, log_o: _LogO | None) -> tuple[list, _LogO | None]:
     """The searches of ``ladders`` in lockstep: per ladder its CriticalPoint
-    or the SpinBosonError its search raised.  ``first`` is the index of the
-    chunk's first ladder in the whole search, whose first ladder has
-    ``n_modes`` modes."""
+    or the SpinBosonError its search raised, and the search's one ``_LogO``.
+    ``first`` is the index of the chunk's first ladder in the whole search,
+    whose first ladder has ``n_modes`` modes; ``log_o`` is the ``_LogO`` an
+    earlier chunk built, or None, and is built here at the first ladder that
+    passes its setup."""
     tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
     outcomes = [None] * len(ladders)
-    live, m, log_o = [], None, None
+    live, m = [], None
     for i, ladder in enumerate(ladders):
         try:
             m_i = _search_setup(ladder, n_tr, m_ref, policy)
@@ -464,7 +466,7 @@ def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, 
         m = m_i
         live.append(i)
     if not live:
-        return outcomes
+        return outcomes, log_o
     stack = LadderStack([ladders[i] for i in live])
     searches = [_bisection(epsilon, tol) for _ in live]
     pending = {r: next(search) for r, search in enumerate(searches)}  # row -> alpha
@@ -504,7 +506,7 @@ def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, 
             o_value=_exp_or_inf(log_o_r),
             ln_o_over_2beta=log_o_r / (2.0 * beta),
         )
-    return outcomes
+    return outcomes, log_o
 
 
 @dataclass(frozen=True)

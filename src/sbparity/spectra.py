@@ -82,6 +82,10 @@ _CHECK_SEED = 2
 
 # Basis size of the completeness check's search, ARPACK's default ncv here.
 _CHECK_BASIS = 20
+# A new direction is orthogonalized a second time when the first pass leaves
+# less than this share of its norm (Daniel, Gragg, Kaufman & Stewart, Math.
+# Comp. 30, 772 (1976)).
+_REORTHOGONALIZE = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -225,9 +229,9 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     c = 2.0 * shifted_values[-1]
 
     def deflated(x):
-        vx = vectors.T @ x
-        y = shifted(x - vectors @ vx)
-        return y - vectors @ (vectors.T @ y) + c * (vectors @ vx)
+        vvx = vectors @ (vectors.T @ x)
+        y = shifted(x - vvx)
+        return y - vectors @ (vectors.T @ y) + c * vvx
 
     missed = _lowest_level(deflated, h.h0 - sigma, tol * norm_bound, max_iter)
     if missed is None:
@@ -254,36 +258,42 @@ def _lowest_level(matvec, diag: np.ndarray, bound: float, max_iter: int) -> floa
     The search starts from a fixed-seed random vector and grows an
     orthonormal basis of at most ``_CHECK_BASIS`` vectors by the Ritz
     residual r preconditioned as r / diag; ``diag`` must be positive, so the
-    new direction never lies in the basis while r does not vanish.  A full
-    basis restarts from the two lowest Ritz vectors.  A value is returned
-    only once its residual norm is at most ``bound``.
+    new direction never lies in the basis while r does not vanish.  Each
+    direction is orthogonalized against the basis by classical Gram-Schmidt,
+    a second time only when the first pass leaves less than 1/sqrt(2) of
+    its norm.  A full basis restarts from the two lowest Ritz vectors.  A
+    value is returned only once its residual norm is at most ``bound``.
     """
     dim = diag.shape[0]
     size = min(_CHECK_BASIS, dim)
-    basis = np.empty((dim, size))
-    images = np.empty((dim, size))
+    # One vector per row, so every product with the basis is a contiguous GEMV.
+    basis = np.empty((size, dim))
+    images = np.empty((size, dim))
     gram = np.zeros((size, size))
     t = np.random.default_rng(_CHECK_SEED).standard_normal(dim)
     n = 0
     for _ in range(max_iter):
         while n < size:
             before = np.linalg.norm(t)
-            for _ in range(2):  # twice is enough for orthogonality
-                t -= basis[:, :n] @ (basis[:, :n].T @ t)
+            t -= (basis[:n] @ t) @ basis[:n]
             norm = np.linalg.norm(t)
+            if norm < _REORTHOGONALIZE * before:  # cancellation: once more is enough
+                t -= (basis[:n] @ t) @ basis[:n]
+                norm = np.linalg.norm(t)
             if not norm > dim * _EPS * before:
                 return None  # no new direction: the search has stalled
-            basis[:, n] = t / norm
-            images[:, n] = matvec(basis[:, n])
-            gram[n, : n + 1] = images[:, : n + 1].T @ basis[:, n]
+            new = np.divide(t, norm, out=basis[n])
+            images[n] = matvec(new)
+            gram[n, : n + 1] = images[: n + 1] @ new
             n += 1
             theta, s = np.linalg.eigh(gram[:n, :n])  # reads the lower triangle
-            r = images[:, :n] @ s[:, 0] - theta[0] * (basis[:, :n] @ s[:, 0])
+            r = s[:, 0] @ images[:n]
+            r -= theta[0] * (s[:, 0] @ basis[:n])
             if np.linalg.norm(r) <= bound:
                 return float(theta[0])
-            t = r / diag
-        basis[:, :2] = basis @ s[:, :2]
-        images[:, :2] = images @ s[:, :2]
+            t = np.divide(r, diag, out=r)
+        basis[:2] = s[:, :2].T @ basis
+        images[:2] = s[:, :2].T @ images
         gram[:2, :2] = np.diag(theta[:2])
         n = 2
     return None

@@ -1440,6 +1440,28 @@ def test_a_sum_q2_past_the_double_range_exits_1(tmp_path, capsys, command):
                             "message": "sum_k q_k**2 overflows a double"}
 
 
+# One finite q_k whose q_k**2 is inf (q = 5e154), and one whose
+# omega_k * q_k**2 is inf (q = 1e154 at omega 10): math.fsum returns inf.
+INFINITE_MODE_SUMS = {
+    "sum_k q_k**2": [[1.0, 1e155]],
+    "sum_k omega_k * q_k**2": [[10.0, 2e155]],
+}
+
+
+@pytest.mark.parametrize("command", ["theorem", "spectrum", "parity-audit"])
+@pytest.mark.parametrize("cap", [0, 3])
+@pytest.mark.parametrize("name", INFINITE_MODE_SUMS)
+def test_an_infinite_mode_sum_exits_1(tmp_path, capsys, command, cap, name):
+    # Once a bare ValueError from scipy.linalg.eigh (theorem, spectrum at cap
+    # 0), exit 2 from the |D| <= 1 guard (cap 3) or a NaN deficiency (audit).
+    config = {"model": {"delta": 0.1, "omega_c": 10.0, "s": 1.0, "alpha": 0.0,
+                        "modes": INFINITE_MODE_SUMS[name]}, "trunc": {"cap": cap}}
+    code = cli.main([command, "--config", write_config(tmp_path, config)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"] == {"type": "ParameterError", "message": f"{name} overflows a double"}
+
+
 # At alpha = 1, 4 * q_k**2 of a mode overflows a double.  310 modes at
 # Lambda 10: two q_k**2 are inf, and further down their sum overflows fsum.
 # 3 modes at Lambda 3.2e155: the last q_k**2 is 1.5e308.
@@ -1647,6 +1669,23 @@ def random_payload(rng, depth=0):
     if kind == 4:
         return {f"k{i}": random_payload(rng, depth + 1) for i in range(size % 5)}
     return [np.float64(v) for v in rng.normal(size=size)] + [number() for _ in range(size % 3)]
+
+
+def test_dumps_writes_float_rows_as_format_float_does():
+    # A row of finite entries without -0.0 is written in one % pass; any
+    # other row keeps the per-entry path.  Each entry reads as format_float.
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, -2.5e-7]
+    rows = [specials, specials[4:], [1.0, -0.0], [1.0, math.nan], [], [3.0]]
+    for row in rows:
+        texts = [cli.format_float(x) if math.isfinite(x) else json.dumps(cli.format_float(x))
+                 for x in row]
+        assert cli.dumps(np.array(row)) == "[" + ", ".join(texts) + "]\n"
+    rng = np.random.default_rng(3)
+    for shape in [(4, 7), (1, 5), (3, 0), (0, 4)]:
+        array = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        array.flat[::3] = -0.0
+        array[:1] = specials[: shape[1]]
+        assert cli.dumps(array) == cli.dumps(array.tolist())
 
 
 @pytest.mark.parametrize("seed", range(5))

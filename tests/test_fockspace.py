@@ -487,6 +487,59 @@ def test_d_square_residual_small_in_the_inner_block():
     assert abs(residual[cap, cap]) > inner  # reported, not bounded
 
 
+def masked_square(parity):
+    """The audit's square with the 0/1 mask over every padded entry and the
+    maximum over each whole block (reference): the same G and Q stacks and
+    the same tensordot calls as :meth:`KroneckerParity.square`."""
+    tables, occ = parity.tables, parity.basis.occupations
+    starts = np.flatnonzero(occ[:, -1] == 0)
+    room = np.maximum.reduceat(occ[:, -1], starts)
+    order = np.argsort(room, kind="stable")
+    starts, room = starts[order], room[order]
+    cuts = [0, *(np.flatnonzero(np.diff(room)) + 1), len(room)]
+    groups = [(room[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    d_prefix = fockspace._gather(occ[starts, :-1], tables[:-1])
+    last = tables[-1]
+    g = np.empty((len(groups),) + d_prefix.shape)
+    q = np.empty((len(groups),) + last.shape)
+    for i, (r, lo, hi) in enumerate(groups):
+        np.matmul(d_prefix[:, lo:hi], d_prefix[lo:hi], out=g[i])
+        np.matmul(last[:, : r + 1], last[: r + 1], out=q[i])
+    inside = np.arange(last.shape[0]) <= room[:, None]
+    diag = np.empty(parity.basis.dim)
+    offdiag = 0.0
+    for r, lo, hi in groups:
+        block = np.tensordot(g[:, lo:hi, lo:], q[:, : r + 1, :], axes=(0, 0))
+        block *= inside[None, lo:, None, :]
+        v = np.arange(hi - lo)[:, None]
+        a = np.arange(r + 1)
+        diag[starts[lo:hi, None] + a] = block[v, v, a, a]
+        block[v, v, a, a] = 0.0
+        offdiag = max(offdiag, float(np.max(block)), -float(np.min(block)))
+    return diag, offdiag
+
+
+# One mode; one room (per-mode); one prefix per room; a 1 x 1 last room.
+SQUARE_LAYOUTS = [(1, 40, "per-mode"), (2, 12, "per-mode"), (3, 6, "per-mode"),
+                  (2, 20, "total-quanta"), (3, 10, "total-quanta"), (4, 6, "total-quanta"),
+                  (6, 5, "total-quanta")]
+
+
+@pytest.mark.parametrize("n_modes, cap, policy", SQUARE_LAYOUTS)
+@pytest.mark.parametrize("q", [0.1, 2.0])
+def test_square_keeps_the_bits_of_the_masked_scan(n_modes, cap, policy, q):
+    # The padded last-mode occupations are zeroed by slice instead of by the
+    # mask; the diagonal and the largest off-diagonal magnitude keep every bit.
+    bath = bath_from_modes([(0.7 ** k, 2.0 * q * (1.0 - 0.1 * k) * 0.7 ** k)
+                            for k in range(n_modes)])
+    parity = KroneckerParity(enumerate_basis(n_modes, cap, policy), bath)
+    diag, offdiag = parity.square()
+    ref_diag, ref_offdiag = masked_square(parity)
+    assert np.array_equal(diag.view(np.int64), ref_diag.view(np.int64))
+    assert offdiag > 0.0
+    assert offdiag.hex() == ref_offdiag.hex()
+
+
 def test_single_mode_l_table_matches_elements():
     # Entry (m, n) has the same bits in every table of cap >= max(m, n), so
     # reading it from the smallest such table reads the dumped value.

@@ -958,16 +958,17 @@ def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
     assert chunks == [(0, 3), (3, 3)]
 
 
-def test_lockstep_search_checks_the_convolution_guard_once_per_chunk(monkeypatch):
+def test_lockstep_search_checks_the_convolution_guard_once_per_search(monkeypatch):
     # Its work depends on the mode count and the cap alone, which every
-    # ladder of a search shares; a ladder's own error still comes first.
+    # ladder of a search shares, so the four chunks check it once; a
+    # ladder's own error still comes first.
     monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", 3 * 2 * 11)
     calls = []
     check = parity._check_policy
     monkeypatch.setattr(parity, "_check_policy", lambda *args: calls.append(args) or check(*args))
     ladders = [bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0) for i in range(10)]
     assert len(critical_alphas(ladders, 10, 0.01, policy="total-quanta")) == 10
-    assert calls == [("total-quanta", 2, 10)] * 4
+    assert calls == [("total-quanta", 2, 10)]
     nan_coupling = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(1.0, 0.5),
                               hi_pows=(math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
     cap = 8000  # (2 - 1) * 8001**2 multiply-adds, above the guard
@@ -975,6 +976,21 @@ def test_lockstep_search_checks_the_convolution_guard_once_per_chunk(monkeypatch
         critical_alphas([nan_coupling] + ladders, cap, 0.01, policy="total-quanta")
     with pytest.raises(CapacityError, match="above the guard"):
         critical_alphas(ladders + [nan_coupling], cap, 0.01, policy="total-quanta")
+
+
+def test_a_sweep_of_one_point_chunks_builds_log_factorials_once(monkeypatch):
+    # From per-mode cap 333 at 30 modes a chunk holds one point; the table
+    # of log k! up to the cap is still built once per search.
+    ladders = [bath_ladder(s, 1.0, 30, 2.0) for s in (0.3, 0.5, 0.8)]
+    alone = [critical_alpha(ladder, 400) for ladder in ladders]
+    calls = []
+    build = parity.log_factorials
+    monkeypatch.setattr(parity, "log_factorials", lambda n: calls.append(n) or build(n))
+    assert parity.SEARCH_CHUNK_ENTRIES // (30 * 401) <= 1  # one point a chunk
+    swept = critical_alphas(ladders, 400)
+    assert calls == [400]
+    assert [p.alpha_c.hex() for p in swept] == [p.alpha_c.hex() for p in alone]
+    assert swept == alone
 
 
 def test_lockstep_search_checks_every_ladder_against_the_first(monkeypatch):
