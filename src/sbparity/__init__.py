@@ -16,14 +16,12 @@ from .bath import (
     bath_ladder,
     discretize_bath,
     e_min_eo,
-    e_min_eo_continuum,
 )
 from .errors import (
     CapacityError,
     ConfigError,
     ConvergenceError,
     InvariantViolation,
-    OverlapGuardError,
     ParameterError,
     SearchError,
     SolverError,
@@ -39,7 +37,6 @@ from .fockspace import (
 from .hamiltonian import (
     ModelParams,
     degenerate_energy_set,
-    kronecker_sum,
 )
 from .parity import (
     ClosureReport,
@@ -54,10 +51,8 @@ from .parity import (
 )
 from .spectra import (
     EigenResult,
-    GapIdentityResult,
     TheoremReport,
     degeneracy_condition_value,
     eigen_lowest,
-    gap_identity_check,
     theorem_report,
 )

@@ -41,7 +41,6 @@ __all__ = [
     "discretize_bath",
     "bath_from_modes",
     "e_min_eo",
-    "e_min_eo_continuum",
 ]
 
 
@@ -78,13 +77,6 @@ class SpectralLaw:
     def __post_init__(self):
         _check_alpha(self.alpha)
         _check_shape(self.s, self.omega_c)
-
-    def j(self, omega: float) -> float:
-        """Spectral density at frequency ``omega`` (0 outside (0, omega_c])."""
-        if omega <= 0.0 or omega > self.omega_c:
-            return 0.0
-        return 2.0 * math.pi * self.alpha * self.omega_c ** (1.0 - self.s) * omega ** self.s
-
 
 def _check_omega(omega: float) -> None:
     if not (omega > 0.0 and math.isfinite(omega)):
@@ -317,8 +309,3 @@ def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
 def e_min_eo(bath: BathModel) -> float:
     """Lowest branch-degeneracy energy: -sum_k lam_k**2 / (4*omega_k)."""
     return -bath.sum_wq2
-
-
-def e_min_eo_continuum(law: SpectralLaw) -> float:
-    """Continuum counterpart of :func:`e_min_eo`: -alpha*omega_c/(2*s)."""
-    return -law.alpha * law.omega_c / (2.0 * law.s)

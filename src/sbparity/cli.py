@@ -53,6 +53,11 @@ EXIT_INVARIANT = 2
 EXIT_SOLVER = 3
 EXIT_SEARCH = 4
 
+# Most points a phase-diagram sweep takes.  All are binned before the first
+# search, each ~2.2 KB at 30 modes, and each takes 1-1.5 ms of search there at
+# cap 20 (2-vCPU x86 host), so 1e5 points are ~0.2 GB and ~2 min.
+MAX_SWEEP_STEPS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -118,6 +123,14 @@ def _policy(name, value, bound):
     return value
 
 
+def _sweep_steps(name, value, bound):
+    value = _check(name, value, "int", bound)
+    if value > MAX_SWEEP_STEPS:
+        raise ConfigError(
+            f'field "{name}": must satisfy steps <= {MAX_SWEEP_STEPS}, got {value!r}')
+    return value
+
+
 def _sweep_variable(name, value, bound):
     if value != "s":
         raise ConfigError(f'field "{name}": only "s" sweeps are supported, got {value!r}')
@@ -152,7 +165,7 @@ CONFIG_SCHEMA = {
     "sweep": {"variable": (_sweep_variable, None, True, None),
               "from": ("number", (">", 0.0), True, None),
               "to": ("number", (">", 0.0), True, None),
-              "steps": ("int", (">=", 1), True, None)},
+              "steps": (_sweep_steps, (">=", 1), True, None)},
     "output": {"path": (_output_path, None, False, None)},
 }
 _OPTIONAL_SECTIONS = ("sweep", "output")
@@ -308,10 +321,6 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# JSON text of the floats whose ".17g" form format_float does not keep.
-_FLOAT_TEXT = {"nan": '"NaN"', "inf": '"inf"', "-inf": '"-inf"', "-0": "0"}
-
-
 def _json_fragment(value, parts):
     if value is None:
         parts.append("null")
@@ -335,11 +344,6 @@ def _json_fragment(value, parts):
             parts.append("[%s]" % ", ".join(["%.17g"] * len(value)) % tuple(value.tolist()))
         else:
             _json_fragment(value.tolist(), parts)
-    elif isinstance(value, (list, tuple)) and all(isinstance(item, float) for item in value):
-        # One join instead of a call per item; format_float's text, quoted
-        # when not finite.
-        texts = ["%.17g" % item for item in value]
-        parts.append("[" + ", ".join([_FLOAT_TEXT.get(t, t) for t in texts]) + "]")
     elif isinstance(value, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, item in enumerate(value):

@@ -55,10 +55,6 @@ class InvariantViolation(SpinBosonError):
         self.report = report
 
 
-class OverlapGuardError(SpinBosonError):
-    """The branch eigenvector overlap is too small for the gap identity."""
-
-
 class ConfigError(SpinBosonError):
     """A run configuration failed to parse or validate."""
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .bath import BathModel
 from .errors import (CapacityError, ConvergenceError, InvariantViolation, ParameterError,
-                     as_integer, check_count, check_policy)
+                     check_count, check_policy)
 
 __all__ = [
     "default_policy",
@@ -151,17 +151,6 @@ class BasisSet:
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
-
-    def index_of(self, vec) -> int:
-        """Row of ``vec`` in ``occupations``; KeyError if it is not a state,
-        as a vector with a bool or a non-integer entry is not."""
-        vec = tuple(vec)
-        key = tuple(map(as_integer, vec))
-        if len(key) == self.n_modes and all(v is not None and 0 <= v <= self.cap for v in key):
-            hit = np.flatnonzero((self.occupations == key).all(axis=1))
-            if hit.size:
-                return int(hit[0])
-        raise KeyError(vec)
 
     @property
     def box_shape(self) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
-"""Assembly of the diagonal shifted-oscillator Hamiltonian, the even/odd
-parity branches, and the Kronecker-sum validator.
+"""Assembly of the diagonal shifted-oscillator Hamiltonian and the even/odd
+parity branches.
 
 In the displaced number basis the shifted-oscillator part is diagonal with
 entries sum_k omega_k*n_k - sum_k omega_k*q_k**2, and the two parity branches
@@ -29,18 +29,14 @@ from functools import cached_property
 import numpy as np
 
 from .bath import BathModel
-from .errors import CapacityError, ParameterError, is_real
+from .errors import ParameterError, is_real
 from .fockspace import BasisSet, KroneckerParity
 
 __all__ = [
     "ModelParams",
     "BranchOperator",
     "degenerate_energy_set",
-    "kronecker_sum",
 ]
-
-# Cap on the dimension of a dense Kronecker sum (memory bound, dim**2 floats).
-MAX_KRONECKER_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -135,19 +131,3 @@ def degenerate_energy_set(params: ModelParams) -> np.ndarray:
     -sum_k omega_k*q_k**2, independent of the tunneling amplitude.
     """
     return np.sort(params.h0)
-
-
-def kronecker_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A (x) I + I (x) B; its spectrum is all pairwise eigenvalue sums.
-
-    Raises
-    ------
-    CapacityError
-        If dim(A) * dim(B) exceeds ``MAX_KRONECKER_DIM`` (dense storage bound).
-    """
-    prod = a.shape[0] * b.shape[0]
-    if prod > MAX_KRONECKER_DIM:
-        raise CapacityError(
-            f"Kronecker sum of dimension {prod} exceeds guard {MAX_KRONECKER_DIM}"
-        )
-    return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import e_min_eo
-from .errors import (InvariantViolation, OverlapGuardError, ParameterError, SolverError,
-                     as_integer, is_real)
+from .errors import InvariantViolation, ParameterError, SolverError, as_integer, is_real
 from .fockspace import MAX_BOX_STATES, BasisSet, KroneckerParity
 from .hamiltonian import BranchOperator, ModelParams
 
@@ -43,8 +42,6 @@ __all__ = [
     "solve_branches",
     "TheoremReport",
     "theorem_report",
-    "GapIdentityResult",
-    "gap_identity_check",
     "degeneracy_condition_value",
     "VERDICT_STRICT",
     "VERDICT_DEGENERATE",
@@ -344,18 +341,6 @@ def energy_scale(params: ModelParams) -> float:
     return max(1.0, float(np.max(np.abs(params.h0))) + 0.5 * params.delta)
 
 
-def _gap_term(delta: float, parity, phi_plus: np.ndarray,
-              phi_minus: np.ndarray) -> tuple[float, float | None]:
-    """(overlap, predicted gap) of a branch eigenvector pair: <phi+|phi->
-    and delta * <phi+|D|phi-> / <phi+|phi->, or None for the gap when the
-    overlap magnitude falls below OVERLAP_GUARD."""
-    overlap = float(phi_plus @ phi_minus)
-    if abs(overlap) < OVERLAP_GUARD:
-        return overlap, None
-    return overlap, (delta * degeneracy_condition_value(phi_plus, phi_minus, parity)
-                     / overlap)
-
-
 def theorem_report(
     params: ModelParams, tol: float = 1e-10, max_iter: int = DEFAULT_MAX_ITER
 ) -> TheoremReport:
@@ -381,8 +366,13 @@ def theorem_report(
     margin = e_deg - e_gs
     measured_gap = e_minus - e_plus
 
-    _, predicted_gap = _gap_term(params.delta, parity, res_plus.vectors[:, 0],
-                                 res_minus.vectors[:, 0])
+    phi_plus, phi_minus = res_plus.vectors[:, 0], res_minus.vectors[:, 0]
+    overlap = float(phi_plus @ phi_minus)
+    if abs(overlap) < OVERLAP_GUARD:
+        predicted_gap = None
+    else:
+        predicted_gap = (params.delta * degeneracy_condition_value(phi_plus, phi_minus, parity)
+                         / overlap)
 
     scale = energy_scale(params)
     slack = 10.0 * tol * scale
@@ -426,48 +416,6 @@ def theorem_report(
             report=report,
         )
     return report
-
-
-@dataclass(frozen=True)
-class GapIdentityResult:
-    lhs: float
-    rhs: float
-    abs_err: float
-    overlap: float
-
-
-def gap_identity_check(
-    params: ModelParams,
-    level_plus: int = 0,
-    level_minus: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GapIdentityResult:
-    """Check E-(level) - E+(level) against delta * <phi+|D|phi-> / <phi+|phi->.
-
-    Raises
-    ------
-    OverlapGuardError
-        If the eigenvector overlap magnitude falls below 1e-12.
-    """
-    levels = as_integer(level_plus), as_integer(level_minus)
-    if None in levels:
-        raise ParameterError(f"levels must be integers, got {level_plus!r}, {level_minus!r}")
-    level_plus, level_minus = levels
-    if level_plus < 0 or level_minus < 0:
-        raise ParameterError("levels must be >= 0")
-    parity, res_plus, res_minus = solve_branches(
-        params, level_plus + 1, level_minus + 1, tol, max_iter
-    )
-    overlap, rhs = _gap_term(params.delta, parity, res_plus.vectors[:, level_plus],
-                             res_minus.vectors[:, level_minus])
-    if rhs is None:
-        raise OverlapGuardError(
-            f"eigenvector overlap {overlap:.3e} below guard {OVERLAP_GUARD:g}; "
-            "the gap identity is uninformative here"
-        )
-    lhs = float(res_minus.values[level_minus] - res_plus.values[level_plus])
-    return GapIdentityResult(lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs), overlap=overlap)
 
 
 def degeneracy_condition_value(

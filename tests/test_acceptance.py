@@ -31,8 +31,6 @@ from sbparity import (
     e_min_eo,
     eigen_lowest,
     enumerate_basis,
-    gap_identity_check,
-    kronecker_sum,
     overlap_oracle,
     parity_deficiency,
     o_diagonal,
@@ -41,7 +39,7 @@ from sbparity import (
 from sbparity import cli
 from sbparity.spectra import energy_scale, GAP_RESOLUTION_FACTOR, VERDICT_DEGENERATE
 
-from conftest import bare_fock_ground_energy
+from conftest import bare_fock_ground_energy, gap_identity, index_of, kronecker_sum
 
 EPS = float(np.finfo(float).eps)
 GOLDEN = Path(__file__).parent / "data" / "phase_diagram_golden.csv"
@@ -83,7 +81,7 @@ def theorem_grid():
                         "scale": energy_scale(params),
                     }
                     if n_modes == 1:
-                        record["gap"] = gap_identity_check(params, tol=GRID_TOL)
+                        record["gap"] = gap_identity(params, tol=GRID_TOL)
                     records.append(record)
     elapsed = time.perf_counter() - start
     return records, elapsed
@@ -184,9 +182,9 @@ def test_criterion_6_matrix_element_oracle():
                     break
             basis = enumerate_basis(n_modes, 4, "per-mode")
             table = KroneckerParity(basis, bath).dense()
-            direct = table[basis.index_of(m), basis.index_of(n)]
+            direct = table[index_of(basis, m), index_of(basis, n)]
             assert abs(direct - overlap_oracle(m, n, bath, 80)) <= 1e-8
-            assert table[basis.index_of(n), basis.index_of(m)] == direct
+            assert table[index_of(basis, n), index_of(basis, m)] == direct
             assert np.array_equal(table, table.T)
         # q = 0 collapses D to the signed identity exactly.
         bath0 = bath_from_modes([(1.0, 0.0), (0.5, 0.0)])

@@ -13,14 +13,15 @@ from sbparity import (
     bath_from_modes,
     discretize_bath,
     e_min_eo,
-    e_min_eo_continuum,
 )
 from sbparity.bath import LadderStack, bath_ladder
+
+from conftest import e_min_eo_continuum, spectral_density
 
 
 def total_weight_quad(law, lo, hi):
     """Oracle: (1/pi) * integral of J over [lo, hi] by adaptive quadrature."""
-    val, _ = quad(lambda w: law.j(w) / math.pi, lo, hi)
+    val, _ = quad(lambda w: spectral_density(law, w) / math.pi, lo, hi)
     return val
 
 
@@ -32,9 +33,9 @@ def test_spectral_law_validation():
     with pytest.raises(ParameterError):
         SpectralLaw(0.1, 1.0, 0.0)
     law = SpectralLaw(0.1, 0.5, 2.0)
-    assert law.j(0.0) == 0.0
-    assert law.j(2.5) == 0.0
-    assert law.j(1.0) == pytest.approx(2.0 * math.pi * 0.1 * 2.0 ** 0.5)
+    assert spectral_density(law, 0.0) == 0.0
+    assert spectral_density(law, 2.5) == 0.0
+    assert spectral_density(law, 1.0) == pytest.approx(2.0 * math.pi * 0.1 * 2.0 ** 0.5)
 
 
 def test_discretize_validation():
@@ -138,8 +139,8 @@ def test_beta_two_independent_routes_agree():
     for k in range(n_modes):
         hi = wc * lam_disc ** -k
         lo = wc * lam_disc ** -(k + 1)
-        lam2, _ = quad(lambda w: law.j(w) / math.pi, lo, hi)
-        wmean_num, _ = quad(lambda w: w * law.j(w) / math.pi, lo, hi)
+        lam2, _ = quad(lambda w: spectral_density(law, w) / math.pi, lo, hi)
+        wmean_num, _ = quad(lambda w: w * spectral_density(law, w) / math.pi, lo, hi)
         omega_k = wmean_num / lam2
         beta_quad += 2.0 * (lam2 / (4.0 * omega_k ** 2)) / alpha
     assert bath.beta == pytest.approx(beta_quad, rel=1e-10)

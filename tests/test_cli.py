@@ -191,6 +191,9 @@ def bad_value_cases():
             yield name, path, value, f'field "{name}": expected an integer, got {value!r}'
         for value in (low - 1, low - 7):
             yield name, path, value, f'field "{name}": must satisfy {key} >= {low}, got {value}'
+    for value in (cli.MAX_SWEEP_STEPS + 1, 10 ** 9):
+        yield ("sweep.steps", ("sweep", "steps"), value,
+               f'field "sweep.steps": must satisfy steps <= {cli.MAX_SWEEP_STEPS}, got {value}')
     path = ("parity", "epsilon")
     for value in (1.0, 1, 2.5, 1e300):
         yield ("parity.epsilon", path, value,
@@ -306,6 +309,10 @@ def structural_cases():
     yield (dict(FULL_CONFIG, output={"path": "", "zeta": 1, "beta": 1}),
            "unknown key 'beta' in section 'output'")
     yield dict(FULL_CONFIG, output=[], sweep=[]), 'field "sweep": expected an object'
+    yield (dict(FULL_CONFIG, sweep={"steps": 10 ** 9, "to": 0.0, "from": 0.5, "variable": "s"}),
+           'field "sweep.to": must satisfy to > 0.0, got 0.0')
+    yield (dict(FULL_CONFIG, sweep={"steps": 10 ** 9, "to": 0.1, "from": 0.5, "variable": "s"}),
+           f'field "sweep.steps": must satisfy steps <= {cli.MAX_SWEEP_STEPS}, got 1000000000')
 
 
 STRUCTURAL_CASES = list(structural_cases())
@@ -355,6 +362,7 @@ def test_a_null_section_takes_its_defaults(tmp_path):
     (("solver", "max_iter"), 1), (("solver", "k_levels"), 1), (("parity", "m_ref"), 0),
     (("parity", "m_ref", 1), 0), (("sweep", "to"), 0.5), (("sweep", "steps"), 1),
     (("sweep",), None), (("output",), None), (("output", "path"), "curve.csv"),
+    (("sweep", "steps"), cli.MAX_SWEEP_STEPS),
 ])
 def test_values_on_a_closed_bound_are_accepted(tmp_path, path, value):
     cli.load_config(write_config(tmp_path, with_value(path, value)))
@@ -990,6 +998,20 @@ def test_epsilon_flag_outside_the_open_unit_interval_exits_1(tmp_path, capsys, c
     assert json.loads(capsys.readouterr().out) == {"error": {
         "type": "ConfigError",
         "message": f'flag "--epsilon": must lie in (0, 1), got {float(flag)!r}'}}
+
+def test_phase_diagram_refuses_more_sweep_points_than_it_can_hold(tmp_path, capsys):
+    # Every point's bath ladder is built before the first search: 1e9 steps
+    # once ran out of memory (a bare MemoryError under a 1 GB address-space cap).
+    config = dict(PHASE_CONFIG, sweep=dict(PHASE_CONFIG["sweep"], steps=10 ** 9))
+    path = write_config(tmp_path, config)
+    out = tmp_path / "curve.csv"
+    assert cli.main(["phase-diagram", "--config", path, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "type": "ConfigError",
+        "message": f'field "sweep.steps": must satisfy steps <= {cli.MAX_SWEEP_STEPS}, '
+                   f'got 1000000000'}}
+    assert not out.exists()
+
 
 def test_phase_diagram_runs_and_repeats_byte_identically(tmp_path, capsys):
     path = write_config(tmp_path, PHASE_CONFIG)

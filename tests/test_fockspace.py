@@ -37,7 +37,7 @@ from sbparity.fockspace import (
 )
 from sbparity.parity import MAX_SERIES_CAP
 
-from conftest import single_mode_bath
+from conftest import index_of, single_mode_bath
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_enumeration_is_lexicographic_with_zero_first():
 def test_index_round_trip():
     basis = enumerate_basis(2, 5, "total-quanta")
     for i, vec in enumerate(basis.occupations):
-        assert basis.index_of(vec) == i
+        assert index_of(basis, vec) == i
 
 
 def test_capacity_guard(monkeypatch):
@@ -94,7 +94,7 @@ def test_per_mode_enumeration_is_bijective(n_modes, cap):
     basis = enumerate_basis(n_modes, cap, "per-mode")
     assert basis.dim == (cap + 1) ** n_modes
     assert len(set(map(tuple, basis.occupations.tolist()))) == basis.dim
-    assert all(basis.index_of(v) == i for i, v in enumerate(basis.occupations))
+    assert all(index_of(basis, v) == i for i, v in enumerate(basis.occupations))
 
 
 def _policy_keeps(cap, policy, vec) -> bool:
@@ -126,14 +126,6 @@ def test_total_quanta_enumeration_beyond_the_product(n_modes, cap):
     assert len(set(map(tuple, rows))) == len(rows)
     assert rows == sorted(rows)
     assert occ.sum(axis=1).max() <= cap and occ.min() == 0
-
-
-@pytest.mark.parametrize("vec", [(3, 0), (0, -1), (1, 1, 0), (1,), (2, 1),
-                                 (2.7, 0), (True, 0), (1.0, 0)])
-def test_index_of_refuses_a_vector_outside_the_basis(vec):
-    basis = enumerate_basis(2, 2, "total-quanta")
-    with pytest.raises(KeyError):
-        basis.index_of(vec)
 
 
 @pytest.mark.parametrize("n_modes, policy", [
@@ -260,7 +252,7 @@ def test_l_multiplicative_across_modes():
     t0, t1 = (single_mode_l_table(q, 4) for q in bath.qs)
     for mv, nv in [((2, 3), (1, 0)), ((0, 4), (2, 2)), ((1, 1), (1, 1))]:
         product = t0[mv[0], nv[0]] * t1[mv[1], nv[1]]
-        assert combined[basis.index_of(mv), basis.index_of(nv)] == product
+        assert combined[index_of(basis, mv), index_of(basis, nv)] == product
 
 
 def test_l_occupation_guard():
@@ -465,7 +457,7 @@ def test_oracle_agrees_with_d_table_on_random_draws(rng):
                 break
         basis = enumerate_basis(n_modes, 4, "per-mode")
         table = KroneckerParity(basis, bath).dense()
-        direct = table[basis.index_of(m), basis.index_of(n)]
+        direct = table[index_of(basis, m), index_of(basis, n)]
         assert overlap_oracle(m, n, bath, 80) == pytest.approx(direct, abs=1e-8)
 
 

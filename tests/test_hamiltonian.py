@@ -9,7 +9,6 @@ import pytest
 import scipy.linalg
 
 from sbparity import (
-    CapacityError,
     KroneckerParity,
     ModelParams,
     ParameterError,
@@ -17,13 +16,11 @@ from sbparity import (
     degenerate_energy_set,
     e_min_eo,
     enumerate_basis,
-    hamiltonian,
-    kronecker_sum,
 )
 
 from sbparity.fockspace import single_mode_d_table
 
-from conftest import random_bath, single_mode_bath
+from conftest import index_of, kronecker_sum, random_bath, single_mode_bath
 
 
 def test_h0_single_mode_ladder():
@@ -43,7 +40,7 @@ def test_h0_two_mode_hand_sum():
     bath = bath_from_modes([(1.0, 1.0), (0.5, 0.0)])  # q = (0.5, 0)
     basis = enumerate_basis(2, 1, "per-mode")
     h0 = ModelParams(0.1, bath, basis).h0
-    idx = basis.index_of((1, 1))
+    idx = index_of(basis, (1, 1))
     # 1*1 + 0.5*1 - (1*0.25 + 0.5*0) accumulated independently by hand
     expected = math.fsum([1.0, 0.5, -0.25])
     assert h0[idx] == pytest.approx(expected, abs=1e-15)
@@ -130,19 +127,6 @@ def test_degenerate_set_minimum_is_e_min_eo(rng):
         assert np.all(np.diff(energies) >= 0.0)
 
 
-def test_kronecker_sum_of_diagonals():
-    a = np.diag([1.0, 2.0])
-    b = np.diag([10.0, 20.0])
-    ev = np.sort(scipy.linalg.eigvalsh(kronecker_sum(a, b)))
-    assert np.allclose(ev, [11.0, 12.0, 21.0, 22.0], atol=1e-14)
-
-
-def test_kronecker_sum_of_flips():
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    ev = np.sort(scipy.linalg.eigvalsh(kronecker_sum(flip, flip)))
-    assert np.allclose(ev, [-2.0, 0.0, 0.0, 2.0], atol=1e-14)
-
-
 def test_kronecker_sum_spectral_property_on_branches():
     bath = single_mode_bath(1.0, 1.0)
     basis = enumerate_basis(1, 3, "per-mode")
@@ -154,14 +138,6 @@ def test_kronecker_sum_spectral_property_on_branches():
     ev_minus = scipy.linalg.eigvalsh(hminus)
     pairwise = np.sort(np.add.outer(ev_plus, ev_minus).ravel())
     assert np.allclose(ev, pairwise, atol=1e-10)
-
-
-def test_kronecker_sum_capacity_guard(monkeypatch):
-    a = np.zeros((30, 30))
-    kronecker_sum(a, a)  # 900 states, under the default guard
-    monkeypatch.setattr(hamiltonian, "MAX_KRONECKER_DIM", 100)
-    with pytest.raises(CapacityError):
-        kronecker_sum(a, a)
 
 
 KRONECKER_MODES = [(1.0, 0.9), (0.6, 0.4), (0.3, 0.0), (0.15, 0.2)]

@@ -34,7 +34,6 @@ from sbparity import (
     discretize_bath,
     eigen_lowest,
     enumerate_basis,
-    gap_identity_check,
     o_diagonal,
     parity_deficiency,
     theorem_report,
@@ -49,7 +48,7 @@ from sbparity.parity import (
     _log_o,
 )
 
-from conftest import single_mode_bath
+from conftest import index_of, single_mode_bath
 
 # Single mode with q**2 = alpha/2, i.e. beta = 2*q**2/alpha = 1.
 BETA_ONE_LADDER = BathLadder(s=1.0, omega_c=1.0, lambda_disc=math.inf, omegas=(1.0,),
@@ -119,7 +118,7 @@ def test_o_general_m_matches_brute_force():
     cap = 6
     basis = enumerate_basis(2, cap, "per-mode")
     for m in [(0, 0), (1, 0), (2, 1)]:
-        brute = math.fsum(l_matrix(basis, bath)[basis.index_of(m)] ** 2)
+        brute = math.fsum(l_matrix(basis, bath)[index_of(basis, m)] ** 2)
         assert o_diagonal(m, bath, cap) == pytest.approx(brute, rel=1e-12)
 
 
@@ -128,7 +127,7 @@ def test_o_total_quanta_matches_brute_force():
     cap = 5
     basis = enumerate_basis(2, cap, "total-quanta")
     for m in [(0, 0), (1, 1)]:
-        brute = math.fsum(l_matrix(basis, bath)[basis.index_of(m)] ** 2)
+        brute = math.fsum(l_matrix(basis, bath)[index_of(basis, m)] ** 2)
         assert o_diagonal(m, bath, cap, policy="total-quanta") == pytest.approx(
             brute, rel=1e-12
         )
@@ -382,7 +381,7 @@ def test_deficiency_general_m_consistent_with_brute_force():
     m = (1, 2)
     basis = enumerate_basis(2, cap, "per-mode")
     brute = 1.0 - math.exp(-4.0 * bath.sum_q2) * math.fsum(
-        l_matrix(basis, bath)[basis.index_of(m)] ** 2
+        l_matrix(basis, bath)[index_of(basis, m)] ** 2
     )
     assert parity_deficiency(bath, cap, m) == pytest.approx(brute, abs=1e-12)
 
@@ -505,14 +504,6 @@ BOOL_SLIPS = {
                              "must be a sequence of 2 integers, got (True, 0)"),
     "parity_deficiency-m_ref": (lambda: parity_deficiency(LADDER.at(0.1), 10, [0, False]),
                                 "must be a sequence of 2 integers, got [0, False]"),
-    "gap_identity_check-level": (
-        lambda: gap_identity_check(
-            ModelParams(0.1, LADDER.at(0.1), enumerate_basis(2, 3, "per-mode")), 0, True),
-        "levels must be integers, got 0, True"),
-    "gap_identity_check-float-level": (
-        lambda: gap_identity_check(
-            ModelParams(0.1, LADDER.at(0.1), enumerate_basis(2, 3, "per-mode")), 0.5),
-        "levels must be integers, got 0.5, 0"),
     "eigen_lowest-k": (lambda: eigen_lowest(np.diag([1.0, 2.0, 3.0]), True, 1e-10),
                        "k must lie in [1, 3], got True"),
     "eigen_lowest-float-k": (lambda: eigen_lowest(np.diag([1.0, 2.0, 3.0]), 2.5, 1e-10),
@@ -595,8 +586,6 @@ NUMPY_COUNTS = {
     "critical_alphas": lambda n: critical_alphas([LADDER, LADDER], n(5)),
     "eigen_lowest": lambda n: eigen_lowest(np.diag([3.0, 1.0, 2.0]), n(2), 1e-10, n(5)
                                            ).values.tolist(),
-    "gap_identity_check": lambda n: gap_identity_check(
-        ModelParams(0.1, LADDER.at(0.1), enumerate_basis(2, 3, "per-mode")), n(1), n(0)),
 }
 
 
