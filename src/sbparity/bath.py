@@ -17,8 +17,8 @@ Derived scalars used downstream, each from one formula:
 * ``sum_wq2``  -- sum over modes of omega_k * q_k**2; the polaron shift.
 * ``sum_q2``   -- sum over modes of q_k**2.  Both sums are exactly rounded,
   and a ParameterError if they overflow a double.
-* ``beta``     -- 2 * sum_q2 / alpha; independent of alpha because every
-  q_k**2 scales linearly with alpha.  The continuum analogue diverges for
+* ``beta``     -- 2 * sum_q2 / alpha, :attr:`BathLadder.beta`: no alpha changes
+  it, as every q_k**2 is linear in alpha.  The continuum analogue diverges for
   s <= 1, so beta inherits a dependence on (n_modes, lambda_disc) that is
   reported alongside every quantity built from it.
 """
@@ -90,7 +90,7 @@ def _check_lam(lam: float) -> None:
 
 @dataclass(frozen=True)
 class BathModel:
-    """Immutable discretized bath plus the derived scalars.
+    """Immutable discretized bath plus its two mode sums.
 
     ``lambda_disc`` is the geometric bin ratio, None when the modes were
     supplied directly.  The modes are the three parallel tuples: mode k has
@@ -105,7 +105,6 @@ class BathModel:
     qs: tuple[float, ...]
     sum_wq2: float
     sum_q2: float
-    beta: float
 
     @property
     def n_modes(self) -> int:
@@ -149,6 +148,11 @@ class BathLadder:
     wc_pow: float
     w_shape: float
 
+    @property
+    def beta(self) -> float:
+        """2 * sum_q2 / alpha, which no alpha > 0 changes; taken at alpha = 1."""
+        return _beta(self.at(1.0).sum_q2, 1.0)
+
     def at(self, alpha: float) -> BathModel:
         """The discretized bath at dissipation strength ``alpha``, identical
         to :func:`discretize_bath` on the law with this alpha.
@@ -156,19 +160,16 @@ class BathLadder:
         Raises
         ------
         ParameterError
-            If alpha is negative or not finite, or a coupling is not finite or
-            a sum overflows at alpha (or at 1, for the beta at alpha = 0).
+            If alpha is negative or not finite, or a coupling or a sum overflows at alpha.
         """
         _check_alpha(alpha)
-        # q_k**2 is exactly linear in alpha, so at alpha = 0 beta is the slope at alpha = 1.
-        alphas = [alpha] if alpha > 0.0 else [alpha, 1.0]
-        lams, qs, sums, errors = LadderStack([self]).at([0] * len(alphas), alphas)
+        lams, qs, sums, errors = LadderStack([self]).at([0], [alpha])
         if errors:
-            raise errors[min(errors)]
+            raise errors[0]
         qs = tuple(qs[0].tolist())
         return BathModel(lambda_disc=self.lambda_disc, omegas=self.omegas, qs=qs,
                          lams=tuple(lams[0].tolist()), sum_wq2=_sum_wq2(self.omegas, qs),
-                         sum_q2=sums[0], beta=_beta(sums[-1], alphas[-1]))
+                         sum_q2=sums[0])
 
 
 class LadderStack:
@@ -271,10 +272,7 @@ def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
 
     Pairs must be ordered by strictly decreasing frequency; a malformed pair
     is a ParameterError naming its index.  A ``law``, used but not stored,
-    bounds them by its omega_c and makes ``beta`` 2*sum_q2/alpha when its
-    alpha > 0; for a decoupled bath beta is 0, and otherwise it is NaN
-    because the alpha-scaling argument that makes beta well defined does not
-    apply to hand-picked couplings.
+    bounds them by its omega_c.
     """
     omegas, lams = [], []
     for i, pair in enumerate(modes):
@@ -295,15 +293,9 @@ def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
     if law is not None and any(omega > law.omega_c for omega in omegas):
         raise ParameterError("mode frequencies must lie in (0, omega_c]")
     qs = tuple(lam / (2.0 * omega) for lam, omega in zip(lams, omegas))
-    sum_q2 = _mode_sum("sum_k q_k**2", [q * q for q in qs])
-    if law is not None and law.alpha > 0.0:
-        beta = _beta(sum_q2, law.alpha)
-    elif sum_q2 == 0.0:
-        beta = 0.0
-    else:
-        beta = math.nan
+    sum_q2 = _mode_sum("sum_k q_k**2", [q * q for q in qs])  # its overflow is reported first
     return BathModel(lambda_disc=None, omegas=tuple(omegas), lams=tuple(lams), qs=qs,
-                     sum_wq2=_sum_wq2(omegas, qs), sum_q2=sum_q2, beta=beta)
+                     sum_wq2=_sum_wq2(omegas, qs), sum_q2=sum_q2)
 
 
 def e_min_eo(bath: BathModel) -> float:

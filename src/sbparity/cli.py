@@ -561,7 +561,7 @@ def run_phase_diagram(cfg: RunConfig, args):
     if ladder_error:
         raise ladder_error
     solved = [
-        (math.nan, ladder.at(1.0).beta, math.nan) if isinstance(pt, SearchError)
+        (math.nan, ladder.beta, math.nan) if isinstance(pt, SearchError)
         else (pt.alpha_c, pt.beta, pt.o_value)
         for ladder, pt in zip(ladders, outcomes)
     ]

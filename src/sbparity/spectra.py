@@ -163,7 +163,14 @@ def _residual(h: np.ndarray | BranchOperator, values: np.ndarray, vectors: np.nd
     # A dense array takes the block in one GEMM; the operator one column at a time.
     h_vectors = h @ vectors if isinstance(h, np.ndarray) else np.column_stack(
         [h @ v for v in vectors.T])
-    return float(np.max(np.linalg.norm(h_vectors - vectors * values, axis=0)))
+    r = h_vectors - vectors * values
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(r, axis=0)
+        # Entries past ~1.3e154 overflow a sum of squares: redo that column scaled by 2**-e.
+        for j in np.flatnonzero(np.isinf(norms)).tolist():
+            e = math.frexp(float(np.max(np.abs(r[:, j]))))[1]
+            norms[j] = np.ldexp(np.linalg.norm(np.ldexp(r[:, j], -e)), e)
+    return float(np.max(norms))
 
 
 def _check_residual(resid: float, bound: float) -> None:

@@ -123,10 +123,9 @@ def test_e_min_eo_continuum_reference():
 def test_beta_is_alpha_invariant():
     b1 = discretize_bath(SpectralLaw(0.1, 1.0, 1.0), 40, 2.0)
     b2 = discretize_bath(SpectralLaw(0.2, 1.0, 1.0), 40, 2.0)
-    assert b1.beta == pytest.approx(b2.beta, rel=1e-12)
-    # alpha = 0 exposes the same alpha-independent value.
-    b0 = discretize_bath(SpectralLaw(0.0, 1.0, 1.0), 40, 2.0)
-    assert b0.beta == pytest.approx(b1.beta, rel=1e-12)
+    assert 2.0 * b1.sum_q2 / 0.1 == pytest.approx(2.0 * b2.sum_q2 / 0.2, rel=1e-12)
+    # The ladder, which alpha = 0 also bins, carries the same alpha-independent value.
+    assert bath_ladder(1.0, 1.0, 40, 2.0).beta == pytest.approx(2.0 * b1.sum_q2 / 0.1, rel=1e-12)
 
 
 def test_beta_two_independent_routes_agree():
@@ -134,7 +133,6 @@ def test_beta_two_independent_routes_agree():
     # quadrature for the per-bin weight and mean frequency.
     alpha, s, wc, n_modes, lam_disc = 0.1, 1.0, 1.0, 40, 2.0
     law = SpectralLaw(alpha, s, wc)
-    bath = discretize_bath(law, n_modes, lam_disc)
     beta_quad = 0.0
     for k in range(n_modes):
         hi = wc * lam_disc ** -k
@@ -143,7 +141,7 @@ def test_beta_two_independent_routes_agree():
         wmean_num, _ = quad(lambda w: w * spectral_density(law, w) / math.pi, lo, hi)
         omega_k = wmean_num / lam2
         beta_quad += 2.0 * (lam2 / (4.0 * omega_k ** 2)) / alpha
-    assert bath.beta == pytest.approx(beta_quad, rel=1e-10)
+    assert bath_ladder(s, wc, n_modes, lam_disc).beta == pytest.approx(beta_quad, rel=1e-10)
 
 
 def test_q_definition_holds_for_every_mode():
@@ -166,14 +164,13 @@ def test_bath_from_modes_validation():
         bath_from_modes([(0.5, 0.1), (1.0, 0.1)])  # increasing frequency
     with pytest.raises(ParameterError):
         bath_from_modes([(-1.0, 0.0)])
-    bath = bath_from_modes([(1.0, 0.0)])
-    assert bath.beta == 0.0
+    assert bath_from_modes([(1.0, 0.0)]).sum_q2 == 0.0
     law = SpectralLaw(0.2, 1.0, 1.5)
     with pytest.raises(ParameterError, match=re.escape("frequencies must lie in (0, omega_c]")):
         bath_from_modes([(2.0, 0.1), (1.0, 0.1)], law)
     pairs = [(1.5, 0.6), (0.5, 0.3)]
     qs = [lam / (2.0 * omega) for omega, lam in pairs]
-    assert bath_from_modes(pairs, law).beta == 2.0 * math.fsum(q * q for q in qs) / 0.2
+    assert bath_from_modes(pairs, law).sum_q2 == math.fsum(q * q for q in qs)
 
 
 @pytest.mark.parametrize("modes, bad", [
@@ -201,7 +198,7 @@ def test_deep_ladders_stay_finite():
 def mode_loop_bath(law, n_modes, lambda_disc):
     """Reference: the per-mode loop that binned one (omega, lam) pair at a
     time, checked by bath_from_modes, returning (omegas, lams, qs, sum_wq2,
-    sum_q2, beta)."""
+    sum_q2)."""
     alpha, s, wc = law.alpha, law.s, law.omega_c
     r = 0.0 if math.isinf(lambda_disc) else 1.0 / lambda_disc
     w_shape = (1.0 - r ** (s + 1.0)) / (s + 1.0)
@@ -219,11 +216,7 @@ def mode_loop_bath(law, n_modes, lambda_disc):
     omegas, lams, qs = bath.omegas, bath.lams, bath.qs
     sum_wq2 = math.fsum(w * q * q for w, q in zip(omegas, qs))
     sum_q2 = math.fsum(q * q for q in qs)
-    if alpha > 0.0:
-        beta = 2.0 * sum_q2 / alpha
-    else:
-        beta = mode_loop_bath(SpectralLaw(1.0, s, wc), n_modes, lambda_disc)[5]
-    return omegas, lams, qs, sum_wq2, sum_q2, beta
+    return omegas, lams, qs, sum_wq2, sum_q2
 
 
 def bits(values):
@@ -238,13 +231,25 @@ def test_discretize_bath_is_bit_identical_to_the_mode_loop(s, omega_c, n_modes, 
     ladder = bath_ladder(s, omega_c, n_modes, lambda_disc)
     for alpha in (0.0, 1e-6, 0.01, 0.1, 0.37, 1.0, 2.5, 1e3):
         law = SpectralLaw(alpha, s, omega_c)
-        omegas, lams, qs, sum_wq2, sum_q2, beta = mode_loop_bath(law, n_modes, lambda_disc)
+        omegas, lams, qs, sum_wq2, sum_q2 = mode_loop_bath(law, n_modes, lambda_disc)
         for bath in (discretize_bath(law, n_modes, lambda_disc), ladder.at(alpha)):
             assert bits(bath.omegas) == bits(omegas)
             assert bits(bath.lams) == bits(lams)
             assert bits(bath.qs) == bits(qs)
-            assert bits([bath.sum_wq2, bath.sum_q2, bath.beta]) == bits([sum_wq2, sum_q2, beta])
+            assert bits([bath.sum_wq2, bath.sum_q2]) == bits([sum_wq2, sum_q2])
             assert bath.lambda_disc == lambda_disc
+        if alpha == 1.0:  # beta is the ladder's: 2 * sum_q2 / alpha at alpha = 1
+            assert bits([ladder.beta]) == bits([2.0 * sum_q2])
+
+
+def test_alpha_0_needs_no_bath_at_alpha_1():
+    # Couplings overflow at alpha = 1, so the ladder has no beta; the
+    # decoupled bath at alpha = 0 does not ask for one.
+    ladder = bath_ladder(0.5, 1e200, 2, 2.0)
+    bath = ladder.at(0.0)
+    assert bath.qs == (0.0, 0.0) and bath.sum_q2 == 0.0 and bath.sum_wq2 == 0.0
+    with pytest.raises(ParameterError, match="mode coupling must be >= 0, got inf"):
+        ladder.beta
 
 
 @pytest.mark.parametrize("alpha", [-0.1, -math.inf, math.nan, math.inf])
@@ -293,7 +298,7 @@ def test_ladder_stack_rescales_every_row_as_at_does():
                 assert str(errors[i]) == str(expected.value)
                 assert sums[i] is None
             else:
-                _, lams_i, qs_i, _, sum_q2, _ = mode_loop_bath(SpectralLaw(alpha, s, wc), 40, lam)
+                _, lams_i, qs_i, _, sum_q2 = mode_loop_bath(SpectralLaw(alpha, s, wc), 40, lam)
                 assert bits(lams[i]) == bits(lams_i)
                 assert bits(qs[i]) == bits(qs_i)
                 assert bits([sums[i]]) == bits([sum_q2])

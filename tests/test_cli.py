@@ -962,6 +962,30 @@ def test_omega_c_overflowing_the_bin_weights_exits_1(tmp_path, capsys, command):
     assert not out_path.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, expected", [
+    ("theorem", {"e_gs": -0.05, "e_min_eo": 0.0}),
+    ("spectrum", {"plus": -0.05, "minus": 0.05}),
+    ("parity-audit", {"deficiency": 0.0, "o_value": 1.0}),
+])
+def test_alpha_0_runs_on_a_ladder_that_overflows_at_alpha_1(tmp_path, capsys, command,
+                                                           expected):
+    # At alpha = 1 the squared couplings, ~omega_c**(1-s) * omega_c**(s+1), are
+    # 1e400.  The bath at alpha = 0 once rescaled the ladder to alpha = 1 for a
+    # beta no command prints, and exited 1 with "mode coupling must be >= 0,
+    # got inf"; it is the decoupled bath.
+    config = {"model": {"delta": 0.1, "omega_c": 1e200, "s": 0.5, "alpha": 0.0},
+              "disc": {"n_modes": 2, "lambda_disc": 2.0},
+              "trunc": {"policy": "per-mode", "cap": 4}}
+    code = cli.main([command, "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    out = json.loads(captured.out)
+    if command == "spectrum":
+        out = {branch: out[branch]["values"][0] for branch in ("plus", "minus")}
+    assert {key: out[key] for key in expected} == expected
+
+
 # ---------------------------------------------------------------------------
 # phase-diagram
 # ---------------------------------------------------------------------------
@@ -1532,6 +1556,25 @@ def test_the_other_commands_keep_their_reports_on_those_baths(tmp_path, capsys, 
     assert cli.main([command, "--config", path]) == code
     out = json.loads(capsys.readouterr().out)
     assert {key: out[key] for key in expected} == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["theorem", "spectrum"])
+@pytest.mark.parametrize("delta", [1e170, 1e200, 1e300])
+def test_a_dense_residual_past_the_square_overflow_exits_0(tmp_path, capsys, command, delta):
+    # Residual entries past ~1.3e154 overflow a sum of squares: this once
+    # exited 3 with "eigensolver residual inf exceeds tol * norm(H)" and a
+    # numpy overflow warning, though the true residual met its bound.
+    config = {"model": {"delta": delta, "omega_c": 1.0, "s": 1.0, "alpha": 0.1},
+              "disc": {"n_modes": 2, "lambda_disc": 2.0},
+              "trunc": {"policy": "per-mode", "cap": 3}}
+    code = cli.main([command, "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    if command == "spectrum":
+        out = json.loads(captured.out)
+        for branch in ("plus", "minus"):
+            assert 0.0 < out[branch]["residual"] <= 1e-10 * delta
 
 
 def test_config_error_exits_1(tmp_path, capsys):

@@ -40,6 +40,7 @@ from sbparity import (
 )
 
 from sbparity import parity
+from sbparity.bath import _beta
 from sbparity.fockspace import l_matrix, l_scaled_rational, single_mode_d_table
 from sbparity.parity import (
     MAX_CONVOLUTION_WORK,
@@ -763,12 +764,17 @@ def gammaincc_alpha_c(ladder, cap: int, epsilon: float, policy: str) -> float:
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
-@pytest.mark.parametrize("cap, policy", [(1000, "per-mode"), (100_000, "per-mode"),
-                                         (1000, "total-quanta")])
-def test_critical_alpha_at_large_caps_meets_the_incomplete_gamma_oracle(s, cap, policy):
+@pytest.mark.parametrize("cap, policy, n_modes", [
+    (1000, "per-mode", 30), (100_000, "per-mode", 30), (1000, "total-quanta", 30),
+    # The largest total-quanta caps the convolution guard admits at 30 and 2 modes.
+    (1312, "total-quanta", 30), (7070, "total-quanta", 2),
+], ids=["1000-per-mode", "100000-per-mode", "1000-total-quanta", "1312-total-quanta-30",
+        "7070-total-quanta-2"])
+def test_critical_alpha_at_large_caps_meets_the_incomplete_gamma_oracle(s, cap, policy,
+                                                                        n_modes):
     # log n! up to the cap comes from fockspace.log_factorials.  Agreement
     # measured 3.5e-10 (per-mode) and 5.5e-10 (total-quanta) at most.
-    ladder = bath_ladder(s, 1.0, 30, 2.0)
+    ladder = bath_ladder(s, 1.0, n_modes, 2.0)
     alpha_c = critical_alpha(ladder, cap, 0.01, policy=policy).alpha_c
     assert alpha_c == pytest.approx(gammaincc_alpha_c(ladder, cap, 0.01, policy), rel=1e-9)
 
@@ -835,7 +841,7 @@ def sequential_critical_alpha(ladder, n_tr, epsilon, m_ref, policy):
         o_value = math.exp(log_o)
     except OverflowError:
         o_value = math.inf
-    return root, bath_c.beta, o_value
+    return root, _beta(bath_c.sum_q2, root), o_value
 
 
 def assert_matches_the_loop(ladders, n_tr, epsilon, m_ref, policy):

@@ -90,6 +90,23 @@ def test_eigen_residual_contract():
     assert err.value.residual is not None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [0, 500, 700, 1000])
+def test_residual_scales_exactly_past_the_square_overflow(exponent):
+    # H, the values and so every residual entry scaled by 2**exponent: the
+    # residual scales by exactly that power, though past ~1.3e154 a plain
+    # sum of squares overflows, and nothing warns.
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((12, 12))
+    h = h + h.T
+    values, vectors = np.linalg.eigh(h)
+    values, vectors = values[:3] + 1e-3, vectors[:, :3]
+    expected = math.ldexp(spectra._residual(h, values, vectors), exponent)
+    scaled = spectra._residual(np.ldexp(h, exponent), np.ldexp(values, exponent), vectors)
+    assert scaled.hex() == expected.hex()
+    assert math.isfinite(scaled)
+
+
 def test_ground_energy_matches_bare_basis_oracle():
     # Displaced-basis branch minimum vs full bare-basis diagonalization.
     params = make_params(1.0, 1.0, 0.2, 40)
