@@ -305,10 +305,16 @@ def _mode_tables(basis: BasisSet, bath: BathModel, table) -> list[np.ndarray]:
 def _gather(occ: np.ndarray, tables) -> np.ndarray:
     """len(occ) x len(occ) product over modes, in mode order, of the
     single-mode ``tables`` gathered at the occupation rows ``occ`` (all ones
-    when there are no modes)."""
-    out = np.ones((len(occ), len(occ)))
-    for k, table in enumerate(tables):
-        out *= table[np.ix_(occ[:, k], occ[:, k])]
+    when there are no modes).
+
+    Each table is gathered by two takes, rows then columns.  The product
+    starts from mode 0's gather instead of from ones: 1.0 * x is exact, so
+    the bits are those of the product from ones."""
+    if not tables:
+        return np.ones((len(occ), len(occ)))
+    out = tables[0].take(occ[:, 0], axis=0).take(occ[:, 0], axis=1)
+    for k, table in enumerate(tables[1:], 1):
+        out *= table.take(occ[:, k], axis=0).take(occ[:, k], axis=1)
     return out
 
 
@@ -429,6 +435,15 @@ class KroneckerParity:
         padded to cap + 1; the padded entries of the columns of each room
         are zeroed by slice before the maximum is taken.
 
+        Each group's block is one GEMM, the one ``np.tensordot`` runs: a
+        C-contiguous (pairs, rooms) copy of its G columns times the Q rows up
+        to its room, flattened to (rooms, (r+1)(cap+1)).  The copy and the
+        product go into one operand and one product buffer, sized once for
+        the largest group, so memory is the G stack, D' and those two
+        buffers.  A group of one state pair, the top room of a total-quanta
+        basis, keeps ``np.tensordot``: it hands BLAS that pair as a strided
+        row, and a contiguous row rounds differently.
+
         A per-mode basis still squares to one dim x dim block, so the
         dimension guard of :meth:`dense` holds here too.
         """
@@ -451,12 +466,26 @@ class KroneckerParity:
         for i, (r, lo, hi) in enumerate(groups):
             np.matmul(d_prefix[:, lo:hi], d_prefix[lo:hi], out=g[i])
             np.matmul(last[:, : r + 1], last[: r + 1], out=q[i])
+        # One operand and one product buffer, sized for the largest group.
+        n_rooms, n_prefix, width = len(groups), len(room), last.shape[0]
+        pairs = [(hi - lo) * (n_prefix - lo) for _, lo, hi in groups]
+        operand = np.empty(max(pairs) * n_rooms)
+        product = np.empty(max(n * (r + 1) for n, (r, _, _) in zip(pairs, groups)) * width)
         diag = np.empty(self.basis.dim)
         offdiag = 0.0
         for i, (r, lo, hi) in enumerate(groups):
             # Rows of room r against every column of room >= r: by symmetry
             # this meets each unordered pair of states once.
-            block = np.tensordot(g[:, lo:hi, lo:], q[:, : r + 1, :], axes=(0, 0))
+            shape = (hi - lo, n_prefix - lo)
+            if pairs[i] == 1:
+                block = np.tensordot(g[:, lo:hi, lo:], q[:, : r + 1, :], axes=(0, 0))
+            else:
+                lhs = operand[: pairs[i] * n_rooms].reshape(*shape, n_rooms)
+                np.copyto(lhs, g[:, lo:hi, lo:].transpose(1, 2, 0))
+                block = product[: pairs[i] * (r + 1) * width].reshape(pairs[i], -1)
+                np.dot(lhs.reshape(pairs[i], n_rooms), q[:, : r + 1, :].reshape(n_rooms, -1),
+                       out=block)
+                block = block.reshape(*shape, r + 1, width)
             v = np.arange(hi - lo)[:, None]  # axes (v, w, a, c)
             a = np.arange(r + 1)
             diag[starts[lo:hi, None] + a] = block[v, v, a, a]

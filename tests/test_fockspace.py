@@ -4,6 +4,7 @@ an exact rational evaluation and the bare-basis expansion oracle."""
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -479,18 +480,33 @@ def test_d_square_residual_small_in_the_inner_block():
     assert abs(residual[cap, cap]) > inner  # reported, not bounded
 
 
-def masked_square(parity):
-    """The audit's square with the 0/1 mask over every padded entry and the
-    maximum over each whole block (reference): the same G and Q stacks and
-    the same tensordot calls as :meth:`KroneckerParity.square`."""
-    tables, occ = parity.tables, parity.basis.occupations
+def room_groups(parity):
+    """The audit's prefix starts sorted by room and its (room, lo, hi)
+    groups, as :meth:`KroneckerParity.square` forms them."""
+    occ = parity.basis.occupations
     starts = np.flatnonzero(occ[:, -1] == 0)
     room = np.maximum.reduceat(occ[:, -1], starts)
     order = np.argsort(room, kind="stable")
     starts, room = starts[order], room[order]
     cuts = [0, *(np.flatnonzero(np.diff(room)) + 1), len(room)]
-    groups = [(room[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    d_prefix = fockspace._gather(occ[starts, :-1], tables[:-1])
+    return starts, room, [(room[lo], lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def gather_from_ones(occ, tables):
+    """The dense gather as a product from ones of np.ix_ gathers (reference)."""
+    out = np.ones((len(occ), len(occ)))
+    for k, table in enumerate(tables):
+        out *= table[np.ix_(occ[:, k], occ[:, k])]
+    return out
+
+
+def masked_square(parity):
+    """The audit's square with the 0/1 mask over every padded entry and the
+    maximum over each whole block (reference): the same G and Q stacks and
+    one tensordot per room group, from the reference gather."""
+    tables, occ = parity.tables, parity.basis.occupations
+    starts, room, groups = room_groups(parity)
+    d_prefix = gather_from_ones(occ[starts, :-1], tables[:-1])
     last = tables[-1]
     g = np.empty((len(groups),) + d_prefix.shape)
     q = np.empty((len(groups),) + last.shape)
@@ -511,25 +527,82 @@ def masked_square(parity):
     return diag, offdiag
 
 
-# One mode; one room (per-mode); one prefix per room; a 1 x 1 last room.
+# One mode; one room (per-mode); one prefix per room; a 1 x 1 last room; the
+# three dense-theorem bases.
 SQUARE_LAYOUTS = [(1, 40, "per-mode"), (2, 12, "per-mode"), (3, 6, "per-mode"),
                   (2, 20, "total-quanta"), (3, 10, "total-quanta"), (4, 6, "total-quanta"),
-                  (6, 5, "total-quanta")]
+                  (6, 5, "total-quanta"), (2, 40, "total-quanta"), (3, 16, "total-quanta"),
+                  (2, 30, "per-mode"), (4, 12, "total-quanta")]
+
+
+def assert_square_keeps_the_bits(parity):
+    diag, offdiag = parity.square()
+    ref_diag, ref_offdiag = masked_square(parity)
+    assert np.array_equal(diag.view(np.int64), ref_diag.view(np.int64))
+    assert offdiag > 0.0
+    assert offdiag.hex() == ref_offdiag.hex()
 
 
 @pytest.mark.parametrize("n_modes, cap, policy", SQUARE_LAYOUTS)
 @pytest.mark.parametrize("q", [0.1, 2.0])
 def test_square_keeps_the_bits_of_the_masked_scan(n_modes, cap, policy, q):
     # The padded last-mode occupations are zeroed by slice instead of by the
-    # mask; the diagonal and the largest off-diagonal magnitude keep every bit.
+    # mask, and each group's GEMM runs on reused buffers; the diagonal and
+    # the largest off-diagonal magnitude keep every bit.  Two seeded random
+    # baths per case beside the fixed one.
+    basis = enumerate_basis(n_modes, cap, policy)
     bath = bath_from_modes([(0.7 ** k, 2.0 * q * (1.0 - 0.1 * k) * 0.7 ** k)
                             for k in range(n_modes)])
+    assert_square_keeps_the_bits(KroneckerParity(basis, bath))
+    rng = np.random.default_rng([n_modes, cap, round(10 * q)])
+    for _ in range(2):
+        omegas = np.sort(rng.uniform(0.05, 3.0, n_modes))[::-1]
+        qs = rng.uniform(0.0, 2.5 * q, n_modes)
+        bath = bath_from_modes([(w, 2.0 * w * x) for w, x in zip(omegas.tolist(), qs.tolist())])
+        assert_square_keeps_the_bits(KroneckerParity(basis, bath))
+
+
+@pytest.mark.parametrize("n_modes, cap, policy", [(4, 12, "total-quanta"), (2, 30, "per-mode")])
+def test_square_holds_the_g_stack_and_one_buffer_pair(n_modes, cap, policy):
+    # tracemalloc sees numpy's buffers: past the G stack and the prefix D,
+    # the square holds one operand and one product buffer, each sized for
+    # the largest room group, and no per-group temporaries.
+    bath = bath_from_modes([(0.7 ** k, 0.8 * 0.7 ** k) for k in range(n_modes)])
     parity = KroneckerParity(enumerate_basis(n_modes, cap, policy), bath)
-    diag, offdiag = parity.square()
-    ref_diag, ref_offdiag = masked_square(parity)
-    assert np.array_equal(diag.view(np.int64), ref_diag.view(np.int64))
-    assert offdiag > 0.0
-    assert offdiag.hex() == ref_offdiag.hex()
+    _, room, groups = room_groups(parity)
+    n_prefix, width = len(room), parity.tables[-1].shape[0]
+    pairs = [(hi - lo) * (n_prefix - lo) for _, lo, hi in groups]
+    bound = 8 * ((len(groups) + 1) * n_prefix ** 2 + max(pairs) * len(groups)
+                 + max(n * (r + 1) for n, (r, _, _) in zip(pairs, groups)) * width)
+    tracemalloc.start()
+    try:
+        parity.square()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * bound
+
+
+def test_gather_keeps_the_bits_of_the_product_from_ones():
+    # Mode 0's gather replaces the ones it was multiplied into, and each
+    # table is gathered by two takes: every bit is kept.  At q = 1e40 the L
+    # table holds inf and NaN, and L gathers NaN from inf * 0; the D tables
+    # get -0.0 entries by hand.
+    bath = bath_from_modes([(1.0, 2e40), (0.5, 0.4), (0.25, 0.3)])
+    for policy in ("per-mode", "total-quanta"):
+        basis = enumerate_basis(3, 8, policy)
+        occ = basis.occupations
+        ref = gather_from_ones(occ, [single_mode_l_table(q, 8) for q in bath.qs])
+        assert np.isinf(ref).any() and np.isnan(ref).any()
+        assert np.array_equal(l_matrix(basis, bath).view(np.int64), ref.view(np.int64))
+        tables = [single_mode_d_table(q, 8) for q in (0.0, 0.4, 0.6)]
+        tables[1][1::2, ::3] = -0.0
+        ref = gather_from_ones(occ, tables)
+        assert (np.signbit(ref) & (ref == 0.0)).any()
+        assert np.array_equal(fockspace._gather(occ, tables).view(np.int64), ref.view(np.int64))
+    # A single mode's audit prefix: one empty prefix and no table.
+    out = fockspace._gather(np.zeros((1, 0), dtype=np.int64), [])
+    assert out.shape == (1, 1) and out[0, 0] == 1.0
 
 
 def test_single_mode_l_table_matches_elements():
