@@ -28,7 +28,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bath import BathModel, SpectralLaw, bath_from_modes, bath_ladder, discretize_bath
@@ -373,6 +372,10 @@ def dumps(obj) -> str:
 
 
 def _versions() -> dict:
+    # scipy is imported here, for its version: phase-diagram prints no stamp
+    # and loads no scipy at all.
+    import scipy
+
     return {"sbparity": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 

@@ -39,7 +39,6 @@ covered by a property test.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,62 +201,92 @@ def _check_occupation(n: int):
         raise ParameterError(f"occupations must be >= 0, got {n}")
 
 
-def _single_mode_block(q, m_max: int, n_max: int, scaled: bool) -> np.ndarray:
+def _single_mode_block(q, m_max: int, n_max: int, scaled: bool, rows=slice(None)) -> np.ndarray:
     """Single-mode L(m, n; q) for m <= m_max, n <= n_max, times exp(-2 q**2)
-    when ``scaled`` (that is, D).
+    when ``scaled`` (that is, D): rows ``rows`` (an index or a slice) of the
+    block.
 
     ``q`` is a float, giving one (m_max + 1, n_max + 1) block, or a 1-D
-    array, giving one block per entry stacked along a leading axis.  Runs
-    the normalized Laguerre recurrence in j = min(m, n) for
+    array, giving one block per entry stacked along a leading axis.  One
+    take by the cached index gathers the rows straight from the recurrence
+    rows of :func:`_recurrence_rows`: entry (m, n) is row min(m, n) + 1 at
+    diagonal |m - n|.  A q of 0 gives the rows of diag((-1)**m), which its
+    recurrence seed does not.  A q that is not finite or is below 0 raises
+    ParameterError.
+    """
+    qs = np.array(q, dtype=float, ndmin=1)
+    _, _, (_, _, _, index) = _recurrence_factors(m_max, n_max)
+    f = _recurrence_rows(qs, m_max, n_max, scaled)
+    # (steps + 1, q, diagonals) to one run of rows per q: a view for one q.
+    out = np.take(f.transpose(1, 0, 2).reshape(len(qs), -1), index[rows], axis=1)
+    if 0.0 in qs.tolist():
+        j = np.arange(min(m_max, n_max) + 1)
+        identity = np.zeros((m_max + 1, n_max + 1))
+        identity[j, j] = np.where(j % 2, -1.0, 1.0)
+        out[qs == 0.0] = identity[rows]
+    return out if np.ndim(q) else out[0]
+
+
+def _recurrence_rows(qs: np.ndarray, m_max: int, n_max: int, scaled: bool) -> np.ndarray:
+    """The normalized Laguerre recurrence in j = min(m, n) for
     min(m_max, n_max) + 1 steps, vectorized over the diagonals k = |m - n|
-    and over the entries of ``q``, with the sign (-1)**j folded in.  The seed
-    is formed in logs, so the scaled block never meets exp(+2 q**2).  Every
+    and over the 1-D array ``qs``, with the sign (-1)**j folded in.
+
+    Returns one (steps + 1, len(qs), diagonals) array of rows: row 0 is the
+    zero f_{-1} and row j + 1 holds step j.  Rows j and j + 1 give row
+    j + 2 by three calls: one multiply by step j's stacked
+    [back; t - diag], one subtract and one divide by ahead, so each entry
+    is rounded as ((t - diag) f_j - back f_{j-1}) / ahead.  The seed is
+    formed in logs, so the scaled rows never meet exp(+2 q**2).  Every
     entry is rounded as a scalar q would round it.  A q that is not finite
     or is below 0 raises ParameterError.
     """
-    qs = np.array(q, dtype=float, ndmin=1)
-    bad = ~(np.isfinite(qs) & (qs >= 0.0))
-    if bad.any():
-        raise ParameterError(
-            f"displacement q must be finite and >= 0, got {qs[bad][0].item()!r}"
-        )
-    out = np.zeros((len(qs), m_max + 1, n_max + 1))
-    k, half_lgamma, factors = _recurrence_factors(m_max, n_max)
+    bad = [v for v in qs.tolist() if not 0.0 <= v < math.inf]
+    if bad:
+        raise ParameterError(f"displacement q must be finite and >= 0, got {bad[0]!r}")
+    k, half_lgamma, (diag, back, ahead, _) = _recurrence_factors(m_max, n_max)
     x = 2.0 * qs
     log_x = np.array([math.log(v) if v != 0.0 else 0.0 for v in x.tolist()])
+    f = np.empty((len(ahead) + 2, len(qs), len(k)))
+    f[0] = 0.0
+    coeffs = np.empty((len(ahead), 2) + f.shape[1:])  # [back; t - diag] per step
+    terms = np.empty((2,) + f.shape[1:])
+    lower, upper = terms
     # No warnings: L overflows to inf at large q (see l_matrix), and past
     # q ~ 6.7e153 t is inf and D NaN, which the |D| <= 1 guard refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         t = (x * x)[:, None]
-        f = np.exp((-0.5 * t if scaled else 0.0) + k * log_x[:, None] - half_lgamma)
-        f_prev = np.zeros_like(f)
-        for j, (diag, back, ahead) in enumerate(factors):
-            out[:, j:, j] = f[:, : m_max + 1 - j]  # (j + k, j)
-            out[:, j, j + 1:] = f[:, 1 : n_max + 1 - j]  # (j, j + k), k >= 1
-            if j + 1 < len(factors):
-                # (t - diag) is -(diag - t) exactly.
-                f, f_prev = ((t - diag) * f - back * f_prev) / ahead, f
-    zero = qs == 0.0
-    if zero.any():
-        j = np.arange(len(factors))
-        identity = np.zeros((m_max + 1, n_max + 1))
-        identity[j, j] = np.where(j % 2, -1.0, 1.0)
-        out[zero] = identity
-    return out if np.ndim(q) else out[0]
+        f[1] = np.exp((-0.5 * t if scaled else 0.0) + k * log_x[:, None] - half_lgamma)
+        coeffs[:, 0] = back[:, None]
+        # (t - diag) is -(diag - t) exactly.
+        np.subtract(t, diag[:, None], out=coeffs[:, 1])
+        for j, (coeff, step_ahead) in enumerate(zip(coeffs, ahead)):
+            row = f[j + 2]
+            np.multiply(coeff, f[j : j + 2], out=terms)
+            np.subtract(upper, lower, out=row)
+            np.divide(row, step_ahead, out=row)
+    return f
 
 
 @lru_cache(maxsize=64)
 def _recurrence_factors(m_max: int, n_max: int):
-    """The k-only factors of :func:`_single_mode_block`, read-only: k,
-    0.5 * lgamma(k + 1) and, per step j, (2j + 1 + k, sqrt(j (j + k)),
-    sqrt((j + 1)(j + 1 + k)))."""
+    """The k-only factors of :func:`_recurrence_rows`, read-only: k,
+    0.5 * lgamma(k + 1) and (diag, back, ahead, index).  The first three
+    are (steps - 1, diagonals) float arrays whose row j is step j's
+    2j + 1 + k, sqrt(j (j + k)) and sqrt((j + 1)(j + 1 + k)); ``index`` is
+    the (m_max + 1, n_max + 1) array of flat positions, (min(m, n) + 1)
+    * diagonals + |m - n|, of each entry in the recurrence rows of one q."""
     k = np.arange(max(m_max, n_max) + 1)
-    factors = tuple((2 * j + 1 + k, np.sqrt(j * (j + k)), np.sqrt((j + 1) * (j + 1 + k)))
-                    for j in range(min(m_max, n_max) + 1))
+    j = np.arange(min(m_max, n_max))[:, None]
+    diag = (2 * j + 1 + k).astype(float)
+    back = np.sqrt(j * (j + k))
+    ahead = np.sqrt((j + 1) * (j + 1 + k))
+    m, n = np.ogrid[: m_max + 1, : n_max + 1]
+    index = (np.minimum(m, n) + 1) * len(k) + abs(m - n)
     half_lgamma = 0.5 * log_factorials(len(k) - 1)
-    for array in (k, half_lgamma, *itertools.chain.from_iterable(factors)):
+    for array in (k, half_lgamma, diag, back, ahead, index):
         array.setflags(write=False)
-    return k, half_lgamma, factors
+    return k, half_lgamma, (diag, back, ahead, index)
 
 
 def l_scaled_rational(m: int, n: int, q: Fraction) -> Fraction:
@@ -290,7 +319,7 @@ def single_mode_d_row(m: int, q, n_max: int) -> np.ndarray:
     steps; for a 1-D array ``q``, one such row per entry, in one recurrence."""
     _check_occupation(m)
     _check_occupation(n_max)
-    return _single_mode_block(q, m, n_max, scaled=True)[..., m, :]
+    return _single_mode_block(q, m, n_max, True, m)
 
 
 def _mode_tables(basis: BasisSet, bath: BathModel, table) -> list[np.ndarray]:

@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import gammaln
 
 from sbparity import bath_from_modes, degeneracy_condition_value, discretize_bath, SpectralLaw
 from sbparity.spectra import solve_branches
@@ -45,6 +46,38 @@ def random_bath(rng, n_modes, alpha_range=(0.01, 0.5), s_range=(0.3, 1.0)):
 def index_of(basis, vec):
     """Row of the occupation vector ``vec`` in ``basis``: the first that matches."""
     return int(np.flatnonzero((basis.occupations == tuple(vec)).all(axis=1))[0])
+
+
+def laguerre_block_loop(q, m_max, n_max, scaled):
+    """Single-mode L(m, n; q) for m <= m_max, n <= n_max, times exp(-2 q**2)
+    when ``scaled``, for a float or a 1-D array ``q`` (reference): the
+    normalized Laguerre recurrence as one loop over the steps j, each
+    writing column j and row j of the block from the step's diagonals and
+    forming the next step from the k-only factors of that step."""
+    qs = np.array(q, dtype=float, ndmin=1)
+    out = np.zeros((len(qs), m_max + 1, n_max + 1))
+    k = np.arange(max(m_max, n_max) + 1)
+    factors = tuple((2 * j + 1 + k, np.sqrt(j * (j + k)), np.sqrt((j + 1) * (j + 1 + k)))
+                    for j in range(min(m_max, n_max) + 1))
+    half_lgamma = 0.5 * gammaln(k + 1.0)
+    x = 2.0 * qs
+    log_x = np.array([math.log(v) if v != 0.0 else 0.0 for v in x.tolist()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (x * x)[:, None]
+        f = np.exp((-0.5 * t if scaled else 0.0) + k * log_x[:, None] - half_lgamma)
+        f_prev = np.zeros_like(f)
+        for j, (diag, back, ahead) in enumerate(factors):
+            out[:, j:, j] = f[:, : m_max + 1 - j]  # (j + k, j)
+            out[:, j, j + 1:] = f[:, 1 : n_max + 1 - j]  # (j, j + k), k >= 1
+            if j + 1 < len(factors):
+                f, f_prev = ((t - diag) * f - back * f_prev) / ahead, f
+    zero = qs == 0.0
+    if zero.any():
+        j = np.arange(len(factors))
+        identity = np.zeros((m_max + 1, n_max + 1))
+        identity[j, j] = np.where(j % 2, -1.0, 1.0)
+        out[zero] = identity
+    return out if np.ndim(q) else out[0]
 
 
 def spectral_density(law, omega):

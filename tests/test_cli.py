@@ -1768,22 +1768,28 @@ def test_dumps_matches_the_recursive_serializer(seed):
 def test_cli_import_leaves_sparse_linalg_unloaded(tmp_path):
     # scipy.linalg and scipy.sparse.linalg are imported only by the solves
     # that use them, and scipy.special not at all: loading them at import
-    # took ~0.3 s of every command.  The commands that solve nothing load
-    # none of them; a dense theorem loads scipy.linalg alone.
+    # took ~0.3 s of every command.  scipy itself is imported only for the
+    # versions stamp, which phase-diagram does not print.  The commands that
+    # solve nothing load no submodule; a dense theorem loads scipy.linalg
+    # alone.
     audit = {"model": {"delta": 0.1, "omega_c": 1.0, "s": 0.6, "alpha": 0.2},
              "disc": {"n_modes": 3, "lambda_disc": 2.0}, "trunc": {"cap": 4}}
+    diagram = ["phase-diagram", "--config", write_config(tmp_path, PHASE_CONFIG, "diagram.json")]
     quiet = [[command, "--config", write_config(tmp_path, config, f"{command}.json")]
-             for command, config in [("phase-diagram", PHASE_CONFIG), ("alpha-c", PHASE_CONFIG),
-                                     ("closure", closure_config(3, 4)), ("parity-audit", audit)]]
+             for command, config in [("alpha-c", PHASE_CONFIG), ("closure", closure_config(3, 4)),
+                                     ("parity-audit", audit)]]
     theorem = ["theorem", "--config", write_config(tmp_path, SINGLE_MODE_THEOREM)]
     code = f"""
 import contextlib, io, sys
 from sbparity import cli
 def loaded():
-    print([m for m in ("scipy.special", "scipy.linalg", "scipy.sparse.linalg") if m in sys.modules])
+    print([m for m in ("scipy", "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
+           if m in sys.modules])
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+loaded()
+run({diagram!r})
 loaded()
 for argv in {quiet!r}:
     run(argv)
@@ -1794,7 +1800,7 @@ loaded()
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[]", "['scipy.linalg']"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "['scipy']", "['scipy', 'scipy.linalg']"]
 
 
 @pytest.mark.parametrize("n_modes, code", [(3, 0), (0, 1)], ids=["closure", "refused"])

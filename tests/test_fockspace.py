@@ -38,7 +38,7 @@ from sbparity.fockspace import (
 )
 from sbparity.parity import MAX_SERIES_CAP
 
-from conftest import index_of, single_mode_bath
+from conftest import index_of, laguerre_block_loop, single_mode_bath
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +603,38 @@ def test_gather_keeps_the_bits_of_the_product_from_ones():
     # A single mode's audit prefix: one empty prefix and no table.
     out = fockspace._gather(np.zeros((1, 0), dtype=np.int64), [])
     assert out.shape == (1, 1) and out[0, 0] == 1.0
+
+
+# q at the edges of the kernel's range: 0 (the identity), subnormal and tiny
+# seeds, past the underflow of exp(-2 q**2) (q ~ 19), L at inf, and t = 4q**2
+# at and past the double range (D NaN).
+EXTREME_QS = (0.0, 5e-324, 1e-300, 19.5, 25.0, 1e40, 1e200, 7e153)
+
+
+def same_bits(got, expected):
+    return got.shape == expected.shape and np.array_equal(got.view(np.int64),
+                                                          expected.view(np.int64))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 12, 16, 20, 30, 60, 120, 170])
+def test_recurrence_keeps_the_bits_of_the_step_loop(cap):
+    # Every L and D table, stacked block and excited row rounds as the loop
+    # that wrote one column and one row of the block per step, NaN and inf
+    # included.
+    rng = np.random.default_rng(cap)
+    qs = np.array([*EXTREME_QS, *rng.uniform(0.0, 3.0, 4)])
+    for q in qs.tolist():
+        assert same_bits(single_mode_l_table(q, cap), laguerre_block_loop(q, cap, cap, False)), q
+        assert same_bits(single_mode_d_table(q, cap), laguerre_block_loop(q, cap, cap, True)), q
+    assert same_bits(fockspace._single_mode_block(qs, cap, cap, True),
+                     laguerre_block_loop(qs, cap, cap, True))
+    mixed = np.array([0.0, 0.7, 0.0, 1e-300, 19.5, 1e200, *rng.uniform(0.0, 3.0, 3)])
+    for m in (0, 1, 2, 5):
+        assert same_bits(single_mode_d_row(m, mixed, cap),
+                         laguerre_block_loop(mixed, m, cap, True)[:, m]), m
+        for q in (0.0, 0.45):
+            assert same_bits(single_mode_d_row(m, q, cap),
+                             laguerre_block_loop(q, m, cap, True)[m]), (m, q)
 
 
 def test_single_mode_l_table_matches_elements():
