@@ -563,11 +563,6 @@ def run_phase_diagram(cfg: RunConfig, args):
                                policy=cfg.policy or "per-mode")
     if ladder_error:
         raise ladder_error
-    solved = [
-        (math.nan, ladder.beta, math.nan) if isinstance(pt, SearchError)
-        else (pt.alpha_c, pt.beta, pt.o_value)
-        for ladder, pt in zip(ladders, outcomes)
-    ]
 
     ref_interp = None
     if args.reference is not None:
@@ -578,25 +573,19 @@ def run_phase_diagram(cfg: RunConfig, args):
               "beta", "o_value", "m_ref"]
     if ref_interp is not None:
         header.append("alpha_c_ref")
+    shared = [format_float(cfg.epsilon), cfg.cap, cfg.n_modes, format_float(cfg.lambda_disc)]
     rows = []
-    failed = False
-    for i, (s_val, (alpha_c, beta, o_value)) in enumerate(zip(points, solved)):
-        if math.isnan(alpha_c):
-            failed = True
-        row = [
-            format_float(s_val),
-            format_float(alpha_c),
-            format_float(cfg.epsilon),
-            cfg.cap,
-            cfg.n_modes,
-            format_float(cfg.lambda_disc),
-            format_float(beta),
-            format_float(o_value),
-            m_ref_text,
-        ]
+    for i, (s_val, ladder, pt) in enumerate(zip(points, ladders, outcomes)):
+        if isinstance(pt, SearchError):
+            alpha_c, beta, o_value = math.nan, ladder.beta, math.nan
+        else:
+            alpha_c, beta, o_value = pt.alpha_c, pt.beta, pt.o_value
+        row = [format_float(s_val), format_float(alpha_c), *shared,
+               format_float(beta), format_float(o_value), m_ref_text]
         if ref_interp is not None:
             row.append(format_float(float(ref_interp[i])))
         rows.append(row)
+    failed = any(isinstance(pt, SearchError) for pt in outcomes)
     return (EXIT_SEARCH if failed else EXIT_OK), _csv_text(header, rows), None
 
 

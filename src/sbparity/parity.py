@@ -24,7 +24,10 @@ all its points in lockstep (:func:`critical_alphas`): every point keeps its
 own bisection, and each round rescales the ladders of the points still
 searching and sums their rows as one (points, modes, n_tr + 1) array, so
 the per-call cost of numpy is paid once per round instead of once per
-point.  :func:`critical_alpha` is the one-point case.
+point.  What the points share (the reference occupation, the cap, the
+policy and the log n! table) is checked and built once per search, in one
+:class:`_LogO`; each point checks only its own ladder.
+:func:`critical_alpha` is the one-point case.
 """
 
 from __future__ import annotations
@@ -134,8 +137,11 @@ def _check_policy(policy: str, n_modes: int, n_tr: int):
 
 
 class _LogO:
-    """log of the diagonal sum O at reference ``m`` for a stack of baths,
-    with the constants of the rows (log n!, the excited modes) built once.
+    """log of the diagonal sum O at reference ``m_ref`` for a stack of baths
+    of ``n_modes`` modes, with the constants of the rows (log n!, the
+    excited modes) built once.  The constructor owns the checks on its
+    inputs, in this order: the cap, ``m_ref`` (None for the vacuum; kept
+    normalized as ``m``), the policy name and the convolution guard.
 
     Every mode's row of log L(m_k, n; q_k)**2, n = 0..n_tr, is built in one
     (baths, modes, n_tr + 1) array and split into its maximum and
@@ -156,9 +162,11 @@ class _LogO:
     O is rounded exactly as it would be alone.
     """
 
-    def __init__(self, m: tuple[int, ...], n_tr: int, policy: str):
-        _check_policy(policy, len(m), n_tr)
-        self.n_tr, self.policy = n_tr, policy
+    def __init__(self, m_ref, n_modes: int, n_tr: int, policy: str):
+        self.n_tr = n_tr = _check_cap(n_tr)
+        self.m = m = _normalize_m(m_ref, n_modes)
+        _check_policy(policy, n_modes, n_tr)
+        self.policy = policy
         n = np.arange(n_tr + 1, dtype=float)
         self.n, self.log_fact = n, log_factorials(n_tr)
         self.decoupled = np.where(n == 0.0, 0.0, -math.inf)
@@ -228,14 +236,12 @@ def o_diagonal(m, bath: BathModel, n_tr: int, policy: str = "per-mode") -> float
     needing the scaled combination should use :func:`parity_deficiency`,
     which works in log space throughout.
     """
-    n_tr = _check_cap(n_tr)
-    m = _normalize_m(m, bath.n_modes)
     return _exp_or_inf(_log_o(m, bath, n_tr, policy))
 
 
-def _log_o(m: tuple[int, ...], bath: BathModel, n_tr: int, policy: str) -> float:
+def _log_o(m, bath: BathModel, n_tr: int, policy: str) -> float:
     """log of the diagonal sum O at reference ``m`` (see :class:`_LogO`)."""
-    return _LogO(m, n_tr, policy)(np.array([bath.qs]))[0]
+    return _LogO(m, bath.n_modes, n_tr, policy)(np.array([bath.qs]))[0]
 
 
 def parity_deficiency(
@@ -253,8 +259,6 @@ def parity_deficiency(
         If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
         multiply-adds.
     """
-    n_tr = _check_cap(n_tr)
-    m = _normalize_m(m, bath.n_modes)
     return _deficiency(_log_o(m, bath, n_tr, policy), bath.sum_q2)
 
 
@@ -354,7 +358,11 @@ def critical_alphas(
     ladder whose count differs from the first one's fails with a
     ParameterError naming its index); it is searched in slices of
     SEARCH_CHUNK_ENTRIES row entries, so the working arrays do not grow
-    with the number of points.
+    with the number of points.  What the points share is checked once,
+    before the first slice: the first ladder at alpha = 1, so that its own
+    error comes first, then ``m_ref``, the policy name, the fit of ``m_ref``
+    under the cap and the factorial guard, and one :class:`_LogO` for the
+    whole search.
 
     Raises
     ------
@@ -369,21 +377,8 @@ def critical_alphas(
     n_tr = _check_cap(n_tr)
     n_modes = len(ladders[0].omegas)
     size = max(1, SEARCH_CHUNK_ENTRIES // (n_modes * (n_tr + 1)))
-    out, log_o = [], None
-    for first in range(0, len(ladders), size):
-        outcomes, log_o = _search_chunk(ladders[first:first + size], first, n_modes, n_tr,
-                                        epsilon, m_ref, policy, log_o)
-        for outcome in outcomes:
-            if isinstance(outcome, SpinBosonError) and not isinstance(outcome, SearchError):
-                raise outcome
-        out += outcomes
-    return out
-
-
-def _search_setup(ladder: BathLadder, n_tr: int, m_ref, policy: str) -> tuple[int, ...]:
-    """The checks of one point's search before its first step; returns the
-    normalized reference occupation."""
-    m = _normalize_m(m_ref, ladder.at(1.0).n_modes)  # at() checks the ladder first
+    # What every point shares, once; at() checks the first ladder before it.
+    m = _normalize_m(m_ref, ladders[0].at(1.0).n_modes)
     quanta = max(m) if check_policy(policy) == "per-mode" else sum(m)
     if quanta > n_tr:
         # At alpha -> 0 the deficiency of such a state tends to 1, so the
@@ -399,7 +394,15 @@ def _search_setup(ladder: BathLadder, n_tr: int, m_ref, policy: str) -> tuple[in
             f"for the excited parity.m_ref {list(m)}; only the vacuum reference "
             f"takes a larger cap"
         )
-    return m
+    log_o = _LogO(m, len(m), n_tr, policy)
+    out = []
+    for first in range(0, len(ladders), size):
+        outcomes = _search_chunk(ladders[first:first + size], first, log_o, epsilon)
+        for outcome in outcomes:
+            if isinstance(outcome, SpinBosonError) and not isinstance(outcome, SearchError):
+                raise outcome
+        out += outcomes
+    return out
 
 
 def _bisection(epsilon: float, tol: float):
@@ -439,34 +442,30 @@ def _bisection(epsilon: float, tol: float):
     return root, at_root
 
 
-def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, m_ref,
-                  policy: str, log_o: _LogO | None) -> tuple[list, _LogO | None]:
-    """The searches of ``ladders`` in lockstep: per ladder its CriticalPoint
-    or the SpinBosonError its search raised, and the search's one ``_LogO``.
-    ``first`` is the index of the chunk's first ladder in the whole search,
-    whose first ladder has ``n_modes`` modes; ``log_o`` is the ``_LogO`` an
-    earlier chunk built, or None, and is built here at the first ladder that
-    passes its setup."""
+def _search_chunk(ladders, first: int, log_o: _LogO, epsilon: float) -> list:
+    """The searches of ``ladders`` in lockstep with the search's one
+    ``log_o``: per ladder its CriticalPoint or the SpinBosonError its search
+    raised.  ``first`` is the index of the chunk's first ladder in the whole
+    search.  Only the ladder's own checks run here, at alpha = 1 and then
+    its mode count against the reference's."""
     tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
+    n_modes = len(log_o.m)
     outcomes = [None] * len(ladders)
-    live, m = [], None
+    live = []
     for i, ladder in enumerate(ladders):
         try:
-            m_i = _search_setup(ladder, n_tr, m_ref, policy)
-            if len(m_i) != n_modes:
+            count = ladder.at(1.0).n_modes
+            if count != n_modes:
                 raise ParameterError(
-                    f"ladder {first + i} has {len(m_i)} modes, the first one {n_modes}; "
+                    f"ladder {first + i} has {count} modes, the first one {n_modes}; "
                     f"the ladders of one search share their mode count"
                 )
-            if log_o is None:  # once: its work guard reads m, n_tr and policy, all shared
-                log_o = _LogO(m_i, n_tr, policy)
         except SpinBosonError as exc:
             outcomes[i] = exc
             continue
-        m = m_i
         live.append(i)
     if not live:
-        return outcomes, log_o
+        return outcomes
     stack = LadderStack([ladders[i] for i in live])
     searches = [_bisection(epsilon, tol) for _ in live]
     pending = {r: next(search) for r, search in enumerate(searches)}  # row -> alpha
@@ -498,15 +497,15 @@ def _search_chunk(ladders, first: int, n_modes: int, n_tr: int, epsilon: float, 
             s=ladder.s,
             alpha_c=root,
             epsilon=epsilon,
-            n_tr=n_tr,
+            n_tr=log_o.n_tr,
             n_modes=n_modes,
             lambda_disc=ladder.lambda_disc,
             beta=beta,
-            m_ref=m,
+            m_ref=log_o.m,
             o_value=_exp_or_inf(log_o_r),
             ln_o_over_2beta=log_o_r / (2.0 * beta),
         )
-    return outcomes, log_o
+    return outcomes
 
 
 @dataclass(frozen=True)

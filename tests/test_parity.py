@@ -305,7 +305,7 @@ def test_stacked_log_o_is_bit_identical_per_bath(seed):
         omegas = np.sort(rng.uniform(0.01, 2.0, n_modes))[::-1]
         baths = [bath_from_modes(list(zip(omegas, 2.0 * omegas * q)))
                  for q in rng.uniform(0.0, 3.0, (20, n_modes)) * (rng.random((20, n_modes)) > 0.1)]
-        got = parity._LogO(m, cap, policy)(np.array([bath.qs for bath in baths]))
+        got = parity._LogO(m, n_modes, cap, policy)(np.array([bath.qs for bath in baths]))
         reference = per_row_log_o if policy == "per-mode" else per_row_convolved_log_o
         assert got == [reference(m, bath, cap) for bath in baths]
 
@@ -973,6 +973,24 @@ def test_lockstep_search_checks_the_convolution_guard_once_per_search(monkeypatc
         critical_alphas(ladders + [nan_coupling], cap, 0.01, policy="total-quanta")
 
 
+def test_lockstep_search_sets_up_once_per_search(monkeypatch):
+    # The reference occupation, like every check the points share, is
+    # normalized once per search: four chunks of ladders cost no more setup
+    # than one ladder does.
+    monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", 3 * 2 * 11)
+    calls = []
+    normalize = parity._normalize_m
+    monkeypatch.setattr(parity, "_normalize_m", lambda *args: calls.append(args) or normalize(*args))
+    ladders = [bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0) for i in range(10)]
+    assert len(critical_alphas(ladders[:1], 10, 0.01, m_ref=(0, 1))) == 1
+    alone = len(calls)
+    calls.clear()
+    swept = critical_alphas(ladders, 10, 0.01, m_ref=(0, 1))
+    assert len(calls) == alone
+    # So a one-shot iterable serves every ladder, not just the first.
+    assert critical_alphas(ladders, 10, 0.01, m_ref=iter((0, 1))) == swept
+
+
 def test_a_sweep_of_one_point_chunks_builds_log_factorials_once(monkeypatch):
     # From per-mode cap 333 at 30 modes a chunk holds one point; the table
     # of log k! up to the cap is still built once per search.
@@ -998,6 +1016,9 @@ def test_lockstep_search_checks_every_ladder_against_the_first(monkeypatch):
         critical_alphas(two[:3] + [three, three], 10, 0.01)
     with pytest.raises(ParameterError, match="ladder 4 has 3 modes, the first one 2"):
         critical_alphas(two + [three], 10, 0.01)
+    # An explicit reference names the ladder too, not the reference's length.
+    with pytest.raises(ParameterError, match="ladder 3 has 3 modes, the first one 2"):
+        critical_alphas(two[:3] + [three], 10, 0.01, m_ref=(0, 1))
 
 
 # ---------------------------------------------------------------------------
