@@ -92,14 +92,12 @@ def _check_lam(lam: float) -> None:
 class BathModel:
     """Immutable discretized bath plus its two mode sums.
 
-    ``lambda_disc`` is the geometric bin ratio, None when the modes were
-    supplied directly.  The modes are the three parallel tuples: mode k has
-    frequency ``omegas[k]``, coupling ``lams[k]`` and displacement
-    ``qs[k]`` = lams[k] / (2 * omegas[k]).  Safe to share across workers;
-    all operations on it are pure.
+    The modes are the three parallel tuples: mode k has frequency
+    ``omegas[k]``, coupling ``lams[k]`` and displacement ``qs[k]`` =
+    lams[k] / (2 * omegas[k]), binned or listed alike.  Safe to share
+    across workers; all operations on it are pure.
     """
 
-    lambda_disc: float | None
     omegas: tuple[float, ...]
     lams: tuple[float, ...]
     qs: tuple[float, ...]
@@ -137,11 +135,11 @@ class BathLadder:
     alpha depends on the dissipation strength, so a ladder is the bath input
     of :func:`sbparity.parity.critical_alpha`, which checks it with
     :meth:`at` at alpha = 1 and whose bisection steps rescale it through a
-    :class:`LadderStack`.  Build it with :func:`bath_ladder`.
+    :class:`LadderStack`.  Build it with :func:`bath_ladder`; ``wc_pow``
+    and ``hi_pows`` carry omega_c.
     """
 
     s: float
-    omega_c: float
     lambda_disc: float
     omegas: tuple[float, ...]
     hi_pows: tuple[float, ...]
@@ -167,9 +165,8 @@ class BathLadder:
         if errors:
             raise errors[0]
         qs = tuple(qs[0].tolist())
-        return BathModel(lambda_disc=self.lambda_disc, omegas=self.omegas, qs=qs,
-                         lams=tuple(lams[0].tolist()), sum_wq2=_sum_wq2(self.omegas, qs),
-                         sum_q2=sums[0])
+        return BathModel(omegas=self.omegas, lams=tuple(lams[0].tolist()), qs=qs,
+                         sum_wq2=_sum_wq2(self.omegas, qs), sum_q2=sums[0])
 
 
 class LadderStack:
@@ -220,7 +217,7 @@ def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> B
     n_modes = check_count("n_modes", n_modes, 1)
     if not lambda_disc > 1.0:
         raise ParameterError(f"lambda_disc must satisfy lambda_disc > 1, got {lambda_disc}")
-    r = 0.0 if math.isinf(lambda_disc) else 1.0 / lambda_disc
+    r = 1.0 / lambda_disc  # 0.0 for lambda_disc = inf: one bin spans (0, omega_c]
     # Bin-shape factors, identical for every bin of a geometric ladder:
     # weight(hi)   = 2*alpha*omega_c**(1-s) * hi**(s+1) * w_shape
     # omega(hi)    = hi * f_shape
@@ -230,7 +227,7 @@ def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> B
     try:
         wc_pow = omega_c ** (1.0 - s)
         for k in range(n_modes):
-            hi = omega_c * r ** k if k else omega_c
+            hi = omega_c * r ** k
             if hi <= 0.0:
                 raise ParameterError(
                     f"bin edge underflowed at mode {k}; reduce n_modes or lambda_disc"
@@ -244,7 +241,7 @@ def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> B
             f"model.omega_c = {omega_c!r} with model.s = {s!r} overflows the bin "
             f"weights omega_c**(1-s) * hi**(s+1)"
         ) from None
-    return BathLadder(s=s, omega_c=omega_c, lambda_disc=lambda_disc, omegas=tuple(omegas),
+    return BathLadder(s=s, lambda_disc=lambda_disc, omegas=tuple(omegas),
                       hi_pows=tuple(hi_pows), wc_pow=wc_pow, w_shape=w_shape)
 
 
@@ -294,7 +291,7 @@ def bath_from_modes(modes, law: SpectralLaw | None = None) -> BathModel:
         raise ParameterError("mode frequencies must lie in (0, omega_c]")
     qs = tuple(lam / (2.0 * omega) for lam, omega in zip(lams, omegas))
     sum_q2 = _mode_sum("sum_k q_k**2", [q * q for q in qs])  # its overflow is reported first
-    return BathModel(lambda_disc=None, omegas=tuple(omegas), lams=tuple(lams), qs=qs,
+    return BathModel(omegas=tuple(omegas), lams=tuple(lams), qs=qs,
                      sum_wq2=_sum_wq2(omegas, qs), sum_q2=sum_q2)
 
 

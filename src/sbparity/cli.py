@@ -170,19 +170,19 @@ CONFIG_SCHEMA = {
 _OPTIONAL_SECTIONS = ("sweep", "output")
 
 
-def _echo(cfg, bath: BathModel | None = None) -> dict:
-    """The configuration as run.  ``bath`` is the bath the command built,
-    if it built one: its mode count and discretization ratio (null for
-    explicit ``model.modes``) are echoed under ``disc``."""
+def _echo(cfg) -> dict:
+    """The configuration as run.  Explicit ``model.modes`` are the modes
+    used, so ``disc`` then echoes their count and a null ratio."""
     out = {}
     for section, rows in CONFIG_SCHEMA.items():
-        source = bath if section == "disc" and bath is not None else cfg
         if section not in _OPTIONAL_SECTIONS:
-            out[section] = {key: getattr(source, key) for key in rows}
+            out[section] = {key: getattr(cfg, key) for key in rows}
         elif getattr(cfg, section) is not None:
             out[section] = dict(getattr(cfg, section))
     if cfg.modes is None:
         del out["model"]["modes"]
+    else:
+        out["disc"] = {"n_modes": len(cfg.modes), "lambda_disc": None}
     return out
 
 
@@ -273,11 +273,13 @@ def build_basis(cfg: RunConfig, bath: BathModel) -> BasisSet:
     try:
         return enumerate_basis(bath.n_modes, cfg.cap, policy)
     except CapacityError as exc:
+        advice = ('; trunc.policy "total-quanta" already keeps the fewer states'
+                  if policy == "total-quanta" else
+                  ', or set trunc.policy to "total-quanta", which keeps '
+                  "comb(cap + n_modes, n_modes) states instead of (cap + 1)**n_modes")
         raise CapacityError(
             f"{exc} ({bath.n_modes} modes, {policy} cap {cfg.cap}); lower "
-            f"disc.n_modes (or list fewer model.modes) or trunc.cap, or set "
-            f'trunc.policy to "total-quanta", which keeps comb(cap + n_modes, n_modes) '
-            f"states instead of (cap + 1)**n_modes"
+            f"disc.n_modes (or list fewer model.modes) or trunc.cap{advice}"
         ) from None
 
 
@@ -415,10 +417,9 @@ def _triplet_csv(header, matrix: np.ndarray) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 #
-# A runner takes (cfg, args) and returns (exit code, body, bath).  The body is
-# a dict for a JSON report, which main ends with the config echo (of that
-# bath; None for commands that build none) and the versions stamp, or the
-# CSV text of phase-diagram.
+# A runner takes (cfg, args) and returns (exit code, body).  The body is a
+# dict for a JSON report, which main ends with the config echo and the
+# versions stamp, or the CSV text of phase-diagram.
 
 def _fields(result) -> dict:
     """A result dataclass as its fields, in declaration order."""
@@ -438,8 +439,8 @@ def run_theorem(cfg: RunConfig, args):
         if exc.report is None:
             raise  # no report to attach: the plain error JSON from main
         body = {**_fields(exc.report), "invariant_violation": str(exc)}
-        return EXIT_INVARIANT, body, params.bath
-    return EXIT_OK, _fields(report), params.bath
+        return EXIT_INVARIANT, body
+    return EXIT_OK, _fields(report)
 
 
 def run_spectrum(cfg: RunConfig, args):
@@ -449,13 +450,13 @@ def run_spectrum(cfg: RunConfig, args):
             _emit(_triplet_csv(("i", "j", "value"), branch.dense()),
                   f"{args.dump_matrix}_h{name}.csv")
     k = min(cfg.k_levels, params.basis.dim)
-    _, res_plus, res_minus = solve_branches(params, k, k, cfg.tol, cfg.max_iter)
+    _, res_plus, res_minus = solve_branches(params, k, cfg.tol, cfg.max_iter)
     body = {
         name: {"values": res.values, "vectors": res.vectors.T, "residual": res.residual}
         for name, res in (("plus", res_plus), ("minus", res_minus))
     }
     body["degenerate_energy_set"] = degenerate_energy_set(params)[:k]
-    return EXIT_OK, body, params.bath
+    return EXIT_OK, body
 
 
 def run_parity_audit(cfg: RunConfig, args):
@@ -466,7 +467,7 @@ def run_parity_audit(cfg: RunConfig, args):
         _emit(_triplet_csv(("row", "col", "value"), l_matrix(basis, bath)),
               f"{args.dump_tables}_l.csv")
         _emit(_triplet_csv(("row", "col", "value"), table), f"{args.dump_tables}_d.csv")
-    return EXIT_OK, _fields(d_square_audit(basis, bath)), bath
+    return EXIT_OK, _fields(d_square_audit(basis, bath))
 
 
 def run_alpha_c(cfg: RunConfig, args):
@@ -476,7 +477,7 @@ def run_alpha_c(cfg: RunConfig, args):
         bath_ladder(cfg.s, cfg.omega_c, cfg.n_modes, cfg.lambda_disc), cfg.cap,
         epsilon=cfg.epsilon, m_ref=m_ref, policy=cfg.policy or "per-mode",
     )
-    return EXIT_OK, _fields(point), None
+    return EXIT_OK, _fields(point)
 
 
 def run_closure(cfg: RunConfig, args):
@@ -493,7 +494,7 @@ def run_closure(cfg: RunConfig, args):
     ratio = report.ratio
     body = {**_fields(report), "ratio": f"{ratio.numerator}/{ratio.denominator}",
             "ratio_value": report.ratio_value, "conclusion": report.conclusion}
-    return EXIT_OK, body, None
+    return EXIT_OK, body
 
 
 def load_reference_curve(path):
@@ -586,7 +587,7 @@ def run_phase_diagram(cfg: RunConfig, args):
             row.append(format_float(float(ref_interp[i])))
         rows.append(row)
     failed = any(isinstance(pt, SearchError) for pt in outcomes)
-    return (EXIT_SEARCH if failed else EXIT_OK), _csv_text(header, rows), None
+    return (EXIT_SEARCH if failed else EXIT_OK), _csv_text(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +650,9 @@ def main(argv=None) -> int:
                 cfg = dataclasses.replace(cfg, epsilon=_check("parity.epsilon", flag, kind, bound))
             except ConfigError:
                 raise ConfigError(f'flag "--epsilon": must lie in (0, 1), got {flag!r}') from None
-        code, body, bath = COMMANDS[args.command][0](cfg, args)
+        code, body = COMMANDS[args.command][0](cfg, args)
         if isinstance(body, dict):
-            body = dumps({**body, "config": cfg.echo(bath), "versions": _versions()})
+            body = dumps({**body, "config": cfg.echo(), "versions": _versions()})
         _emit(body, args.out or (cfg.output or {}).get("path"))
         return code
     except (ConfigError, ParameterError, CapacityError) as exc:

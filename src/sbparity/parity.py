@@ -464,8 +464,6 @@ def _search_chunk(ladders, first: int, log_o: _LogO, epsilon: float) -> list:
             outcomes[i] = exc
             continue
         live.append(i)
-    if not live:
-        return outcomes
     stack = LadderStack([ladders[i] for i in live])
     searches = [_bisection(epsilon, tol) for _ in live]
     pending = {r: next(search) for r, search in enumerate(searches)}  # row -> alpha

@@ -147,7 +147,14 @@ def eigen_lowest(
     values, vectors = scipy.linalg.eigh(h, subset_by_index=[0, k - 1])
     _fix_signs(vectors)
     resid = _residual(h, values, vectors)
-    _check_residual(resid, tol * float(np.linalg.norm(h, np.inf)))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(h, np.inf))
+        if math.isinf(norm):  # a row sum past the double range: take it on h scaled by 2**-e
+            e = math.frexp(float(np.max(np.abs(h))))[1]
+            bound = float(np.ldexp(tol * np.linalg.norm(np.ldexp(h, -e), np.inf), e))
+        else:
+            bound = tol * norm
+    _check_residual(resid, bound)
     return EigenResult(values=values, vectors=vectors, residual=resid)
 
 
@@ -183,11 +190,13 @@ def _check_residual(resid: float, bound: float) -> None:
 
 
 def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> EigenResult:
-    """Lanczos on H - sigma with sigma = min(h0) - delta/2 - 1.
+    """Lanczos on H - sigma with sigma = min(h0) - delta/2 - 1, or with a
+    margin of 4 * eps * norm(H) in place of 1 where |min(h0)| is so large
+    that 1 rounds away.
 
     norm(D) <= 1, because D is a compression of an involution, so every
-    eigenvalue of the shifted operator is >= 1; ARPACK is asked for the
-    smallest ones to machine precision (tol=0).  Afterwards
+    eigenvalue of the shifted operator is at least the margin; ARPACK is
+    asked for the smallest ones to machine precision (tol=0).  Afterwards
     :func:`_lowest_level` searches P (H - sigma) P + c V V^T, with
     P = 1 - V V^T and c above the k-th shifted value, for a level the solve
     passed over: a value more than 10 * tol * scale below the k-th level
@@ -204,8 +213,11 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
             f"k = {k} is too close to dim = {dim} for Lanczos; solve the assembled matrix"
         )
     spread = abs(h.coupling)
-    sigma = float(np.min(h.h0)) - spread - 1.0
+    h0_min = float(np.min(h.h0))
     norm_bound = float(np.max(np.abs(h.h0))) + spread  # >= norm(H), as norm(D) <= 1
+    sigma = h0_min - spread - 1.0
+    if not h0_min - sigma >= 1.0:  # the margin rounded away: diag would hold a zero
+        sigma = h0_min - spread - 4.0 * _EPS * norm_bound
 
     def shifted(x):
         return h @ x - sigma * x
@@ -305,22 +317,20 @@ def _lowest_level(matvec, diag: np.ndarray, bound: float, max_iter: int) -> floa
 
 def solve_branches(
     params: ModelParams,
-    k_plus: int,
-    k_minus: int,
+    k: int,
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray | KroneckerParity, EigenResult, EigenResult]:
-    """Lowest pairs of both branches, ``params.branches``.
+    """The k lowest pairs of each of the two branches, ``params.branches``.
 
     Returns ``(parity, res_plus, res_minus)``: ``parity`` is
     ``params.parity`` on the path :func:`use_lanczos` picks, and on the dense
     path ``params.parity.dense()``, on which each branch's dense array is
     formed while it is solved.
     """
-    lanczos = use_lanczos(params.basis, max(k_plus, k_minus))
-    results = []
-    for op, k in zip(params.branches, (k_plus, k_minus)):
-        results.append(eigen_lowest(op if lanczos else op.dense(), k, tol, max_iter))
+    lanczos = use_lanczos(params.basis, k)
+    results = [eigen_lowest(op if lanczos else op.dense(), k, tol, max_iter)
+               for op in params.branches]
     return (params.parity if lanczos else params.parity.dense()), *results
 
 
@@ -365,7 +375,7 @@ def theorem_report(
         positive at resolvable gap.  The offending report rides on the
         exception as ``report``.
     """
-    parity, res_plus, res_minus = solve_branches(params, 1, 1, tol, max_iter)
+    parity, res_plus, res_minus = solve_branches(params, 1, tol, max_iter)
     e_plus = float(res_plus.values[0])
     e_minus = float(res_minus.values[0])
     e_gs = min(e_plus, e_minus)

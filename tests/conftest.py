@@ -104,12 +104,12 @@ class GapIdentity(NamedTuple):
     overlap: float
 
 
-def gap_identity(params, level_plus=0, level_minus=0, tol=1e-10):
+def gap_identity(params, level=0, tol=1e-10):
     """E-(level) - E+(level) against delta * <phi+|D|phi-> / <phi+|phi->, by
     the solve and the matrix element `theorem` uses for its predicted gap."""
-    parity, res_plus, res_minus = solve_branches(params, level_plus + 1, level_minus + 1, tol)
-    phi_plus, phi_minus = res_plus.vectors[:, level_plus], res_minus.vectors[:, level_minus]
-    lhs = float(res_minus.values[level_minus] - res_plus.values[level_plus])
+    parity, res_plus, res_minus = solve_branches(params, level + 1, tol)
+    phi_plus, phi_minus = res_plus.vectors[:, level], res_minus.vectors[:, level]
+    lhs = float(res_minus.values[level] - res_plus.values[level])
     overlap = float(phi_plus @ phi_minus)
     rhs = params.delta * degeneracy_condition_value(phi_plus, phi_minus, parity) / overlap
     return GapIdentity(lhs, rhs, abs(lhs - rhs), overlap)

@@ -230,7 +230,7 @@ def test_criterion_8_critical_alpha_behavior():
         assert all(b >= a for a, b in zip(values, values[1:]))
 
         # Single mode with q**2 = alpha/2, i.e. beta = 1.
-        beta_one = BathLadder(s=1.0, omega_c=1.0, lambda_disc=math.inf, omegas=(1.0,),
+        beta_one = BathLadder(s=1.0, lambda_disc=math.inf, omegas=(1.0,),
                               hi_pows=(1.0,), wc_pow=1.0, w_shape=1.0)
         point = critical_alpha(beta_one, n_tr=1, epsilon=0.01)
         oracle_x = brentq(

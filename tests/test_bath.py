@@ -229,6 +229,7 @@ def bits(values):
 ])
 def test_discretize_bath_is_bit_identical_to_the_mode_loop(s, omega_c, n_modes, lambda_disc):
     ladder = bath_ladder(s, omega_c, n_modes, lambda_disc)
+    assert ladder.lambda_disc == lambda_disc
     for alpha in (0.0, 1e-6, 0.01, 0.1, 0.37, 1.0, 2.5, 1e3):
         law = SpectralLaw(alpha, s, omega_c)
         omegas, lams, qs, sum_wq2, sum_q2 = mode_loop_bath(law, n_modes, lambda_disc)
@@ -237,7 +238,6 @@ def test_discretize_bath_is_bit_identical_to_the_mode_loop(s, omega_c, n_modes, 
             assert bits(bath.lams) == bits(lams)
             assert bits(bath.qs) == bits(qs)
             assert bits([bath.sum_wq2, bath.sum_q2]) == bits([sum_wq2, sum_q2])
-            assert bath.lambda_disc == lambda_disc
         if alpha == 1.0:  # beta is the ladder's: 2 * sum_q2 / alpha at alpha = 1
             assert bits([ladder.beta]) == bits([2.0 * sum_q2])
 

@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from sbparity import bath_ladder, cli, critical_alpha
+from sbparity import bath_ladder, cli, critical_alpha, spectra
 from sbparity.errors import ConfigError, ParameterError, SearchError
+from sbparity.fockspace import MAX_BASIS_STATES
 
 from conftest import bare_fock_ground_energy
 
@@ -1577,6 +1578,37 @@ def test_a_dense_residual_past_the_square_overflow_exits_0(tmp_path, capsys, com
             assert 0.0 < out[branch]["residual"] <= 1e-10 * delta
 
 
+@pytest.mark.parametrize("command", ["theorem", "spectrum"])
+def test_a_dense_residual_bound_past_the_norm_overflow_still_holds(tmp_path, capsys, monkeypatch,
+                                                                    command):
+    # Row sums of |H| past the double range once made the bound tol * norm(H)
+    # inf, with a numpy overflow warning, so that no residual could fail it.
+    import scipy.linalg
+
+    config = {"model": {"delta": 1e308, "omega_c": 1e-05, "s": 2.0, "alpha": 0.5},
+              "disc": {"n_modes": 4, "lambda_disc": 10.0},
+              "trunc": {"policy": "total-quanta", "cap": 6}}
+    path = write_config(tmp_path, config)
+    assert not spectra.use_lanczos(cli._model_params(cli.load_config(path)).basis, 1)
+    code = cli.main([command, "--config", path])
+    assert (code, capsys.readouterr().err) == (0, "")
+
+    eigh = scipy.linalg.eigh
+
+    def perturbed(h, **kwargs):
+        values, vectors = eigh(h, **kwargs)
+        vectors[0] += 1e-3
+        return values, vectors
+
+    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    assert cli.main([command, "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "SolverError"
+    assert "exceeds tol * norm(H)" in error["message"]
+
+
 def test_config_error_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": -2, "alpha": 0.2})
     code = cli.main(["theorem", "--config", path])
@@ -1600,14 +1632,26 @@ def test_capacity_error_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["theorem", "spectrum", "parity-audit"])
 def test_capacity_error_names_the_settings_to_change(tmp_path, capsys, command):
-    # The README defaults: 30 modes at total-quanta cap 20.
-    path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1.0, "s": 0.7, "alpha": 0.2})
+    # The README defaults: 30 modes at total-quanta cap 20.  The basis
+    # already is total-quanta, so switching to it is not advised.
+    model = {"delta": 0.1, "omega_c": 1.0, "s": 0.7, "alpha": 0.2}
+    path = write_config(tmp_path, model)
     code = cli.main([command, "--config", path])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["error"]["type"] == "CapacityError"
     for knob in ("disc.n_modes", "trunc.cap", "trunc.policy"):
         assert knob in out["error"]["message"]
+    assert 'set trunc.policy to "total-quanta"' not in out["error"]["message"]
+
+    path = write_config(tmp_path, {"model": model, "disc": {"n_modes": 10},
+                                   "trunc": {"policy": "per-mode"}})
+    assert cli.main([command, "--config", path]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        f"basis would hold {21 ** 10} states, above the guard of {MAX_BASIS_STATES} (10 modes, "
+        "per-mode cap 20); lower disc.n_modes (or list fewer model.modes) or trunc.cap, "
+        'or set trunc.policy to "total-quanta", which keeps comb(cap + n_modes, n_modes) '
+        "states instead of (cap + 1)**n_modes")
 
 
 @pytest.mark.parametrize("command", ["theorem", "spectrum", "parity-audit"])
@@ -1624,6 +1668,14 @@ def test_config_echo_reports_the_modes_used(tmp_path, capsys, command):
     assert cli.main([command, "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["disc"] == {
         "n_modes": 2, "lambda_disc": 3.0}
+
+    # Explicit modes are the modes used, whatever a disc section says.
+    listed = dict(discretized, model=dict(discretized["model"], modes=[[1.0, 0.5], [0.5, 0.25]]),
+                  disc={"n_modes": 7, "lambda_disc": 5.0})
+    path = write_config(tmp_path, listed)
+    assert cli.main([command, "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["disc"] == {
+        "n_modes": 2, "lambda_disc": None}
 
 
 def test_theorem_cap_above_factorial_guard_exits_1(tmp_path, capsys):

@@ -52,7 +52,7 @@ from sbparity.parity import (
 from conftest import index_of, single_mode_bath
 
 # Single mode with q**2 = alpha/2, i.e. beta = 2*q**2/alpha = 1.
-BETA_ONE_LADDER = BathLadder(s=1.0, omega_c=1.0, lambda_disc=math.inf, omegas=(1.0,),
+BETA_ONE_LADDER = BathLadder(s=1.0, lambda_disc=math.inf, omegas=(1.0,),
                              hi_pows=(1.0,), wc_pow=1.0, w_shape=1.0)
 
 
@@ -629,7 +629,7 @@ def test_search_refuses_a_point_whose_parity_sum_overflows():
     message = "4 * q_k**2 overflows a double at alpha = 1.0"
     with pytest.raises(ParameterError, match=re.escape(message)):
         critical_alpha(OVERFLOWING_PARITY_SUM, 4)
-    nan_coupling = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(1.0, 0.5, 0.25),
+    nan_coupling = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0, 0.5, 0.25),
                               hi_pows=(1.0, math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
     ladders = [bath_ladder(0.5, 1.0, 3, 2.0), OVERFLOWING_PARITY_SUM, nan_coupling]
     with pytest.raises(ParameterError, match=re.escape(message)):
@@ -893,7 +893,7 @@ def test_lockstep_search_keeps_failed_points_beside_solved_ones(policy, monkeypa
 @pytest.mark.parametrize("m_ref", [(0, 0, 0), (0, 0, 2), (1, 0, 1)])
 def test_lockstep_search_takes_a_decoupled_mode(m_ref):
     # hi_pows 0 makes the last coupling exactly 0 at every alpha.
-    ladders = [BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(0.8, 0.4, 0.2),
+    ladders = [BathLadder(s=1.0, lambda_disc=2.0, omegas=(0.8, 0.4, 0.2),
                           hi_pows=(1.0, h, 0.0), wc_pow=1.0, w_shape=w)
                for h, w in ((0.25, 0.3), (0.2, 0.4), (0.3, 0.25))]
     for policy in ("per-mode", "total-quanta"):
@@ -902,10 +902,10 @@ def test_lockstep_search_takes_a_decoupled_mode(m_ref):
 
 # A single mode with q**2 = alpha whose coupling overflows from alpha = 32
 # on: its search doubles past 16 at cap 450 and stops at 32.
-LATE_OVERFLOW = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(math.sqrt(1.5e306),),
+LATE_OVERFLOW = BathLadder(s=1.0, lambda_disc=2.0, omegas=(math.sqrt(1.5e306),),
                            hi_pows=(1.0,), wc_pow=3e306, w_shape=1.0)
 # A coupling that is NaN at every alpha, so the search fails before its first step.
-NAN_COUPLING = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(1.0,),
+NAN_COUPLING = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0,),
                           hi_pows=(math.nan,), wc_pow=1.0, w_shape=1.0)
 
 
@@ -953,6 +953,16 @@ def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
     assert chunks == [(0, 3), (3, 3)]
 
 
+def test_a_chunk_without_a_live_ladder_returns_its_errors():
+    # Every ladder fails before the lockstep: the empty stack runs no round.
+    log_o = parity._LogO(None, 1, 10, "per-mode")
+    ladders = [NAN_COUPLING, bath_ladder(0.5, 1.0, 2, 2.0)]
+    outcomes = parity._search_chunk(ladders, 3, log_o, 0.01)
+    assert [type(outcome) for outcome in outcomes] == [ParameterError, ParameterError]
+    assert "got nan" in str(outcomes[0])
+    assert str(outcomes[1]).startswith("ladder 4 has 2 modes, the first one 1")
+
+
 def test_lockstep_search_checks_the_convolution_guard_once_per_search(monkeypatch):
     # Its work depends on the mode count and the cap alone, which every
     # ladder of a search shares, so the four chunks check it once; a
@@ -964,7 +974,7 @@ def test_lockstep_search_checks_the_convolution_guard_once_per_search(monkeypatc
     ladders = [bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0) for i in range(10)]
     assert len(critical_alphas(ladders, 10, 0.01, policy="total-quanta")) == 10
     assert calls == [("total-quanta", 2, 10)]
-    nan_coupling = BathLadder(s=1.0, omega_c=1.0, lambda_disc=2.0, omegas=(1.0, 0.5),
+    nan_coupling = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0, 0.5),
                               hi_pows=(math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
     cap = 8000  # (2 - 1) * 8001**2 multiply-adds, above the guard
     with pytest.raises(ParameterError, match="got nan"):

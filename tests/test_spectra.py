@@ -235,7 +235,7 @@ def test_gap_identity_converged_ground_pair():
 
 def test_gap_identity_excited_levels():
     params = make_params(1.0, 0.6, 0.25, 40)
-    result = gap_identity(params, level_plus=1, level_minus=1)
+    result = gap_identity(params, level=1)
     assert result.abs_err <= 1e-8 * max(1.0, abs(result.lhs))
 
 
@@ -338,10 +338,10 @@ def test_theorem_and_gap_identity_agree_on_both_paths(monkeypatch):
     params = seeded_params(3, 3, 16, "total-quanta")
     assert use_lanczos(params.basis, 2)
     lanczos = theorem_report(params)
-    gap = gap_identity(params, level_plus=1, level_minus=1)
+    gap = gap_identity(params, level=1)
     monkeypatch.setattr(spectra, "use_lanczos", lambda basis, k: False)
     dense = theorem_report(params)
-    dense_gap = gap_identity(params, level_plus=1, level_minus=1)
+    dense_gap = gap_identity(params, level=1)
     for key in ("e_gs", "e_plus_min", "e_minus_min", "margin", "measured_gap",
                 "predicted_gap"):
         assert getattr(lanczos, key) == pytest.approx(getattr(dense, key), abs=1e-10)
@@ -355,14 +355,14 @@ def test_solve_branches_returns_the_d_of_its_path():
     # so later products with D (the theorem's predicted gap) stay dense ones.
     dense_params = seeded_params(5, 3, 6, "per-mode")
     assert not use_lanczos(dense_params.basis, 1)
-    table, res_plus, _ = spectra.solve_branches(dense_params, 1, 1, 1e-10)
+    table, res_plus, _ = spectra.solve_branches(dense_params, 1, 1e-10)
     assert isinstance(table, np.ndarray)
     assert np.array_equal(table, KroneckerParity(dense_params.basis, dense_params.bath).dense())
     h = dense_params.branches[0].dense()
     assert np.array_equal(res_plus.values, eigen_lowest(h, 1, 1e-10).values)
     lanczos_params = seeded_params(5, 3, 16, "total-quanta")
     assert use_lanczos(lanczos_params.basis, 1)
-    parity, _, _ = spectra.solve_branches(lanczos_params, 1, 1, 1e-10)
+    parity, _, _ = spectra.solve_branches(lanczos_params, 1, 1e-10)
     assert isinstance(parity, KroneckerParity)
     assert parity.basis is lanczos_params.basis
 
@@ -544,6 +544,23 @@ def test_lanczos_without_convergence_is_a_solver_error():
     with pytest.raises(SolverError, match="max_iter = 1") as err:
         eigen_lowest(params.branches[0], 1, 1e-10, max_iter=1)
     assert err.value.residual is not None
+
+
+@pytest.mark.parametrize("command", ["theorem", "spectrum"])
+def test_the_lanczos_shift_keeps_its_margin_at_large_h0(tmp_path, capsys, command):
+    # At |H0| ~ 1e150 the shift min(h0) - delta/2 - 1 rounds to min(h0): the
+    # completeness check then divided by a zero diagonal, warned, and exited 3.
+    config = {"model": {"delta": 1, "omega_c": 1e150, "s": 0.5, "alpha": 1},
+              "disc": {"n_modes": 2, "lambda_disc": 10.0},
+              "trunc": {"policy": "per-mode", "cap": 20}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert use_lanczos(cli._model_params(cli.load_config(path)).basis, 1)
+    code = cli.main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    if command == "theorem":
+        assert json.loads(captured.out)["verdict"] == VERDICT_INDETERMINATE
 
 
 def test_lanczos_validation():
