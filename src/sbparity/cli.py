@@ -3,7 +3,7 @@
 A subcommand is its ``COMMANDS`` entry (runner, help text, extra flags) and
 its ``run_*`` runner; ``main`` writes the report of every one and maps errors
 onto the ``EXIT_*`` codes.  The configuration is one JSON object checked
-against ``CONFIG_SCHEMA``, which gives every key its bound and default.
+against ``CONFIG_SCHEMA``, which gives every key its bounds and default.
 ``alpha-c`` and ``phase-diagram`` enumerate no basis: under "total-quanta"
 they sum the deficiency by a truncated convolution over the modes, and
 refuse with exit 1 a sum needing more than ``parity.MAX_CONVOLUTION_WORK``
@@ -24,6 +24,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -52,6 +53,12 @@ EXIT_INVARIANT = 2
 EXIT_SOLVER = 3
 EXIT_SEARCH = 4
 
+# Each error class main reports, as its error JSON on stdout, and the exit code
+# it ends the run with.  Any other exception propagates.
+EXIT_CODES = {ConfigError: EXIT_CONFIG, ParameterError: EXIT_CONFIG, CapacityError: EXIT_CONFIG,
+              InvariantViolation: EXIT_INVARIANT, SolverError: EXIT_SOLVER,
+              SearchError: EXIT_SEARCH}
+
 # Most points a phase-diagram sweep takes.  All are binned before the first
 # search, each ~2.2 KB at 30 modes, and each takes 1-1.5 ms of search there at
 # cap 20 (2-vCPU x86 host), so 1e5 points are ~0.2 GB and ~2 min.
@@ -62,12 +69,13 @@ MAX_SWEEP_STEPS = 100_000
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _check(name, value, kind, bound):
+def _check(name, value, kind, bounds):
     """``value`` of the field ``name`` as parsed, if it is of ``kind`` ("int",
-    "number", which is finite, or "number or inf") within ``bound``, (">=" or
-    ">", low).  A function ``kind`` checks a key of its own form."""
+    "number", which is finite, or "number or inf") and satisfies ``bounds``,
+    (op, limit) pairs tested in order, op one of ">=", ">", "<" and "<=".  A
+    function ``kind`` checks a key of its own form."""
     if callable(kind):
-        return kind(name, value, bound)
+        return kind(name, value, bounds)
     if isinstance(value, bool) or not isinstance(value, int if kind == "int" else (int, float)):
         expected = "an integer" if kind == "int" else "a number"
         raise ConfigError(f'field "{name}": expected {expected}, got {value!r}')
@@ -78,21 +86,17 @@ def _check(name, value, kind, bound):
             value = math.inf if value > 0 else -math.inf
         if not math.isfinite(value) and not (kind == "number or inf" and value == math.inf):
             raise ConfigError(f'field "{name}": must be finite, got {value!r}')
-    op, low = bound
-    if value < low or op == ">" and value == low:
-        key = name.split(".", 1)[1]
-        raise ConfigError(f'field "{name}": must satisfy {key} {op} {low}, got {value!r}')
+    for op, limit in bounds:
+        if not _OPS[op](value, limit):
+            key = name.split(".", 1)[1]
+            raise ConfigError(f'field "{name}": must satisfy {key} {op} {limit}, got {value!r}')
     return value
 
 
-def _epsilon(name, value, bound):
-    value = _check(name, value, "number", bound)
-    if value >= 1.0:
-        raise ConfigError(f'field "{name}": must satisfy epsilon < 1, got {value!r}')
-    return value
+_OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 
-def _modes(name, value, bound):
+def _modes(name, value, bounds):
     if value is None:
         return None
     if not isinstance(value, list) or not value:
@@ -101,71 +105,65 @@ def _modes(name, value, bound):
     for i, pair in enumerate(value):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f'field "{name}[{i}]": expected [omega, lam]')
-        pairs.append((_check(f"{name}[{i}].omega", pair[0], "number", (">", 0.0)),
-                      _check(f"{name}[{i}].lam", pair[1], "number", (">=", 0.0))))
+        pairs.append((_check(f"{name}[{i}].omega", pair[0], "number", ((">", 0.0),)),
+                      _check(f"{name}[{i}].lam", pair[1], "number", ((">=", 0.0),))))
     return tuple(pairs)
 
 
-def _m_ref(name, value, bound):
+def _m_ref(name, value, bounds):
     if isinstance(value, bool) or not isinstance(value, (int, list)):
         raise ConfigError(f'field "{name}": expected an integer or a list of integers')
     if isinstance(value, int):
-        return _check(name, value, "int", bound)
+        return _check(name, value, "int", bounds)
     for i, v in enumerate(value):
-        _check(f"{name}[{i}]", v, "int", bound)
+        _check(f"{name}[{i}]", v, "int", bounds)
     return value
 
 
-def _policy(name, value, bound):
+def _policy(name, value, bounds):
     if value not in (None, "per-mode", "total-quanta"):
         raise ConfigError(f'field "{name}": must be "per-mode" or "total-quanta", got {value!r}')
     return value
 
 
-def _sweep_steps(name, value, bound):
-    value = _check(name, value, "int", bound)
-    if value > MAX_SWEEP_STEPS:
-        raise ConfigError(
-            f'field "{name}": must satisfy steps <= {MAX_SWEEP_STEPS}, got {value!r}')
-    return value
-
-
-def _sweep_variable(name, value, bound):
+def _sweep_variable(name, value, bounds):
     if value != "s":
         raise ConfigError(f'field "{name}": only "s" sweeps are supported, got {value!r}')
     return value
 
 
-def _output_path(name, value, bound):
+def _output_path(name, value, bounds):
     if value is not None and (not isinstance(value, str) or not value):
         raise ConfigError(f'field "{name}": expected a non-empty string, got {value!r}')
     return value
 
 
-# Every configuration key, named once: section -> key -> (kind, bound,
+# Every configuration key, named once: section -> key -> (kind, bounds,
 # required, default), in the order of the RunConfig fields and the config
-# echo.  The model keys may also sit at the top level.  The optional sections
-# "sweep" and "output" are checked when given, then kept and echoed as given.
+# echo.  ``bounds`` holds every (op, limit) pair the key must satisfy, so a
+# key's lower and upper bounds are both here.  The model keys may also sit at
+# the top level.  The optional sections "sweep" and "output" are checked when
+# given, then kept and echoed as given.
 CONFIG_SCHEMA = {
-    "model": {"delta": ("number", (">=", 0.0), True, None),
-              "omega_c": ("number", (">", 0.0), True, None),
-              "s": ("number", (">", 0.0), True, None),
-              "alpha": ("number", (">=", 0.0), True, None),
-              "modes": (_modes, None, False, None)},
-    "disc": {"n_modes": ("int", (">=", 1), False, 30),
-             "lambda_disc": ("number or inf", (">", 1.0), False, 2.0)},
-    "trunc": {"policy": (_policy, None, False, None),
-              "cap": ("int", (">=", 0), False, 20)},
-    "solver": {"tol": ("number", (">", 0.0), False, 1e-10),
-               "max_iter": ("int", (">=", 1), False, DEFAULT_MAX_ITER),
-               "k_levels": ("int", (">=", 1), False, 1)},
-    "parity": {"epsilon": (_epsilon, (">", 0.0), False, 0.01),
-               "m_ref": (_m_ref, (">=", 0), False, 0)},
-    "sweep": {"variable": (_sweep_variable, None, True, None),
-              "from": ("number", (">", 0.0), True, None),
-              "to": ("number", (">", 0.0), True, None),
-              "steps": (_sweep_steps, (">=", 1), True, None)},
-    "output": {"path": (_output_path, None, False, None)},
+    "model": {"delta": ("number", ((">=", 0.0),), True, None),
+              "omega_c": ("number", ((">", 0.0),), True, None),
+              "s": ("number", ((">", 0.0),), True, None),
+              "alpha": ("number", ((">=", 0.0),), True, None),
+              "modes": (_modes, (), False, None)},
+    "disc": {"n_modes": ("int", ((">=", 1),), False, 30),
+             "lambda_disc": ("number or inf", ((">", 1.0),), False, 2.0)},
+    "trunc": {"policy": (_policy, (), False, None),
+              "cap": ("int", ((">=", 0),), False, 20)},
+    "solver": {"tol": ("number", ((">", 0.0),), False, 1e-10),
+               "max_iter": ("int", ((">=", 1),), False, DEFAULT_MAX_ITER),
+               "k_levels": ("int", ((">=", 1),), False, 1)},
+    "parity": {"epsilon": ("number", ((">", 0.0), ("<", 1)), False, 0.01),
+               "m_ref": (_m_ref, ((">=", 0),), False, 0)},
+    "sweep": {"variable": (_sweep_variable, (), True, None),
+              "from": ("number", ((">", 0.0),), True, None),
+              "to": ("number", ((">", 0.0),), True, None),
+              "steps": ("int", ((">=", 1), ("<=", MAX_SWEEP_STEPS)), True, None)},
+    "output": {"path": (_output_path, (), False, None)},
 }
 _OPTIONAL_SECTIONS = ("sweep", "output")
 
@@ -236,8 +234,8 @@ def parse_config(raw: dict) -> RunConfig:
             if required and key not in values:
                 when = " when sweep is given" if section == "sweep" else ""
                 raise ConfigError(f'field "{section}.{key}" is required{when}')
-        checked = {key: _check(f"{section}.{key}", values.get(key, default), kind, bound)
-                   for key, (kind, bound, _, default) in rows.items()}
+        checked = {key: _check(f"{section}.{key}", values.get(key, default), kind, bounds)
+                   for key, (kind, bounds, _, default) in rows.items()}
         if section == "sweep" and checked["to"] < checked["from"]:
             raise ConfigError('field "sweep.to": must satisfy to >= from')
         fields.update({section: values} if section in _OPTIONAL_SECTIONS else checked)
@@ -389,11 +387,6 @@ def _emit(text: str, out_path) -> None:
             raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _emit_error(exc: Exception) -> None:
-    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    sys.stdout.write(dumps(payload))
 
 
 def _csv_text(header, rows) -> str:
@@ -655,18 +648,9 @@ def main(argv=None) -> int:
             body = dumps({**body, "config": cfg.echo(), "versions": _versions()})
         _emit(body, args.out or (cfg.output or {}).get("path"))
         return code
-    except (ConfigError, ParameterError, CapacityError) as exc:
-        _emit_error(exc)
-        return EXIT_CONFIG
-    except InvariantViolation as exc:
-        _emit_error(exc)
-        return EXIT_INVARIANT
-    except SolverError as exc:
-        _emit_error(exc)
-        return EXIT_SOLVER
-    except SearchError as exc:
-        _emit_error(exc)
-        return EXIT_SEARCH
+    except tuple(EXIT_CODES) as exc:
+        sys.stdout.write(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -97,7 +97,8 @@ class BranchOperator:
     """One parity branch H0 + coupling * D.
 
     ``h0`` is the diagonal of H0 and ``coupling`` is -delta/2 for the even
-    branch, +delta/2 for the odd one.
+    branch, +delta/2 for the odd one.  ``norm_bound`` bounds its 2-norm and
+    is the one energy scale of the Lanczos checks and the verdict.
     """
 
     h0: np.ndarray
@@ -107,6 +108,12 @@ class BranchOperator:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.h0.shape[0], self.h0.shape[0])
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """max|H0| + |coupling|, at least the 2-norm of this branch, since the
+        2-norm of D, a compression of an involution, is at most 1."""
+        return float(np.max(np.abs(self.h0))) + abs(self.coupling)
 
     def __matmul__(self, x) -> np.ndarray:
         return self.apply(x)

@@ -21,6 +21,10 @@ ARPACK Lanczos on the operator itself, whose parity factor is applied one
 mode at a time, above the crossover.  A Lanczos solve is then checked for
 a level it passed over by a short preconditioned (Davidson) search on the
 operator with the returned levels deflated.
+
+The Lanczos checks and the verdict read one scale per branch,
+:attr:`BranchOperator.norm_bound` (max|H0| + delta/2 >= norm(H)).  The dense
+solve takes any symmetric array, so its residual bound reads the array's norm.
 """
 
 from __future__ import annotations
@@ -191,17 +195,18 @@ def _check_residual(resid: float, bound: float) -> None:
 
 def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> EigenResult:
     """Lanczos on H - sigma with sigma = min(h0) - delta/2 - 1, or with a
-    margin of 4 * eps * norm(H) in place of 1 where |min(h0)| is so large
-    that 1 rounds away.
+    margin of 4 * eps * ``h.norm_bound`` in place of 1 where |min(h0)| is so
+    large that 1 rounds away.
 
     norm(D) <= 1, because D is a compression of an involution, so every
     eigenvalue of the shifted operator is at least the margin; ARPACK is
-    asked for the smallest ones to machine precision (tol=0).  Afterwards
+    asked for the smallest ones to machine precision (tol=0), and its
+    residual must be at most tol * ``h.norm_bound``.  Afterwards
     :func:`_lowest_level` searches P (H - sigma) P + c V V^T, with
-    P = 1 - V V^T and c above the k-th shifted value, for a level the solve
-    passed over: a value more than 10 * tol * scale below the k-th level
-    raises, and so does a search that does not converge within ``max_iter``
-    restarts.
+    P = 1 - V V^T and c above the k-th shifted value, to the same residual
+    bound, for a level the solve passed over: a value more than
+    10 * tol * max(1, ``h.norm_bound``) below the k-th level raises, and so
+    does a search that does not converge within ``max_iter`` restarts.
     """
     # Imported here, as scipy.linalg is in the dense path: scipy.sparse.linalg
     # takes ~25 ms more to load.
@@ -212,9 +217,8 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
         raise ParameterError(
             f"k = {k} is too close to dim = {dim} for Lanczos; solve the assembled matrix"
         )
-    spread = abs(h.coupling)
+    spread, norm_bound = abs(h.coupling), h.norm_bound
     h0_min = float(np.min(h.h0))
-    norm_bound = float(np.max(np.abs(h.h0))) + spread  # >= norm(H), as norm(D) <= 1
     sigma = h0_min - spread - 1.0
     if not h0_min - sigma >= 1.0:  # the margin rounded away: diag would hold a zero
         sigma = h0_min - spread - 4.0 * _EPS * norm_bound
@@ -353,11 +357,6 @@ class TheoremReport:
     verdict: str
 
 
-def energy_scale(params: ModelParams) -> float:
-    """Reference scale for slack terms: spread of H0 plus the tunneling."""
-    return max(1.0, float(np.max(np.abs(params.h0))) + 0.5 * params.delta)
-
-
 def theorem_report(
     params: ModelParams, tol: float = 1e-10, max_iter: int = DEFAULT_MAX_ITER
 ) -> TheoremReport:
@@ -367,12 +366,16 @@ def theorem_report(
     e_min_eo - (delta/2) * exp(-2 * sum_q2), so every run must find
     margin >= (delta/2) * exp(-2 * sum_q2): the vacuum floor.
 
+    The scale is max(1, norm_bound) of the even branch.  Only a resolvable
+    gap, delta > 0 and |gap| > GAP_RESOLUTION_FACTOR * eps * scale, with a
+    positive margin is strictly-below.
+
     Raises
     ------
     InvariantViolation
         If a guaranteed inequality fails beyond 10 * tol * scale: the
         two-branch sum bound or the vacuum floor, or if the margin is not
-        positive at resolvable gap.  The offending report rides on the
+        positive at a resolvable gap.  The offending report rides on the
         exception as ``report``.
     """
     parity, res_plus, res_minus = solve_branches(params, 1, tol, max_iter)
@@ -391,14 +394,15 @@ def theorem_report(
         predicted_gap = (params.delta * degeneracy_condition_value(phi_plus, phi_minus, parity)
                          / overlap)
 
-    scale = energy_scale(params)
+    scale = max(1.0, params.branches[0].norm_bound)
     slack = 10.0 * tol * scale
     vacuum_floor = 0.5 * params.delta * math.exp(-2.0 * params.bath.sum_q2)
-    gap_floor = GAP_RESOLUTION_FACTOR * _EPS * scale
+    resolvable = (params.delta > 0.0 and predicted_gap is not None
+                  and abs(predicted_gap) > GAP_RESOLUTION_FACTOR * _EPS * scale)
 
     if params.delta == 0.0:
         verdict = VERDICT_DEGENERATE
-    elif predicted_gap is not None and abs(predicted_gap) > gap_floor and margin > 0.0:
+    elif resolvable and margin > 0.0:
         verdict = VERDICT_STRICT
     else:
         verdict = VERDICT_INDETERMINATE
@@ -421,12 +425,7 @@ def theorem_report(
             f"- slack = {vacuum_floor - slack:.17g}",
             report=report,
         )
-    if (
-        params.delta > 0.0
-        and predicted_gap is not None
-        and abs(predicted_gap) > gap_floor
-        and margin <= 0.0
-    ):
+    if resolvable and margin <= 0.0:
         raise InvariantViolation(
             f"margin {margin:.17g} not positive although the predicted gap "
             f"{predicted_gap:.17g} is resolvable",

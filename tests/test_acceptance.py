@@ -37,7 +37,7 @@ from sbparity import (
     theorem_report,
 )
 from sbparity import cli
-from sbparity.spectra import energy_scale, GAP_RESOLUTION_FACTOR, VERDICT_DEGENERATE
+from sbparity.spectra import GAP_RESOLUTION_FACTOR, VERDICT_DEGENERATE
 
 from conftest import bare_fock_ground_energy, gap_identity, index_of, kronecker_sum
 
@@ -78,7 +78,7 @@ def theorem_grid():
                         "n_modes": n_modes,
                         "params": params,
                         "report": report,
-                        "scale": energy_scale(params),
+                        "scale": max(1.0, params.branches[0].norm_bound),
                     }
                     if n_modes == 1:
                         record["gap"] = gap_identity(params, tol=GRID_TOL)

@@ -1328,6 +1328,21 @@ def test_invariant_violation_exits_2(tmp_path, capsys, monkeypatch):
     assert "invariant_violation" in out or out.get("error", {}).get("type") == "InvariantViolation"
 
 
+def test_an_error_outside_the_exit_table_propagates(tmp_path, capsys, monkeypatch):
+    # main reports only the classes of cli.EXIT_CODES; any other error, a
+    # ConvergenceError among them, is raised rather than mapped onto exit 1.
+    from sbparity.errors import ConvergenceError
+
+    def broken(cfg, args):
+        raise ConvergenceError("forced past the exit table")
+
+    monkeypatch.setitem(cli.COMMANDS, "theorem", (broken, *cli.COMMANDS["theorem"][1:]))
+    path = write_config(tmp_path, SINGLE_MODE_THEOREM)
+    with pytest.raises(ConvergenceError, match="forced past the exit table"):
+        cli.main(["theorem", "--config", path])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("config", [SINGLE_MODE_THEOREM, MATRIX_FREE_THEOREM],
                          ids=["dense", "lanczos"])
 def test_margin_below_the_vacuum_floor_exits_2(tmp_path, capsys, monkeypatch, config):

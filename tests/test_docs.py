@@ -59,6 +59,16 @@ def test_readme_config_block_names_the_schema_keys_and_defaults():
     cli.parse_config(block)  # the documented configuration is valid
 
 
+def test_readme_exit_codes_are_the_cli_table():
+    section = README.read_text().split("### Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d) \|.*\|(.*)\|$", section, re.M)
+    documented = {int(code): set(re.findall(r"`(\w+)`", errors)) for code, errors in rows}
+    table = {0: set()}
+    for cls, code in cli.EXIT_CODES.items():
+        table.setdefault(code, set()).add(cls.__name__)
+    assert documented == table
+
+
 def test_every_exported_name_resolves():
     # A deleted function must not linger in an export list.
     package = Path(sbparity.__file__).parent

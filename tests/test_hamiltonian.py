@@ -191,6 +191,29 @@ def test_model_params_own_one_read_only_h0_shared_by_both_branches():
     assert np.array_equal(np.sort(params.h0), degenerate_energy_set(params))
 
 
+def test_norm_bound_bounds_each_branch_and_is_the_verdict_scale(rng):
+    # The Lanczos residual bound, its shift margin, the completeness check and
+    # the verdict's slack all rest on norm(H, 2) <= norm_bound, true because
+    # D is a compression of an involution.  Trials cycle through delta 0
+    # (every 5th), a decoupled mode (every 3rd) and the two policies.
+    eps = np.finfo(float).eps
+    for trial in range(30):
+        n_modes = int(rng.integers(1, 4))
+        modes = sorted(((float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.0, 3.0)))
+                        for _ in range(n_modes)), reverse=True)
+        if trial % 3 == 0:
+            modes[-1] = (modes[-1][0], 0.0)
+        delta = 0.0 if trial % 5 == 0 else float(rng.uniform(0.0, 2.0))
+        policy = ("per-mode", "total-quanta")[trial % 2]
+        basis = enumerate_basis(n_modes, int(rng.integers(1, 7)), policy)
+        params = ModelParams(delta, bath_from_modes(modes), basis)
+        # The verdict's scale before it read the branch, bit for bit.
+        scale = max(1.0, float(np.max(np.abs(params.h0))) + 0.5 * delta)
+        for branch in params.branches:
+            assert np.linalg.norm(branch.dense(), 2) <= branch.norm_bound * (1 + 8 * eps)
+            assert max(1.0, branch.norm_bound) == scale
+
+
 def test_model_params_mode_count_mismatch():
     bath = single_mode_bath()
     basis = enumerate_basis(2, 1, "per-mode")
