@@ -174,7 +174,7 @@ class LadderStack:
     many of them are rescaled to their own alphas in one array pass."""
 
     def __init__(self, ladders):
-        self.omegas = np.array([ladder.omegas for ladder in ladders])
+        self.two_omegas = 2.0 * np.array([ladder.omegas for ladder in ladders])
         self.hi_pows = np.array([ladder.hi_pows for ladder in ladders])
         self.wc_pow = np.array([ladder.wc_pow for ladder in ladders])
         self.w_shape = np.array([ladder.w_shape for ladder in ladders])
@@ -189,7 +189,7 @@ class LadderStack:
         with np.errstate(over="ignore", invalid="ignore"):  # reported per row below
             scale = 2.0 * np.asarray(alphas) * self.wc_pow[rows]
             lams = np.sqrt(scale[:, None] * self.hi_pows[rows] * self.w_shape[rows, None])
-            qs = lams / (2.0 * self.omegas[rows])
+            qs = lams / self.two_omegas[rows]
             q2 = (qs * qs).tolist()
         sums, errors = [None] * len(q2), {}
         for i, (row, finite) in enumerate(zip(q2, np.isfinite(lams).all(axis=1).tolist())):

@@ -96,10 +96,13 @@ _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.936503404577
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
-    """math.log of every entry, as an array of the same shape.  np.log may
-    take a SIMD route that rounds differently, and the sweep bytes rest on
-    the scalar logs."""
-    return np.array(list(map(math.log, values.ravel().tolist()))).reshape(values.shape)
+    """math.log of every entry, as a float array of the same shape, in any
+    layout.  np.log may take a SIMD route that rounds differently, and the
+    sweep bytes rest on the scalar logs.  np.fromiter fills the array
+    straight from the logs, with no list of them in between; a search
+    round takes two such passes over its (points, modes) entries."""
+    return np.fromiter(map(math.log, values.ravel().tolist()), float, values.size).reshape(
+        values.shape)
 
 
 def log_factorials(n_max: int) -> np.ndarray:

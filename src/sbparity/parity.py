@@ -22,7 +22,7 @@ rows.  The search takes each bath as one
 :class:`~sbparity.bath.BathLadder`, binned once.  A phase diagram searches
 all its points in lockstep (:func:`critical_alphas`): every point keeps its
 own bisection, and each round rescales the ladders of the points still
-searching and sums their rows as one (points, modes, n_tr + 1) array, so
+searching and sums their rows as one (n_tr + 1, points, modes) array, so
 the per-call cost of numpy is paid once per round instead of once per
 point.  What the points share (the reference occupation, the cap, the
 policy and the log n! table) is checked and built once per search, in one
@@ -78,7 +78,7 @@ MAX_CONVOLUTION_WORK = 50_000_000
 MAX_BRACKET_ALPHA = 1e4
 # Deficiency tolerance of the search, tightened to 1e-6 * epsilon below it.
 DEFICIENCY_TOL = 1e-10
-# Entries of the (points, modes, n_tr + 1) row array that one chunk of a
+# Entries of the (n_tr + 1, points, modes) row array that one chunk of a
 # lockstep search holds, 160 kB per array.  At 30 modes, cap 20 (31 points a
 # chunk) a 256-point sweep took 1.18 ms a point; 8 and 16 points a chunk took
 # 1.44 and 1.25 ms, 64 to 256 points 1.34-1.40 ms (2-vCPU x86 host).
@@ -144,12 +144,18 @@ class _LogO:
     normalized as ``m``), the policy name and the convolution guard.
 
     Every mode's row of log L(m_k, n; q_k)**2, n = 0..n_tr, is built in one
-    (baths, modes, n_tr + 1) array and split into its maximum and
+    (n_tr + 1, baths, modes) array and split into its maximum and
     exp(row - maximum).  A vacuum row (m_k = 0) is the partial exponential
     series L(0, n)**2 = mu**n / n!, mu = 4 q_k**2, and is 0 at n = 0 and
     -inf beyond when mu is 0; those rows, all but a few in a sweep, come
-    from that one formula.  The excited rows are then written from
-    :func:`_log_l2_row`, one recurrence per distinct occupation.
+    from that one formula.  The excited rows are then written over theirs
+    from :func:`_log_l2_row`, one recurrence per distinct occupation.  With
+    n leading, the maximum over n, the shift and the exp are elementwise
+    passes over contiguous (baths, modes) slabs; a reduction over a short
+    last axis costs as much as the whole exp.  The row sums and the
+    convolution read one contiguous (baths, modes, n_tr + 1) copy of the
+    weights instead, because numpy sums a contiguous row pairwise and the
+    sweep bytes rest on that order.
 
     Under a per-mode cap O is the product of the row sums, so its log is
     the exactly rounded sum (math.fsum) of their logs.  Under a total-quanta
@@ -170,7 +176,6 @@ class _LogO:
         n = np.arange(n_tr + 1, dtype=float)
         self.n, self.log_fact = n, log_factorials(n_tr)
         self.decoupled = np.where(n == 0.0, 0.0, -math.inf)
-        self.vacuum = np.array([mk == 0 for mk in m])
         self.excited = {}  # occupation -> the modes that hold it
         for k, mk in enumerate(m):
             if mk:
@@ -186,25 +191,24 @@ class _LogO:
             some_decoupled = decoupled.any()
             if some_decoupled:
                 mus[decoupled] = 1.0  # no log 0; these rows are set below
-            rows = self.n * _logs(mus)[:, :, None]
-        rows -= self.log_fact
+            rows = self.n[:, None, None] * _logs(mus)
+        rows -= self.log_fact[:, None, None]
         if some_decoupled:
-            rows[decoupled & self.vacuum] = self.decoupled
+            rows[:, decoupled] = self.decoupled[:, None]  # excited ones are overwritten
         for mk, modes in self.excited.items():
-            rows[:, modes] = _log_l2_row(mk, qs[:, modes].ravel(), self.n_tr).reshape(
-                len(qs), len(modes), -1)
-        shifts = rows.max(axis=2)
+            rows[:, :, modes] = _log_l2_row(mk, qs[:, modes].ravel(), self.n_tr).T.reshape(
+                -1, len(qs), len(modes))
+        shifts = rows.max(axis=0)
         with np.errstate(invalid="ignore"):  # rows of a bath whose O is 0
-            rows -= shifts[:, :, None]
-        weights = np.exp(rows, out=rows)
-        tops = shifts.tolist()
+            rows -= shifts
+        weights = np.exp(rows, out=rows).transpose(1, 2, 0).copy()
+        # A row that is -inf throughout makes O = 0.
+        zero = (shifts == -math.inf).any(axis=1).tolist()
         if self.policy == "per-mode":
             terms = (shifts + _logs(weights.sum(axis=2))).tolist()
-            # A row that is -inf throughout makes O = 0.
-            return [-math.inf if -math.inf in logs else math.fsum(t)
-                    for logs, t in zip(tops, terms)]
-        return [-math.inf if -math.inf in logs else self._convolved(logs, w)
-                for logs, w in zip(tops, weights)]
+            return [-math.inf if z else math.fsum(t) for z, t in zip(zero, terms)]
+        return [-math.inf if z else self._convolved(logs, w)
+                for z, logs, w in zip(zero, shifts.tolist(), weights)]
 
     def _convolved(self, logs: list[float], weights: np.ndarray) -> float:
         acc = weights[0]  # its maximum is exp(0) = 1
@@ -353,7 +357,7 @@ def critical_alphas(
     Every point runs the search of :func:`critical_alpha` step for step and
     gets the same result as alone; only the evaluations are shared.  Each
     round rescales the ladders of every point still searching to their own
-    alphas and sums their deficiencies in one (points, modes, n_tr + 1)
+    alphas and sums their deficiencies in one (n_tr + 1, points, modes)
     array.  ``ladders`` is a sequence of ladders with one mode count (a
     ladder whose count differs from the first one's fails with a
     ParameterError naming its index); it is searched in slices of
@@ -475,7 +479,7 @@ def _search_chunk(ladders, first: int, log_o: _LogO, epsilon: float) -> list:
             outcomes[live[rows[i]]] = exc
             del pending[rows[i]]
         kept = [i for i in range(len(rows)) if i not in errors]
-        for i, log_o_r in zip(kept, log_o(qs[kept])):
+        for i, log_o_r in zip(kept, log_o(qs[kept] if errors else qs)):
             r, sum_q2 = rows[i], sums[i]
             try:
                 if math.isnan(log_o_r):  # only where 4 * q_k**2 is inf

@@ -28,6 +28,7 @@ from sbparity import (
 from sbparity.fockspace import (
     FACTORIAL_GUARD,
     KroneckerParity,
+    _logs,
     _recurrence_factors,
     l_matrix,
     l_scaled_rational,
@@ -286,6 +287,21 @@ def test_kernel_tables_past_the_double_range_are_quiet(q):
     d = single_mode_d_table(q, 4)
     assert d[0, 0] == 0.0
     assert np.isnan(d[1:, 1:]).all() == (q > 6.7e153)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (16, 30), (2, 3, 4), "transposed"])
+def test_logs_is_math_log_entry_for_entry(shape):
+    # The sweep bytes rest on the scalar logs, whatever the input's shape
+    # or strides.
+    values = [1.0, 5e-324, 1e308, math.inf]
+    if shape == "transposed":
+        x = np.resize(values, (30, 16)).T
+        assert not x.flags.c_contiguous
+    else:
+        x = np.resize(values, shape)
+    got = _logs(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert got.ravel().tolist() == [math.log(v) for v in x.ravel().tolist()]
 
 
 def test_log_factorials_round_as_gammaln_bit_for_bit():

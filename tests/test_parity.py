@@ -9,6 +9,7 @@ import re
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +309,30 @@ def test_stacked_log_o_is_bit_identical_per_bath(seed):
         got = parity._LogO(m, n_modes, cap, policy)(np.array([bath.qs for bath in baths]))
         reference = per_row_log_o if policy == "per-mode" else per_row_convolved_log_o
         assert got == [reference(m, bath, cap) for bath in baths]
+
+
+@pytest.mark.parametrize("policy", ["per-mode", "total-quanta"])
+def test_mixed_stack_log_o_keeps_each_bath_bits(policy):
+    # One call over ordinary baths and four special ones: a decoupled vacuum
+    # mode, a decoupled excited last mode, O = 0 (q = 0 under the reference
+    # 25 the cap of 20 leaves out) and a 4 q**2 that overflows (NaN).  The
+    # mask, the (n, baths, modes) layout and the -inf test meet all four;
+    # the -inf and the NaN must stay on their own rows.
+    rng = np.random.default_rng(7)
+    m, cap = (0, 25, 0, 0, 0, 2), 20
+    qs = rng.uniform(0.1, 3.0, (16, 6))
+    special = {3: (0, 0.0), 6: (5, 0.0), 9: (1, 0.0), 12: (2, 1e155)}  # bath: (mode, q)
+    for i, (k, q) in special.items():
+        qs[i, k] = q
+    got = parity._LogO(m, 6, cap, policy)(qs)
+    reference = per_row_log_o if policy == "per-mode" else per_row_convolved_log_o
+    for i, row in enumerate(qs.tolist()):
+        if i == 12:
+            assert math.isnan(got[i])
+        else:
+            assert got[i] == reference(m, SimpleNamespace(qs=row), cap), i
+    assert [i for i, v in enumerate(got) if v == -math.inf] == [9]
+    assert [i for i, v in enumerate(got) if math.isnan(v)] == [12]
 
 
 @pytest.mark.parametrize("cap, m_last", [(127, 3), (128, 3), (129, 3), (170, 3), (1000, 0)])
