@@ -133,10 +133,9 @@ class BathLadder:
     2*alpha * ``wc_pow`` * ``hi_pows[k]`` * ``w_shape``, with
     wc_pow = omega_c**(1-s) and hi_pows[k] = hi_k**(s+1).  Only the factor
     alpha depends on the dissipation strength, so a ladder is the bath input
-    of :func:`sbparity.parity.critical_alpha`, which checks it with
-    :meth:`at` at alpha = 1 and whose bisection steps rescale it through a
-    :class:`LadderStack`.  Build it with :func:`bath_ladder`; ``wc_pow``
-    and ``hi_pows`` carry omega_c.
+    of :func:`sbparity.parity.critical_alpha`, whose bisection steps, from
+    alpha = 1 on, rescale it through a :class:`LadderStack`.  Build it with
+    :func:`bath_ladder`; ``wc_pow`` and ``hi_pows`` carry omega_c.
     """
 
     s: float

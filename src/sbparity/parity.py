@@ -26,8 +26,8 @@ searching and sums their rows as one (n_tr + 1, points, modes) array, so
 the per-call cost of numpy is paid once per round instead of once per
 point.  What the points share (the reference occupation, the cap, the
 policy and the log n! table) is checked and built once per search, in one
-:class:`_LogO`; each point checks only its own ladder.
-:func:`critical_alpha` is the one-point case.
+:class:`_LogO`; a point's own ladder is checked by its first round, at
+alpha = 1.  :func:`critical_alpha` is the one-point case.
 """
 
 from __future__ import annotations
@@ -141,7 +141,9 @@ class _LogO:
     of ``n_modes`` modes, with the constants of the rows (log n!, the
     excited modes) built once.  The constructor owns the checks on its
     inputs, in this order: the cap, ``m_ref`` (None for the vacuum; kept
-    normalized as ``m``), the policy name and the convolution guard.
+    normalized as ``m``), the policy name and the convolution guard.  A
+    search builds one, which is its one check of the inputs its points
+    share.
 
     Every mode's row of log L(m_k, n; q_k)**2, n = 0..n_tr, is built in one
     (n_tr + 1, baths, modes) array and split into its maximum and
@@ -325,11 +327,14 @@ def critical_alpha(
     Raises
     ------
     ParameterError
-        If ``m_ref`` is not a sequence of one integer per mode, lies outside
-        the truncated basis (some m_k > n_tr under the per-mode policy, or
-        sum(m) > n_tr under total-quanta), or is excited while n_tr exceeds
-        the factorial guard of 170; or if the ladder's couplings or sum_q2,
-        or 4 * q_k**2 of a mode, overflow at an alpha the search tries.
+        Before the search, in this order: if epsilon lies outside (0, 1),
+        n_tr outside [0, MAX_SERIES_CAP], ``m_ref`` is not a sequence of one
+        integer per mode or the policy is unknown; then (after the
+        CapacityError) if ``m_ref`` lies outside the truncated basis (some
+        m_k > n_tr under the per-mode policy, or sum(m) > n_tr under
+        total-quanta) or is excited while n_tr exceeds the factorial guard
+        of 170.  In the search, if the ladder's couplings or sum_q2, or
+        4 * q_k**2 of a mode, overflow at an alpha it tries, alpha = 1 first.
     CapacityError
         If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
         multiply-adds.
@@ -358,18 +363,18 @@ def critical_alphas(
     gets the same result as alone; only the evaluations are shared.  Each
     round rescales the ladders of every point still searching to their own
     alphas and sums their deficiencies in one (n_tr + 1, points, modes)
-    array.  ``ladders`` is a sequence of ladders with one mode count (a
-    ladder whose count differs from the first one's fails with a
-    ParameterError naming its index); it is searched in slices of
-    SEARCH_CHUNK_ENTRIES row entries, so the working arrays do not grow
-    with the number of points.  What the points share is checked once,
-    before the first slice: the first ladder at alpha = 1, so that its own
-    error comes first, then ``m_ref``, the policy name, the fit of ``m_ref``
-    under the cap and the factorial guard, and one :class:`_LogO` for the
-    whole search.
+    array.  ``ladders`` is a sequence of ladders with one mode count; it is
+    searched in slices of SEARCH_CHUNK_ENTRIES row entries, so the working
+    arrays do not grow with the number of points.  Each input is checked
+    once, before the first slice, and a ladder's own check is its first
+    round, at alpha = 1.
 
     Raises
     ------
+    ParameterError, CapacityError
+        Those :func:`critical_alpha` raises before its search, in its order,
+        then a ParameterError naming the first ladder whose mode count
+        differs from the first one's.
     SpinBosonError
         Any error other than SearchError, for the first ladder whose search
         raises it, as a loop of :func:`critical_alpha` calls would.
@@ -378,12 +383,9 @@ def critical_alphas(
         return []
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    n_tr = _check_cap(n_tr)
-    n_modes = len(ladders[0].omegas)
-    size = max(1, SEARCH_CHUNK_ENTRIES // (n_modes * (n_tr + 1)))
-    # What every point shares, once; at() checks the first ladder before it.
-    m = _normalize_m(m_ref, ladders[0].at(1.0).n_modes)
-    quanta = max(m) if check_policy(policy) == "per-mode" else sum(m)
+    log_o = _LogO(m_ref, len(ladders[0].omegas), n_tr, policy)
+    n_tr, m = log_o.n_tr, log_o.m
+    quanta = max(m) if policy == "per-mode" else sum(m)
     if quanta > n_tr:
         # At alpha -> 0 the deficiency of such a state tends to 1, so the
         # search would only stall; say what is wrong instead.
@@ -398,10 +400,16 @@ def critical_alphas(
             f"for the excited parity.m_ref {list(m)}; only the vacuum reference "
             f"takes a larger cap"
         )
-    log_o = _LogO(m, len(m), n_tr, policy)
+    for i, ladder in enumerate(ladders):
+        if len(ladder.omegas) != len(m):
+            raise ParameterError(
+                f"ladder {i} has {len(ladder.omegas)} modes, the first one {len(m)}; "
+                f"the ladders of one search share their mode count"
+            )
+    size = max(1, SEARCH_CHUNK_ENTRIES // (len(m) * (n_tr + 1)))
     out = []
     for first in range(0, len(ladders), size):
-        outcomes = _search_chunk(ladders[first:first + size], first, log_o, epsilon)
+        outcomes = _search_chunk(ladders[first:first + size], log_o, epsilon)
         for outcome in outcomes:
             if isinstance(outcome, SpinBosonError) and not isinstance(outcome, SearchError):
                 raise outcome
@@ -446,39 +454,25 @@ def _bisection(epsilon: float, tol: float):
     return root, at_root
 
 
-def _search_chunk(ladders, first: int, log_o: _LogO, epsilon: float) -> list:
+def _search_chunk(ladders, log_o: _LogO, epsilon: float) -> list:
     """The searches of ``ladders`` in lockstep with the search's one
     ``log_o``: per ladder its CriticalPoint or the SpinBosonError its search
-    raised.  ``first`` is the index of the chunk's first ladder in the whole
-    search.  Only the ladder's own checks run here, at alpha = 1 and then
-    its mode count against the reference's."""
+    raised.  A ladder's own checks are its first round, at alpha = 1."""
     tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
-    n_modes = len(log_o.m)
     outcomes = [None] * len(ladders)
-    live = []
-    for i, ladder in enumerate(ladders):
-        try:
-            count = ladder.at(1.0).n_modes
-            if count != n_modes:
-                raise ParameterError(
-                    f"ladder {first + i} has {count} modes, the first one {n_modes}; "
-                    f"the ladders of one search share their mode count"
-                )
-        except SpinBosonError as exc:
-            outcomes[i] = exc
-            continue
-        live.append(i)
-    stack = LadderStack([ladders[i] for i in live])
-    searches = [_bisection(epsilon, tol) for _ in live]
+    stack = LadderStack(ladders)
+    searches = [_bisection(epsilon, tol) for _ in ladders]
     pending = {r: next(search) for r, search in enumerate(searches)}  # row -> alpha
     roots = {}
     while pending:
         rows, alphas = list(pending), list(pending.values())
         _, qs, sums, errors = stack.at(rows, alphas)
         for i, exc in errors.items():
-            outcomes[live[rows[i]]] = exc
+            outcomes[rows[i]] = exc
             del pending[rows[i]]
         kept = [i for i in range(len(rows)) if i not in errors]
+        if not kept:
+            continue  # _LogO takes no empty stack
         for i, log_o_r in zip(kept, log_o(qs[kept] if errors else qs)):
             r, sum_q2 = rows[i], sums[i]
             try:
@@ -490,17 +484,17 @@ def _search_chunk(ladders, first: int, log_o: _LogO, epsilon: float) -> list:
                 roots[r] = stop.value
                 del pending[r]
             except SpinBosonError as exc:
-                outcomes[live[r]] = exc
+                outcomes[r] = exc
                 del pending[r]
     for r, (root, (log_o_r, sum_q2)) in roots.items():
-        ladder = ladders[live[r]]
+        ladder = ladders[r]
         beta = _beta(sum_q2, root)
-        outcomes[live[r]] = CriticalPoint(
+        outcomes[r] = CriticalPoint(
             s=ladder.s,
             alpha_c=root,
             epsilon=epsilon,
             n_tr=log_o.n_tr,
-            n_modes=n_modes,
+            n_modes=len(log_o.m),
             lambda_disc=ladder.lambda_disc,
             beta=beta,
             m_ref=log_o.m,

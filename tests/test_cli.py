@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
-from sbparity import bath_ladder, cli, critical_alpha, spectra
+from sbparity import BathLadder, bath_ladder, cli, critical_alpha, spectra
 from sbparity.errors import ConfigError, ParameterError, SearchError
 from sbparity.fockspace import MAX_BASIS_STATES
 
@@ -1162,6 +1162,47 @@ def test_sweep_reports_the_earliest_points_error(tmp_path, capsys, omega_c, cap,
     assert json.loads(capsys.readouterr().out)["error"] == {
         "type": "ParameterError", "message": str(expected)}
     assert not out.exists()
+
+
+def test_a_sweep_builds_a_bath_only_for_a_nan_rows_beta(tmp_path, capsys, monkeypatch):
+    # One mode at cap 14000 and epsilon 0.5: no bracket below alpha = 1e4
+    # from s ~ 0.7 on.  The search rescales its ladders in arrays; only the
+    # beta column of a NaN row asks a ladder for its bath, at alpha = 1.
+    calls = []
+    at = BathLadder.at
+    monkeypatch.setattr(BathLadder, "at", lambda self, alpha: calls.append(alpha) or at(self, alpha))
+    config = {
+        "model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.1},
+        "disc": {"n_modes": 1, "lambda_disc": 2.0},
+        "trunc": {"cap": 14000},
+        "parity": {"epsilon": 0.5},
+        "sweep": {"variable": "s", "from": 0.1, "to": 1.2, "steps": 12},
+    }
+    assert cli.main(["phase-diagram", "--config", write_config(tmp_path, config)]) == 4
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    nan_rows = sum(row["alpha_c"] == "NaN" for row in rows)
+    assert 0 < nan_rows < len(rows)
+    assert calls == [1.0] * nan_rows
+
+
+@pytest.mark.parametrize("config, message", [
+    # The reference does not fit under the cap, and the coupling overflows at
+    # alpha = 1: the reference, which every point shares, is reported.  Once
+    # "mode coupling must be >= 0, got inf".
+    ({"model": {"delta": 0.1, "omega_c": 1e200, "s": 0.5, "alpha": 0.1},
+      "disc": {"n_modes": 1}, "trunc": {"cap": 20}, "parity": {"m_ref": 25}},
+     "reference occupation [25] lies outside the per-mode basis of cap 20"),
+    # An excited reference whose one coupling overflows while the bracket
+    # doubles (alpha = 2).  Once a ValueError traceback.
+    ({"model": {"delta": 0.1, "omega_c": 8e153, "s": 1.0, "alpha": 0.1},
+      "disc": {"n_modes": 1}, "trunc": {"cap": 150}, "parity": {"m_ref": 1}},
+     "mode coupling must be >= 0, got inf"),
+])
+def test_alpha_c_reports_a_bad_search_input_by_name(tmp_path, capsys, config, message):
+    assert cli.main(["alpha-c", "--config", write_config(tmp_path, config)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParameterError"
+    assert error["message"].startswith(message)
 
 
 @pytest.mark.parametrize("cap", [20, 200])

@@ -929,9 +929,12 @@ def test_lockstep_search_takes_a_decoupled_mode(m_ref):
 # on: its search doubles past 16 at cap 450 and stops at 32.
 LATE_OVERFLOW = BathLadder(s=1.0, lambda_disc=2.0, omegas=(math.sqrt(1.5e306),),
                            hi_pows=(1.0,), wc_pow=3e306, w_shape=1.0)
-# A coupling that is NaN at every alpha, so the search fails before its first step.
+# A coupling that is NaN at every alpha, so the search fails in its first round.
 NAN_COUPLING = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0,),
                           hi_pows=(math.nan,), wc_pow=1.0, w_shape=1.0)
+# The same with a second, sound mode.
+NAN_PAIR = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0, 0.5),
+                      hi_pows=(math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
 
 
 @pytest.mark.parametrize("order, message", [
@@ -951,8 +954,12 @@ def test_lockstep_search_raises_the_earliest_points_error(order, message):
 
 
 def test_lockstep_search_refuses_ladders_of_different_mode_counts():
+    three = bath_ladder(0.5, 1.0, 3, 2.0)
     with pytest.raises(ParameterError, match="share their mode count"):
-        critical_alphas([bath_ladder(0.5, 1.0, 2, 2.0), bath_ladder(0.5, 1.0, 3, 2.0)], 10)
+        critical_alphas([bath_ladder(0.5, 1.0, 2, 2.0), three], 10)
+    # Before any search, so also before the first ladder's own error.
+    with pytest.raises(ParameterError, match="share their mode count"):
+        critical_alphas([NAN_PAIR, three], 10)
 
 
 def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
@@ -963,35 +970,37 @@ def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
     chunks = []
     search_chunk = parity._search_chunk
 
-    def recorded(ladders, first, *args):
-        chunks.append((first, len(ladders)))
-        return search_chunk(ladders, first, *args)
+    def recorded(chunk, *args):
+        chunks.append((ladders.index(chunk[0]), len(chunk)))
+        return search_chunk(chunk, *args)
 
     monkeypatch.setattr(parity, "_search_chunk", recorded)
     ladders = [bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0) for i in range(10)]
     assert len(critical_alphas(ladders, 10, 0.01)) == 10
     assert chunks == [(0, 3), (3, 3), (6, 3), (9, 1)]
     chunks.clear()
-    ladders[4] = NAN_COUPLING
+    ladders[4] = NAN_PAIR
     with pytest.raises(ParameterError, match="got nan"):
         critical_alphas(ladders, 10, 0.01)
     assert chunks == [(0, 3), (3, 3)]
 
 
-def test_a_chunk_without_a_live_ladder_returns_its_errors():
-    # Every ladder fails before the lockstep: the empty stack runs no round.
-    log_o = parity._LogO(None, 1, 10, "per-mode")
-    ladders = [NAN_COUPLING, bath_ladder(0.5, 1.0, 2, 2.0)]
-    outcomes = parity._search_chunk(ladders, 3, log_o, 0.01)
+def test_a_chunk_whose_every_ladder_fails_its_first_round_returns_their_errors():
+    # No row is left for log O, which an excited row's recurrence cannot
+    # take empty.
+    log_o = parity._LogO((1,), 1, 10, "per-mode")
+    inf_coupling = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0,),
+                              hi_pows=(math.inf,), wc_pow=1.0, w_shape=1.0)
+    outcomes = parity._search_chunk([NAN_COUPLING, inf_coupling], log_o, 0.01)
     assert [type(outcome) for outcome in outcomes] == [ParameterError, ParameterError]
     assert "got nan" in str(outcomes[0])
-    assert str(outcomes[1]).startswith("ladder 4 has 2 modes, the first one 1")
+    assert "got inf" in str(outcomes[1])
 
 
 def test_lockstep_search_checks_the_convolution_guard_once_per_search(monkeypatch):
     # Its work depends on the mode count and the cap alone, which every
-    # ladder of a search shares, so the four chunks check it once; a
-    # ladder's own error still comes first.
+    # ladder of a search shares, so the four chunks check it once, before
+    # any ladder's own check.
     monkeypatch.setattr(parity, "SEARCH_CHUNK_ENTRIES", 3 * 2 * 11)
     calls = []
     check = parity._check_policy
@@ -999,13 +1008,36 @@ def test_lockstep_search_checks_the_convolution_guard_once_per_search(monkeypatc
     ladders = [bath_ladder(0.5 + 0.05 * i, 1.0, 2, 2.0) for i in range(10)]
     assert len(critical_alphas(ladders, 10, 0.01, policy="total-quanta")) == 10
     assert calls == [("total-quanta", 2, 10)]
-    nan_coupling = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0, 0.5),
-                              hi_pows=(math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
     cap = 8000  # (2 - 1) * 8001**2 multiply-adds, above the guard
-    with pytest.raises(ParameterError, match="got nan"):
-        critical_alphas([nan_coupling] + ladders, cap, 0.01, policy="total-quanta")
     with pytest.raises(CapacityError, match="above the guard"):
-        critical_alphas(ladders + [nan_coupling], cap, 0.01, policy="total-quanta")
+        critical_alphas([NAN_PAIR] + ladders, cap, 0.01, policy="total-quanta")
+    with pytest.raises(CapacityError, match="above the guard"):
+        critical_alphas(ladders + [NAN_PAIR], cap, 0.01, policy="total-quanta")
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+@pytest.mark.parametrize("cap, m_ref, policy, error, message", [
+    (20, (25, 0), "per-mode", ParameterError, "lies outside the per-mode basis"),
+    (parity.MAX_SERIES_CAP + 1, None, "per-mode", ParameterError, "series guard"),
+    (8000, None, "total-quanta", CapacityError, "above the guard"),
+])
+def test_a_shared_fault_outranks_every_ladders_own(failing, cap, m_ref, policy, error,
+                                                   message):
+    # Whichever ladder fails at alpha = 1, the inputs all points share are
+    # checked first; once ladder 0's own error came before them.
+    ladders = [bath_ladder(0.5, 1.0, 2, 2.0), bath_ladder(0.6, 1.0, 2, 2.0)]
+    ladders[failing] = NAN_PAIR
+    with pytest.raises(error, match=message):
+        critical_alphas(ladders, cap, 0.01, m_ref, policy)
+
+
+def test_the_search_builds_no_bath_per_point(monkeypatch):
+    calls = []
+    at = BathLadder.at
+    monkeypatch.setattr(BathLadder, "at", lambda self, alpha: calls.append(alpha) or at(self, alpha))
+    ladders = [bath_ladder(s, 1.0, 30, 2.0) for s in np.linspace(0.3, 1.0, 16)]
+    assert len(critical_alphas(ladders, 20)) == 16
+    assert calls == []
 
 
 def test_lockstep_search_sets_up_once_per_search(monkeypatch):
