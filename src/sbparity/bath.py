@@ -173,7 +173,9 @@ class LadderStack:
     many of them are rescaled to their own alphas in one array pass."""
 
     def __init__(self, ladders):
-        self.two_omegas = 2.0 * np.array([ladder.omegas for ladder in ladders])
+        # 2*omega past the double range is inf: q is then 0, or ``at`` refuses the row.
+        with np.errstate(over="ignore"):
+            self.two_omegas = 2.0 * np.array([ladder.omegas for ladder in ladders])
         self.hi_pows = np.array([ladder.hi_pows for ladder in ladders])
         self.wc_pow = np.array([ladder.wc_pow for ladder in ladders])
         self.w_shape = np.array([ladder.w_shape for ladder in ladders])

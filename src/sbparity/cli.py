@@ -4,6 +4,9 @@ A subcommand is its ``COMMANDS`` entry (runner, help text, extra flags) and
 its ``run_*`` runner; ``main`` writes the report of every one and maps errors
 onto the ``EXIT_*`` codes.  The configuration is one JSON object checked
 against ``CONFIG_SCHEMA``, which gives every key its bounds and default.
+Each input has one home, so none can be given twice: every parameter is a
+configuration key, the output path is ``--out`` and the other flags name
+extra files to read or write.
 ``alpha-c`` and ``phase-diagram`` enumerate no basis: under "total-quanta"
 they sum the deficiency by a truncated convolution over the modes, and
 refuse with exit 1 a sum needing more than ``parity.MAX_CONVOLUTION_WORK``
@@ -132,18 +135,11 @@ def _sweep_variable(name, value, bounds):
     return value
 
 
-def _output_path(name, value, bounds):
-    if value is not None and (not isinstance(value, str) or not value):
-        raise ConfigError(f'field "{name}": expected a non-empty string, got {value!r}')
-    return value
-
-
 # Every configuration key, named once: section -> key -> (kind, bounds,
 # required, default), in the order of the RunConfig fields and the config
 # echo.  ``bounds`` holds every (op, limit) pair the key must satisfy, so a
-# key's lower and upper bounds are both here.  The model keys may also sit at
-# the top level.  The optional sections "sweep" and "output" are checked when
-# given, then kept and echoed as given.
+# key's lower and upper bounds are both here.  The optional section "sweep" is
+# checked when given, then kept and echoed as given.
 CONFIG_SCHEMA = {
     "model": {"delta": ("number", ((">=", 0.0),), True, None),
               "omega_c": ("number", ((">", 0.0),), True, None),
@@ -163,9 +159,8 @@ CONFIG_SCHEMA = {
               "from": ("number", ((">", 0.0),), True, None),
               "to": ("number", ((">", 0.0),), True, None),
               "steps": ("int", ((">=", 1), ("<=", MAX_SWEEP_STEPS)), True, None)},
-    "output": {"path": (_output_path, (), False, None)},
 }
-_OPTIONAL_SECTIONS = ("sweep", "output")
+_OPTIONAL_SECTIONS = ("sweep",)
 
 
 def _echo(cfg) -> dict:
@@ -207,19 +202,13 @@ def _object(section, value):
 
 def parse_config(raw: dict) -> RunConfig:
     """Check a decoded configuration against CONFIG_SCHEMA and apply its
-    defaults.  Of several errors the first found is raised: a model key given
-    twice, an unknown top-level key, then section by section the unknown
-    keys, the missing ones and each key in order."""
+    defaults.  Of several errors the first found is raised: an unknown
+    top-level key, then section by section the unknown keys, the missing ones
+    and each key in order."""
     if not isinstance(raw, dict):
         raise ConfigError("top-level configuration must be a JSON object")
     raw = dict(raw)
     given = {section: raw.pop(section, None) for section in CONFIG_SCHEMA}
-    model = given["model"] = dict(_object("model", given["model"]))
-    for key in CONFIG_SCHEMA["model"]:
-        if key in raw:
-            if key in model:
-                raise ConfigError(f"key {key!r} given both at top level and under model")
-            model[key] = raw.pop(key)
     if raw:
         raise ConfigError(f"unknown key {sorted(raw)[0]!r}")
     fields = dict.fromkeys(_OPTIONAL_SECTIONS)
@@ -604,15 +593,11 @@ COMMANDS = {
     "parity-audit": (run_parity_audit, "squared-parity audit over the truncated basis",
                      {"--dump-tables": dict(default=None, metavar="PREFIX",
                                             help="also dump L and D tables as CSV triplets")}),
-    "alpha-c": (run_alpha_c, "critical dissipation at the configured point",
-                {"--epsilon": dict(default=None, type=float,
-                                   help="override parity.epsilon from the config")}),
+    "alpha-c": (run_alpha_c, "critical dissipation at the configured point", {}),
     "closure": (run_closure, "bare-basis closure counting for (n_modes, cap)", {}),
     "phase-diagram": (run_phase_diagram, "critical dissipation vs s sweep (CSV)",
                       {"--reference": dict(default=None, metavar="CSV",
-                                           help="reference curve to interpolate as an extra column"),
-                       "--epsilon": dict(default=None, type=float,
-                                         help="override parity.epsilon from the config")}),
+                                           help="reference curve to interpolate as an extra column")}),
 }
 
 
@@ -636,17 +621,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config)
-        flag = getattr(args, "epsilon", None)
-        if flag is not None:
-            kind, bound, _, _ = CONFIG_SCHEMA["parity"]["epsilon"]
-            try:
-                cfg = dataclasses.replace(cfg, epsilon=_check("parity.epsilon", flag, kind, bound))
-            except ConfigError:
-                raise ConfigError(f'flag "--epsilon": must lie in (0, 1), got {flag!r}') from None
         code, body = COMMANDS[args.command][0](cfg, args)
         if isinstance(body, dict):
             body = dumps({**body, "config": cfg.echo(), "versions": _versions()})
-        _emit(body, args.out or (cfg.output or {}).get("path"))
+        _emit(body, args.out)
         return code
     except tuple(EXIT_CODES) as exc:
         sys.stdout.write(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

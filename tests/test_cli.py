@@ -62,7 +62,7 @@ MATRIX_FREE_THEOREM = {
 # ---------------------------------------------------------------------------
 
 def test_minimal_config_gets_defaults(tmp_path):
-    path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2})
+    path = write_config(tmp_path, {"model": {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2}})
     cfg = cli.load_config(path)
     assert cfg.delta == 0.1
     assert cfg.n_modes == 30
@@ -75,7 +75,7 @@ def test_minimal_config_gets_defaults(tmp_path):
 
 
 def test_negative_s_names_field_and_bound(tmp_path):
-    path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": -1, "alpha": 0.2})
+    path = write_config(tmp_path, {"model": {"delta": 0.1, "omega_c": 1, "s": -1, "alpha": 0.2}})
     with pytest.raises(ConfigError) as err:
         cli.load_config(path)
     message = str(err.value)
@@ -85,7 +85,7 @@ def test_negative_s_names_field_and_bound(tmp_path):
 
 def test_duplicate_key_is_a_parse_error(tmp_path):
     path = tmp_path / "dup.json"
-    path.write_text('{"delta": 0.1, "delta": 0.2, "omega_c": 1, "s": 1, "alpha": 0}')
+    path.write_text('{"model": {"delta": 0.1, "delta": 0.2, "omega_c": 1, "s": 1, "alpha": 0}}')
     with pytest.raises(ConfigError) as err:
         cli.load_config(str(path))
     assert "duplicate" in str(err.value)
@@ -93,20 +93,11 @@ def test_duplicate_key_is_a_parse_error(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     path = write_config(
-        tmp_path, {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2, "bogus": 1}
+        tmp_path, {"model": {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2}, "bogus": 1}
     )
     with pytest.raises(ConfigError) as err:
         cli.load_config(path)
     assert "bogus" in str(err.value)
-
-
-def test_shorthand_and_model_key_conflict(tmp_path):
-    path = write_config(
-        tmp_path,
-        {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2, "model": {"delta": 0.3}},
-    )
-    with pytest.raises(ConfigError):
-        cli.load_config(path)
 
 
 def test_malformed_json_reports_location(tmp_path):
@@ -118,7 +109,7 @@ def test_malformed_json_reports_location(tmp_path):
 
 
 def test_missing_required_field(tmp_path):
-    path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": 1})
+    path = write_config(tmp_path, {"model": {"delta": 0.1, "omega_c": 1, "s": 1}})
     with pytest.raises(ConfigError) as err:
         cli.load_config(path)
     assert "model.alpha" in str(err.value)
@@ -134,7 +125,6 @@ FULL_CONFIG = {
     "solver": {"tol": 1e-10, "max_iter": 100, "k_levels": 1},
     "parity": {"epsilon": 0.01, "m_ref": [0, 0]},
     "sweep": {"variable": "s", "from": 0.5, "to": 1.0, "steps": 2},
-    "output": {"path": None},
 }
 # (field name, path into FULL_CONFIG, comparison, bound) of each number field.
 NUMBER_FIELDS = [
@@ -221,10 +211,6 @@ def bad_value_cases():
     for value in ("t", "S", None, 1, ["s"]):
         yield ("sweep.variable", path, value,
                f'field "sweep.variable": only "s" sweeps are supported, got {value!r}')
-    path = ("output", "path")
-    for value in (5, "", ["curve.csv"], True, {"path": "x"}):
-        yield ("output.path", path, value,
-               f'field "output.path": expected a non-empty string, got {value!r}')
     # Past Python's 4300-digit limit json.loads itself refuses the literal; this
     # once escaped as a bare ValueError.
     yield ("model.delta", ("model", "delta"), "<1 and 5000 zeros>",
@@ -245,17 +231,18 @@ def structural_cases():
         yield without("model", key), f'field "model.{key}" is required'
     for key in ("variable", "from", "to", "steps"):
         yield without("sweep", key), f'field "sweep.{key}" is required when sweep is given'
-    for section in ("model", "disc", "trunc", "solver", "parity", "sweep", "output"):
+    for section in ("model", "disc", "trunc", "solver", "parity", "sweep"):
         config = dict(FULL_CONFIG, **{section: dict(FULL_CONFIG[section], zeta=1, beta=2)})
         yield config, f"unknown key 'beta' in section {section!r}"
-    for key in ("n_modes", "cap", "epsilon", "zeta", "Model", "sweeps"):
+    # The model keys live under "model" only, and the output path in --out.
+    for key in ("output", "n_modes", "cap", "epsilon", "zeta", "Model", "sweeps"):
         yield dict(FULL_CONFIG, **{key: 1}), f"unknown key {key!r}"
     for key in ("delta", "omega_c", "s", "alpha", "modes"):
-        config = dict(FULL_CONFIG, **{key: FULL_CONFIG["model"][key]})
-        yield config, f"key {key!r} given both at top level and under model"
-    for section in ("sweep", "output"):
-        for value in (5, "s", [1], True, 0.5):
-            yield dict(FULL_CONFIG, **{section: value}), f'field "{section}": expected an object'
+        yield dict(FULL_CONFIG, **{key: FULL_CONFIG["model"][key]}), f"unknown key {key!r}"
+    for value in (5, "s", [1], True, 0.5):
+        yield dict(FULL_CONFIG, sweep=value), 'field "sweep": expected an object'
+    for value in (5, "s", [1], True, {"path": "curve.csv"}):
+        yield dict(FULL_CONFIG, output=value), "unknown key 'output'"
     for lo, hi in ((1.0, 0.5), (0.5, 0.49999999999999994), (1, 0.75)):
         yield (dict(FULL_CONFIG, sweep=dict(FULL_CONFIG["sweep"], **{"from": lo, "to": hi})),
                'field "sweep.to": must satisfy to >= from')
@@ -264,8 +251,7 @@ def structural_cases():
     # Several errors at once: the first in section order, then the unknown-key
     # check, then the required check, then key order, is the one reported.
     model = without("model", "alpha")["model"]
-    yield ({**FULL_CONFIG, "delta": 0.2, "zeta": 1},
-           "key 'delta' given both at top level and under model")
+    yield {**FULL_CONFIG, "zeta": 1, "delta": 0.2}, "unknown key 'delta'"
     yield ({**FULL_CONFIG, "zeta": 1, "model": dict(model, delta=-1.0, x=1)},
            "unknown key 'zeta'")
     yield dict(FULL_CONFIG, model=dict(model, delta=-1.0, x=1)), "unknown key 'x' in section 'model'"
@@ -304,12 +290,11 @@ def structural_cases():
            'field "sweep.steps": must satisfy steps >= 1, got 0')
     yield (dict(FULL_CONFIG, sweep={"steps": 1.5, "to": 0.0, "from": 0.5, "variable": "s"}),
            'field "sweep.to": must satisfy to > 0.0, got 0.0')
-    yield (dict(FULL_CONFIG, sweep={"steps": 2, "to": 0.1, "from": 0.5, "variable": "s"},
-                output=5),
+    yield (dict(FULL_CONFIG, sweep={"steps": 2, "to": 0.1, "from": 0.5, "variable": "s"}),
            'field "sweep.to": must satisfy to >= from')
-    yield (dict(FULL_CONFIG, output={"path": "", "zeta": 1, "beta": 1}),
-           "unknown key 'beta' in section 'output'")
-    yield dict(FULL_CONFIG, output=[], sweep=[]), 'field "sweep": expected an object'
+    yield (dict(FULL_CONFIG, output={"path": "", "zeta": 1, "beta": 1}, sweep=[]),
+           "unknown key 'output'")
+    yield dict(FULL_CONFIG, sweep=[]), 'field "sweep": expected an object'
     yield (dict(FULL_CONFIG, sweep={"steps": 10 ** 9, "to": 0.0, "from": 0.5, "variable": "s"}),
            'field "sweep.to": must satisfy to > 0.0, got 0.0')
     yield (dict(FULL_CONFIG, sweep={"steps": 10 ** 9, "to": 0.1, "from": 0.5, "variable": "s"}),
@@ -349,12 +334,11 @@ def test_a_section_that_is_not_an_object_exits_1(tmp_path, capsys, section, valu
 
 
 def test_a_null_section_takes_its_defaults(tmp_path):
-    config = {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2,
-              **dict.fromkeys(["model", "disc", "trunc", "solver", "parity", "sweep", "output"])}
+    model = {"model": {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2}}
+    config = {**model, **dict.fromkeys(["disc", "trunc", "solver", "parity", "sweep"])}
     cfg = cli.load_config(write_config(tmp_path, config))
-    assert cfg == cli.load_config(write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": 1,
-                                                          "alpha": 0.2}))
-    assert (cfg.n_modes, cfg.cap, cfg.epsilon, cfg.sweep, cfg.output) == (30, 20, 0.01, None, None)
+    assert cfg == cli.load_config(write_config(tmp_path, model))
+    assert (cfg.n_modes, cfg.cap, cfg.epsilon, cfg.sweep) == (30, 20, 0.01, None)
 
 @pytest.mark.parametrize("path, value", [
     (("model", "delta"), 0), (("model", "alpha"), 0.0), (("model", "modes", 1, 1), 0),
@@ -362,7 +346,7 @@ def test_a_null_section_takes_its_defaults(tmp_path):
     (("trunc", "policy"), None), (("trunc", "policy"), "total-quanta"), (("trunc", "cap"), 0),
     (("solver", "max_iter"), 1), (("solver", "k_levels"), 1), (("parity", "m_ref"), 0),
     (("parity", "m_ref", 1), 0), (("sweep", "to"), 0.5), (("sweep", "steps"), 1),
-    (("sweep",), None), (("output",), None), (("output", "path"), "curve.csv"),
+    (("sweep",), None),
     (("sweep", "steps"), cli.MAX_SWEEP_STEPS),
 ])
 def test_values_on_a_closed_bound_are_accepted(tmp_path, path, value):
@@ -375,19 +359,20 @@ def config_echo(text):
 
 
 def test_config_echo_bytes_of_a_full_config(tmp_path, capsys):
-    # Explicit modes, a list m_ref, sweep (echoed as given) and output, with
-    # integer-valued floats and the model keys at the top level.
+    # Explicit modes, a list m_ref and sweep (echoed as given), with
+    # integer-valued floats.
     report = tmp_path / "report.json"
     config = {
-        "delta": 0.25, "omega_c": 2, "s": 1, "alpha": 0, "modes": [[2, 0.5], [1, 0.25]],
+        "model": {"delta": 0.25, "omega_c": 2, "s": 1, "alpha": 0,
+                  "modes": [[2, 0.5], [1, 0.25]]},
         "disc": {"n_modes": 7, "lambda_disc": 3},
         "trunc": {"policy": "per-mode", "cap": 3},
         "solver": {"tol": 1e-9, "max_iter": 50, "k_levels": 2},
         "parity": {"epsilon": 0.5, "m_ref": [0, 2]},
         "sweep": {"steps": 3, "to": 12345678901234567890, "from": 1, "variable": "s"},
-        "output": {"path": str(report)},
     }
-    assert cli.main(["theorem", "--config", write_config(tmp_path, config)]) == 0
+    assert cli.main(["theorem", "--config", write_config(tmp_path, config),
+                     "--out", str(report)]) == 0
     assert capsys.readouterr().out == ""
     assert config_echo(report.read_text()) == (
         '{"model": {"delta": 0.25, "omega_c": 2, "s": 1, "alpha": 0, '
@@ -395,21 +380,50 @@ def test_config_echo_bytes_of_a_full_config(tmp_path, capsys):
         '"trunc": {"policy": "per-mode", "cap": 3}, '
         '"solver": {"tol": 1.0000000000000001e-09, "max_iter": 50, "k_levels": 2}, '
         '"parity": {"epsilon": 0.5, "m_ref": [0, 2]}, '
-        '"sweep": {"steps": 3, "to": 12345678901234567890, "from": 1, "variable": "s"}, '
-        f'"output": {{"path": {json.dumps(str(report))}}}}}'
+        '"sweep": {"steps": 3, "to": 12345678901234567890, "from": 1, "variable": "s"}}'
     )
 
 
 def test_config_echo_bytes_of_the_defaults(tmp_path, capsys):
     config = {"model": {"delta": 0, "omega_c": 2, "s": 0.5, "alpha": 1},
-              "disc": {"n_modes": 3, "lambda_disc": math.inf}, "output": {}}
+              "disc": {"n_modes": 3, "lambda_disc": math.inf}}
     assert cli.main(["closure", "--config", write_config(tmp_path, config)]) == 0
     assert config_echo(capsys.readouterr().out) == (
         '{"model": {"delta": 0, "omega_c": 2, "s": 0.5, "alpha": 1}, '
         '"disc": {"n_modes": 3, "lambda_disc": "inf"}, "trunc": {"policy": null, "cap": 20}, '
         '"solver": {"tol": 1e-10, "max_iter": 10000, "k_levels": 1}, '
-        '"parity": {"epsilon": 0.01, "m_ref": 0}, "output": {}}'
+        '"parity": {"epsilon": 0.01, "m_ref": 0}}'
     )
+
+
+# Each value has one home: epsilon in parity.epsilon, the output path in --out
+# and the model keys under "model".  Any other place is refused by the errors
+# every unknown flag or key gets.
+REMOVED_INPUTS = {
+    "alpha-c --epsilon": (["alpha-c", "--epsilon", "0.05"], {}, None),
+    "phase-diagram --epsilon": (["phase-diagram", "--epsilon", "0.05"], {}, None),
+    "output.path": (["alpha-c"], {"output": {"path": "curve.csv"}}, "unknown key 'output'"),
+    "top-level delta": (["alpha-c"], {"delta": 0.1, "model": {"omega_c": 1.0, "s": 1.0,
+                                                              "alpha": 0.1}},
+                        "unknown key 'delta'"),
+}
+
+
+@pytest.mark.parametrize("argv, extra, message", REMOVED_INPUTS.values(), ids=REMOVED_INPUTS)
+def test_a_value_given_outside_its_one_home_exits_1(tmp_path, capsys, monkeypatch, argv, extra,
+                                                     message):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, dict(PHASE_CONFIG, **extra))
+    code = cli.main(argv[:1] + ["--config", path, "--out", "out.csv"] + argv[1:])
+    out, err = capsys.readouterr()
+    assert code == 1
+    if message is None:  # argparse's usage error
+        assert (out, err.splitlines()[-1]) == (
+            "", "sbparity: error: unrecognized arguments: --epsilon 0.05")
+    else:
+        assert (json.loads(out), err) == ({"error": {"type": "ConfigError",
+                                                     "message": message}}, "")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -507,43 +521,17 @@ def test_theorem_writes_out_file(tmp_path, capsys):
     assert json.loads(out_file.read_text())["verdict"] == "strictly-below"
 
 
-def test_output_format_is_not_a_key(tmp_path, capsys):
-    # Output formats are fixed per command; a format key would be ignored.
-    config = dict(SINGLE_MODE_THEOREM, output={"format": "json"})
-    code = cli.main(["theorem", "--config", write_config(tmp_path, config)])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert out["error"] == {"type": "ConfigError",
-                            "message": "unknown key 'format' in section 'output'"}
-
-
-@pytest.mark.parametrize("path", [5, "", ["a.json"]])
-def test_output_path_must_be_a_string(tmp_path, capsys, path):
-    config = dict(SINGLE_MODE_THEOREM, output={"path": path})
-    code = cli.main(["theorem", "--config", write_config(tmp_path, config)])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert out["error"]["type"] == "ConfigError"
-    assert '"output.path"' in out["error"]["message"]
-
-
-@pytest.mark.parametrize("where", ["--out", "output.path"])
-def test_unwritable_output_exits_1(tmp_path, capsys, where):
+def test_unwritable_output_exits_1(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
-    config = dict(SINGLE_MODE_THEOREM)
-    argv = ["theorem"]
-    if where == "--out":
-        argv += ["--out", str(target)]
-    else:
-        config["output"] = {"path": str(target)}
-    code = cli.main(argv + ["--config", write_config(tmp_path, config)])
+    argv = ["theorem", "--out", str(target), "--config", write_config(tmp_path, SINGLE_MODE_THEOREM)]
+    code = cli.main(argv)
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["error"]["type"] == "ConfigError"
     assert f"cannot write output {target}" in out["error"]["message"]
     # The same path in an existing directory is written.
     target.parent.mkdir()
-    assert cli.main(argv + ["--config", write_config(tmp_path, config)]) == 0
+    assert cli.main(argv) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["verdict"] == "strictly-below"
 
@@ -745,10 +733,9 @@ def test_alpha_c_epsilon_override(tmp_path, capsys):
         "disc": {"n_modes": 10, "lambda_disc": 2.0},
         "trunc": {"cap": 10},
     }
-    path = write_config(tmp_path, base)
-    cli.main(["alpha-c", "--config", path])
+    cli.main(["alpha-c", "--config", write_config(tmp_path, base)])
     small = json.loads(capsys.readouterr().out)
-    cli.main(["alpha-c", "--config", path, "--epsilon", "0.05"])
+    cli.main(["alpha-c", "--config", write_config(tmp_path, dict(base, parity={"epsilon": 0.05}))])
     large = json.loads(capsys.readouterr().out)
     assert large["epsilon"] == 0.05
     assert large["alpha_c"] > small["alpha_c"]
@@ -759,9 +746,9 @@ def test_alpha_c_refuses_an_epsilon_below_float_resolution(tmp_path, capsys):
     # a fixed 1e-10 tolerance once printed alpha_c = 1 here with exit 0.
     path = write_config(tmp_path, {
         "model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0, "alpha": 0.1},
-        "parity": {"m_ref": 2},
+        "parity": {"epsilon": 1e-12, "m_ref": 2},
     })
-    code = cli.main(["alpha-c", "--config", path, "--epsilon", "1e-12"])
+    code = cli.main(["alpha-c", "--config", path])
     out = json.loads(capsys.readouterr().out)
     assert code == 4
     assert out["error"]["type"] == "SearchError"
@@ -963,6 +950,18 @@ def test_omega_c_overflowing_the_bin_weights_exits_1(tmp_path, capsys, command):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["alpha-c", "theorem"])
+def test_a_mode_frequency_past_half_the_double_range_exits_1_quietly(tmp_path, capsys, command):
+    # 2 * omega_k overflows; numpy's warning once reached stderr before the error.
+    config = {"model": {"delta": 0.1, "omega_c": 1.7e308, "s": 1e-6, "alpha": 0.2},
+              "disc": {"n_modes": 1, "lambda_disc": 1.0001}}
+    code = cli.main([command, "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert json.loads(captured.out) == {"error": {
+        "type": "ParameterError", "message": "mode coupling must be >= 0, got inf"}}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, expected", [
     ("theorem", {"e_gs": -0.05, "e_min_eo": 0.0}),
@@ -1013,16 +1012,6 @@ def test_discretizing_commands_reject_explicit_modes(tmp_path, capsys, command):
     assert "disc.n_modes" in out["error"]["message"]
     assert '"model.modes" is not accepted' in out["error"]["message"]
 
-
-@pytest.mark.parametrize("flag", ["0", "1", "-0.5", "1.5", "nan", "inf"])
-@pytest.mark.parametrize("command", ["alpha-c", "phase-diagram"])
-def test_epsilon_flag_outside_the_open_unit_interval_exits_1(tmp_path, capsys, command, flag):
-    path = write_config(tmp_path, PHASE_CONFIG)
-    code = cli.main([command, "--config", path, "--epsilon", flag])
-    assert code == 1
-    assert json.loads(capsys.readouterr().out) == {"error": {
-        "type": "ConfigError",
-        "message": f'flag "--epsilon": must lie in (0, 1), got {float(flag)!r}'}}
 
 def test_phase_diagram_refuses_more_sweep_points_than_it_can_hold(tmp_path, capsys):
     # Every point's bath ladder is built before the first search: 1e9 steps
@@ -1666,7 +1655,7 @@ def test_a_dense_residual_bound_past_the_norm_overflow_still_holds(tmp_path, cap
 
 
 def test_config_error_exits_1(tmp_path, capsys):
-    path = write_config(tmp_path, {"delta": 0.1, "omega_c": 1, "s": -2, "alpha": 0.2})
+    path = write_config(tmp_path, {"model": {"delta": 0.1, "omega_c": 1, "s": -2, "alpha": 0.2}})
     code = cli.main(["theorem", "--config", path])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -1677,7 +1666,7 @@ def test_capacity_error_exits_1(tmp_path, capsys):
     # Default disc (30 modes) with a per-mode cap is far beyond the basis guard.
     path = write_config(
         tmp_path,
-        {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2,
+        {"model": {"delta": 0.1, "omega_c": 1, "s": 1, "alpha": 0.2},
          "trunc": {"policy": "per-mode", "cap": 20}},
     )
     code = cli.main(["theorem", "--config", path])
@@ -1691,7 +1680,7 @@ def test_capacity_error_names_the_settings_to_change(tmp_path, capsys, command):
     # The README defaults: 30 modes at total-quanta cap 20.  The basis
     # already is total-quanta, so switching to it is not advised.
     model = {"delta": 0.1, "omega_c": 1.0, "s": 0.7, "alpha": 0.2}
-    path = write_config(tmp_path, model)
+    path = write_config(tmp_path, {"model": model})
     code = cli.main([command, "--config", path])
     out = json.loads(capsys.readouterr().out)
     assert code == 1

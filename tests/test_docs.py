@@ -1,6 +1,8 @@
-"""The README examples run as written, its configuration block lists the
-configuration schema, and every exported name resolves."""
+"""The README examples run as written, its usage block lists each
+subcommand's flags, its configuration block lists the configuration schema,
+and every exported name resolves."""
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -46,7 +48,7 @@ def test_readme_config_block_names_the_schema_keys_and_defaults():
     defaults = {}
     for section, rows in cli.CONFIG_SCHEMA.items():
         for key, (_, _, required, default) in rows.items():
-            if not required and section not in ("sweep", "output"):  # examples there
+            if not required and section != "sweep":  # examples there
                 defaults[f"{section}.{key}"] = default
                 shown = block[section][key]
                 assert (shown, type(shown)) == (default, type(default)), key
@@ -57,6 +59,20 @@ def test_readme_config_block_names_the_schema_keys_and_defaults():
         "parity.m_ref": 0,
     }
     cli.parse_config(block)  # the documented configuration is valid
+
+
+def test_readme_usage_lists_each_subcommands_flags():
+    # A deleted flag must not linger in the usage block, nor a new one be missing.
+    section = README.read_text().split("## Command-line interface\n", 1)[1]
+    usage = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    documented = {line.split()[1]: set(re.findall(r"--[\w-]+", line)) - {"--config", "--out"}
+                  for line in usage.splitlines()}
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in parser._actions for flag in action.option_strings}
+             - {"-h", "--help", "--config", "--out"}
+             for name, parser in subparsers.choices.items()}
+    assert documented == flags
 
 
 def test_readme_exit_codes_are_the_cli_table():
