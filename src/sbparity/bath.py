@@ -152,7 +152,8 @@ class BathLadder:
 
     def at(self, alpha: float) -> BathModel:
         """The discretized bath at dissipation strength ``alpha``, identical
-        to :func:`discretize_bath` on the law with this alpha.
+        to :func:`discretize_bath` on the law with this alpha; the one-row
+        case of :meth:`LadderStack.at`.
 
         Raises
         ------
@@ -160,9 +161,7 @@ class BathLadder:
             If alpha is negative or not finite, or a coupling or a sum overflows at alpha.
         """
         _check_alpha(alpha)
-        lams, qs, sums, errors = LadderStack([self]).at([0], [alpha])
-        if errors:
-            raise errors[0]
+        lams, qs, sums = LadderStack([self]).at([0], [alpha])
         qs = tuple(qs[0].tolist())
         return BathModel(omegas=self.omegas, lams=tuple(lams[0].tolist()), qs=qs,
                          sum_wq2=_sum_wq2(self.omegas, qs), sum_q2=sums[0])
@@ -180,28 +179,26 @@ class LadderStack:
         self.wc_pow = np.array([ladder.wc_pow for ladder in ladders])
         self.w_shape = np.array([ladder.w_shape for ladder in ladders])
 
-    def at(self, rows, alphas) -> tuple[np.ndarray, np.ndarray, list, dict]:
+    def at(self, rows, alphas) -> tuple[np.ndarray, np.ndarray, list[float]]:
         """The ladders ``rows[i]`` at ``alphas[i]`` (finite and >= 0, not checked
-        here): couplings and displacements as (rows, modes) arrays, sum_q2 as a
-        list, and the ParameterError of each row whose couplings are not finite
-        or whose sum_q2 overflows, keyed by i (its sum_q2 is None)."""
+        here): couplings and displacements as (rows, modes) arrays and sum_q2
+        as a list.  The first row whose couplings are not finite or whose
+        sum_q2 overflows raises its ParameterError, as :meth:`BathLadder.at`
+        would."""
         # The squared coupling 2.0 * alpha * wc_pow * h * w_shape, rounded left to right.
         rows = np.asarray(rows)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported per row below
+        with np.errstate(over="ignore", invalid="ignore"):  # refused row by row below
             scale = 2.0 * np.asarray(alphas) * self.wc_pow[rows]
             lams = np.sqrt(scale[:, None] * self.hi_pows[rows] * self.w_shape[rows, None])
             qs = lams / self.two_omegas[rows]
             q2 = (qs * qs).tolist()
-        sums, errors = [None] * len(q2), {}
-        for i, (row, finite) in enumerate(zip(q2, np.isfinite(lams).all(axis=1).tolist())):
-            try:
-                if not finite:
-                    for lam in lams[i].tolist():
-                        _check_lam(lam)
-                sums[i] = _mode_sum("sum_k q_k**2", row)
-            except ParameterError as exc:
-                errors[i] = exc
-        return lams, qs, sums, errors
+        sums = []
+        for row_lams, row, finite in zip(lams, q2, np.isfinite(lams).all(axis=1).tolist()):
+            if not finite:
+                for lam in row_lams.tolist():
+                    _check_lam(lam)
+            sums.append(_mode_sum("sum_k q_k**2", row))
+        return lams, qs, sums
 
 
 def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> BathLadder:
@@ -216,7 +213,7 @@ def bath_ladder(s: float, omega_c: float, n_modes: int, lambda_disc: float) -> B
     """
     _check_shape(s, omega_c)
     n_modes = check_count("n_modes", n_modes, 1)
-    if not lambda_disc > 1.0:
+    if not (is_real(lambda_disc) and lambda_disc > 1.0):
         raise ParameterError(f"lambda_disc must satisfy lambda_disc > 1, got {lambda_disc}")
     r = 1.0 / lambda_disc  # 0.0 for lambda_disc = inf: one bin spans (0, omega_c]
     # Bin-shape factors, identical for every bin of a geometric ladder:

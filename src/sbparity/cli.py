@@ -534,18 +534,9 @@ def run_phase_diagram(cfg: RunConfig, args):
     m_ref = resolve_m_ref(cfg, cfg.n_modes)
     m_ref_text = str(cfg.m_ref) if isinstance(cfg.m_ref, int) else ";".join(map(str, m_ref))
 
-    # A point whose bins fail ends the sweep, raised once the points before it are searched.
-    ladders, ladder_error = [], None
-    for s_val in points:
-        try:
-            ladders.append(bath_ladder(s_val, cfg.omega_c, cfg.n_modes, cfg.lambda_disc))
-        except ParameterError as exc:
-            ladder_error = exc
-            break
+    ladders = [bath_ladder(s_val, cfg.omega_c, cfg.n_modes, cfg.lambda_disc) for s_val in points]
     outcomes = critical_alphas(ladders, cfg.cap, epsilon=cfg.epsilon, m_ref=m_ref,
                                policy=cfg.policy or "per-mode")
-    if ladder_error:
-        raise ladder_error
 
     ref_interp = None
     if args.reference is not None:

@@ -27,7 +27,9 @@ the per-call cost of numpy is paid once per round instead of once per
 point.  What the points share (the reference occupation, the cap, the
 policy and the log n! table) is checked and built once per search, in one
 :class:`_LogO`; a point's own ladder is checked by its first round, at
-alpha = 1.  :func:`critical_alpha` is the one-point case.
+alpha = 1.  A point whose search finds no root keeps its SearchError, and
+any other fault ends the whole search in the round that meets it.
+:func:`critical_alpha` is the one-point case.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from .errors import (
     InvariantViolation,
     ParameterError,
     SearchError,
-    SpinBosonError,
     as_integer,
     check_count,
     check_policy,
+    is_real,
 )
 from .fockspace import (D_BOUND, FACTORIAL_GUARD, BasisSet, KroneckerParity, _logs, log_factorials,
                         single_mode_d_row)
@@ -333,11 +335,15 @@ def critical_alpha(
         CapacityError) if ``m_ref`` lies outside the truncated basis (some
         m_k > n_tr under the per-mode policy, or sum(m) > n_tr under
         total-quanta) or is excited while n_tr exceeds the factorial guard
-        of 170.  In the search, if the ladder's couplings or sum_q2, or
-        4 * q_k**2 of a mode, overflow at an alpha it tries, alpha = 1 first.
+        of 170.  In the search, at the first alpha it tries (alpha = 1
+        first) where the ladder's couplings or sum_q2 overflow, an excited
+        mode's q is not finite or 4 * q_k**2 of a mode overflows, in this
+        order.
     CapacityError
         If a total-quanta sum needs more than MAX_CONVOLUTION_WORK
         multiply-adds.
+    InvariantViolation
+        If the scaled diagonal sum exceeds 1 at an alpha the search tries.
     SearchError
         If no bracket exists below MAX_BRACKET_ALPHA, or bisection exhausts
         float resolution without meeting the tolerance.
@@ -375,13 +381,17 @@ def critical_alphas(
         Those :func:`critical_alpha` raises before its search, in its order,
         then a ParameterError naming the first ladder whose mode count
         differs from the first one's.
-    SpinBosonError
-        Any error other than SearchError, for the first ladder whose search
-        raises it, as a loop of :func:`critical_alpha` calls would.
+    ParameterError, InvariantViolation
+        Those :func:`critical_alpha` raises in its search.  Any such fault,
+        at any point, ends the whole search in the round that meets it; the
+        slices are searched one after another.  Within a round the
+        rescale's refusal (first row first) comes before log O's (an
+        excited mode's q), and then each point's own check (4 * q_k**2,
+        the scaled sum) runs in ladder order.
     """
     if not ladders:
         return []
-    if not 0.0 < epsilon < 1.0:
+    if not (is_real(epsilon) and 0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     log_o = _LogO(m_ref, len(ladders[0].omegas), n_tr, policy)
     n_tr, m = log_o.n_tr, log_o.m
@@ -407,14 +417,8 @@ def critical_alphas(
                 f"the ladders of one search share their mode count"
             )
     size = max(1, SEARCH_CHUNK_ENTRIES // (len(m) * (n_tr + 1)))
-    out = []
-    for first in range(0, len(ladders), size):
-        outcomes = _search_chunk(ladders[first:first + size], log_o, epsilon)
-        for outcome in outcomes:
-            if isinstance(outcome, SpinBosonError) and not isinstance(outcome, SearchError):
-                raise outcome
-        out += outcomes
-    return out
+    return [outcome for first in range(0, len(ladders), size)
+            for outcome in _search_chunk(ladders[first:first + size], log_o, epsilon)]
 
 
 def _bisection(epsilon: float, tol: float):
@@ -456,8 +460,10 @@ def _bisection(epsilon: float, tol: float):
 
 def _search_chunk(ladders, log_o: _LogO, epsilon: float) -> list:
     """The searches of ``ladders`` in lockstep with the search's one
-    ``log_o``: per ladder its CriticalPoint or the SpinBosonError its search
-    raised.  A ladder's own checks are its first round, at alpha = 1."""
+    ``log_o``: per ladder its CriticalPoint or the SearchError its search
+    raised.  A ladder's own checks are its first round, at alpha = 1; any
+    other error ends the chunk in the round that meets it, in the order
+    :func:`critical_alphas` states."""
     tol = min(DEFICIENCY_TOL, 1e-6 * epsilon)
     outcomes = [None] * len(ladders)
     stack = LadderStack(ladders)
@@ -466,24 +472,17 @@ def _search_chunk(ladders, log_o: _LogO, epsilon: float) -> list:
     roots = {}
     while pending:
         rows, alphas = list(pending), list(pending.values())
-        _, qs, sums, errors = stack.at(rows, alphas)
-        for i, exc in errors.items():
-            outcomes[rows[i]] = exc
-            del pending[rows[i]]
-        kept = [i for i in range(len(rows)) if i not in errors]
-        if not kept:
-            continue  # _LogO takes no empty stack
-        for i, log_o_r in zip(kept, log_o(qs[kept] if errors else qs)):
-            r, sum_q2 = rows[i], sums[i]
+        _, qs, sums = stack.at(rows, alphas)
+        for r, alpha, log_o_r, sum_q2 in zip(rows, alphas, log_o(qs), sums):
+            if math.isnan(log_o_r):  # only where 4 * q_k**2 is inf
+                raise ParameterError(f"4 * q_k**2 overflows a double at alpha = {alpha!r}")
+            miss = _deficiency(log_o_r, sum_q2) - epsilon
             try:
-                if math.isnan(log_o_r):  # only where 4 * q_k**2 is inf
-                    raise ParameterError(f"4 * q_k**2 overflows a double at alpha = {alphas[i]!r}")
-                miss = _deficiency(log_o_r, sum_q2) - epsilon
                 pending[r] = searches[r].send((miss, (log_o_r, sum_q2)))
             except StopIteration as stop:
                 roots[r] = stop.value
                 del pending[r]
-            except SpinBosonError as exc:
+            except SearchError as exc:
                 outcomes[r] = exc
                 del pending[r]
     for r, (root, (log_o_r, sum_q2)) in roots.items():

@@ -46,6 +46,10 @@ def test_discretize_validation():
         discretize_bath(law, 3, 1.0)
     with pytest.raises(ParameterError):
         discretize_bath(law, 3, 0.5)
+    for lambda_disc in (None, "2.0"):
+        message = f"lambda_disc must satisfy lambda_disc > 1, got {lambda_disc}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            bath_ladder(0.5, 1.0, 3, lambda_disc)
 
 
 def test_zero_coupling_is_fully_decoupled():
@@ -277,7 +281,8 @@ def test_discretize_bath_errors_match_the_mode_loop(law, n_modes, lambda_disc):
 def test_ladder_stack_rescales_every_row_as_at_does():
     # Rows of several ladders at their own alphas, in one array pass: each
     # row's couplings, displacements and sum_q2 must carry the bits of the
-    # mode loop, and a row whose couplings overflow must get its error.
+    # mode loop, and a draw with a row whose couplings overflow must raise
+    # that row's error.
     rng = np.random.default_rng(7)
     params = [(float(s), float(wc), float(lam))
               for s, wc, lam in zip(rng.uniform(0.05, 1.2, 12), rng.uniform(0.2, 3.0, 12),
@@ -289,18 +294,26 @@ def test_ladder_stack_rescales_every_row_as_at_does():
     for _ in range(40):
         rows = sorted(rng.choice(len(ladders), size=int(rng.integers(1, 14)), replace=False))
         alphas = (10.0 ** rng.uniform(-6.0, 4.0, len(rows))).tolist()
-        lams, qs, sums, errors = stack.at(rows, alphas)
-        for i, (row, alpha) in enumerate(zip(rows, alphas)):
+        expected = []
+        for row, alpha in zip(rows, alphas):
             s, wc, lam = params[row]
-            if i in errors:
-                with pytest.raises(ParameterError) as expected:
-                    mode_loop_bath(SpectralLaw(alpha, s, wc), 40, lam)
-                assert str(errors[i]) == str(expected.value)
-                assert sums[i] is None
-            else:
-                _, lams_i, qs_i, _, sum_q2 = mode_loop_bath(SpectralLaw(alpha, s, wc), 40, lam)
-                assert bits(lams[i]) == bits(lams_i)
-                assert bits(qs[i]) == bits(qs_i)
-                assert bits([sums[i]]) == bits([sum_q2])
-        failed += len(errors)
+            try:
+                expected.append(mode_loop_bath(SpectralLaw(alpha, s, wc), 40, lam))
+            except ParameterError as exc:
+                expected.append(exc)
+        refused = [i for i, e in enumerate(expected) if isinstance(e, ParameterError)]
+        if refused:
+            with pytest.raises(ParameterError) as first:
+                stack.at(rows, alphas)
+            assert str(first.value) == str(expected[refused[0]])
+            failed += 1
+        kept = [i for i in range(len(rows)) if i not in refused]
+        if not kept:
+            continue
+        lams, qs, sums = stack.at([rows[i] for i in kept], [alphas[i] for i in kept])
+        for j, i in enumerate(kept):
+            _, lams_i, qs_i, _, sum_q2 = expected[i]
+            assert bits(lams[j]) == bits(lams_i)
+            assert bits(qs[j]) == bits(qs_i)
+            assert bits([sums[j]]) == bits([sum_q2])
     assert failed

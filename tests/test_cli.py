@@ -1107,15 +1107,20 @@ def test_excited_reference_sweep_keeps_its_pinned_bytes(tmp_path, capsys, policy
     assert out.read_bytes() == pinned.read_bytes()
 
 
-def sequential_sweep_error(config):
-    """The error a loop of one-point searches over the sweep raises first,
-    with SearchError points kept as NaN rows; None if there is none."""
+def sweep_ladders(config):
+    """The ladder of each point of the sweep, built as the CLI builds it."""
     sweep = config["sweep"]
     lo, hi, steps = sweep["from"], sweep["to"], sweep["steps"]
     points = [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
+    for s in points:
+        yield bath_ladder(s, config["model"]["omega_c"], config["disc"]["n_modes"], 2.0)
+
+
+def sequential_sweep_error(config):
+    """The error a loop of one-point searches over the sweep raises first,
+    with SearchError points kept as NaN rows; None if there is none."""
     try:
-        for s in points:
-            ladder = bath_ladder(s, config["model"]["omega_c"], config["disc"]["n_modes"], 2.0)
+        for ladder in sweep_ladders(config):
             try:
                 critical_alpha(ladder, config["trunc"]["cap"],
                                epsilon=config["parity"]["epsilon"])
@@ -1126,24 +1131,17 @@ def sequential_sweep_error(config):
     return None
 
 
-@pytest.mark.parametrize("omega_c, cap, epsilon, failing", [
-    # One mode with q**2 ~ alpha: the couplings overflow at alpha = 256 from
-    # s ~ 0.6 on, and the bin weights themselves from s ~ 1.01.
-    (1.2e153, 200, 0.01, "mode coupling must be >= 0, got inf"),
-    # NaN rows (no bracket) before points whose bins overflow.
-    (1e150, 14000, 0.5, "overflows the bin weights"),
-])
-def test_sweep_reports_the_earliest_points_error(tmp_path, capsys, omega_c, cap, epsilon,
-                                                 failing):
-    config = {
+def one_mode_sweep(omega_c, cap, epsilon):
+    return {
         "model": {"delta": 0.1, "omega_c": omega_c, "s": 1.0, "alpha": 0.1},
         "disc": {"n_modes": 1, "lambda_disc": 2.0},
         "trunc": {"cap": cap},
         "parity": {"epsilon": epsilon},
         "sweep": {"variable": "s", "from": 0.1, "to": 1.2, "steps": 12},
     }
-    expected = sequential_sweep_error(config)
-    assert failing in str(expected)
+
+
+def assert_sweep_fails_with(tmp_path, capsys, config, expected):
     out = tmp_path / "sweep.csv"
     code = cli.main(["phase-diagram", "--config", write_config(tmp_path, config),
                      "--out", str(out)])
@@ -1151,6 +1149,30 @@ def test_sweep_reports_the_earliest_points_error(tmp_path, capsys, omega_c, cap,
     assert json.loads(capsys.readouterr().out)["error"] == {
         "type": "ParameterError", "message": str(expected)}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("omega_c, cap, epsilon, failing", [
+    # NaN rows (no bracket) before points whose bins overflow.
+    (1e150, 14000, 0.5, "overflows the bin weights"),
+])
+def test_sweep_reports_the_earliest_points_error(tmp_path, capsys, omega_c, cap, epsilon,
+                                                 failing):
+    config = one_mode_sweep(omega_c, cap, epsilon)
+    expected = sequential_sweep_error(config)
+    assert failing in str(expected)
+    assert_sweep_fails_with(tmp_path, capsys, config, expected)
+
+
+def test_a_sweep_raises_a_bin_failure_before_any_search(tmp_path, capsys):
+    # One mode with q**2 ~ alpha: the couplings overflow at alpha = 256 from
+    # s ~ 0.6 on, and the bin weights themselves from s ~ 1.01.  Every point
+    # is binned before the first search, so the bin failure is met first,
+    # though a loop of one-point searches meets a coupling first.
+    config = one_mode_sweep(1.2e153, 200, 0.01)
+    assert "mode coupling must be >= 0, got inf" in str(sequential_sweep_error(config))
+    with pytest.raises(ParameterError, match="overflows the bin weights") as expected:
+        list(sweep_ladders(config))
+    assert_sweep_fails_with(tmp_path, capsys, config, expected.value)
 
 
 def test_a_sweep_builds_a_bath_only_for_a_nan_rows_beta(tmp_path, capsys, monkeypatch):

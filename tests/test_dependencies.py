@@ -1,7 +1,9 @@
 """Every import in the package is stdlib, the package itself, or a declared
-dependency, so an installed-but-undeclared package cannot slip in; and every
-name the benchmark scripts import from the package still exists, so that a
-deletion in the package fails here before it fails a benchmark run."""
+dependency, so an installed-but-undeclared package cannot slip in; every
+name a module imports is used there, so a deletion leaves no import behind;
+and every name the benchmark scripts import from the package still exists,
+so that a deletion in the package fails here before it fails a benchmark
+run."""
 
 import ast
 import importlib
@@ -43,6 +45,26 @@ def test_every_import_is_stdlib_or_declared(path):
     allowed = set(sys.stdlib_module_names) | {"sbparity"} | declared_dependencies()
     undeclared = sorted(set(absolute_imports(path)) - allowed)
     assert not undeclared, f"{path.name} imports undeclared {undeclared}"
+
+
+def imported_names(tree: ast.Module):
+    """The name each import in ``tree`` binds, at any depth, but for
+    ``__future__`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # __init__.py imports names only to re-export them.
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported_names(tree)) - read)
+    assert not unused, f"{path.name} imports unused {unused}"
 
 
 def package_imports(path: Path):

@@ -484,6 +484,10 @@ def test_critical_alpha_validation():
         critical_alpha(ladder, n_tr=5, epsilon=0.0)
     with pytest.raises(ParameterError):
         critical_alpha(ladder, n_tr=5, epsilon=1.0)
+    for epsilon in (None, "0.1"):
+        message = f"epsilon must lie in (0, 1), got {epsilon}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            critical_alpha(ladder, n_tr=5, epsilon=epsilon)
     with pytest.raises(ParameterError):
         critical_alpha(bath_ladder(-1.0, 1.0, 5, 2.0), n_tr=5, epsilon=0.01)
 
@@ -650,17 +654,18 @@ OVERFLOWING_PARITY_SUM = bath_ladder(0.01, 1.0, 3, 3.1622776601683794e155)
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # once two, from _LogO
 def test_search_refuses_a_point_whose_parity_sum_overflows():
     # log O is NaN there, and the NaN deficiency once returned alpha_c = 1.
-    # In a sweep the error is its point's, as a non-finite coupling's is.
+    # In a sweep it ends the search, after a refused rescale of the same round.
     message = "4 * q_k**2 overflows a double at alpha = 1.0"
     with pytest.raises(ParameterError, match=re.escape(message)):
         critical_alpha(OVERFLOWING_PARITY_SUM, 4)
     nan_coupling = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0, 0.5, 0.25),
                               hi_pows=(1.0, math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
-    ladders = [bath_ladder(0.5, 1.0, 3, 2.0), OVERFLOWING_PARITY_SUM, nan_coupling]
+    ladders = [bath_ladder(0.5, 1.0, 3, 2.0), OVERFLOWING_PARITY_SUM]
     with pytest.raises(ParameterError, match=re.escape(message)):
         critical_alphas(ladders, 4)
-    with pytest.raises(ParameterError, match="got nan"):
-        critical_alphas(ladders[::-1], 4)
+    for order in (ladders + [nan_coupling], [nan_coupling] + ladders):
+        with pytest.raises(ParameterError, match="got nan"):
+            critical_alphas(order, 4)
     # The bath itself is built at any alpha; only the search refuses it.
     assert math.isinf(4.0 * OVERFLOWING_PARITY_SUM.at(1.0).qs[2] ** 2)
 
@@ -937,20 +942,44 @@ NAN_PAIR = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0, 0.5),
                       hi_pows=(math.nan, 1.0), wc_pow=1.0, w_shape=1.0)
 
 
-@pytest.mark.parametrize("order, message", [
-    ((0, 1, 2), "got inf"),
-    ((0, 2, 1), "got nan"),
-    ((1, 2, 0), "got inf"),
-])
-def test_lockstep_search_raises_the_earliest_points_error(order, message):
-    # The NaN point fails at once, the overflowing one five rounds later; the
-    # error raised is the one of the earlier point in ladder order.
-    ladders = [bath_ladder(1.0, 1.0, 1, 2.0), LATE_OVERFLOW, NAN_COUPLING]
-    with pytest.raises(ParameterError, match=message):
-        sequential_critical_alpha(ladders[order[0]], 450, 0.01, None, "per-mode")
-        sequential_critical_alpha(ladders[order[1]], 450, 0.01, None, "per-mode")
-    with pytest.raises(ParameterError, match=message):
-        critical_alphas([ladders[i] for i in order], 450, 0.01)
+# Its q is inf at alpha = 1 though its coupling is finite: log O refuses an
+# excited row of it, and is NaN for its vacuum row.
+INF_Q = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1e-300,),
+                   hi_pows=(1.0,), wc_pow=1e300, w_shape=1.0)
+# Two modes, the second's 4 * q**2 past the double range at alpha = 1, and
+# the same with every q inf; under m_ref (1, 0) only log O refuses the second.
+NAN_LOG_O = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0, 0.5),
+                       hi_pows=(1.0, 5e307), wc_pow=1.0, w_shape=1.0)
+INF_Q_PAIR = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1e-300, 5e-301),
+                        hi_pows=(1.0, 1.0), wc_pow=1e300, w_shape=1.0)
+SOUND = bath_ladder(1.0, 1.0, 1, 2.0)
+COUPLING_NAN = "mode coupling must be >= 0, got nan"
+Q_INF = "displacement q must be finite and >= 0, got inf"
+
+
+@pytest.mark.parametrize("ladders, cap, m_ref, message", [
+    # The NaN point fails at once, the overflowing one five rounds later.
+    ((SOUND, LATE_OVERFLOW, NAN_COUPLING), 450, None, COUPLING_NAN),
+    ((SOUND, NAN_COUPLING, LATE_OVERFLOW), 450, None, COUPLING_NAN),
+    ((LATE_OVERFLOW, NAN_COUPLING, SOUND), 450, None, COUPLING_NAN),
+    # The excited row of INF_Q fails at once, whose refusal comes from log O.
+    ((LATE_OVERFLOW, INF_Q), 150, (1,), Q_INF),
+    ((INF_Q, LATE_OVERFLOW), 150, (1,), Q_INF),
+    # In one round the rescale refuses before log O does ...
+    ((INF_Q, NAN_COUPLING), 150, (1,), COUPLING_NAN),
+    # ... and log O before a point's own check.
+    ((NAN_LOG_O, INF_Q_PAIR), 10, (1, 0), Q_INF),
+], ids=["sound-late-nan", "sound-nan-late", "late-nan-sound", "late-infq", "infq-late",
+        "infq-nan", "nanlogo-infq"])
+def test_lockstep_search_raises_the_first_fault_it_meets(ladders, cap, m_ref, message):
+    # Each point alone raises a fault of its own; together, the fault met in
+    # the earliest round ends the search, whichever point it belongs to.
+    for ladder in ladders:
+        if ladder is not SOUND:
+            with pytest.raises(ParameterError):
+                critical_alpha(ladder, cap, 0.01, m_ref)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        critical_alphas(list(ladders), cap, 0.01, m_ref)
 
 
 def test_lockstep_search_refuses_ladders_of_different_mode_counts():
@@ -985,16 +1014,16 @@ def test_lockstep_search_reads_its_ladders_chunk_by_chunk(monkeypatch):
     assert chunks == [(0, 3), (3, 3)]
 
 
-def test_a_chunk_whose_every_ladder_fails_its_first_round_returns_their_errors():
-    # No row is left for log O, which an excited row's recurrence cannot
-    # take empty.
+def test_a_chunk_raises_its_first_refused_rows_error():
+    # The first refused row ends the chunk, so no empty stack reaches log O,
+    # which an excited row's recurrence cannot take empty.
     log_o = parity._LogO((1,), 1, 10, "per-mode")
     inf_coupling = BathLadder(s=1.0, lambda_disc=2.0, omegas=(1.0,),
                               hi_pows=(math.inf,), wc_pow=1.0, w_shape=1.0)
-    outcomes = parity._search_chunk([NAN_COUPLING, inf_coupling], log_o, 0.01)
-    assert [type(outcome) for outcome in outcomes] == [ParameterError, ParameterError]
-    assert "got nan" in str(outcomes[0])
-    assert "got inf" in str(outcomes[1])
+    with pytest.raises(ParameterError, match="got nan"):
+        parity._search_chunk([NAN_COUPLING, inf_coupling], log_o, 0.01)
+    with pytest.raises(ParameterError, match="got inf"):
+        parity._search_chunk([inf_coupling, NAN_COUPLING], log_o, 0.01)
 
 
 def test_lockstep_search_checks_the_convolution_guard_once_per_search(monkeypatch):
