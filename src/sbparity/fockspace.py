@@ -29,7 +29,10 @@ basis.
 Over a multi-mode basis D is one object, :class:`KroneckerParity`, built
 from the per-mode tables: it applies D to a vector one mode at a time,
 gathers it into one dense dim x dim array, and squares it for the parity
-audit.
+audit.  A product over a total-quanta basis runs in the per-mode box, but
+where the simplex keeps at most a third of a mode step's rows (four modes
+from cap 3, more modes from cap 1) its first step multiplies only the rows
+the basis fills and its last step only the rows the basis reads back.
 
 The sign convention fixed by the oracle under q = +lam/(2*omega):
 D(0, 1) = +2q * exp(-2q**2) for a single mode.  Branch spectra are invariant
@@ -81,6 +84,11 @@ MAX_TABLE_DIM = 5_000
 # Cap on the per-mode box a product embeds its vector in (8 bytes per state),
 # checked at each product.
 MAX_BOX_STATES = 4_000_000
+
+# A total-quanta product trims its first and last mode steps to the rows the
+# simplex reaches only where they are at most this share of a step's rows
+# (see KroneckerParity._ends for the measurement).
+TRIM_MAX_SHARE = 1.0 / 3.0
 
 # |D_mn| <= 1 and (D@D)_mm <= 1 hold exactly; this is their slack in the guards.
 D_BOUND = 1.0 + 1e-12
@@ -370,9 +378,13 @@ class KroneckerParity:
     single-mode tables, so D @ x is applied one mode axis at a time in
     O(box * sum_k (cap_k + 1)) (the "shuffle" product of Fernandes, Plateau
     & Stewart, J. ACM 45(3), 1998).  A total-quanta basis is a subset of
-    the box: vectors are embedded by their flat box index, multiplied and
-    restricted back, which is exact because D over the subset is the
-    principal submatrix of the box operator.  :meth:`dense` gathers D into
+    the box, and D over the subset is the principal submatrix of the box
+    operator, so a vector is multiplied in the box and restricted back.
+    The first mode step multiplies only the rows the simplex reaches
+    (occupations of modes 1.. with at most ``cap`` quanta) and the last step
+    only the rows it reads back (modes ..n-2 with at most ``cap`` quanta),
+    where those rows are a small share of the step's (see :attr:`_ends`);
+    the steps in between run on the whole box.  :meth:`dense` gathers D into
     one dim x dim array and :meth:`square` squares it for the parity audit.
     The tables are built and checked once, on first use; the box guard is
     checked at each product, so a box too large for products keeps the rest.
@@ -406,6 +418,59 @@ class KroneckerParity:
         return (None if self.box == self.basis.dim
                 else np.ravel_multi_index(self.basis.occupations.T, self.basis.box_shape))
 
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, ...] | None:
+        """The read-only index arrays ``(take, rows, keep, pick)`` of the
+        trimmed first and last steps of :meth:`apply`; None where every step
+        runs on the whole box.
+
+        Both end steps have (cap + 1)**(n - 1) rows, of which the simplex
+        reaches C(cap + n - 1, n - 1): those of modes 1.. (first step) or
+        modes ..n-2 (last step) with at most ``cap`` quanta.  The first
+        step's operand is x padded with one zero and taken at ``take``, a
+        (cap + 1, rows) array of basis positions; its product rows go to box
+        rows ``rows``, and the box's other rows stay exact zeros, as the box
+        product leaves them.  The last step multiplies the box rows
+        ``keep`` and reads the basis states at ``pick``.  Each kept row is
+        the same dot product over cap + 1 terms of the same F-ordered
+        operand times ``table.T``, and OpenBLAS rounds a row alike whatever
+        the row count, so every bit is the box product's
+        (``tests/conftest.py::box_product``).
+
+        The takes cost a few microseconds per product, so the ends are
+        trimmed only where the reached rows are at most TRIM_MAX_SHARE of a
+        step's.  Measured with BLAS on one thread (2-vCPU x86), box product
+        against trimmed, minima: 4 modes cap 12 (share 0.21) 125 against
+        99-106 us, 5 modes cap 8 (0.075) 240 against 183 us, 6 modes cap 6
+        (0.027) 790 against 580 us.  3 modes cap 16 (0.53) takes 26-30 us
+        either way, but trimmed it made the ``theorem`` and ``spectrum``
+        solves on that basis ~10 % slower; every 2- and 3-mode basis keeps
+        more than half its rows.  The small boxes that pass the rule (4 modes
+        at caps 3 to 8, say) lose those microseconds, but
+        :func:`sbparity.spectra.use_lanczos` sends them to the dense solve,
+        which runs no product.
+        """
+        index = self._index
+        if index is None:  # the basis is the box
+            return None
+        occ = self.basis.occupations
+        width = self.basis.cap + 1
+        inner = self.box // width
+        # Lexicographic order puts the states with mode 0 empty first, and
+        # those are the first step's reached rows.
+        n_rows = int(np.count_nonzero(occ[:, 0] == 0))
+        if n_rows > TRIM_MAX_SHARE * inner:
+            return None
+        rows = index[:n_rows]
+        take = np.full((width, n_rows), self.basis.dim)
+        take[occ[:, 0], np.searchsorted(rows, index % inner)] = np.arange(self.basis.dim)
+        starts = occ[:, -1] == 0  # one per prefix over modes ..n-2, in order
+        keep = index[starts] // width
+        pick = (np.cumsum(starts) - 1) * width + occ[:, -1]
+        for array in (take, rows, keep, pick):
+            array.setflags(write=False)
+        return take, rows, keep, pick
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.basis.dim, self.basis.dim)
@@ -419,15 +484,25 @@ class KroneckerParity:
         x = np.asarray(x, dtype=float)
         if x.shape != self.shape[:1]:
             raise ParameterError(f"D takes one vector of shape {self.shape[:1]}, got {x.shape}")
-        index = self._index
+        index, ends, tables = self._index, self._ends, self.tables
+        # Each step contracts the leading mode axis and moves it to the back,
+        # so after every mode the axes are back in order.
+        if ends is not None:
+            take, rows, keep, pick = ends
+            first, *middle, last = tables
+            width = first.shape[0]
+            t = np.zeros((self.box // width, width))
+            t[rows] = np.append(x, 0.0).take(take).T @ first.T
+            for table in middle:
+                t = t.reshape(table.shape[0], -1).T @ table.T
+            t = t.reshape(width, -1).take(keep, axis=1).T @ last.T
+            return t.reshape(-1).take(pick)
         if index is None:
             t = x
         else:
             t = np.zeros(self.box)
             t[index] = x
-        # Each step contracts the leading mode axis and moves it to the back,
-        # so after every mode the axes are back in order.
-        for table in self.tables:
+        for table in tables:
             t = t.reshape(table.shape[0], -1).T @ table.T
         t = t.reshape(-1)
         return t if index is None else t[index]

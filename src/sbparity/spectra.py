@@ -73,6 +73,9 @@ DEFAULT_MAX_ITER = 10_000
 # Lanczos is taken when dim**3 >= LANCZOS_MIN_DIM3 + LANCZOS_DIM3_PER_MAC *
 # box * sum_k (cap_k + 1).
 LANCZOS_MIN_DIM3 = 48_000_000
+# This still models the whole box product, though a total-quanta product of
+# four or more modes trims its first and last steps.  It is kept on
+# purpose: the rule picks the path, and with it the printed bytes.
 LANCZOS_DIM3_PER_MAC = 600
 # ARPACK needs k well below dim: Lanczos is taken only for k <= dim / 20.
 LANCZOS_K_FACTOR = 20
@@ -281,9 +284,17 @@ def _lowest_level(matvec, diag: np.ndarray, bound: float, max_iter: int) -> floa
     new direction never lies in the basis while r does not vanish.  Each
     direction is orthogonalized against the basis by classical Gram-Schmidt,
     a second time only when the first pass leaves less than 1/sqrt(2) of
-    its norm.  A full basis restarts from the two lowest Ritz vectors.  A
-    value is returned only once its residual norm is at most ``bound``.
+    its norm.  Only the two lowest Ritz pairs are read, so LAPACK's
+    ``dsyevr`` computes just those (16 against 10 us at n = 10 and 50
+    against 22 us at n = 20 for a full ``eigh``, BLAS on one thread, with
+    eigenvalues within 5e-16 relative); a failed Ritz solve ends the search
+    as a stall does.  A full basis restarts from the two lowest Ritz
+    vectors.  A value is returned only once its residual norm is at most
+    ``bound``.
     """
+    # Loaded with scipy.sparse.linalg on the Lanczos path, the only caller.
+    from scipy.linalg.lapack import dsyevr
+
     dim = diag.shape[0]
     size = min(_CHECK_BASIS, dim)
     # One vector per row, so every product with the basis is a contiguous GEMV.
@@ -306,7 +317,12 @@ def _lowest_level(matvec, diag: np.ndarray, bound: float, max_iter: int) -> floa
             images[n] = matvec(new)
             gram[n, : n + 1] = images[: n + 1] @ new
             n += 1
-            theta, s = np.linalg.eigh(gram[:n, :n])  # reads the lower triangle
+            if n == 1:
+                theta, s = gram[:1, 0], np.ones((1, 1))
+            else:  # the two lowest Ritz pairs, from the lower triangle
+                theta, s, _, _, info = dsyevr(gram[:n, :n], lower=1, range="I", il=1, iu=2)
+                if info:
+                    return None
             r = s[:, 0] @ images[:n]
             r -= theta[0] * (s[:, 0] @ basis[:n])
             if np.linalg.norm(r) <= bound:

@@ -80,6 +80,26 @@ def laguerre_block_loop(q, m_max, n_max, scaled):
     return out if np.ndim(q) else out[0]
 
 
+def box_product(parity, x):
+    """D @ x over ``parity``'s basis with every mode step on the whole
+    per-mode box (reference): the vector is scattered into a zeroed box by
+    its flat box index, each step contracts the leading mode axis and moves
+    it to the back, and the basis entries are read back."""
+    x = np.asarray(x, dtype=float)
+    box = math.prod(parity.basis.box_shape)
+    index = (None if box == parity.basis.dim
+             else np.ravel_multi_index(parity.basis.occupations.T, parity.basis.box_shape))
+    if index is None:
+        t = x
+    else:
+        t = np.zeros(box)
+        t[index] = x
+    for table in parity.tables:
+        t = t.reshape(table.shape[0], -1).T @ table.T
+    t = t.reshape(-1)
+    return t if index is None else t[index]
+
+
 def spectral_density(law, omega):
     """J(omega) = 2*pi*alpha*omega_c**(1-s)*omega**s on (0, omega_c], else 0."""
     if omega <= 0.0 or omega > law.omega_c:

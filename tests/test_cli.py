@@ -587,6 +587,13 @@ DENSE_PATH_SPECTRUM = {
     "solver": {"k_levels": 4},
 }
 
+# 4 modes at total-quanta cap 10 (dim 1001): Lanczos, on the trimmed product.
+TRIMMED_PRODUCT_THEOREM = {
+    "model": {"delta": 0.3, "omega_c": 1.0, "s": 0.6, "alpha": 0.2},
+    "disc": {"n_modes": 4, "lambda_disc": 2.0},
+    "trunc": {"policy": "total-quanta", "cap": 10},
+}
+
 
 def test_spectrum_dump_matrix_and_solve_share_one_parity(tmp_path, capsys, monkeypatch):
     # The dumps and the dense solve read the model's one D: each mode's table
@@ -629,17 +636,23 @@ def test_spectrum_dump_matrix_and_solve_share_one_parity(tmp_path, capsys, monke
 @pytest.mark.parametrize("config, argv", [
     (DENSE_PATH_SPECTRUM, ["theorem"]),
     (MATRIX_FREE_THEOREM, ["theorem"]),
+    (TRIMMED_PRODUCT_THEOREM, ["theorem"]),
     (DENSE_PATH_SPECTRUM, ["spectrum", "--dump-matrix", "mat"]),
-], ids=["theorem-dense", "theorem-lanczos", "spectrum-dump-matrix"])
+], ids=["theorem-dense", "theorem-lanczos", "theorem-lanczos-trimmed", "spectrum-dump-matrix"])
 def test_one_op_builds_h0_and_each_mode_table_once(tmp_path, capsys, monkeypatch, config, argv):
     # The solve, the verdict's energy scale, the degenerate set and the dumps
-    # all read the model's one H0 and its one D, so an op builds H0 once and
-    # each mode's table once.
-    from sbparity import ModelParams, fockspace
+    # all read the model's one H0 and its one D, so an op builds H0 once,
+    # each mode's table once, and the product's index plan once if it runs
+    # a product: read-only arrays on the trimmed 4-mode basis, None on the
+    # per-mode box.
+    from sbparity import KroneckerParity, ModelParams, fockspace
 
     calls = {"h0": 0, "single_mode_d_table": 0}
-    cached_h0 = vars(ModelParams)["h0"]  # the cached property, whose builder is counted
-    build_h0, build_table = cached_h0.func, fockspace.single_mode_d_table
+    plans = []  # what each build of the product's index plan returned
+    cached_h0 = vars(ModelParams)["h0"]  # the cached properties, whose builders are counted
+    cached_ends = vars(KroneckerParity)["_ends"]
+    build_h0, build_table, build_ends = (cached_h0.func, fockspace.single_mode_d_table,
+                                         cached_ends.func)
 
     def h0(self):
         calls["h0"] += 1
@@ -649,13 +662,26 @@ def test_one_op_builds_h0_and_each_mode_table_once(tmp_path, capsys, monkeypatch
         calls["single_mode_d_table"] += 1
         return build_table(*args)
 
+    def ends(self):
+        plans.append(build_ends(self))
+        return plans[-1]
+
     monkeypatch.setattr(cached_h0, "func", h0)
+    monkeypatch.setattr(cached_ends, "func", ends)
     monkeypatch.setattr(fockspace, "single_mode_d_table", table)
-    argv = [argv[0], "--config", write_config(tmp_path, config)] + [
+    path = write_config(tmp_path, config)
+    argv = [argv[0], "--config", path] + [
         str(tmp_path / arg) if arg == "mat" else arg for arg in argv[1:]]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == {"h0": 1, "single_mode_d_table": 2}  # both configs have two modes
+    basis = cli._model_params(cli.load_config(path)).basis
+    lanczos = spectra.use_lanczos(basis, 1)
+    assert calls == {"h0": 1, "single_mode_d_table": basis.n_modes}
+    assert len(plans) == int(lanczos)
+    if config is TRIMMED_PRODUCT_THEOREM:
+        assert lanczos and all(not array.flags.writeable for array in plans[0])
+    else:
+        assert plans in ([], [None])
 
 
 # ---------------------------------------------------------------------------

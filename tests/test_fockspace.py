@@ -39,7 +39,7 @@ from sbparity.fockspace import (
 )
 from sbparity.parity import MAX_SERIES_CAP
 
-from conftest import index_of, laguerre_block_loop, single_mode_bath
+from conftest import box_product, index_of, laguerre_block_loop, single_mode_bath
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +415,43 @@ def test_kronecker_parity_guards(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert cli.main(["theorem", "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "strictly-below"
+
+
+# Total-quanta bases of 2-6 modes whose box passes the product guard, 4 modes
+# at caps 2 (share 0.37, plain) and 3 (0.31, trimmed) on the two sides of the
+# trim rule, and per-mode bases, whose box is the basis.
+PRODUCT_BASES = [
+    *((n, cap, "total-quanta") for n in range(2, 7) for cap in (0, 1, 4, 6, 12, 16)
+      if (cap + 1) ** n <= fockspace.MAX_BOX_STATES),
+    (4, 2, "total-quanta"), (4, 3, "total-quanta"), (2, 30, "per-mode"), (3, 6, "per-mode"),
+]
+
+
+@pytest.mark.parametrize("n_modes, cap, policy", PRODUCT_BASES)
+@pytest.mark.parametrize("trim", ["by-rule", "every-basis"])
+def test_product_keeps_the_bits_of_the_box_product(monkeypatch, rng, n_modes, cap, policy, trim):
+    # The trimmed first and last steps multiply only the rows the simplex
+    # reaches; every bit is the box product's.  Under the rule a total-quanta
+    # basis is trimmed where the reached rows are at most a third of a
+    # step's; "every-basis" trims each one with more than one state, so the
+    # 2- and 3-mode bases and the smallest trimmed steps (2 modes, cap 1:
+    # two rows of two entries) are covered too.  A cap-0 basis is a box of
+    # one state and runs the plain loop.
+    if trim == "every-basis":
+        monkeypatch.setattr(fockspace, "TRIM_MAX_SHARE", 1.0)
+    bath = bath_from_modes([(0.7 ** k, (0.6 + 0.3 * k) * 0.7 ** k) for k in range(n_modes)])
+    parity = KroneckerParity(enumerate_basis(n_modes, cap, policy), bath)
+    reached = math.comb(cap + n_modes - 1, n_modes - 1)
+    trimmed = policy == "total-quanta" and cap > 0 and (
+        trim == "every-basis" or 3 * reached <= (cap + 1) ** (n_modes - 1))
+    if trimmed:
+        assert all(not array.flags.writeable for array in parity._ends)
+        assert len(parity._ends[1]) == len(parity._ends[2]) == reached
+    else:
+        assert parity._ends is None
+    n_vectors = 2 if parity.box > 100_000 else 20
+    for x in rng.standard_normal((n_vectors, parity.basis.dim)):
+        assert np.array_equal(parity.apply(x), box_product(parity, x))
 
 
 def test_spectra_invariant_under_odd_row_sign_flip():

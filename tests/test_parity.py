@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 from sbparity import (
     BathLadder,
@@ -817,6 +817,55 @@ def test_vacuum_search_takes_a_decoupled_mode_above_the_factorial_guard():
     point = critical_alpha(ladder, 200)
     assert point.alpha_c > 0.0 and math.isfinite(point.beta)
     assert critical_alpha(ladder, 20).alpha_c == 9.969510793685913
+
+
+# alpha_c follows one Poisson law at the vacuum.  Mode k's weight beyond the
+# cap N is the tail T_k = P(Poisson(4 alpha q_k**2) > N) = gammainc(N + 1,
+# 4 alpha q_k**2) (DLMF 8.4.10), with q_k its displacement at alpha = 1.
+POISSON_CAPS = [0, 1, 10, 100, 1000]
+POISSON_EPSILON = 0.01
+
+
+def poisson_root(cap: int, epsilon: float) -> tuple[float, float]:
+    """mu* with gammainc(cap + 1, mu*) = epsilon, and the relative error in
+    a root that the search's tolerance on the deficiency allows there:
+    tol / (mu* * pmf(cap; mu*)) with tol = min(1e-10, 1e-6 * epsilon), the
+    tail's slope in mu being the Poisson pmf, plus 1e-14 for rounding."""
+    mu = brentq(lambda m: gammainc(cap + 1, m) - epsilon, 0.0, 2.0 * cap + 10.0,
+                xtol=1e-300, rtol=1e-15)
+    pmf = math.exp(cap * math.log(mu) - mu - gammaln(cap + 1.0))
+    return mu, min(1e-10, 1e-6 * epsilon) / (mu * pmf) + 1e-14
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("cap", POISSON_CAPS)
+def test_total_quanta_alpha_c_is_the_poisson_root_over_two_beta(s, cap):
+    # Under total-quanta the modes convolve into one Poisson variable of mean
+    # 4 alpha sum q_k**2 = 2 alpha beta, so alpha_c = mu* / (2 beta).
+    # Measured worst: 6.7e-9 at s 0.5, cap 0, against a bound of 1.0e-8.
+    ladder = bath_ladder(s, 1.0, 30, 2.0)
+    mu, bound = poisson_root(cap, POISSON_EPSILON)
+    alpha_c = critical_alpha(ladder, cap, POISSON_EPSILON, policy="total-quanta").alpha_c
+    assert abs(alpha_c / (mu / (2.0 * ladder.beta)) - 1.0) <= bound
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("cap", POISSON_CAPS)
+def test_per_mode_alpha_c_lies_between_the_poisson_tails(s, cap):
+    # Under per-mode caps the deficiency 1 - prod_k (1 - T_k) lies between
+    # max_k T_k and sum_k T_k, so alpha_c lies between the root of
+    # sum_k T_k = epsilon (below) and that of max_k T_k = epsilon (above),
+    # each widened by the search's bound.  From cap 100 or so the largest-q
+    # mode alone sets alpha_c, the bracket collapses, and at cap 1000
+    # alpha_c sat 9e-11 relative above the upper root.
+    ladder = bath_ladder(s, 1.0, 30, 2.0)
+    q2 = np.array(ladder.at(1.0).qs) ** 2
+    mu, bound = poisson_root(cap, POISSON_EPSILON)
+    upper = mu / (4.0 * q2.max())
+    lower = brentq(lambda a: float(np.sum(gammainc(cap + 1, 4.0 * a * q2))) - POISSON_EPSILON,
+                   0.0, 2.0 * upper, xtol=1e-300, rtol=1e-15)
+    alpha_c = critical_alpha(ladder, cap, POISSON_EPSILON).alpha_c
+    assert lower * (1.0 - bound) <= alpha_c <= upper * (1.0 + bound)
 
 
 # ---------------------------------------------------------------------------
