@@ -368,14 +368,16 @@ def _versions() -> dict:
     return {"sbparity": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(chunks, out_path) -> None:
+    """Write the text ``chunks`` to ``out_path``, or to stdout, as they come."""
     if out_path:
         try:
-            Path(out_path).write_text(text)
+            with open(out_path, "w") as out:
+                out.writelines(chunks)
         except OSError as exc:
             raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _csv_text(header, rows) -> str:
@@ -387,12 +389,13 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _triplet_csv(header, matrix: np.ndarray) -> str:
-    rows = []
+def _triplet_csv(header, matrix: np.ndarray):
+    """The lower triangle of ``matrix`` as CSV (row, column, value) lines, one
+    chunk per matrix row, so a dump is written as it is formed."""
+    yield ",".join(header) + "\n"
     for i, row in enumerate(matrix):
-        for j in range(i + 1):
-            rows.append((i, j, format_float(row[j])))
-    return _csv_text(header, rows)
+        yield "".join([f"{i},{j},{format_float(value)}\n"
+                       for j, value in enumerate(row[: i + 1].tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +618,7 @@ def main(argv=None) -> int:
         code, body = COMMANDS[args.command][0](cfg, args)
         if isinstance(body, dict):
             body = dumps({**body, "config": cfg.echo(), "versions": _versions()})
-        _emit(body, args.out)
+        _emit((body,), args.out)
         return code
     except tuple(EXIT_CODES) as exc:
         sys.stdout.write(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

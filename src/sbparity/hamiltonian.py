@@ -98,7 +98,8 @@ class BranchOperator:
 
     ``h0`` is the diagonal of H0 and ``coupling`` is -delta/2 for the even
     branch, +delta/2 for the odd one.  ``norm_bound`` bounds its 2-norm and
-    is the one energy scale of the Lanczos checks and the verdict.
+    is the one energy scale of the solves' residual checks, the Lanczos
+    checks and the verdict.
     """
 
     h0: np.ndarray
@@ -119,8 +120,9 @@ class BranchOperator:
         return self.apply(x)
 
     def apply(self, x) -> np.ndarray:
-        """H @ x for one vector x of shape (dim,), without forming H."""
-        return self.h0 * x + self.coupling * self.parity.apply(x)
+        """H @ x for one vector x of shape (dim,), without forming H; D is
+        applied first, so it names a vector of any other shape."""
+        return self.coupling * self.parity.apply(x) + self.h0 * x
 
     def dense(self) -> np.ndarray:
         """This branch as one new dim x dim array, formed on ``parity.dense()``."""

@@ -14,17 +14,16 @@ the eigenvector overlap is resolvable.
 
 Both branches are the model's own, ``params.branches``: two
 :class:`BranchOperator`s on its one H0 array and its one
-:class:`KroneckerParity`, ``params.parity``.  Their eigenpairs come from one
-of two solvers, picked per basis by :func:`use_lanczos`: a dense symmetric
-solve of the branch's dense array (on the one dense D) for small bases, and
-ARPACK Lanczos on the operator itself, whose parity factor is applied one
-mode at a time, above the crossover.  A Lanczos solve is then checked for
-a level it passed over by a short preconditioned (Davidson) search on the
-operator with the returned levels deflated.
+:class:`KroneckerParity`, ``params.parity``.  :func:`eigen_lowest` takes one
+branch and picks its solver by :func:`use_lanczos`: a dense symmetric solve
+of the branch's dense array (on the one dense D) for small bases, and ARPACK
+Lanczos on the operator itself, whose parity factor is applied one mode at a
+time, above the crossover.  A Lanczos solve is then checked for a level it
+passed over by a short preconditioned (Davidson) search on the operator with
+the returned levels deflated.
 
-The Lanczos checks and the verdict read one scale per branch,
-:attr:`BranchOperator.norm_bound` (max|H0| + delta/2 >= norm(H)).  The dense
-solve takes any symmetric array, so its residual bound reads the array's norm.
+Both solves, the Lanczos checks and the verdict read one scale per branch,
+:attr:`BranchOperator.norm_bound` (max|H0| + delta/2 >= norm(H)).
 """
 
 from __future__ import annotations
@@ -119,49 +118,49 @@ def use_lanczos(basis: BasisSet, k: int) -> bool:
 
 
 def eigen_lowest(
-    h: np.ndarray | BranchOperator,
+    branch: BranchOperator,
     k: int,
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EigenResult:
-    """The k algebraically smallest eigenpairs of ``h``.
+    """The k algebraically smallest eigenpairs of ``branch``.
 
-    A dense symmetric array gets a direct dense symmetric solve.  A
-    :class:`BranchOperator` gets ARPACK Lanczos (``eigsh``) with at most
-    ``max_iter`` restarts, fixed-seed start vectors and a completeness check
-    (see :func:`_lanczos_lowest`).  Both are deterministic for a given input
-    on a given build.
+    The path is the one :func:`use_lanczos` picks for the branch's basis and
+    k: a dense symmetric solve of ``branch.dense()``, or ARPACK Lanczos
+    (``eigsh``) on the operator itself with at most ``max_iter`` restarts,
+    fixed-seed start vectors and a completeness check (see
+    :func:`_lanczos_lowest`).  Both are deterministic for a given input on a
+    given build, and both bound the residual by tol * ``branch.norm_bound``.
 
     Raises
     ------
+    ParameterError
+        If ``branch`` is not a :class:`BranchOperator`, or k, tol or
+        max_iter is out of range.
     SolverError
-        If the residual exceeds tol times a bound on norm(H), or Lanczos does
+        If the residual exceeds tol * ``branch.norm_bound``, or Lanczos does
         not converge or misses a level; carries the residual reached.
     """
-    dim = h.shape[0]
+    if not isinstance(branch, BranchOperator):
+        raise ParameterError(f"eigen_lowest takes a BranchOperator, got {type(branch).__name__}")
+    dim = branch.shape[0]
     if not 1 <= (as_integer(k) or 0) <= dim:
         raise ParameterError(f"k must lie in [1, {dim}], got {k}")
     if not (is_real(tol) and tol > 0.0):
         raise ParameterError(f"tol must be > 0, got {tol}")
     if not (as_integer(max_iter) or 0) >= 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-    if isinstance(h, BranchOperator):
-        return _lanczos_lowest(h, k, tol, max_iter)
+    if use_lanczos(branch.parity.basis, k):
+        return _lanczos_lowest(branch, k, tol, max_iter)
     # Imported here, as scipy.sparse.linalg is in the Lanczos path: loading
     # scipy.linalg takes ~0.2 s, and only theorem and spectrum solve.
     import scipy.linalg
 
+    h = branch.dense()
     values, vectors = scipy.linalg.eigh(h, subset_by_index=[0, k - 1])
     _fix_signs(vectors)
-    resid = _residual(h, values, vectors)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(h, np.inf))
-        if math.isinf(norm):  # a row sum past the double range: take it on h scaled by 2**-e
-            e = math.frexp(float(np.max(np.abs(h))))[1]
-            bound = float(np.ldexp(tol * np.linalg.norm(np.ldexp(h, -e), np.inf), e))
-        else:
-            bound = tol * norm
-    _check_residual(resid, bound)
+    resid = _residual(h @ vectors, values, vectors)
+    _check_residual(resid, tol * branch.norm_bound)
     return EigenResult(values=values, vectors=vectors, residual=resid)
 
 
@@ -173,10 +172,9 @@ def _fix_signs(vectors: np.ndarray) -> None:
             vectors[:, col] = -vectors[:, col]
 
 
-def _residual(h: np.ndarray | BranchOperator, values: np.ndarray, vectors: np.ndarray) -> float:
-    # A dense array takes the block in one GEMM; the operator one column at a time.
-    h_vectors = h @ vectors if isinstance(h, np.ndarray) else np.column_stack(
-        [h @ v for v in vectors.T])
+def _residual(h_vectors: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
+    """The largest 2-norm of H v - E v over the columns, given H @ vectors:
+    one GEMM on the dense path, one product per column on Lanczos."""
     r = h_vectors - vectors * values
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(r, axis=0)
@@ -216,10 +214,6 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     dim = h.shape[0]
-    if LANCZOS_K_FACTOR * k > dim:
-        raise ParameterError(
-            f"k = {k} is too close to dim = {dim} for Lanczos; solve the assembled matrix"
-        )
     spread, norm_bound = abs(h.coupling), h.norm_bound
     h0_min = float(np.min(h.h0))
     sigma = h0_min - spread - 1.0
@@ -235,8 +229,8 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
         shifted_values, vectors = eigsh(op, k=k, which="SA", tol=0, maxiter=max_iter, v0=v0)
     except ArpackError as exc:
         found = getattr(exc, "eigenvectors", None)
-        resid = (_residual(h, exc.eigenvalues + sigma, found)
-                 if found is not None and found.size else math.inf)
+        resid = (_residual(np.column_stack([h @ v for v in found.T]), exc.eigenvalues + sigma,
+                           found) if found is not None and found.size else math.inf)
         raise SolverError(
             f"Lanczos failed within max_iter = {max_iter} restarts: {exc}",
             residual=resid,
@@ -246,7 +240,7 @@ def _lanczos_lowest(h: BranchOperator, k: int, tol: float, max_iter: int) -> Eig
     vectors = np.ascontiguousarray(vectors[:, order])
     values = shifted_values + sigma
     _fix_signs(vectors)
-    resid = _residual(h, values, vectors)
+    resid = _residual(np.column_stack([h @ v for v in vectors.T]), values, vectors)
     _check_residual(resid, tol * norm_bound)
 
     c = 2.0 * shifted_values[-1]
@@ -341,17 +335,16 @@ def solve_branches(
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray | KroneckerParity, EigenResult, EigenResult]:
-    """The k lowest pairs of each of the two branches, ``params.branches``.
+    """The k lowest pairs of each of the two branches, ``params.branches``,
+    each by :func:`eigen_lowest`.
 
     Returns ``(parity, res_plus, res_minus)``: ``parity`` is
-    ``params.parity`` on the path :func:`use_lanczos` picks, and on the dense
-    path ``params.parity.dense()``, on which each branch's dense array is
-    formed while it is solved.
+    ``params.parity`` on the Lanczos path, and on the dense path
+    ``params.parity.dense()``, the array each branch's dense array was
+    formed on, so later products with D are dense ones too.
     """
-    lanczos = use_lanczos(params.basis, k)
-    results = [eigen_lowest(op if lanczos else op.dense(), k, tol, max_iter)
-               for op in params.branches]
-    return (params.parity if lanczos else params.parity.dense()), *results
+    results = [eigen_lowest(op, k, tol, max_iter) for op in params.branches]
+    return (params.parity if use_lanczos(params.basis, k) else params.parity.dense()), *results
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -577,6 +578,40 @@ def test_spectrum_dump_matrix(tmp_path, capsys):
         lines = (tmp_path / f"mat_{name}.csv").read_text().splitlines()
         assert lines[0] == "i,j,value"
         assert len(lines) == 1 + 6  # lower triangle of a 3x3 matrix
+
+
+def test_triplet_dump_is_written_as_it_is_formed(tmp_path):
+    # The rows go to the file one matrix row at a time, so the peak of
+    # Python's allocations does not grow with the file.  Forming the whole
+    # text first, with a tuple per entry, took nine times the file.
+    peaks, sizes = [], []
+    for dim in (50, 200):
+        matrix = np.random.default_rng(8).standard_normal((dim, dim))
+        path = tmp_path / f"t{dim}.csv"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._triplet_csv(("i", "j", "value"), matrix), str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(path.stat().st_size)
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 10
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["i", "j", "value"]
+    assert rows[1:] == [[str(i), str(j), cli.format_float(matrix[i, j])]
+                        for i in range(200) for j in range(i + 1)]
+
+
+def test_unwritable_dump_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, {"model": {"delta": 0.1, "omega_c": 1.0, "s": 1.0,
+                                             "alpha": 0.1, "modes": [[1.0, 1.0]]},
+                                   "trunc": {"cap": 2}})
+    prefix = tmp_path / "missing" / "tab"
+    assert cli.main(["parity-audit", "--config", path, "--dump-tables", str(prefix)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"cannot write output {prefix}_l.csv: ")
 
 
 # Two modes at per-mode cap 8 (dim 81): the dense path.

@@ -1,5 +1,6 @@
 """The README examples run as written, its usage block lists each
 subcommand's flags, its configuration block lists the configuration schema,
+the numbers it quotes for the solver rule and the guards are the code's,
 and every exported name resolves."""
 
 import argparse
@@ -13,7 +14,7 @@ import re
 from pathlib import Path
 
 import sbparity
-from sbparity import cli
+from sbparity import cli, fockspace, parity, spectra
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,6 +84,42 @@ def test_readme_exit_codes_are_the_cli_table():
     for cls, code in cli.EXIT_CODES.items():
         table.setdefault(code, set()).add(cls.__name__)
     assert documented == table
+
+
+SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"
+
+
+def readme_number(text):
+    """A number as README writes it: 600, 4.8e7, 5·10⁷ or 10⁶."""
+    power = re.fullmatch(rf"(?:(\d+)·)?10([{SUPERSCRIPTS}]+)", text)
+    if power is None:
+        return float(text)
+    exponent = int(power.group(2).translate(str.maketrans(SUPERSCRIPTS, "0123456789")))
+    return float(power.group(1) or 1) * 10 ** exponent
+
+
+# The README phrase that quotes each constant; the number is the group.
+QUOTED_CONSTANTS = [
+    (r"`dim\*\*3 >= ([\d.e]+) \+", spectra.LANCZOS_MIN_DIM3),
+    (r"\+ (\d+) \* box \* n_modes", spectra.LANCZOS_DIM3_PER_MAC),
+    (r"`(\d+) \* k <= dim`", spectra.LANCZOS_K_FACTOR),
+    (r"`box <= ([\d.e]+)`", fockspace.MAX_BOX_STATES),
+    (r"The box guard \(`([\d.e]+)` states", fockspace.MAX_BOX_STATES),
+    (r"`MAX_TABLE_DIM` \((\d+)\)", fockspace.MAX_TABLE_DIM),
+    (r"refuse more than (\d+) states", fockspace.MAX_BASIS_STATES),
+    (r"`trunc.cap` <= (\d+), the factorial guard", fockspace.FACTORIAL_GUARD),
+    (r"Occupations above (\d+) are refused", fockspace.FACTORIAL_GUARD),
+    (rf"A sum above ([\d·{SUPERSCRIPTS}]+) multiply-adds", parity.MAX_CONVOLUTION_WORK),
+    (rf"takes caps up to ([\d·{SUPERSCRIPTS}]+),", parity.MAX_SERIES_CAP),
+]
+
+
+def test_readme_quotes_the_solver_rule_and_guards_as_the_code_sets_them():
+    text = " ".join(README.read_text().split())  # phrases may wrap
+    for pattern, constant in QUOTED_CONSTANTS:
+        found = re.findall(pattern, text)
+        assert found, pattern
+        assert [readme_number(number) for number in found] == [constant] * len(found), pattern
 
 
 def test_every_exported_name_resolves():

@@ -2,6 +2,7 @@
 spectral property."""
 
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -212,6 +213,18 @@ def test_norm_bound_bounds_each_branch_and_is_the_verdict_scale(rng):
         for branch in params.branches:
             assert np.linalg.norm(branch.dense(), 2) <= branch.norm_bound * (1 + 8 * eps)
             assert max(1.0, branch.norm_bound) == scale
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 2)], ids=["dim+1", "two-columns"])
+def test_branch_product_names_a_wrong_shape(shape):
+    # D is applied before H0's product, so its own message names the vector
+    # instead of numpy's broadcast error.
+    params = ModelParams(delta=0.3, bath=bath_from_modes(KRONECKER_MODES[:2]),
+                         basis=enumerate_basis(2, 2, "total-quanta"))
+    assert params.basis.dim == 6
+    with pytest.raises(ParameterError, match=re.escape(
+            f"D takes one vector of shape (6,), got {shape}")):
+        params.branches[0] @ np.ones(shape)
 
 
 def test_model_params_mode_count_mismatch():

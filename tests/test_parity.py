@@ -514,6 +514,15 @@ def test_reference_occupation_must_be_a_sequence_of_integers(m_ref):
 
 
 LADDER = bath_ladder(0.5, 1.0, 2, 2.0)
+
+
+def _three_level_branch():
+    """The even branch of one decoupled mode at cap 2 and delta 3:
+    diag(-1.5, 2.5, 0.5), out of order."""
+    bath = bath_from_modes([(1.0, 0.0)])
+    return ModelParams(3.0, bath, enumerate_basis(1, 2, "per-mode")).branches[0]
+
+
 BOOL_SLIPS = {
     "discretize_bath-n_modes": (lambda: discretize_bath(SpectralLaw(0.1, 1.0, 1.0), True, 2.0),
                                 "n_modes must be an integer >= 1, got True"),
@@ -534,13 +543,13 @@ BOOL_SLIPS = {
                              "must be a sequence of 2 integers, got (True, 0)"),
     "parity_deficiency-m_ref": (lambda: parity_deficiency(LADDER.at(0.1), 10, [0, False]),
                                 "must be a sequence of 2 integers, got [0, False]"),
-    "eigen_lowest-k": (lambda: eigen_lowest(np.diag([1.0, 2.0, 3.0]), True, 1e-10),
+    "eigen_lowest-k": (lambda: eigen_lowest(_three_level_branch(), True, 1e-10),
                        "k must lie in [1, 3], got True"),
-    "eigen_lowest-float-k": (lambda: eigen_lowest(np.diag([1.0, 2.0, 3.0]), 2.5, 1e-10),
+    "eigen_lowest-float-k": (lambda: eigen_lowest(_three_level_branch(), 2.5, 1e-10),
                              "k must lie in [1, 3], got 2.5"),
-    "eigen_lowest-max_iter": (lambda: eigen_lowest(np.diag([1.0, 2.0]), 1, 1e-10, True),
+    "eigen_lowest-max_iter": (lambda: eigen_lowest(_three_level_branch(), 1, 1e-10, True),
                               "max_iter must be >= 1, got True"),
-    "eigen_lowest-float-max_iter": (lambda: eigen_lowest(np.diag([1.0, 2.0]), 1, 1e-10, 2.5),
+    "eigen_lowest-float-max_iter": (lambda: eigen_lowest(_three_level_branch(), 1, 1e-10, 2.5),
                                     "max_iter must be >= 1, got 2.5"),
 }
 
@@ -570,7 +579,7 @@ BOOL_NUMBERS = {
     "bath_ladder-omega_c": (lambda: bath_ladder(0.5, True, 3, 2.0),
                             "omega_c must satisfy omega_c > 0, got True"),
     "BathLadder.at-alpha": (lambda: LADDER.at(True), "alpha must satisfy alpha >= 0, got True"),
-    "eigen_lowest-tol": (lambda: eigen_lowest(np.diag([1.0, 2.0]), 1, True),
+    "eigen_lowest-tol": (lambda: eigen_lowest(_three_level_branch(), 1, True),
                          "tol must be > 0, got True"),
     "theorem_report-tol": (lambda: theorem_report(_small_model(), tol=True),
                            "tol must be > 0, got True"),
@@ -590,8 +599,8 @@ def test_a_numpy_float_is_a_number():
     assert discretize_bath(law, 3, 2.0) == discretize_bath(SpectralLaw(0.1, 0.5, 1.0), 3, 2.0)
     assert LADDER.at(np.float64(0.1)) == LADDER.at(0.1)
     assert _small_model(np.float64(0.1)).delta == 0.1
-    diag = np.diag([3.0, 1.0, 2.0])
-    assert np.array_equal(eigen_lowest(diag, 2, np.float64(1e-10)).values, [1.0, 2.0])
+    branch = _three_level_branch()
+    assert np.array_equal(eigen_lowest(branch, 2, np.float64(1e-10)).values, [-1.5, 0.5])
 
 
 def _basis_of(n):
@@ -614,7 +623,7 @@ NUMPY_COUNTS = {
     "parity_deficiency": lambda n: parity_deficiency(LADDER.at(0.1), n(5)),
     "critical_alpha": lambda n: critical_alpha(LADDER, n(5)),
     "critical_alphas": lambda n: critical_alphas([LADDER, LADDER], n(5)),
-    "eigen_lowest": lambda n: eigen_lowest(np.diag([3.0, 1.0, 2.0]), n(2), 1e-10, n(5)
+    "eigen_lowest": lambda n: eigen_lowest(_three_level_branch(), n(2), 1e-10, n(5)
                                            ).values.tolist(),
 }
 
